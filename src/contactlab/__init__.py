@@ -46,6 +46,7 @@ from .metriclab import (
     build_metric,
     discrete_isometry_residual,
     flow_recurrence_residual,
+    flow_recurrence_residuals,
     k_contact_residual,
     killing_residual,
     lie_derivative_metric,

@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -45,7 +46,8 @@ from .metriclab import (
     OmegaFunction,
     build_metric,
     discrete_isometry_residual,
-    flow_recurrence_residual,
+    flow_recurrence_residual,  # noqa: F401  perfbench/tracing.py wraps cli.flow_recurrence_residual
+    flow_recurrence_residuals,
     killing_residual,
     omega_registry,
     poisson_constraint_residual,
@@ -83,6 +85,13 @@ _CONFIG_KEYS = {
     "points", "seed", "out", "format", "v_fixed", "k", "xi", "chi", "maps",
     "u", "v", "h_fd", "delta_sing", "recurrence_dt",
 }
+
+
+#: scalar config keys by the type their value must have; None is allowed for the optional ones
+_INT_KEYS = ("n", "points", "seed", "k", "pair")
+_REAL_KEYS = ("cv", "dt", "t_end", "v_fixed", "delta_sing", "u", "v", "h_fd", "recurrence_dt")
+_STR_KEYS = ("command", "family", "omega", "rho", "format", "out")
+_OPTIONAL_KEYS = {"pair", "u", "v", "h_fd", "recurrence_dt", "out"}
 
 
 class ConfigError(ValueError):
@@ -225,6 +234,15 @@ class RunConfig:
     recurrence_dt: Optional[float] = None
 
     def validate(self) -> None:
+        for keys, kind, label in ((_INT_KEYS, numbers.Integral, "an integer"),
+                                  (_REAL_KEYS, numbers.Real, "a number"),
+                                  (_STR_KEYS, str, "a string")):
+            for name in keys:
+                val = getattr(self, name)
+                if val is None and name in _OPTIONAL_KEYS:
+                    continue
+                if isinstance(val, bool) or not isinstance(val, kind):
+                    raise ConfigError(f"{name} must be {label}, got {val!r}")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.n < 1:
@@ -513,16 +531,18 @@ def _cmd_isometry(cfg: RunConfig):
     maps = _parse_maps(cfg.maps, cfg.n)
     coord = _coord_names(cfg.n)
     names = ["index"] + coord + ["check", "residual"]
+    points = _sampled_points(cfg, omega)
+    recurrence = (flow_recurrence_residuals(G, points, cfg.recurrence_dt).tolist()
+                  if cfg.recurrence_dt is not None else None)
     rows = []
-    for idx, x in enumerate(_sampled_points(cfg, omega)):
+    for idx, x in enumerate(points):
         base = {"index": idx}
         base.update(zip(coord, x.to_array()))
         for m in maps:
             rows.append({**base, "check": f"discrete:{m.label()}",
                          "residual": discrete_isometry_residual(G, m, x)})
-        if cfg.recurrence_dt is not None:
-            rows.append({**base, "check": "recurrence:pi/2",
-                         "residual": flow_recurrence_residual(G, x, cfg.recurrence_dt)})
+        if recurrence is not None:
+            rows.append({**base, "check": "recurrence:pi/2", "residual": recurrence[idx]})
     return names, rows
 
 
@@ -551,14 +571,18 @@ def run(config: RunConfig) -> int:
         return EXIT_CONFIG
 
     path = resolve_output_path(config.out)
-    if path is None:
-        emit_rows(rows, fieldnames, config.format, sys.stdout)
-    else:
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            emit_rows(rows, fieldnames, config.format, fh)
+    try:
+        if path is None:
+            emit_rows(rows, fieldnames, config.format, sys.stdout)
+        else:
+            directory = os.path.dirname(path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                emit_rows(rows, fieldnames, config.format, fh)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -652,6 +676,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             continue
         merged[key] = value
     merged.setdefault("command", args.command)
+    for key in ("ics", "maps"):
+        if merged.get(key) is not None and not isinstance(merged[key], list):
+            raise ConfigError(f"{key} must be a list, got {merged[key]!r}")
 
     if "ics" in merged and merged["ics"] is not None:
         merged["ics"] = [

@@ -196,20 +196,24 @@ def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STE
     return ContactVectorField(name=f"X[{h.name}]", eval=eval_x, jacobian=jacobian)
 
 
-def _rotation_field(n: int, pairs: Tuple[int, ...], name: str) -> ContactVectorField:
-    """Shared fast implementation of X_L and the single-pair generators."""
+def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorField:
+    """Shared fast implementation of X_L and the single-pair generators.
+
+    Pairs first..last-1 (0-based) rotate; they are addressed through basic
+    slices, which keeps eval_array at a few whole-array operations per call.
+    """
     dim = 2 * n + 1
-    mask = np.zeros(n)
-    mask[list(pairs)] = 1.0
+    qs = slice(1 + first, 1 + last)
+    ps = slice(1 + n + first, 1 + n + last)
 
     def eval_array(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        q = z[..., 1 : n + 1]
-        p = z[..., n + 1 :]
-        out = np.empty_like(z)
-        out[..., 0] = 0.5 * ((q * q - p * p) * mask).sum(axis=-1)
-        out[..., 1 : n + 1] = -p * mask
-        out[..., n + 1 :] = q * mask
+        q = z[..., qs]
+        p = z[..., ps]
+        out = np.zeros(z.shape)
+        out[..., 0] = 0.5 * (q * q - p * p).sum(axis=-1)
+        out[..., qs] = -p
+        out[..., ps] = q
         return out
 
     def eval_x(x: DarbouxPoint) -> np.ndarray:
@@ -217,9 +221,9 @@ def _rotation_field(n: int, pairs: Tuple[int, ...], name: str) -> ContactVectorF
 
     def jacobian(x: DarbouxPoint) -> np.ndarray:
         J = np.zeros((dim, dim))
-        J[0, 1 : n + 1] = x.q * mask
-        J[0, n + 1 :] = -x.p * mask
-        for a in pairs:
+        J[0, qs] = x.q[first:last]
+        J[0, ps] = -x.p[first:last]
+        for a in range(first, last):
             J[1 + a, 1 + n + a] = -1.0
             J[1 + n + a, 1 + a] = 1.0
         return J
@@ -231,14 +235,14 @@ def legendre_field(n: int = 2) -> ContactVectorField:
     """X_L, the generator of total Legendre transformations (all pairs rotate)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _rotation_field(n, tuple(range(n)), "X_L")
+    return _rotation_field(n, 0, n, "X_L")
 
 
 def partial_legendre_field(i: int, n: int = 2) -> ContactVectorField:
     """X_{L_i}: only the i-th conjugate pair rotates (1-based index)."""
     if not 1 <= i <= n:
         raise IndexError(f"pair index {i} out of range 1..{n}")
-    return _rotation_field(n, (i - 1,), f"X_L{i}")
+    return _rotation_field(n, i - 1, i, f"X_L{i}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +304,10 @@ def _rk4_step(f, y, dt):
 
 def _step_schedule(t_end: float, dt: float) -> list:
     """Step sizes covering [0, t_end] exactly, with one final partial step."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_end < 0:
+        raise ValueError("t_end must be non-negative")
     n_full = int(math.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
     steps = [dt] * n_full
@@ -308,51 +316,45 @@ def _step_schedule(t_end: float, dt: float) -> list:
     return steps
 
 
-def flow_map(X: ContactVectorField, z0: np.ndarray, t_end: float, dt: float) -> np.ndarray:
-    """Endpoint of the time-t_end flow for one state or a batch of states.
+def _rk4_states(X: ContactVectorField, z0: np.ndarray, schedule: list):
+    """Yield (t, state) after each classic RK4 step of the schedule from z0.
 
-    z0 has shape (2n+1,) or (m, 2n+1); the result has the same shape.
-    Classic RK4 with fixed step dt and a final partial step onto t_end.
+    Raises IntegrationError, carrying the last valid time, as soon as a step
+    produces a non-finite state.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be non-negative")
     f = _field_array_eval(X)
-    y = np.array(z0, dtype=float)
+    y = np.asarray(z0, dtype=float)
     t = 0.0
-    for step in _step_schedule(t_end, dt):
-        y_next = _rk4_step(f, y, step)
-        if not math.isfinite(float(np.sum(y_next))):
-            raise IntegrationError(
-                f"flow of {X.name} became non-finite; last valid time t={t:.6g}", t
-            )
-        y = y_next
-        t += step
-    return y
-
-
-def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: float) -> FlowTrajectory:
-    """Integrate dZ/dt = X(Z) from ic with classic RK4 and record the curve."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be non-negative")
-    f = _field_array_eval(X)
-    schedule = _step_schedule(t_end, dt)
-    times = np.empty(len(schedule) + 1)
-    coords = np.empty((len(schedule) + 1, ic.dim))
-    times[0] = 0.0
-    coords[0] = ic.to_array()
-    y = coords[0].copy()
-    t = 0.0
-    for k, step in enumerate(schedule, start=1):
+    for step in schedule:
         y = _rk4_step(f, y, step)
         if not math.isfinite(float(np.sum(y))):
             raise IntegrationError(
                 f"flow of {X.name} became non-finite; last valid time t={t:.6g}", t
             )
         t += step
+        yield t, y
+
+
+def flow_map(X: ContactVectorField, z0: np.ndarray, t_end: float, dt: float) -> np.ndarray:
+    """Endpoint of the time-t_end flow for one state or a batch of states.
+
+    z0 has shape (2n+1,) or (m, 2n+1); the result has the same shape.
+    Classic RK4 with fixed step dt and a final partial step onto t_end.
+    """
+    y = np.array(z0, dtype=float)
+    for _, y in _rk4_states(X, y, _step_schedule(t_end, dt)):
+        pass
+    return y
+
+
+def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: float) -> FlowTrajectory:
+    """Integrate dZ/dt = X(Z) from ic with classic RK4 and record the curve."""
+    schedule = _step_schedule(t_end, dt)
+    times = np.empty(len(schedule) + 1)
+    coords = np.empty((len(schedule) + 1, ic.dim))
+    times[0] = 0.0
+    coords[0] = ic.to_array()
+    for k, (t, y) in enumerate(_rk4_states(X, coords[0], schedule), start=1):
         times[k] = t
         coords[k] = y
     return FlowTrajectory(times=times, coords=coords, ic=ic, dt=dt)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -394,44 +394,66 @@ def poisson_constraint_residual(omega: OmegaFunction, x: DarbouxPoint,
     return float(x.p @ dq - x.q @ dp)
 
 
+def _pullback_defect(G: MetricField, x: DarbouxPoint, y: DarbouxPoint, J: np.ndarray) -> float:
+    """|| J^T G(y) J - G(x) ||_F for a map sending x to y with Jacobian J."""
+    Gy = np.asarray(G.eval(y), dtype=float)
+    return float(np.linalg.norm(J.T @ Gy @ J - np.asarray(G.eval(x), dtype=float), "fro"))
+
+
 def discrete_isometry_residual(G: MetricField, m: LegendreMap, x: DarbouxPoint) -> float:
     """|| J^T G(m(x)) J - G(x) ||_F for the discrete Legendre map m."""
-    J = jacobian_discrete_legendre(m, x)
-    Gy = np.asarray(G.eval(discrete_legendre(x, m)), dtype=float)
-    return float(np.linalg.norm(J.T @ Gy @ J - np.asarray(G.eval(x), dtype=float), "fro"))
+    return _pullback_defect(G, x, discrete_legendre(x, m), jacobian_discrete_legendre(m, x))
+
+
+def _fd_flow_jacobians(points: Sequence[DarbouxPoint], dt: float, t: float, h_fd: float):
+    """Endpoints and central-difference Jacobians of the time-t X_L flow map.
+
+    Every point contributes 2*dim + 1 states (itself, then +h_fd and -h_fd
+    along each coordinate), and all of them go through one flow_map call.
+    """
+    dim = points[0].dim
+    z = np.array([x.to_array() for x in points])
+    stencil = np.repeat(z[:, None, :], 2 * dim + 1, axis=1)
+    axes = np.arange(dim)
+    stencil[:, 1 + 2 * axes, axes] += h_fd
+    stencil[:, 2 + 2 * axes, axes] -= h_fd
+    ends = flow_map(legendre_field(points[0].n), stencil.reshape(-1, dim), t, dt)
+    ends = ends.reshape(len(points), 2 * dim + 1, dim)
+    # columns[i, B] = d(endpoint of point i) / dZ^B
+    columns = (ends[:, 1::2] - ends[:, 2::2]) / (2 * h_fd)
+    endpoints = [DarbouxPoint.from_array(e) for e in ends[:, 0]]
+    return endpoints, [np.ascontiguousarray(c.T) for c in columns]
+
+
+def flow_recurrence_residuals(G: MetricField, points: Sequence[DarbouxPoint], dt: float,
+                              t: float = math.pi / 2.0, method: str = "fd",
+                              h_fd: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Pullback defects of G along the time-t flow map of X_L, one per point.
+
+    method "fd" integrates the flow with RK4 at step dt and differentiates
+    the endpoint map by central differences, with the stencils of all
+    points integrated as one batch; method "closed_form" uses the exact
+    trigonometric orbit and its analytic Jacobian (dt is ignored).  At
+    t = pi/2 the flow map is the total Legendre transformation, where both
+    gtd_* families recover their value.
+    """
+    points = list(points)
+    if method == "closed_form":
+        endpoints = [closed_form_orbit(x, t) for x in points]
+        jacobians = [closed_form_orbit_jacobian(x, t) for x in points]
+    elif method == "fd":
+        endpoints, jacobians = _fd_flow_jacobians(points, dt, t, h_fd) if points else ([], [])
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'fd' or 'closed_form'")
+    return np.array([_pullback_defect(G, x, y, J) for x, y, J in zip(points, endpoints, jacobians)],
+                    dtype=float)
 
 
 def flow_recurrence_residual(G: MetricField, x: DarbouxPoint, dt: float,
                              t: float = math.pi / 2.0, method: str = "fd",
                              h_fd: float = DEFAULT_FD_STEP) -> float:
-    """Pullback defect of G along the time-t flow map of X_L.
+    """Pullback defect of G along the time-t flow map of X_L at one point.
 
-    method "fd" integrates the flow with RK4 at step dt and differentiates
-    the endpoint map by central differences; method "closed_form" uses the
-    exact trigonometric orbit and its analytic Jacobian (dt is ignored).
-    At t = pi/2 the flow map is the total Legendre transformation, where
-    both gtd_* families recover their value.
+    The single-point form of flow_recurrence_residuals, with the same methods.
     """
-    dim = x.dim
-    if method == "closed_form":
-        endpoint = closed_form_orbit(x, t)
-        J = closed_form_orbit_jacobian(x, t)
-    elif method == "fd":
-        X = legendre_field(x.n)
-        z = x.to_array()
-        batch = np.empty((2 * dim + 1, dim))
-        batch[0] = z
-        for B in range(dim):
-            batch[1 + 2 * B] = z
-            batch[1 + 2 * B, B] += h_fd
-            batch[2 + 2 * B] = z
-            batch[2 + 2 * B, B] -= h_fd
-        ends = flow_map(X, batch, t, dt)
-        endpoint = DarbouxPoint.from_array(ends[0])
-        J = np.empty((dim, dim))
-        for B in range(dim):
-            J[:, B] = (ends[1 + 2 * B] - ends[2 + 2 * B]) / (2 * h_fd)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'fd' or 'closed_form'")
-    Gy = np.asarray(G.eval(endpoint), dtype=float)
-    return float(np.linalg.norm(J.T @ Gy @ J - np.asarray(G.eval(x), dtype=float), "fro"))
+    return float(flow_recurrence_residuals(G, [x], dt, t, method, h_fd)[0])

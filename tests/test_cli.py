@@ -21,7 +21,9 @@ from contactlab.cli import (
     run,
 )
 from contactlab.flows import LegendreMap, discrete_legendre
+from contactlab.metriclab import GtdTotalParams, OmegaFunction, build_metric, flow_recurrence_residual
 from contactlab.phasespace import DarbouxPoint
+from contactlab.sampling import sample_darboux_points
 
 PI_2 = math.pi / 2.0
 
@@ -59,6 +61,15 @@ class TestConfig:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"cv": 1.5, "colour": "red"}))
         assert main(["rho-scan", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("bad", [{"points": "abc"}, {"dt": "x"}, {"points": None},
+                                     {"omega": 5}, {"k": 1.5}, {"maps": 5}])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        assert main(["isometry", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -236,6 +247,9 @@ class TestIsometry:
         rec = [r for r in read_csv(out) if r["check"] == "recurrence:pi/2"]
         assert len(rec) == 3
         assert max(float(r["residual"]) for r in rec) < 1e-4
+        G = build_metric("gtd_total", GtdTotalParams.identity(OmegaFunction.constant(1.0)))
+        expected = [flow_recurrence_residual(G, x, 1e-3) for x in sample_darboux_points(3, 2, 13)]
+        assert [float(r["residual"]) for r in rec] == expected
 
 
 class TestEmission:
@@ -255,6 +269,14 @@ class TestEmission:
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_unusable_out_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code = main(["legendre", "--point", "0,1,0,0,0", "--out", str(blocker / "leg.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CTL_OUTPUT_DIR", str(tmp_path))

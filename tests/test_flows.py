@@ -184,6 +184,24 @@ class TestIntegrateFlow:
         assert 0.0 <= err.value.last_valid_time < 10.0
         assert "last valid time" in str(err.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_flow_map_blowup_reports_same_time(self):
+        cubic = ContactVectorField(name="cubic", eval=lambda x: x.to_array() ** 3,
+                                   eval_array=lambda z: z**3)
+        ic = DarbouxPoint(10.0, [10.0, 10.0], [10.0, 10.0])
+        with pytest.raises(IntegrationError) as recorded:
+            integrate_flow(cubic, ic, t_end=10.0, dt=0.1)
+        with pytest.raises(IntegrationError) as endpoint:
+            flow_map(cubic, ic.to_array(), 10.0, 0.1)
+        assert str(endpoint.value) == str(recorded.value)
+        assert endpoint.value.last_valid_time == recorded.value.last_valid_time
+
+    @pytest.mark.parametrize("X", [legendre_field(2), partial_legendre_field(2, 2)])
+    def test_recorded_curve_ends_at_flow_map_endpoint(self, X):
+        ic = DarbouxPoint(0.3, [1.0, -0.7], [0.8, 0.4])
+        traj = integrate_flow(X, ic, 1.234, 1e-2)
+        assert np.array_equal(traj.coords[-1], flow_map(X, ic.to_array(), 1.234, 1e-2))
+
     def test_flow_map_batches_states(self):
         X = legendre_field(2)
         pts = sample_darboux_points(8, 2, seed=29)
@@ -191,6 +209,37 @@ class TestIntegrateFlow:
         ends = flow_map(X, batch, 0.7, 1e-3)
         for row, p in zip(ends, pts):
             np.testing.assert_allclose(row, closed_form_orbit(p, 0.7).to_array(), atol=1e-10)
+
+
+def _masked_rotation_reference(z, n, pairs):
+    """The rotation field written with a 0/1 pair mask over all n pairs."""
+    mask = np.zeros(n)
+    mask[list(pairs)] = 1.0
+    q = z[..., 1 : n + 1]
+    p = z[..., n + 1 :]
+    out = np.empty_like(z)
+    out[..., 0] = 0.5 * ((q * q - p * p) * mask).sum(axis=-1)
+    out[..., 1 : n + 1] = -p * mask
+    out[..., n + 1 :] = q * mask
+    return out
+
+
+class TestRotationFieldArrays:
+    @pytest.mark.parametrize("X, pairs", [
+        (legendre_field(2), (0, 1)),
+        (partial_legendre_field(1, 2), (0,)),
+        (partial_legendre_field(2, 2), (1,)),
+    ])
+    def test_slices_match_masked_formula(self, X, pairs):
+        z = np.random.default_rng(5).normal(size=(64, 5))
+        ref = _masked_rotation_reference(z, 2, pairs)
+        out = X.eval_array(z)
+        assert np.array_equal(out, ref)
+        # Phi and the rotating pairs agree bit for bit; in the slots of pairs
+        # that do not rotate the mask left -0.0 where the slices write +0.0
+        cols = [0] + [1 + a for a in pairs] + [3 + a for a in pairs]
+        assert np.array_equal(out[:, cols].view(np.int64), ref[:, cols].view(np.int64))
+        assert np.array_equal(X.eval_array(z[7]), ref[7])
 
 
 class TestClosedFormOrbit:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from contactlab.phasespace import DarbouxPoint, eval_eta
-from contactlab.flows import LegendreMap, legendre_field
+from contactlab.phasespace import DEFAULT_FD_STEP, DarbouxPoint, eval_eta
+from contactlab.flows import LegendreMap, flow_map, legendre_field
 from contactlab.metriclab import (
     GtdPartialParams,
     GtdTotalParams,
@@ -15,6 +15,7 @@ from contactlab.metriclab import (
     build_metric,
     discrete_isometry_residual,
     flow_recurrence_residual,
+    flow_recurrence_residuals,
     k_contact_residual,
     killing_residual,
     lie_derivative_metric,
@@ -294,3 +295,52 @@ class TestFlowRecurrence:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             flow_recurrence_residual(gtd_total_unit(), FROZEN_POINT, dt=1e-4, method="euler")
+
+
+def _per_point_fd_recurrence(G, x, dt, t=math.pi / 2.0, h_fd=DEFAULT_FD_STEP):
+    """Reference: one 11-state flow_map per point, Jacobian filled column by column."""
+    dim = x.dim
+    z = x.to_array()
+    batch = np.empty((2 * dim + 1, dim))
+    batch[0] = z
+    for B in range(dim):
+        batch[1 + 2 * B] = z
+        batch[1 + 2 * B, B] += h_fd
+        batch[2 + 2 * B] = z
+        batch[2 + 2 * B, B] -= h_fd
+    ends = flow_map(X_L, batch, t, dt)
+    J = np.empty((dim, dim))
+    for B in range(dim):
+        J[:, B] = (ends[1 + 2 * B] - ends[2 + 2 * B]) / (2 * h_fd)
+    Gy = G.eval(DarbouxPoint.from_array(ends[0]))
+    return float(np.linalg.norm(J.T @ Gy @ J - G.eval(x), "fro"))
+
+
+class TestBatchedFlowRecurrence:
+    POINTS = sample_darboux_points(8, 2, seed=97)
+    FAMILIES = [gtd_partial_unit, lambda: gtd_partial_unit(k=1), gtd_total_unit]
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("method", ["fd", "closed_form"])
+    def test_batch_equals_per_point(self, factory, method):
+        G = factory()
+        batched = flow_recurrence_residuals(G, self.POINTS, dt=1e-2, method=method)
+        single = [flow_recurrence_residual(G, x, dt=1e-2, method=method) for x in self.POINTS]
+        assert batched.shape == (8,)
+        assert np.array_equal(batched, single)
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    def test_batch_equals_per_point_flow_map_reference(self, factory):
+        G = factory()
+        batched = flow_recurrence_residuals(G, self.POINTS, dt=1e-2)
+        reference = [_per_point_fd_recurrence(G, x, dt=1e-2) for x in self.POINTS]
+        assert np.array_equal(batched, reference)
+
+    @pytest.mark.parametrize("method", ["fd", "closed_form"])
+    def test_empty_point_list(self, method):
+        out = flow_recurrence_residuals(gtd_total_unit(), [], dt=1e-3, method=method)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_unknown_method_rejected_without_points(self):
+        with pytest.raises(ValueError):
+            flow_recurrence_residuals(gtd_total_unit(), [], dt=1e-3, method="euler")
