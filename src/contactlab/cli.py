@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint
+from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff
 from .flows import (
     IntegrationError,
     LegendreMap,
@@ -67,7 +67,6 @@ from .expressions import (
     ExpressionDomainError,
     ExpressionError,
     eval_expression,
-    fd_partial,
     parse_expression,
 )
 from .sampling import sample_darboux_points
@@ -141,8 +140,7 @@ def fundamental_relation_from_expression(text: str, name: Optional[str] = None,
         return eval_expression(expr, bindings(q))
 
     def gradient(q) -> np.ndarray:
-        b = bindings(q)
-        return np.array([fd_partial(expr, var, b, h_fd) for var in names])
+        return central_diff(value, q, h_fd)
 
     def hessian(q) -> np.ndarray:
         b = bindings(q)

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .phasespace import DarbouxPoint, eval_eta
+from .phasespace import DarbouxPoint, central_diff, eval_eta
 from .metriclab import MetricField, OmegaFunction, build_metric
 
 #: half-width of the |rho^2 - c_v| band flagged as near-singular
@@ -44,6 +44,11 @@ _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 #: epsilon-family metric with unit Omega; curvature_report only needs its family tag
 _EPSILON_UNIT = build_metric("epsilon", OmegaFunction.constant(1.0))
+
+
+def _scaled_step(coordinate: float, h_fd: float) -> float:
+    """Equilibrium-space FD step, h * max(1, |coordinate|)."""
+    return h_fd * max(1.0, abs(coordinate))
 
 
 class DomainError(ValueError):
@@ -155,20 +160,18 @@ class EquilibriumOmega:
     def partial_u(self, u: float, v: float, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
         if self.d_u is not None:
             return float(self.d_u(u, v))
-        h = h_fd * max(1.0, abs(u))
-        return (self.eval(u + h, v) - self.eval(u - h, v)) / (2 * h)
+        return float(central_diff(lambda w: self.eval(float(w[0]), v), [u], _scaled_step(u, h_fd))[0])
 
     def partial_v(self, u: float, v: float, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
         if self.d_v is not None:
             return float(self.d_v(u, v))
-        h = h_fd * max(1.0, abs(v))
-        return (self.eval(u, v + h) - self.eval(u, v - h)) / (2 * h)
+        return float(central_diff(lambda w: self.eval(u, float(w[0])), [v], _scaled_step(v, h_fd))[0])
 
     def partial_uv(self, u: float, v: float, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
         if self.d_uv is not None:
             return float(self.d_uv(u, v))
-        hu = h_fd * max(1.0, abs(u))
-        hv = h_fd * max(1.0, abs(v))
+        hu = _scaled_step(u, h_fd)
+        hv = _scaled_step(v, h_fd)
         return (
             self.eval(u + hu, v + hv)
             - self.eval(u + hu, v - hv)
@@ -222,15 +225,8 @@ def _metric_eval(g) -> Callable[[np.ndarray], np.ndarray]:
 
 def _christoffel(ev: Callable[[np.ndarray], np.ndarray], q: np.ndarray, h_fd: float) -> np.ndarray:
     """Gamma^a_{bc} at q with metric first derivatives by central differences."""
-    dim = len(q)
-    gmat = ev(q)
-    ginv = np.linalg.inv(gmat)
-    D = np.empty((dim, dim, dim))  # D[a,b,c] = d_c g_{ab}
-    for c in range(dim):
-        h = h_fd * max(1.0, abs(q[c]))
-        e = np.zeros(dim)
-        e[c] = h
-        D[:, :, c] = (ev(q + e) - ev(q - e)) / (2 * h)
+    ginv = np.linalg.inv(ev(q))
+    D = central_diff(ev, q, [_scaled_step(qc, h_fd) for qc in q])  # D[a,b,c] = d_c g_{ab}
     return 0.5 * (
         np.einsum("ad,dcb->abc", ginv, D)
         + np.einsum("ad,dbc->abc", ginv, D)
@@ -247,19 +243,14 @@ def scalar_curvature_numeric(g, q: np.ndarray, h_fd: float = DEFAULT_CURVATURE_S
     """
     ev = _metric_eval(g)
     q = np.asarray(q, dtype=float)
-    dim = len(q)
     gmat = np.asarray(ev(q), dtype=float)
     det = float(np.linalg.det(gmat))
     if abs(det) <= 1e-12:
         raise DegenerateMetricError(f"metric is degenerate at {q.tolist()} (det = {det:.3g})")
     ginv = np.linalg.inv(gmat)
     gamma = _christoffel(ev, q, h_fd)
-    dgamma = np.empty((dim, dim, dim, dim))  # dgamma[a,b,c,e] = d_e Gamma^a_{bc}
-    for e_idx in range(dim):
-        h = h_fd * max(1.0, abs(q[e_idx]))
-        e = np.zeros(dim)
-        e[e_idx] = h
-        dgamma[:, :, :, e_idx] = (_christoffel(ev, q + e, h_fd) - _christoffel(ev, q - e, h_fd)) / (2 * h)
+    # dgamma[a,b,c,e] = d_e Gamma^a_{bc}
+    dgamma = central_diff(lambda y: _christoffel(ev, y, h_fd), q, [_scaled_step(qc, h_fd) for qc in q])
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
     riemann = (
         np.einsum("adbc->abcd", dgamma)

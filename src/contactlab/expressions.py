@@ -31,6 +31,11 @@ FUNCTIONS = {
 }
 
 
+#: deepest nesting the parser accepts; each level costs the recursive-descent
+#: parser a few interpreter frames, so far deeper input would exhaust them
+MAX_NESTING = 100
+
+
 class ExpressionError(ValueError):
     """Base class for parse-time expression errors."""
 
@@ -125,6 +130,7 @@ class _Parser:
         self.context = context
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = -1  # the outermost level is not nested
 
     def peek(self):
         return self.tokens[self.pos]
@@ -168,11 +174,19 @@ class _Parser:
                 return node
 
     def unary(self) -> Expression:
-        kind, value, _ = self.peek()
+        # every nested construct (parentheses, call arguments, unary minus,
+        # exponents) recurses through here, so this depth bounds the recursion
+        kind, value, offset = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError(f"nested too deeply (more than {MAX_NESTING} levels)", offset)
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expression:
         base = self.atom()
@@ -266,11 +280,3 @@ def to_string(expr: Expression) -> str:
         return f"{expr.func}({to_string(expr.arg)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
-
-def fd_partial(expr: Expression, var: str, bindings: Dict[str, float], h_fd: float) -> float:
-    """Central-difference partial derivative of an expression."""
-    up = dict(bindings)
-    dn = dict(bindings)
-    up[var] = bindings[var] + h_fd
-    dn[var] = bindings[var] - h_fd
-    return (eval_expression(expr, up) - eval_expression(expr, dn)) / (2 * h_fd)

@@ -22,7 +22,7 @@ from typing import Callable, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, eval_eta
+from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff, central_diff_at, eval_eta
 
 
 class IntegrationError(RuntimeError):
@@ -56,19 +56,13 @@ class ContactHamiltonian:
         """Wrap a bare scalar with central-difference partials."""
 
         def d_phi(x):
-            return (fn(x.shifted(0, h_fd)) - fn(x.shifted(0, -h_fd))) / (2 * h_fd)
+            return central_diff(lambda z: fn(DarbouxPoint(z[0], x.q, x.p)), [x.phi], h_fd)[0]
 
         def d_q(x):
-            return np.array([
-                (fn(x.shifted(1 + a, h_fd)) - fn(x.shifted(1 + a, -h_fd))) / (2 * h_fd)
-                for a in range(x.n)
-            ])
+            return central_diff(lambda q: fn(DarbouxPoint(x.phi, q, x.p)), x.q, h_fd)
 
         def d_p(x):
-            return np.array([
-                (fn(x.shifted(1 + x.n + a, h_fd)) - fn(x.shifted(1 + x.n + a, -h_fd))) / (2 * h_fd)
-                for a in range(x.n)
-            ])
+            return central_diff(lambda p: fn(DarbouxPoint(x.phi, x.q, p)), x.p, h_fd)
 
         return cls(name=name, value=fn, d_phi=d_phi, d_q=d_q, d_p=d_p, uses_fd=True)
 
@@ -187,11 +181,7 @@ def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STE
     else:
 
         def jacobian(x: DarbouxPoint) -> np.ndarray:
-            dim = x.dim
-            J = np.empty((dim, dim))
-            for B in range(dim):
-                J[:, B] = (eval_x(x.shifted(B, h_fd)) - eval_x(x.shifted(B, -h_fd))) / (2 * h_fd)
-            return J
+            return central_diff_at(eval_x, x, h_fd)
 
     return ContactVectorField(name=f"X[{h.name}]", eval=eval_x, jacobian=jacobian)
 
@@ -327,7 +317,7 @@ def _rk4_states(X: ContactVectorField, z0: np.ndarray, schedule: list):
     t = 0.0
     for step in schedule:
         y = _rk4_step(f, y, step)
-        if not math.isfinite(float(np.sum(y))):
+        if not np.isfinite(y).all():
             raise IntegrationError(
                 f"flow of {X.name} became non-finite; last valid time t={t:.6g}", t
             )

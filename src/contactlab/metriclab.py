@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, eval_eta, reeb
+from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff, central_diff_at, eval_eta, reeb
 from .flows import (
     ContactVectorField,
     LegendreMap,
@@ -73,14 +73,8 @@ class OmegaFunction:
         p = np.asarray(p, dtype=float)
         if self.analytic:
             return np.asarray(self.d_q(q, p), dtype=float), np.asarray(self.d_p(q, p), dtype=float)
-        dq = np.empty(len(q))
-        dp = np.empty(len(p))
-        for a in range(len(q)):
-            e = np.zeros(len(q))
-            e[a] = h_fd
-            dq[a] = (self.eval(q + e, p) - self.eval(q - e, p)) / (2 * h_fd)
-            dp[a] = (self.eval(q, p + e) - self.eval(q, p - e)) / (2 * h_fd)
-        return dq, dp
+        return (central_diff(lambda q_: self.eval(q_, p), q, h_fd),
+                central_diff(lambda p_: self.eval(q, p_), p, h_fd))
 
 
 def omega_registry(n: int = 2) -> dict:
@@ -345,24 +339,13 @@ def reeb_vector_field(n: int = 2) -> ContactVectorField:
 def _metric_partials(G: MetricField, x: DarbouxPoint, h_fd: float) -> np.ndarray:
     if G.d_eval is not None:
         return np.asarray(G.d_eval(x), dtype=float)
-    dim = x.dim
-    D = np.empty((dim, dim, dim))
-    for C in range(dim):
-        D[:, :, C] = (G.eval(x.shifted(C, h_fd)) - G.eval(x.shifted(C, -h_fd))) / (2 * h_fd)
-    return D
+    return central_diff_at(G.eval, x, h_fd)
 
 
 def _field_jacobian(X: ContactVectorField, x: DarbouxPoint, h_fd: float) -> np.ndarray:
     if X.jacobian is not None:
         return np.asarray(X.jacobian(x), dtype=float)
-    dim = x.dim
-    J = np.empty((dim, dim))
-    for B in range(dim):
-        J[:, B] = (
-            np.asarray(X.eval(x.shifted(B, h_fd)), dtype=float)
-            - np.asarray(X.eval(x.shifted(B, -h_fd)), dtype=float)
-        ) / (2 * h_fd)
-    return J
+    return central_diff_at(lambda y: np.asarray(X.eval(y), dtype=float), x, h_fd)
 
 
 def lie_derivative_metric(X: ContactVectorField, G: MetricField, x: DarbouxPoint,

@@ -238,6 +238,36 @@ def volume_form_coefficient(x: DarbouxPoint) -> float:
     return total / float(2**n)
 
 
+def central_diff(f: Callable, z: Sequence[float], h) -> np.ndarray:
+    """Central-difference derivative of f at the coordinate vector z.
+
+    D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B), where h is one
+    step for every coordinate, or a list, tuple or array of one step per
+    coordinate.  f may return a scalar or an array; D has f's shape plus a
+    last axis of len(z).  Each call of f gets a fresh copy of z.
+    """
+    z = np.asarray(z, dtype=float)
+    values = z.tolist()
+    dim = len(values)
+    steps = [float(s) for s in h] if isinstance(h, (list, tuple, np.ndarray)) else [float(h)] * dim
+    D = None
+    for B in range(dim):
+        up = z.copy()
+        up[B] = values[B] + steps[B]
+        down = z.copy()
+        down[B] = values[B] - steps[B]
+        column = (f(up) - f(down)) / (2 * steps[B])
+        if D is None:
+            D = np.empty(getattr(column, "shape", ()) + (dim,))
+        D[..., B] = column
+    return D
+
+
+def central_diff_at(f: Callable[[DarbouxPoint], np.ndarray], x: DarbouxPoint, h) -> np.ndarray:
+    """central_diff of a function of DarbouxPoints over all Z coordinates of x."""
+    return central_diff(lambda z: f(DarbouxPoint.from_array(z)), x.to_array(), h)
+
+
 def _as_vector_eval(X) -> Callable[[DarbouxPoint], np.ndarray]:
     ev = getattr(X, "eval", None)
     fn = ev if callable(ev) else X
@@ -247,17 +277,6 @@ def _as_vector_eval(X) -> Callable[[DarbouxPoint], np.ndarray]:
         return np.asarray(getattr(out, "components", out), dtype=float)
 
     return eval_x
-
-
-def _fd_jacobian(fn: Callable[[DarbouxPoint], np.ndarray], x: DarbouxPoint, h: float) -> np.ndarray:
-    """Central-difference Jacobian J[A, B] = d fn_A / d Z^B."""
-    dim = x.dim
-    J = np.empty((dim, dim))
-    for B in range(dim):
-        plus = fn(x.shifted(B, h))
-        minus = fn(x.shifted(B, -h))
-        J[:, B] = (plus - minus) / (2.0 * h)
-    return J
 
 
 def lie_derivative_oneform(X, omega, x: DarbouxPoint, h_fd: float = DEFAULT_FD_STEP) -> Covector:
@@ -276,9 +295,9 @@ def lie_derivative_oneform(X, omega, x: DarbouxPoint, h_fd: float = DEFAULT_FD_S
     wval = eval_w(x)
 
     d_eval = getattr(omega, "d_eval", None)
-    Dw = d_eval(x) if callable(d_eval) else _fd_jacobian(eval_w, x, h_fd)
+    Dw = d_eval(x) if callable(d_eval) else central_diff_at(eval_w, x, h_fd)
 
     jac = getattr(X, "jacobian", None)
-    JX = jac(x) if callable(jac) else _fd_jacobian(eval_x, x, h_fd)
+    JX = jac(x) if callable(jac) else central_diff_at(eval_x, x, h_fd)
 
     return Covector(Dw @ Xval + JX.T @ wval)

@@ -157,6 +157,13 @@ class TestKilling:
     def test_bad_expression_is_config_error(self):
         assert main(["killing", "--family", "epsilon", "--omega", "expr:q1+"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", ["(" * 2000 + "q1" + ")" * 2000, "-" * 5000 + "q1"])
+    def test_deeply_nested_expression_is_config_error(self, capsys, text):
+        assert main(["omega-check", "--points", "1", "--omega", "expr:" + text]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
 
 class TestOmegaCheck:
     def test_bracket_column(self, tmp_path):

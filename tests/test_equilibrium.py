@@ -162,6 +162,44 @@ class TestNumericCurvature:
         assert R == pytest.approx(8 * CV * 2.0**3 / (2.0**2 - CV) ** 3, rel=1e-3)
         assert R == pytest.approx(6.144, rel=1e-3)
 
+    def test_equals_the_hand_written_loops(self):
+        # the oracle as it was written before central_diff, scaled steps included
+        def christoffel(ev, q, h_fd):
+            ginv = np.linalg.inv(ev(q))
+            D = np.empty((2, 2, 2))
+            for c in range(2):
+                h = h_fd * max(1.0, abs(q[c]))
+                e = np.zeros(2)
+                e[c] = h
+                D[:, :, c] = (ev(q + e) - ev(q - e)) / (2 * h)
+            return 0.5 * (np.einsum("ad,dcb->abc", ginv, D) + np.einsum("ad,dbc->abc", ginv, D)
+                          - np.einsum("ad,bcd->abc", ginv, D))
+
+        def curvature(ev, q, h_fd=1e-4):
+            gamma = christoffel(ev, q, h_fd)
+            dgamma = np.empty((2, 2, 2, 2))
+            for e_idx in range(2):
+                h = h_fd * max(1.0, abs(q[e_idx]))
+                e = np.zeros(2)
+                e[e_idx] = h
+                dgamma[:, :, :, e_idx] = (christoffel(ev, q + e, h_fd) - christoffel(ev, q - e, h_fd)) / (2 * h)
+            riemann = (np.einsum("adbc->abcd", dgamma) - np.einsum("acbd->abcd", dgamma)
+                       + np.einsum("ace,edb->abcd", gamma, gamma) - np.einsum("ade,ecb->abcd", gamma, gamma))
+            return float(np.einsum("bd,bd->", np.linalg.inv(ev(q)), np.einsum("abad->bd", riemann)))
+
+        omega = EquilibriumOmega.from_callable(lambda u, v: 1.0 + 0.1 * u * v)
+        for q in (np.array([2.5, 1.3]), np.array([7.0, 0.4]), np.array([0.3, 0.2])):
+            for om in (OMEGA_ONE, omega):
+                g = induced_metric(EPS_UNIT, GAS, om)
+                assert scalar_curvature_numeric(g, q) == curvature(g.eval, q)
+
+    def test_fd_omega_partials_equal_the_hand_written_differences(self):
+        omega = EquilibriumOmega.from_callable(lambda u, v: math.exp(0.3 * u) * v**2)
+        for u, v in ((2.5, 1.3), (0.4, 3.0), (0.5, 0.7)):
+            hu, hv = 1e-4 * max(1.0, u), 1e-4 * max(1.0, v)
+            assert omega.partial_u(u, v) == (omega.eval(u + hu, v) - omega.eval(u - hu, v)) / (2 * hu)
+            assert omega.partial_v(u, v) == (omega.eval(u, v + hv) - omega.eval(u, v - hv)) / (2 * hv)
+
     def test_degenerate_point_rejected(self):
         g = induced_metric(EPS_UNIT, GAS, OMEGA_ONE)
         u = math.sqrt(CV)

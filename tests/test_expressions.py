@@ -10,17 +10,18 @@ from contactlab.expressions import (
     Call,
     ExpressionDomainError,
     ExpressionSyntaxError,
+    MAX_NESTING,
     Neg,
     Num,
     UnknownIdentifierError,
     Var,
     eval_expression,
-    fd_partial,
     parse_expression,
     to_string,
 )
 from contactlab.cli import omega_from_expression
 from contactlab.metriclab import omega_registry
+from contactlab.phasespace import central_diff
 
 PHASE_VARS = ("q1", "q2", "p1", "p2")
 UV = ("u", "v")
@@ -68,6 +69,19 @@ class TestParsing:
     def test_adjacent_tokens_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("q1 q2", PHASE_VARS)
+
+    @pytest.mark.parametrize("text", ["(" * 2000 + "q1" + ")" * 2000, "-" * 5000 + "q1"])
+    def test_deep_nesting_is_a_syntax_error(self, text):
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply") as err:
+            parse_expression(text, PHASE_VARS)
+        assert err.value.offset == MAX_NESTING + 1
+
+    def test_nesting_at_the_limit_parses_and_evaluates(self):
+        parens = "(" * 100 + "q1+1" + ")" * 100
+        assert ev(parens, PHASE_VARS, q1=0.5) == 1.5
+        sums = "(1+" * 100 + "q1" + ")" * 100
+        assert ev(sums, PHASE_VARS, q1=0.5) == 100.5
+        assert ev("-" * 100 + "q1", PHASE_VARS, q1=0.5) == 0.5
 
 
 class TestPrecedence:
@@ -176,8 +190,8 @@ class TestExpressionDerivatives:
                     assert np.abs(dq_e - dq_a).max() < 1e-6, name
                     assert np.abs(dp_e - dp_a).max() < 1e-6, name
 
-    def test_fd_partial_helper(self):
+    def test_central_diff_of_an_expression(self):
         tree = parse_expression("sin(u)*v", UV)
-        b = {"u": 0.6, "v": 2.0}
-        assert fd_partial(tree, "u", b, 1e-5) == pytest.approx(2.0 * math.cos(0.6), abs=1e-9)
-        assert fd_partial(tree, "v", b, 1e-5) == pytest.approx(math.sin(0.6), abs=1e-9)
+        d_u, d_v = central_diff(lambda q: eval_expression(tree, {"u": q[0], "v": q[1]}), [0.6, 2.0], 1e-5)
+        assert d_u == pytest.approx(2.0 * math.cos(0.6), abs=1e-9)
+        assert d_v == pytest.approx(math.sin(0.6), abs=1e-9)

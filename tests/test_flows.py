@@ -23,6 +23,7 @@ from contactlab.flows import (
     partial_legendre_hamiltonian,
     total_legendre_hamiltonian,
 )
+from contactlab.metriclab import reeb_vector_field
 from contactlab.sampling import sample_darboux_points
 
 PI_2 = math.pi / 2.0
@@ -122,6 +123,30 @@ class TestHamiltonianVectorField:
             col = (X.eval(x.shifted(B, h_ref)) - X.eval(x.shifted(B, -h_ref))) / (2 * h_ref)
             np.testing.assert_allclose(J[:, B], col, atol=1e-6)
 
+    def test_fd_paths_equal_the_hand_written_loops(self):
+        # the from_value partials and the FD Jacobian, written out as before
+        # they went through central_diff; the results must agree bit for bit
+        h_fd = 1e-5
+        fn = lambda x: math.exp(0.3 * x.q[0]) * x.p[0] + math.sin(x.phi * x.q[1]) * x.p[1] ** 2
+
+        def diff(x, index):
+            return (fn(x.shifted(index, h_fd)) - fn(x.shifted(index, -h_fd))) / (2 * h_fd)
+
+        looped = ContactHamiltonian(
+            name="loops", value=fn,
+            d_phi=lambda x: diff(x, 0),
+            d_q=lambda x: np.array([diff(x, 1 + a) for a in range(x.n)]),
+            d_p=lambda x: np.array([diff(x, 1 + x.n + a) for a in range(x.n)]),
+        )
+        X_old = hamiltonian_vector_field(looped).eval
+        X = hamiltonian_vector_field(ContactHamiltonian.from_value("fd", fn, h_fd), h_fd)
+        for x in sample_darboux_points(10, 2, seed=29):
+            J_old = np.empty((5, 5))
+            for B in range(5):
+                J_old[:, B] = (X_old(x.shifted(B, h_fd)) - X_old(x.shifted(B, -h_fd))) / (2 * h_fd)
+            assert np.array_equal(X.eval(x), X_old(x))
+            assert np.array_equal(X.jacobian(x), J_old)
+
 
 class TestIntegrateFlow:
     def test_reeb_flow_advances_phi_only(self):
@@ -195,6 +220,12 @@ class TestIntegrateFlow:
             flow_map(cubic, ic.to_array(), 10.0, 0.1)
         assert str(endpoint.value) == str(recorded.value)
         assert endpoint.value.last_valid_time == recorded.value.last_valid_time
+
+    def test_large_finite_states_do_not_abort(self):
+        # the states are finite although their sum overflows
+        z0 = np.full((4, 5), 1e308)
+        end = flow_map(reeb_vector_field(2), z0, 1e-3, 1e-3)
+        np.testing.assert_array_equal(end, z0)
 
     @pytest.mark.parametrize("X", [legendre_field(2), partial_legendre_field(2, 2)])
     def test_recorded_curve_ends_at_flow_map_endpoint(self, X):

@@ -23,6 +23,7 @@ from contactlab.metriclab import (
     poisson_constraint_residual,
     reeb_vector_field,
 )
+from contactlab.cli import omega_from_expression
 from contactlab.sampling import sample_darboux_points
 
 X_L = legendre_field(2)
@@ -90,6 +91,23 @@ class TestPoissonConstraint:
     def test_q1_bracket_is_p1(self):
         for x in GENERIC_POINTS:
             assert poisson_constraint_residual(OMEGA_Q1, x) == pytest.approx(x.p[0], abs=1e-15)
+
+
+class TestOmegaGradient:
+    def test_fd_gradient_equals_the_hand_written_loop(self):
+        omega = omega_from_expression("q1^2*p2+sin(q2*p1)-exp(p1)/(1+q1^2)", 2)
+        assert not omega.analytic
+        for h_fd in (DEFAULT_FD_STEP, 1e-3):
+            for x in sample_darboux_points(10, 2, seed=31):
+                q, p = x.q, x.p
+                dq_old, dp_old = np.empty(2), np.empty(2)
+                for a in range(2):
+                    e = np.zeros(2)
+                    e[a] = h_fd
+                    dq_old[a] = (omega.eval(q + e, p) - omega.eval(q - e, p)) / (2 * h_fd)
+                    dp_old[a] = (omega.eval(q, p + e) - omega.eval(q, p - e)) / (2 * h_fd)
+                dq, dp = omega.gradient(q, p, h_fd)
+                assert np.array_equal(dq, dq_old) and np.array_equal(dp, dp_old)
 
 
 class TestBuildMetric:

@@ -11,6 +11,7 @@ from contactlab.phasespace import (
     DimensionError,
     OneFormField,
     TwoForm,
+    central_diff,
     eta_field,
     eval_deta,
     eval_eta,
@@ -193,3 +194,42 @@ class TestLieDerivativeOneForm:
         x = DarbouxPoint(0.1, [1.4, 0.2], [-0.5, 0.9])
         out = lie_derivative_oneform(X, eta_field(2), x)
         np.testing.assert_allclose(out.components, 0.0, atol=1e-14)
+
+
+class TestCentralDiff:
+    Z = np.array([0.7, -1.2, 2.0])
+
+    def test_scalar_valued(self):
+        f = lambda z: z[0] ** 2 * z[1] + math.sin(z[2])
+        D = central_diff(f, self.Z, 1e-5)
+        assert D.shape == (3,)
+        exact = [2 * 0.7 * -1.2, 0.7**2, math.cos(2.0)]
+        np.testing.assert_allclose(D, exact, atol=1e-9)
+
+    def test_vector_valued_gains_a_last_axis(self):
+        A = np.array([[1.0, 2.0, -3.0], [0.5, 0.0, 4.0]])
+        D = central_diff(lambda z: A @ z, self.Z, 1e-3)
+        assert D.shape == (2, 3)
+        np.testing.assert_allclose(D, A, atol=1e-12)
+
+    def test_matrix_valued_gains_a_last_axis(self):
+        D = central_diff(lambda z: np.outer(z, z), self.Z, 1e-4)
+        assert D.shape == (3, 3, 3)
+        exact = np.einsum("ac,b->abc", np.eye(3), self.Z) + np.einsum("a,bc->abc", self.Z, np.eye(3))
+        np.testing.assert_allclose(D, exact, atol=1e-10)
+
+    def test_scalar_step_applies_to_every_coordinate(self):
+        # ((z+h)^3 - (z-h)^3) / 2h = 3 z^2 + h^2, so the step shows in the result
+        D = central_diff(lambda z: z**3, self.Z, 0.1)
+        np.testing.assert_allclose(np.diag(D), 3 * self.Z**2 + 0.01, rtol=1e-12)
+        np.testing.assert_array_equal(D - np.diag(np.diag(D)), 0.0)
+
+    def test_per_coordinate_step(self):
+        h = [0.1, 0.2, 0.3]
+        D = central_diff(lambda z: z**3, self.Z, h)
+        np.testing.assert_allclose(np.diag(D), 3 * self.Z**2 + np.square(h), rtol=1e-12)
+
+    def test_input_is_left_unchanged(self):
+        z = self.Z.copy()
+        central_diff(lambda y: y @ y, z, 0.5)
+        np.testing.assert_array_equal(z, self.Z)
