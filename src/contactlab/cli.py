@@ -55,12 +55,15 @@ from .metriclab import (
 from .equilibrium import (
     DEFAULT_CURVATURE_STEP,
     DEFAULT_SINGULAR_BAND,
+    NULL_DEGENERATE,
+    NULL_OUTSIDE,
     DegenerateMetricError,
     DomainError,
     EquilibriumOmega,
     FundamentalRelation,
     SingularityError,
     curvature_report,
+    pointwise,
     rho_scan,
 )
 from .expressions import (
@@ -129,7 +132,11 @@ def equilibrium_omega_from_expression(text: str) -> EquilibriumOmega:
 
 def fundamental_relation_from_expression(text: str, name: Optional[str] = None,
                                          h_fd: float = DEFAULT_FD_STEP) -> FundamentalRelation:
-    """A two-coordinate potential Phi(u, v) with FD gradient and Hessian."""
+    """A two-coordinate potential Phi(u, v) with FD gradient and Hessian.
+
+    The Hessian and the domain test go point by point through batches, so an
+    induced metric over this relation can be evaluated on batches too.
+    """
     expr = parse_expression(text, ("u", "v"))
     names = ("u", "v")
 
@@ -172,7 +179,8 @@ def fundamental_relation_from_expression(text: str, name: Optional[str] = None,
 
     return FundamentalRelation(
         name=name or f"expr:{text}", n=2, value=value,
-        gradient=gradient, hessian=hessian, in_domain=in_domain,
+        gradient=gradient, hessian=pointwise(hessian, (2, 2)),
+        in_domain=pointwise(in_domain, (), bool),
     )
 
 
@@ -521,6 +529,11 @@ def _cmd_rho_scan(cfg: RunConfig):
     flagged = sum(r.near_singularity for r in reports)
     if flagged:
         print(f"rho-scan: {flagged} points flagged near rho = sqrt({cfg.cv:g})", file=sys.stderr)
+    reasons = [r.null_reason for r in reports if r.null_reason is not None]
+    if reasons:
+        print(f"rho-scan: no R_numeric on {len(reasons)} rows ({NULL_DEGENERATE}: "
+              f"{reasons.count(NULL_DEGENERATE)}, {NULL_OUTSIDE}: {reasons.count(NULL_OUTSIDE)})",
+              file=sys.stderr)
     return _SCAN_FIELDS, [_report_row(r) for r in reports]
 
 

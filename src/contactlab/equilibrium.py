@@ -46,9 +46,29 @@ _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _EPSILON_UNIT = build_metric("epsilon", OmegaFunction.constant(1.0))
 
 
-def _scaled_step(coordinate: float, h_fd: float) -> float:
-    """Equilibrium-space FD step, h * max(1, |coordinate|)."""
-    return h_fd * max(1.0, abs(coordinate))
+#: why the oracle has no value at a row (CurvatureReport.null_reason)
+NULL_DEGENERATE = "degenerate metric"
+NULL_OUTSIDE = "stencil outside the domain"
+
+
+def pointwise(fn: Callable[[np.ndarray], object], shape: tuple = (), dtype=float) -> Callable:
+    """fn of one point q of shape (2,), applied point by point to batches of shape (..., 2).
+
+    fn's values have the given shape; a batch gives q.shape[:-1] + shape.
+    """
+    def batched(q):
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            return fn(q)
+        values = [fn(point) for point in q.reshape(-1, 2)]
+        return np.array(values, dtype=dtype).reshape(q.shape[:-1] + shape)
+
+    return batched
+
+
+def _scaled_step(coordinate, h_fd: float):
+    """Equilibrium-space FD step, h * max(1, |coordinate|), elementwise on arrays."""
+    return h_fd * np.maximum(1.0, np.abs(coordinate))
 
 
 class DomainError(ValueError):
@@ -65,7 +85,12 @@ class SingularityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class FundamentalRelation:
-    """A thermodynamic potential Phi(q) with gradient, Hessian and domain."""
+    """A thermodynamic potential Phi(q) with gradient, Hessian and domain.
+
+    hessian and in_domain must accept batches of points of shape (..., n),
+    as ideal_gas's do, for an induced metric to evaluate batches; pointwise
+    adapts functions of one point.
+    """
 
     name: str
     n: int
@@ -79,13 +104,20 @@ def ideal_gas(c_v: float = 1.5) -> FundamentalRelation:
     """Molar ideal gas in the entropy representation: s(u, v) = c_v ln(u) + ln(v)."""
     if c_v <= 0:
         raise ValueError("c_v must be positive")
+
+    def hessian(q: np.ndarray) -> np.ndarray:
+        H = np.zeros(q.shape + (2,))
+        H[..., 0, 0] = -c_v / q[..., 0] ** 2
+        H[..., 1, 1] = -1.0 / q[..., 1] ** 2
+        return H
+
     return FundamentalRelation(
         name=f"ideal_gas[c_v={c_v:g}]",
         n=2,
         value=lambda q: c_v * math.log(q[0]) + math.log(q[1]),
         gradient=lambda q: np.array([c_v / q[0], 1.0 / q[1]]),
-        hessian=lambda q: np.array([[-c_v / q[0] ** 2, 0.0], [0.0, -1.0 / q[1] ** 2]]),
-        in_domain=lambda q: bool(q[0] > 0 and q[1] > 0),
+        hessian=hessian,
+        in_domain=lambda q: (q[..., 0] > 0) & (q[..., 1] > 0),
     )
 
 
@@ -170,8 +202,8 @@ class EquilibriumOmega:
     def partial_uv(self, u: float, v: float, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
         if self.d_uv is not None:
             return float(self.d_uv(u, v))
-        hu = _scaled_step(u, h_fd)
-        hv = _scaled_step(v, h_fd)
+        hu = float(_scaled_step(u, h_fd))
+        hv = float(_scaled_step(v, h_fd))
         return (
             self.eval(u + hu, v + hv)
             - self.eval(u + hu, v - hv)
@@ -182,7 +214,10 @@ class EquilibriumOmega:
 
 @dataclass(frozen=True)
 class EquilibriumMetric:
-    """A 2x2 metric on the equilibrium space, with its scalar function."""
+    """A 2x2 metric on the equilibrium space, with its scalar function.
+
+    eval maps points of shape (..., 2) to matrices of shape (..., 2, 2).
+    """
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
@@ -204,11 +239,14 @@ def induced_metric(G: MetricField, fr: FundamentalRelation,
 
     def ev(q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if not fr.in_domain(q):
-            raise DomainError(f"point {q.tolist()} outside the domain of {fr.name}")
-        w = omega_on_e.eval(q[0], q[1])
+        inside = fr.in_domain(q)
+        if not np.all(inside):
+            outside = q[~inside][0] if q.ndim > 1 else q
+            raise DomainError(f"point {outside.tolist()} outside the domain of {fr.name}")
+        # Omega keeps its scalar (u, v) contract: one call per point
+        w = np.array([omega_on_e.eval(u, v) for u, v in q.reshape(-1, 2).tolist()])
         EH = _EPS2 @ fr.hessian(q)
-        return w * (EH + EH.T)
+        return w.reshape(q.shape[:-1] + (1, 1)) * (EH + EH.swapaxes(-1, -2))
 
     return EquilibriumMetric(f"induced[{fr.name},{omega_on_e.name}]", ev, omega_on_e)
 
@@ -219,19 +257,73 @@ def metric_determinant(g: EquilibriumMetric, q: np.ndarray) -> float:
 
 
 def _metric_eval(g) -> Callable[[np.ndarray], np.ndarray]:
+    """A batch evaluation (..., 2) -> (..., 2, 2) of g; plain callables go one point at a time."""
     ev = getattr(g, "eval", None)
-    return ev if callable(ev) else g
+    return ev if callable(ev) else pointwise(g, (2, 2))
 
 
-def _christoffel(ev: Callable[[np.ndarray], np.ndarray], q: np.ndarray, h_fd: float) -> np.ndarray:
-    """Gamma^a_{bc} at q with metric first derivatives by central differences."""
-    ginv = np.linalg.inv(ev(q))
-    D = central_diff(ev, q, [_scaled_step(qc, h_fd) for qc in q])  # D[a,b,c] = d_c g_{ab}
+def _christoffel(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray, h_fd: float) -> np.ndarray:
+    """Gamma^a_{bc} at each row of Q with metric first derivatives by central differences."""
+    ginv = np.linalg.inv(metric(Q))
+    D = central_diff(metric, Q, _scaled_step(Q, h_fd))  # D[..., a, b, c] = d_c g_{ab}
     return 0.5 * (
-        np.einsum("ad,dcb->abc", ginv, D)
-        + np.einsum("ad,dbc->abc", ginv, D)
-        - np.einsum("ad,bcd->abc", ginv, D)
+        np.einsum("...ad,...dcb->...abc", ginv, D)
+        + np.einsum("...ad,...dbc->...abc", ginv, D)
+        - np.einsum("...ad,...bcd->...abc", ginv, D)
     )
+
+
+def _scalar_curvature_rows(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray,
+                           h_fd: float, in_domain: Optional[Callable] = None):
+    """The curvature oracle at every row of Q, shape (m, 2), in one batch.
+
+    Returns (R, det, reasons): det g at each row, and R, NaN on every row i
+    whose reasons[i] says why it has no value (NULL_DEGENERATE when
+    |det g| <= 1e-12, checked before any stencil point is evaluated).
+    When metric raises DomainError and in_domain is given, the rows with a
+    stencil point outside the domain are NULL_OUTSIDE and the metric is
+    evaluated on the other rows only; without in_domain the error propagates.
+    """
+    m = len(Q)
+    rows = np.arange(m)  # the rows of Q that metric's current argument holds
+    outside = np.zeros(m, dtype=bool)
+
+    def masked(Y: np.ndarray) -> np.ndarray:
+        try:
+            return metric(Y)
+        except DomainError:
+            if in_domain is None:
+                raise
+        inside = in_domain(Y)  # Y has shape (..., len(rows), 2)
+        outside[rows[~inside.reshape(-1, len(rows)).all(axis=0)]] = True
+        G = np.broadcast_to(np.eye(2), Y.shape + (2,)).copy()  # a stand-in on rows that are dropped
+        G[inside] = metric(Y[inside])
+        return G
+
+    G = masked(Q)
+    det = np.linalg.det(G)
+    degenerate = np.abs(det) <= 1e-12
+    R = np.full(m, math.nan)
+    rows = np.flatnonzero(~degenerate & ~outside)
+    if len(rows):
+        Qk = Q[rows]
+        ginv = np.linalg.inv(G[rows])
+        gamma = _christoffel(masked, Qk, h_fd)
+        # dgamma[..., a, b, c, e] = d_e Gamma^a_{bc}
+        dgamma = central_diff(lambda Y: _christoffel(masked, Y, h_fd), Qk, _scaled_step(Qk, h_fd))
+        # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
+        riemann = (
+            np.einsum("...adbc->...abcd", dgamma)
+            - np.einsum("...acbd->...abcd", dgamma)
+            + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+            - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+        )
+        ricci = np.einsum("...abad->...bd", riemann)
+        R[rows] = np.einsum("...bd,...bd->...", ginv, ricci)
+        R[outside] = math.nan
+    reasons = [NULL_DEGENERATE if d else NULL_OUTSIDE if o else None
+               for d, o in zip(degenerate.tolist(), outside.tolist())]
+    return R, det, reasons
 
 
 def scalar_curvature_numeric(g, q: np.ndarray, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
@@ -241,25 +333,11 @@ def scalar_curvature_numeric(g, q: np.ndarray, h_fd: float = DEFAULT_CURVATURE_S
     Steps scale with the coordinate magnitude, h * max(1, |q_c|).  Raises
     DegenerateMetricError when |det g| <= 1e-12 at q.
     """
-    ev = _metric_eval(g)
     q = np.asarray(q, dtype=float)
-    gmat = np.asarray(ev(q), dtype=float)
-    det = float(np.linalg.det(gmat))
-    if abs(det) <= 1e-12:
-        raise DegenerateMetricError(f"metric is degenerate at {q.tolist()} (det = {det:.3g})")
-    ginv = np.linalg.inv(gmat)
-    gamma = _christoffel(ev, q, h_fd)
-    # dgamma[a,b,c,e] = d_e Gamma^a_{bc}
-    dgamma = central_diff(lambda y: _christoffel(ev, y, h_fd), q, [_scaled_step(qc, h_fd) for qc in q])
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    riemann = (
-        np.einsum("adbc->abcd", dgamma)
-        - np.einsum("acbd->abcd", dgamma)
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
-    )
-    ricci = np.einsum("abad->bd", riemann)
-    return float(np.einsum("bd,bd->", ginv, ricci))
+    R, det, reasons = _scalar_curvature_rows(_metric_eval(g), q[np.newaxis], h_fd)
+    if reasons[0] is not None:
+        raise DegenerateMetricError(f"metric is degenerate at {q.tolist()} (det = {float(det[0]):.3g})")
+    return float(R[0])
 
 
 def scalar_curvature_ideal_gas(u: float, v: float, c_v: float,
@@ -286,7 +364,11 @@ def scalar_curvature_ideal_gas(u: float, v: float, c_v: float,
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Analytic vs numeric curvature at one scan point."""
+    """Analytic vs numeric curvature at one scan point.
+
+    null_reason says why R_numeric is NaN outside the singular band:
+    NULL_DEGENERATE or NULL_OUTSIDE, else None.
+    """
 
     u: float
     v: float
@@ -295,28 +377,41 @@ class CurvatureReport:
     R_numeric: float
     rel_error: float
     near_singularity: bool
+    null_reason: Optional[str] = None
 
     def __post_init__(self):
         if self.rho != self.u / self.v:
             raise ValueError("rho must equal u/v exactly")
 
 
+def _curvature_reports(us: List[float], v: float, c_v: float, omega_on_e: EquilibriumOmega,
+                       delta_sing: float, h_fd: float) -> List[CurvatureReport]:
+    """Reports at (u, v) for every u in us; the oracle runs once, on all rows outside the band."""
+    rhos = [u / v for u in us]
+    off = [i for i, rho in enumerate(rhos) if not abs(rho * rho - c_v) < delta_sing]
+    # every row starts flagged; the rows outside the band are filled in below
+    reports = [CurvatureReport(u, v, rho, math.nan, math.nan, math.nan, True) for u, rho in zip(us, rhos)]
+    if not off:
+        return reports
+    gas = ideal_gas(c_v)
+    g = induced_metric(_EPSILON_UNIT, gas, omega_on_e)
+    analytic = [scalar_curvature_ideal_gas(us[i], v, c_v, omega_on_e, delta_sing, h_fd) for i in off]
+    Q = np.array([[us[i], v] for i in off], dtype=float)
+    numeric, _, reasons = _scalar_curvature_rows(g.eval, Q, h_fd, gas.in_domain)
+    for i, r_analytic, r_numeric, reason in zip(off, analytic, numeric.tolist(), reasons):
+        if reason is None:
+            rel = abs(r_numeric - r_analytic) / max(abs(r_analytic), 1e-300)
+        else:
+            rel = math.nan
+        reports[i] = CurvatureReport(us[i], v, rhos[i], r_analytic, r_numeric, rel, False, reason)
+    return reports
+
+
 def curvature_report(u: float, v: float, c_v: float, omega_on_e: EquilibriumOmega,
                      delta_sing: float = DEFAULT_SINGULAR_BAND,
                      h_fd: float = DEFAULT_CURVATURE_STEP) -> CurvatureReport:
     """Evaluate both curvature paths at (u, v), flagging the singular band."""
-    rho = u / v
-    near = abs(rho * rho - c_v) < delta_sing
-    if near:
-        return CurvatureReport(u, v, rho, math.nan, math.nan, math.nan, True)
-    g = induced_metric(_EPSILON_UNIT, ideal_gas(c_v), omega_on_e)
-    r_analytic = scalar_curvature_ideal_gas(u, v, c_v, omega_on_e, delta_sing, h_fd)
-    try:
-        r_numeric = scalar_curvature_numeric(g, np.array([u, v]), h_fd)
-    except (DegenerateMetricError, DomainError):
-        return CurvatureReport(u, v, rho, r_analytic, math.nan, math.nan, False)
-    rel = abs(r_numeric - r_analytic) / max(abs(r_analytic), 1e-300)
-    return CurvatureReport(u, v, rho, r_analytic, r_numeric, rel, False)
+    return _curvature_reports([u], v, c_v, omega_on_e, delta_sing, h_fd)[0]
 
 
 def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: float,
@@ -326,7 +421,8 @@ def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: 
     """Curvature reports on an inclusive rho grid, u = rho * v_fixed.
 
     Points inside the singular band are flagged and skipped for rel_error.
-    Reports are ordered by rho regardless of evaluation order.
+    The oracle evaluates all other points as one batch.  Reports are
+    ordered by rho.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -334,8 +430,5 @@ def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: 
         raise ValueError("rho range must be non-empty")
     if v_fixed <= 0:
         raise ValueError("v_fixed must be positive")
-    reports = []
-    for rho in np.linspace(rho_min, rho_max, steps):
-        u = float(rho * v_fixed)
-        reports.append(curvature_report(u, v_fixed, c_v, omega_on_e, delta_sing, h_fd))
-    return reports
+    us = [float(rho * v_fixed) for rho in np.linspace(rho_min, rho_max, steps)]
+    return _curvature_reports(us, v_fixed, c_v, omega_on_e, delta_sing, h_fd)

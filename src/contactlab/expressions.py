@@ -31,8 +31,11 @@ FUNCTIONS = {
 }
 
 
-#: deepest nesting the parser accepts; each level costs the recursive-descent
-#: parser a few interpreter frames, so far deeper input would exhaust them
+#: deepest nesting the parser accepts, and the greatest depth of the tree it
+#: builds (operators on the longest root-to-leaf path, left-deep chains such as
+#: q1+q1+...+q1 included).  Each level costs the recursive-descent parser, the
+#: evaluator, to_string and the nodes' __eq__/__hash__ a few interpreter
+#: frames, so far deeper input would exhaust them.
 MAX_NESTING = 100
 
 
@@ -147,33 +150,44 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expression:
-        node = self.expr()
+        node, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing token {value!r}", offset)
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
+    # Each method below returns (node, depth): depth counts the operator
+    # nodes on the longest path from node down to a leaf.
+
+    def bounded(self, node: Expression, depth: int, offset: int):
+        if depth > MAX_NESTING:
+            raise ExpressionSyntaxError(f"nested too deeply (more than {MAX_NESTING} levels)", offset)
+        return node, depth
+
+    def binop(self, op: str, left, right, offset: int):
+        return self.bounded(BinOp(op, left[0], right[0]), 1 + max(left[1], right[1]), offset)
+
+    def expr(self):
+        left = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = BinOp(value, node, self.term())
+                left = self.binop(value, left, self.term(), offset)
             else:
-                return node
+                return left
 
-    def term(self) -> Expression:
-        node = self.unary()
+    def term(self):
+        left = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                node = BinOp(value, node, self.unary())
+                left = self.binop(value, left, self.unary(), offset)
             else:
-                return node
+                return left
 
-    def unary(self) -> Expression:
+    def unary(self):
         # every nested construct (parentheses, call arguments, unary minus,
         # exponents) recurses through here, so this depth bounds the recursion
         kind, value, offset = self.peek()
@@ -182,37 +196,38 @@ class _Parser:
             raise ExpressionSyntaxError(f"nested too deeply (more than {MAX_NESTING} levels)", offset)
         if kind == "op" and value == "-":
             self.advance()
-            node = Neg(self.unary())
+            operand, depth = self.unary()
+            node, depth = self.bounded(Neg(operand), depth + 1, offset)
         else:
-            node = self.power()
+            node, depth = self.power()
         self.depth -= 1
-        return node
+        return node, depth
 
-    def power(self) -> Expression:
+    def power(self):
         base = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
             # right-associative; the recursion into unary admits 2^-3
-            return BinOp("^", base, self.unary())
+            return self.binop("^", base, self.unary(), offset)
         return base
 
-    def atom(self) -> Expression:
+    def atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(float(value))
+            return Num(float(value)), 0
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
                 if value not in FUNCTIONS:
                     raise UnknownIdentifierError(value, offset, FUNCTIONS)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return Call(value, arg)
+                return self.bounded(Call(value, arg), depth + 1, offset)
             if value not in self.context:
                 raise UnknownIdentifierError(value, offset, self.context)
-            return Var(value)
+            return Var(value), 0
         if kind == "op" and value == "(":
             node = self.expr()
             self.expect_op(")")

@@ -245,8 +245,26 @@ def central_diff(f: Callable, z: Sequence[float], h) -> np.ndarray:
     step for every coordinate, or a list, tuple or array of one step per
     coordinate.  f may return a scalar or an array; D has f's shape plus a
     last axis of len(z).  Each call of f gets a fresh copy of z.
+
+    z may also be a batch of points of shape (..., d), with h one step or an
+    array of z's shape (a step per point and coordinate).  f is then called
+    once, on all 2d shifted copies of z stacked along a new leading axis, so
+    it must map points of shape (..., d) to values with the same leading
+    axes.  D has z's leading axes, then f's value axes, then a last axis of
+    d; each row equals what a call at that row alone gives.
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim > 1:
+        dim = z.shape[-1]
+        steps = np.moveaxis(np.broadcast_to(np.asarray(h, dtype=float), z.shape), -1, 0)
+        shifted = np.stack([z] * (2 * dim))  # z + h_B e_B at 2B, z - h_B e_B at 2B + 1
+        for B in range(dim):
+            shifted[2 * B, ..., B] += steps[B]
+            shifted[2 * B + 1, ..., B] -= steps[B]
+        values = f(shifted)
+        diff = values[0::2] - values[1::2]
+        D = diff / (2 * steps).reshape(steps.shape + (1,) * (diff.ndim - steps.ndim))
+        return np.moveaxis(D, 0, -1)
     values = z.tolist()
     dim = len(values)
     steps = [float(s) for s in h] if isinstance(h, (list, tuple, np.ndarray)) else [float(h)] * dim

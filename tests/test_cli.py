@@ -164,6 +164,13 @@ class TestKilling:
         assert err.startswith("error:") and "nested too deeply" in err
         assert err.count("\n") == 1
 
+    def test_long_flat_chain_is_config_error(self, capsys):
+        text = "q1" + "+q1" * 4999
+        assert main(["omega-check", "--points", "1", "--omega", "expr:" + text]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
 
 class TestOmegaCheck:
     def test_bracket_column(self, tmp_path):
@@ -223,6 +230,24 @@ class TestRhoScan:
         rows = json.loads(out.read_text())
         flagged = [r for r in rows if r["near_singularity"]]
         assert flagged and all(r["R_analytic"] is None for r in flagged)
+
+    @pytest.mark.parametrize("argv,line", [
+        (["--rho", "0.2:4:30", "--v-fixed", "1e4"],
+         "rho-scan: no R_numeric on 30 rows (degenerate metric: 30, stencil outside the domain: 0)"),
+        (["--rho", "0.05:1:6", "--v-fixed", "1e-3"],
+         "rho-scan: no R_numeric on 1 rows (degenerate metric: 0, stencil outside the domain: 1)"),
+    ])
+    def test_null_rows_are_counted_by_reason(self, tmp_path, capsys, argv, line):
+        out = tmp_path / "scan.csv"
+        code = main(["rho-scan", "--cv", "1.5", "--omega", "const:1", *argv, "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [line]
+        nulls = sum(r["R_numeric"] == "nan" for r in read_csv(out))
+        assert nulls == int(line.split()[4])
+
+    def test_no_reason_line_when_every_row_has_a_value(self, capsys):
+        assert main(["rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "0.5:4:8"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_bad_range_is_config_error(self):
         assert main(["rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "4:1:10"]) == EXIT_CONFIG
@@ -312,6 +337,17 @@ class TestExpressionBackedPotential:
         fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)")
         assert fr.in_domain(np.array([1.0, 1.0]))
         assert not fr.in_domain(np.array([-1.0, 1.0]))
+
+    def test_induced_metric_takes_batches(self):
+        from contactlab.equilibrium import EquilibriumOmega, induced_metric, scalar_curvature_numeric
+
+        fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)")
+        g = induced_metric(build_metric("epsilon", OmegaFunction.constant(1.0)), fr,
+                           EquilibriumOmega.constant(1.0))
+        Q = np.array([[1.7, 0.9], [2.5, 1.1], [0.6, 2.0]])
+        assert np.array_equal(g.eval(Q), np.array([g.eval(q) for q in Q]))
+        assert fr.in_domain(np.array([[1.0, 1.0], [-1.0, 1.0]])).tolist() == [True, False]
+        assert math.isfinite(scalar_curvature_numeric(g, np.array([2.0, 1.0])))
 
 
 class TestRunConfigDirect:

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from contactlab.cli import parse_equilibrium_omega_spec
 from contactlab.equilibrium import (
+    NULL_DEGENERATE,
+    NULL_OUTSIDE,
     CurvatureReport,
     DegenerateMetricError,
     DomainError,
@@ -294,6 +297,52 @@ class TestRhoScan:
         assert not r.near_singularity
         assert r.R_analytic == pytest.approx(6.144, abs=1e-12)
         assert r.rel_error < 1e-3
+
+
+def _report_columns(reports):
+    values = np.array([[r.u, r.v, r.rho, r.R_analytic, r.R_numeric, r.rel_error] for r in reports])
+    return values, [(r.near_singularity, r.null_reason) for r in reports]
+
+
+class TestBatchedOracle:
+    """rho_scan runs the oracle on all its rows at once; each row must equal a batch of one."""
+
+    @pytest.mark.parametrize("omega", ["const:1", "expr:1+0.4*u/(u+v)", "expr:1+0.1*u*v+exp(-u)"])
+    @pytest.mark.parametrize("v_fixed", [1.0, 1e-3, 1e4])
+    def test_rows_equal_single_point_reports(self, omega, v_fixed):
+        om = parse_equilibrium_omega_spec(omega)
+        # 1.5 lies on the grid, so one node sits on the singular band of c_v = 2.25
+        reports = rho_scan(2.25, om, 0.3, 2.7, 25, v_fixed=v_fixed)
+        assert sum(r.near_singularity for r in reports) == 1
+        single = [curvature_report(r.u, r.v, 2.25, om) for r in reports]
+        batch_values, batch_flags = _report_columns(reports)
+        single_values, single_flags = _report_columns(single)
+        assert np.array_equal(batch_values, single_values, equal_nan=True)
+        assert batch_flags == single_flags
+
+    def test_rows_outside_the_domain_are_null(self):
+        # the nested stencil of the first row reaches u < 0
+        reports = rho_scan(1.5, OMEGA_ONE, 0.05, 1.0, 6, v_fixed=1e-3)
+        assert reports[0].null_reason == NULL_OUTSIDE
+        assert math.isnan(reports[0].R_numeric) and math.isnan(reports[0].rel_error)
+        assert math.isfinite(reports[0].R_analytic)
+        assert all(r.null_reason is None and math.isfinite(r.R_numeric) for r in reports[1:])
+        single = [curvature_report(r.u, r.v, 1.5, OMEGA_ONE) for r in reports]
+        assert np.array_equal(_report_columns(reports)[0], _report_columns(single)[0], equal_nan=True)
+        with pytest.raises(DomainError):
+            scalar_curvature_numeric(induced_metric(EPS_UNIT, GAS, OMEGA_ONE), np.array([5e-5, 1e-3]))
+
+    def test_degenerate_rows_are_null(self):
+        reports = rho_scan(CV, OMEGA_ONE, 0.2, 4.0, 12, v_fixed=1e4)
+        assert all(r.null_reason == NULL_DEGENERATE and math.isnan(r.R_numeric) for r in reports)
+
+    def test_non_positive_rho_is_outside_the_domain(self):
+        reports = rho_scan(CV, OMEGA_ONE, -1.0, 2.0, 4)
+        assert [r.null_reason for r in reports] == [NULL_OUTSIDE, NULL_OUTSIDE, None, None]
+
+    def test_flagged_and_valid_rows_have_no_reason(self):
+        reports = rho_scan(CV, OMEGA_ONE, 1.2, 1.25, 200)
+        assert all(r.null_reason is None for r in reports)
 
 
 class TestInconsistencyProbe:

@@ -83,6 +83,27 @@ class TestParsing:
         assert ev(sums, PHASE_VARS, q1=0.5) == 100.5
         assert ev("-" * 100 + "q1", PHASE_VARS, q1=0.5) == 0.5
 
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_flat_chain_at_the_limit_parses_evaluates_and_round_trips(self, op):
+        # a left-deep chain: MAX_NESTING operators deep
+        text = "q1" + (op + "q1") * MAX_NESTING
+        tree = parse_expression(text, PHASE_VARS)
+        value = eval_expression(tree, {"q1": 1.0})
+        assert value == {"+": 101.0, "-": -99.0, "*": 1.0, "/": 1.0}[op]
+        again = parse_expression(to_string(tree), PHASE_VARS)
+        assert again == tree and hash(again) == hash(tree)
+
+    @pytest.mark.parametrize("text,offset", [
+        ("q1" + "+q1" * 4999, 2 + 3 * MAX_NESTING),
+        ("q1" + "*q1" * (MAX_NESTING + 1), 2 + 3 * MAX_NESTING),
+        # 41 levels inside 60 parenthesized sums: the outermost "+" is one too many
+        ("(1+" * 60 + "q1" + "+q1" * 41 + ")" * 60, 2),
+    ])
+    def test_a_tree_deeper_than_the_limit_is_a_syntax_error(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply") as err:
+            parse_expression(text, PHASE_VARS)
+        assert err.value.offset == offset
+
 
 class TestPrecedence:
     @pytest.mark.parametrize("text,expected", [

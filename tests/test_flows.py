@@ -335,8 +335,9 @@ class TestDiscreteLegendre:
     def test_flow_at_quarter_turn_equals_total_map(self):
         m = LegendreMap.total(2)
         X = legendre_field(2)
-        for x in sample_darboux_points(10, 2, seed=37):
-            end = flow_map(X, x.to_array(), PI_2, 1e-4)
+        points = sample_darboux_points(10, 2, seed=37)
+        ends = flow_map(X, np.array([x.to_array() for x in points]), PI_2, 1e-4)
+        for x, end in zip(points, ends):
             np.testing.assert_allclose(end, discrete_legendre(x, m).to_array(), atol=1e-8)
 
     def test_map_validation(self):

@@ -233,3 +233,25 @@ class TestCentralDiff:
         z = self.Z.copy()
         central_diff(lambda y: y @ y, z, 0.5)
         np.testing.assert_array_equal(z, self.Z)
+
+    def test_batch_with_a_step_per_row_equals_row_by_row(self):
+        rng = np.random.default_rng(3)
+        Z = rng.uniform(-2.0, 2.0, size=(7, 3))
+        H = rng.uniform(1e-4, 1e-2, size=(7, 3))
+        fs = [
+            lambda z: z[..., 0] ** 2 * z[..., 1] + np.sin(z[..., 2]),
+            lambda z: np.stack([z[..., 0] * z[..., 2], np.exp(z[..., 1])], axis=-1),
+            lambda z: z[..., :, None] * z[..., None, :] ** 3,
+        ]
+        for f in fs:
+            D = central_diff(f, Z, H)
+            rows = np.array([central_diff(f, z, list(h)) for z, h in zip(Z, H)])
+            assert D.shape == rows.shape
+            assert np.array_equal(D, rows)
+            rows = np.array([central_diff(f, z, 1e-3) for z in Z])
+            assert np.array_equal(central_diff(f, Z, 1e-3), rows)
+
+    def test_batch_input_is_left_unchanged(self):
+        Z = np.tile(self.Z, (4, 1))
+        central_diff(lambda y: np.sum(y * y, axis=-1), Z, 0.5)
+        np.testing.assert_array_equal(Z, np.tile(self.Z, (4, 1)))
