@@ -69,7 +69,8 @@ from .equilibrium import (
 from .expressions import (
     ExpressionDomainError,
     ExpressionError,
-    eval_expression,
+    compile_expression,
+    eval_expression,  # noqa: F401  perfbench/tracing.py wraps cli.eval_expression
     parse_expression,
 )
 from .sampling import sample_darboux_points
@@ -112,22 +113,19 @@ def omega_from_expression(text: str, n: int = 2) -> OmegaFunction:
 
     Derivatives are left to the finite-difference fallback.
     """
-    expr = parse_expression(text, _phase_context(n))
+    context = _phase_context(n)
+    f = compile_expression(parse_expression(text, context), context)
 
     def ev(q: np.ndarray, p: np.ndarray) -> float:
-        bindings = {f"q{i+1}": float(q[i]) for i in range(len(q))}
-        bindings.update({f"p{i+1}": float(p[i]) for i in range(len(p))})
-        return eval_expression(expr, bindings)
+        return f(*np.asarray(q, dtype=float).tolist(), *np.asarray(p, dtype=float).tolist())
 
     return OmegaFunction(name=f"expr:{text}", eval=ev)
 
 
 def equilibrium_omega_from_expression(text: str) -> EquilibriumOmega:
     """Equilibrium-space Omega(u, v) from an expression in u, v (FD partials)."""
-    expr = parse_expression(text, ("u", "v"))
-    return EquilibriumOmega.from_callable(
-        lambda u, v: eval_expression(expr, {"u": u, "v": v}), name=f"expr:{text}"
-    )
+    f = compile_expression(parse_expression(text, ("u", "v")), ("u", "v"))
+    return EquilibriumOmega.from_callable(lambda u, v: f(float(u), float(v)), name=f"expr:{text}")
 
 
 def fundamental_relation_from_expression(text: str, name: Optional[str] = None,
@@ -137,37 +135,24 @@ def fundamental_relation_from_expression(text: str, name: Optional[str] = None,
     The Hessian and the domain test go point by point through batches, so an
     induced metric over this relation can be evaluated on batches too.
     """
-    expr = parse_expression(text, ("u", "v"))
-    names = ("u", "v")
-
-    def bindings(q):
-        return {"u": float(q[0]), "v": float(q[1])}
+    f = compile_expression(parse_expression(text, ("u", "v")), ("u", "v"))
+    h = float(h_fd)
 
     def value(q) -> float:
-        return eval_expression(expr, bindings(q))
+        return f(float(q[0]), float(q[1]))
 
     def gradient(q) -> np.ndarray:
         return central_diff(value, q, h_fd)
 
     def hessian(q) -> np.ndarray:
-        b = bindings(q)
-        f0 = eval_expression(expr, b)
+        u, v = float(q[0]), float(q[1])
+        f0 = f(u, v)
         H = np.empty((2, 2))
-        for a in range(2):
-            ba, bb = dict(b), dict(b)
-            ba[names[a]] += h_fd
-            bb[names[a]] -= h_fd
-            H[a, a] = (eval_expression(expr, ba) - 2 * f0 + eval_expression(expr, bb)) / h_fd**2
-        pp, pm, mp, mm = dict(b), dict(b), dict(b), dict(b)
-        pp["u"] += h_fd; pp["v"] += h_fd
-        pm["u"] += h_fd; pm["v"] -= h_fd
-        mp["u"] -= h_fd; mp["v"] += h_fd
-        mm["u"] -= h_fd; mm["v"] -= h_fd
-        cross = (
-            eval_expression(expr, pp) - eval_expression(expr, pm)
-            - eval_expression(expr, mp) + eval_expression(expr, mm)
-        ) / (4 * h_fd**2)
-        H[0, 1] = H[1, 0] = cross
+        H[0, 0] = (f(u + h, v) - 2 * f0 + f(u - h, v)) / h**2
+        H[1, 1] = (f(u, v + h) - 2 * f0 + f(u, v - h)) / h**2
+        H[0, 1] = H[1, 0] = (
+            f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)
+        ) / (4 * h**2)
         return H
 
     def in_domain(q) -> bool:
@@ -261,10 +246,12 @@ class RunConfig:
             raise ConfigError("points must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
-        for name in ("cv", "dt", "t_end", "v_fixed", "delta_sing"):
+        for name in _REAL_KEYS:
             val = getattr(self, name)
-            if not math.isfinite(val):
+            if val is not None and not math.isfinite(val):
                 raise ConfigError(f"{name} must be finite, got {val!r}")
+        if self.h_fd is not None and self.h_fd <= 0:
+            raise ConfigError(f"h_fd must be positive, got {self.h_fd!r}")
 
 
 def load_config_file(path: str) -> Dict:
@@ -364,8 +351,15 @@ def emit_rows(rows: List[Dict], fieldnames: Sequence[str], fmt: str, stream) -> 
                 return value if math.isfinite(value) else None
             return value
 
-        json.dump([{name: jsonable(row[name]) for name in fieldnames} for row in rows], stream)
-        stream.write("\n")
+        # one json.dumps (the C encoder) per row; json.dump of the whole list
+        # would go through the pure-Python iterencode, and one json.dumps of
+        # it would hold the whole document in memory at once
+        stream.write("[")
+        for i, row in enumerate(rows):
+            if i:
+                stream.write(", ")
+            stream.write(json.dumps({name: jsonable(row[name]) for name in fieldnames}))
+        stream.write("]\n")
 
 
 def resolve_output_path(out: Optional[str]) -> Optional[str]:
@@ -601,6 +595,7 @@ def run(config: RunConfig) -> int:
 # argument parsing
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """A new parser for the contactlab command line (main() reuses one; see _shared_parser)."""
     parser = argparse.ArgumentParser(
         prog="contactlab",
         description="Contact-geometry laboratory for thermodynamic phase space",
@@ -711,9 +706,28 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"bad configuration: {exc}") from None
 
 
+#: (build function, parser): the parser main() reuses and the function that built it
+_parser_cache: Optional[Tuple] = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of main(), built by build_arg_parser() on first use in a process.
+
+    Building one takes milliseconds (argparse sets up help formatting for
+    every argument), longer than a pointwise command, so in-process callers of
+    main() reuse it; parse_args keeps no state between calls.  When the name
+    build_arg_parser is rebound (a test's or a profiler's wrapper), the
+    parser is built again by the new binding, so no parser outlives the
+    function that built it.
+    """
+    global _parser_cache
+    if _parser_cache is None or _parser_cache[0] is not build_arg_parser:
+        _parser_cache = (build_arg_parser, build_arg_parser())
+    return _parser_cache[1]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         config = config_from_args(args)
     except (ConfigError, ExpressionError) as exc:

@@ -12,7 +12,9 @@ Identifiers must come from the declared context set ({q1..qn, p1..pn} on
 phase space, {u, v} on the equilibrium space); the callable names ln, exp,
 sqrt, sin and cos are reserved.  Parsing is strict: errors carry the byte
 offset of the offending token.  to_string emits a fully parenthesized form
-that reparses to an identical tree.
+that reparses to an identical tree.  compile_expression turns a tree into
+nested closures once, so repeated evaluation does not walk the tree again;
+eval_expression is a one-off compile and call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Union
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, Sequence, Union
 
 FUNCTIONS = {
     "ln": math.log,
@@ -29,6 +32,8 @@ FUNCTIONS = {
     "sin": math.sin,
     "cos": math.cos,
 }
+
+_ARITHMETIC_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 #: deepest nesting the parser accepts, and the greatest depth of the tree it
@@ -242,43 +247,97 @@ def parse_expression(text: str, context: Iterable[str]) -> Expression:
     return _Parser(text, frozenset(context)).parse()
 
 
+def compile_expression(expr: Expression, variables: Sequence[str]) -> Callable[..., float]:
+    """Compile expr into a function of the variables' values, taken in that order.
+
+    The result is nested closures, one per node, built once, with no exec or
+    eval.  f(*values) evaluates the tree in IEEE doubles, each operand before
+    the operator that uses it and left before right; the values must be
+    Python floats.  A real-domain violation, or a variable outside
+    `variables` once it is reached, raises ExpressionDomainError with the
+    bindings {variable: value}.
+    """
+    variables = tuple(variables)
+    index = {name: i for i, name in enumerate(variables)}
+
+    def domain_error(message: str, xs) -> ExpressionDomainError:
+        return ExpressionDomainError(message, dict(zip(variables, xs)))
+
+    def build(node: Expression):
+        if isinstance(node, Num):
+            value = node.value
+            return lambda xs: value
+        if isinstance(node, Var):
+            if node.name in index:
+                return itemgetter(index[node.name])
+            message = f"unbound variable {node.name!r}"
+
+            def unbound(xs):
+                raise domain_error(message, xs)
+
+            return unbound
+        if isinstance(node, Neg):
+            operand = build(node.operand)
+            return lambda xs: -operand(xs)
+        if isinstance(node, Call):
+            func, fn, arg = node.func, FUNCTIONS[node.func], build(node.arg)
+
+            def call(xs):
+                a = arg(xs)
+                try:
+                    return fn(a)
+                except (ValueError, OverflowError) as exc:
+                    raise domain_error(f"{func}({a:g}): {exc}", xs) from None
+
+            return call
+        if isinstance(node, BinOp):
+            return _compile_binop(node.op, build(node.left), build(node.right), domain_error)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    root = build(expr)
+
+    def evaluate(*values: float) -> float:
+        return root(values)
+
+    return evaluate
+
+
+def _compile_binop(op: str, left, right, domain_error):
+    # float +, - and * cannot raise; / and ^ can, and their errors carry the operator
+    if op == "+":
+        return lambda xs: left(xs) + right(xs)
+    if op == "-":
+        return lambda xs: left(xs) - right(xs)
+    if op == "*":
+        return lambda xs: left(xs) * right(xs)
+    if op == "/":
+        def divide(xs):
+            a, b = left(xs), right(xs)
+            try:
+                return a / b
+            except _ARITHMETIC_ERRORS as exc:
+                raise domain_error(f"/ failed: {exc}", xs) from None
+
+        return divide
+    if op == "^":
+        def power(xs):
+            a, b = left(xs), right(xs)
+            try:
+                result = a**b
+            except _ARITHMETIC_ERRORS as exc:
+                raise domain_error(f"^ failed: {exc}", xs) from None
+            if isinstance(result, complex):
+                raise domain_error("^ failed: complex result", xs)
+            return result
+
+        return power
+    raise TypeError(f"not an operator: {op!r}")
+
+
 def eval_expression(expr: Expression, bindings: Dict[str, float]) -> float:
     """Evaluate in IEEE doubles; real-domain violations raise with the bindings."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(bindings[expr.name])
-        except KeyError:
-            raise ExpressionDomainError(f"unbound variable {expr.name!r}", bindings) from None
-    if isinstance(expr, Neg):
-        return -eval_expression(expr.operand, bindings)
-    if isinstance(expr, Call):
-        arg = eval_expression(expr.arg, bindings)
-        try:
-            return FUNCTIONS[expr.func](arg)
-        except (ValueError, OverflowError) as exc:
-            raise ExpressionDomainError(f"{expr.func}({arg:g}): {exc}", bindings) from None
-    if isinstance(expr, BinOp):
-        left = eval_expression(expr.left, bindings)
-        right = eval_expression(expr.right, bindings)
-        try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left / right
-            if expr.op == "^":
-                result = left**right
-                if isinstance(result, complex):
-                    raise ValueError("complex result")
-                return float(result)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ExpressionDomainError(f"{expr.op} failed: {exc}", bindings) from None
-    raise TypeError(f"not an expression node: {expr!r}")
+    names = tuple(bindings)
+    return compile_expression(expr, names)(*[float(bindings[name]) for name in names])
 
 
 def to_string(expr: Expression) -> str:

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface and its emitters."""
 
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+from contactlab import cli
 from contactlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -14,6 +16,7 @@ from contactlab.cli import (
     RunConfig,
     config_from_args,
     build_arg_parser,
+    emit_rows,
     fundamental_relation_from_expression,
     main,
     parse_omega_spec,
@@ -70,6 +73,23 @@ class TestConfig:
         assert main(["isometry", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd", "0"],
+        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd=-1e-4"],
+        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd", "inf"],
+        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "inf", "--v", "1"],
+        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "nan"],
+        ["killing", "--family", "epsilon", "--omega", "norm_sum", "--points", "2", "--h-fd", "nan"],
+        ["omega-check", "--omega", "expr:q1", "--points", "2", "--h-fd", "0"],
+        ["isometry", "--family", "gtd_partial", "--points", "1", "--recurrence-dt", "nan"],
+        ["isometry", "--family", "gtd_partial", "--points", "1", "--recurrence-dt", "inf"],
+    ])
+    def test_non_finite_or_non_positive_numeric_key(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err or "must be positive" in err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -321,6 +341,24 @@ class TestEmission:
         captured = capsys.readouterr()
         assert captured.out.startswith("index,map,Phi")
 
+    def test_json_bytes_equal_json_dump_of_the_whole_list(self):
+        names = ["i", "x", "y", "flag"]
+        rows = [{"i": np.int64(3), "x": 0.1, "y": np.float64(-2.5e-300), "flag": True},
+                {"i": 4, "x": math.nan, "y": -math.inf, "flag": False},
+                {"i": 5, "x": np.float64(math.inf), "y": 1e300, "flag": True}]
+        reference = io.StringIO()
+        json.dump([{"i": int(r["i"]),
+                    "x": float(r["x"]) if math.isfinite(r["x"]) else None,
+                    "y": float(r["y"]) if math.isfinite(r["y"]) else None,
+                    "flag": r["flag"]} for r in rows], reference)
+        out = io.StringIO()
+        emit_rows(rows, names, "json", out)
+        assert out.getvalue() == reference.getvalue() + "\n"
+        assert json.loads(out.getvalue())[1] == {"i": 4, "x": None, "y": None, "flag": False}
+        empty = io.StringIO()
+        emit_rows([], names, "json", empty)
+        assert empty.getvalue() == "[]\n"
+
 
 class TestExpressionBackedPotential:
     def test_matches_builtin_ideal_gas(self):
@@ -332,6 +370,25 @@ class TestExpressionBackedPotential:
         assert fr.value(q) == pytest.approx(gas.value(q), rel=1e-12)
         np.testing.assert_allclose(fr.gradient(q), gas.gradient(q), rtol=1e-8)
         np.testing.assert_allclose(fr.hessian(q), gas.hessian(q), atol=1e-5)
+
+    def test_hessian_equals_the_bindings_stencil(self):
+        from contactlab.expressions import eval_expression, parse_expression
+
+        text, h = "1.5*ln(u)+ln(v)+u*v^2", 1e-5
+        fr = fundamental_relation_from_expression(text, h_fd=h)
+        tree = parse_expression(text, ("u", "v"))
+
+        def f(u, v):
+            return eval_expression(tree, {"u": u, "v": v})
+
+        for u, v in ((1.7, 0.9), (2.5, 1.1), (0.6, 2.0)):
+            H = np.empty((2, 2))
+            f0 = f(u, v)
+            H[0, 0] = (f(u + h, v) - 2 * f0 + f(u - h, v)) / h**2
+            H[1, 1] = (f(u, v + h) - 2 * f0 + f(u, v - h)) / h**2
+            H[0, 1] = H[1, 0] = (f(u + h, v + h) - f(u + h, v - h)
+                                 - f(u - h, v + h) + f(u - h, v - h)) / (4 * h**2)
+            assert np.array_equal(fr.hessian(np.array([u, v])), H)
 
     def test_domain_predicate(self):
         fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)")
@@ -356,6 +413,25 @@ class TestRunConfigDirect:
                         out=str(tmp_path / "scan.csv"))
         assert run(cfg) == EXIT_OK
         assert len(read_csv(tmp_path / "scan.csv")) == 8
+
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        builds = []
+        original = cli.build_arg_parser
+
+        def counted():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_arg_parser", counted)
+        for _ in range(2):
+            assert main(["legendre", "--point", "0,1,0,0,0"]) == EXIT_OK
+        assert len(builds) == 1
+        # a new binding of build_arg_parser gets a parser of its own
+        monkeypatch.setattr(cli, "build_arg_parser", lambda: counted())
+        assert main(["legendre", "--point", "0,1,0,0,0"]) == EXIT_OK
+        assert len(builds) == 2
+        assert build_arg_parser() is not build_arg_parser()
+        capsys.readouterr()
 
     def test_parser_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):

@@ -1,6 +1,8 @@
 """Tests for the expression language: parsing, precedence, evaluation, derivatives."""
 
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from contactlab.expressions import (
     Num,
     UnknownIdentifierError,
     Var,
+    FUNCTIONS,
+    compile_expression,
     eval_expression,
     parse_expression,
     to_string,
 )
-from contactlab.cli import omega_from_expression
+from contactlab.cli import equilibrium_omega_from_expression, omega_from_expression
 from contactlab.metriclab import omega_registry
 from contactlab.phasespace import central_diff
 
@@ -216,3 +220,102 @@ class TestExpressionDerivatives:
         d_u, d_v = central_diff(lambda q: eval_expression(tree, {"u": q[0], "v": q[1]}), [0.6, 2.0], 1e-5)
         assert d_u == pytest.approx(2.0 * math.cos(0.6), abs=1e-9)
         assert d_v == pytest.approx(math.sin(0.6), abs=1e-9)
+
+
+def walk(expr, bindings):
+    """The tree-walking evaluator that compile_expression replaced, kept as the reference."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return float(bindings[expr.name])
+        except KeyError:
+            raise ExpressionDomainError(f"unbound variable {expr.name!r}", bindings) from None
+    if isinstance(expr, Neg):
+        return -walk(expr.operand, bindings)
+    if isinstance(expr, Call):
+        arg = walk(expr.arg, bindings)
+        try:
+            return FUNCTIONS[expr.func](arg)
+        except (ValueError, OverflowError) as exc:
+            raise ExpressionDomainError(f"{expr.func}({arg:g}): {exc}", bindings) from None
+    if isinstance(expr, BinOp):
+        left = walk(expr.left, bindings)
+        right = walk(expr.right, bindings)
+        try:
+            if expr.op == "+":
+                return left + right
+            if expr.op == "-":
+                return left - right
+            if expr.op == "*":
+                return left * right
+            if expr.op == "/":
+                return left / right
+            if expr.op == "^":
+                result = left**right
+                if isinstance(result, complex):
+                    raise ValueError("complex result")
+                return float(result)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ExpressionDomainError(f"{expr.op} failed: {exc}", bindings) from None
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def outcome(fn, *args):
+    """The bits of fn's result, or its domain error's message."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except ExpressionDomainError as exc:
+        return str(exc)
+
+
+ORDER = ("q1", "q2", "p1", "p2")
+
+
+class TestCompiled:
+    @pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
+    def test_equals_the_tree_walk_bit_for_bit(self, text):
+        rng = random.Random(text)
+        tree = parse_expression(text, PHASE_VARS)
+        f = compile_expression(tree, ORDER)
+        omega = omega_from_expression(text, 2)
+        # negative values too: ln, sqrt and fractional powers then fail, and must fail alike
+        for low in (0.1, -2.0) * 10:
+            values = [rng.uniform(low, 2.0) for _ in ORDER]
+            bindings = dict(zip(ORDER, values))
+            expected = outcome(walk, tree, bindings)
+            assert outcome(f, *values) == expected
+            assert outcome(eval_expression, tree, bindings) == expected
+            assert outcome(omega.eval, np.array(values[:2]), np.array(values[2:])) == expected
+
+    @pytest.mark.parametrize("text,bindings,message", [
+        ("ln(u)", {"u": -1.0, "v": 2.0}, "ln(-1): math domain error [at u=-1, v=2]"),
+        ("sqrt(u)", {"u": -1.0, "v": 2.0}, "sqrt(-1): math domain error [at u=-1, v=2]"),
+        ("1/u", {"u": 0.0, "v": 2.0}, "/ failed: float division by zero [at u=0, v=2]"),
+        ("exp(u)", {"u": 1000.0, "v": 2.0}, "exp(1000): math range error [at u=1000, v=2]"),
+        ("u^(1/3)", {"u": -8.0, "v": 2.0}, "^ failed: complex result [at u=-8, v=2]"),
+        ("u^v", {"u": 0.0, "v": -1.0},
+         "^ failed: 0.0 cannot be raised to a negative power [at u=0, v=-1]"),
+        ("u^v", {"u": 10.0, "v": 400.0},
+         "^ failed: (34, 'Numerical result out of range') [at u=10, v=400]"),
+        ("u+v", {"u": 1.5}, "unbound variable 'v' [at u=1.5]"),
+    ])
+    def test_error_messages_equal_the_tree_walk(self, text, bindings, message):
+        tree = parse_expression(text, UV)
+        assert outcome(walk, tree, bindings) == message
+        assert outcome(eval_expression, tree, bindings) == message
+        assert outcome(compile_expression(tree, tuple(bindings)), *bindings.values()) == message
+        with pytest.raises(ExpressionDomainError) as err:
+            eval_expression(tree, bindings)
+        assert err.value.bindings == bindings
+
+    def test_positional_order_follows_the_variables(self):
+        f = compile_expression(parse_expression("u-2*v", UV), ("v", "u"))
+        assert f(1.0, 5.0) == 3.0
+
+    def test_equilibrium_omega_equals_the_tree_walk(self):
+        text = "u/v+0.5*u/(u+v)-ln(v)"
+        tree = parse_expression(text, UV)
+        omega = equilibrium_omega_from_expression(text)
+        for u, v in ((0.3, 1.7), (2.5, 1e-3), (np.float64(1.1), 4), (1.0, -1.0), (0, 0)):
+            assert outcome(omega.eval, u, v) == outcome(walk, tree, {"u": u, "v": v})
