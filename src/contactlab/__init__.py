@@ -12,7 +12,6 @@ from .phasespace import (
     DarbouxPoint,
     DimensionError,
     OneFormField,
-    TwoForm,
     eta_field,
     eval_deta,
     eval_eta,

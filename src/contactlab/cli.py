@@ -250,8 +250,10 @@ class RunConfig:
             val = getattr(self, name)
             if val is not None and not math.isfinite(val):
                 raise ConfigError(f"{name} must be finite, got {val!r}")
-        if self.h_fd is not None and self.h_fd <= 0:
-            raise ConfigError(f"h_fd must be positive, got {self.h_fd!r}")
+        for name in ("h_fd", "delta_sing"):
+            val = getattr(self, name)
+            if val is not None and val <= 0:
+                raise ConfigError(f"{name} must be positive, got {val!r}")
 
 
 def load_config_file(path: str) -> Dict:
@@ -594,9 +596,16 @@ def run(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad flag, so it exits 1 with one line; subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     """A new parser for the contactlab command line (main() reuses one; see _shared_parser)."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="contactlab",
         description="Contact-geometry laboratory for thermodynamic phase space",
     )
@@ -727,9 +736,8 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _shared_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(_shared_parser().parse_args(argv))
     except (ConfigError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

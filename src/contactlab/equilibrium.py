@@ -147,7 +147,7 @@ def embedding_tangents(fr: FundamentalRelation, q: np.ndarray) -> np.ndarray:
 def first_law_residual(fr: FundamentalRelation, q: np.ndarray) -> np.ndarray:
     """eta contracted with both embedding tangents; zero is the First Law."""
     x = embed(fr, q)
-    eta = eval_eta(x).components
+    eta = eval_eta(x)
     return embedding_tangents(fr, q) @ eta
 
 
@@ -387,6 +387,8 @@ class CurvatureReport:
 def _curvature_reports(us: List[float], v: float, c_v: float, omega_on_e: EquilibriumOmega,
                        delta_sing: float, h_fd: float) -> List[CurvatureReport]:
     """Reports at (u, v) for every u in us; the oracle runs once, on all rows outside the band."""
+    if not delta_sing > 0:
+        raise ValueError(f"delta_sing must be positive, got {delta_sing!r}")
     rhos = [u / v for u in us]
     off = [i for i, rho in enumerate(rhos) if not abs(rho * rho - c_v) < delta_sing]
     # every row starts flagged; the rows outside the band are filled in below

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, FrozenSet, Iterable, Optional, Tuple
+from typing import Callable, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff, central_diff_at, eval_eta
+from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff_at
 
 
 class IntegrationError(RuntimeError):
@@ -35,40 +35,18 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ContactHamiltonian:
-    """A scalar on phase space with partial derivatives in the Z ordering.
+    """A scalar on phase space with optional analytic derivatives in the Z ordering.
 
-    hessian, when present, returns the full (2n+1)x(2n+1) matrix of second
-    partials and enables an analytic Jacobian for the generated field.
-    uses_fd marks derivative callables that are finite-difference fallbacks.
+    gradient, when present, returns all 2n+1 first partials; without it the
+    generated field differences value.  hessian, when present, returns the
+    full (2n+1)x(2n+1) matrix of second partials and enables an analytic
+    Jacobian for the generated field.
     """
 
     name: str
     value: Callable[[DarbouxPoint], float]
-    d_phi: Callable[[DarbouxPoint], float]
-    d_q: Callable[[DarbouxPoint], np.ndarray]
-    d_p: Callable[[DarbouxPoint], np.ndarray]
+    gradient: Optional[Callable[[DarbouxPoint], np.ndarray]] = None
     hessian: Optional[Callable[[DarbouxPoint], np.ndarray]] = None
-    uses_fd: bool = False
-
-    @classmethod
-    def from_value(cls, name: str, fn: Callable[[DarbouxPoint], float],
-                   h_fd: float = DEFAULT_FD_STEP) -> "ContactHamiltonian":
-        """Wrap a bare scalar with central-difference partials."""
-
-        def d_phi(x):
-            return central_diff(lambda z: fn(DarbouxPoint(z[0], x.q, x.p)), [x.phi], h_fd)[0]
-
-        def d_q(x):
-            return central_diff(lambda q: fn(DarbouxPoint(x.phi, q, x.p)), x.q, h_fd)
-
-        def d_p(x):
-            return central_diff(lambda p: fn(DarbouxPoint(x.phi, x.q, p)), x.p, h_fd)
-
-        return cls(name=name, value=fn, d_phi=d_phi, d_q=d_q, d_p=d_p, uses_fd=True)
-
-    def gradient(self, x: DarbouxPoint) -> np.ndarray:
-        """All partials stacked in the Z ordering."""
-        return np.concatenate(([self.d_phi(x)], self.d_q(x), self.d_p(x)))
 
 
 @dataclass(frozen=True)
@@ -94,19 +72,17 @@ def total_legendre_hamiltonian(n: int = 2) -> ContactHamiltonian:
     def value(x: DarbouxPoint) -> float:
         return 0.5 * float(x.q @ x.q + x.p @ x.p)
 
+    def gradient(x: DarbouxPoint) -> np.ndarray:
+        g = x.to_array()
+        g[0] = 0.0
+        return g
+
     def hessian(x: DarbouxPoint) -> np.ndarray:
         H = np.eye(x.dim)
         H[0, 0] = 0.0
         return H
 
-    return ContactHamiltonian(
-        name="legendre_total",
-        value=value,
-        d_phi=lambda x: 0.0,
-        d_q=lambda x: x.q.copy(),
-        d_p=lambda x: x.p.copy(),
-        hessian=hessian,
-    )
+    return ContactHamiltonian("legendre_total", value, gradient, hessian)
 
 
 def partial_legendre_hamiltonian(i: int, n: int = 2) -> ContactHamiltonian:
@@ -118,15 +94,11 @@ def partial_legendre_hamiltonian(i: int, n: int = 2) -> ContactHamiltonian:
     def value(x: DarbouxPoint) -> float:
         return 0.5 * (x.q[k] ** 2 + x.p[k] ** 2)
 
-    def d_q(x: DarbouxPoint) -> np.ndarray:
-        out = np.zeros(x.n)
-        out[k] = x.q[k]
-        return out
-
-    def d_p(x: DarbouxPoint) -> np.ndarray:
-        out = np.zeros(x.n)
-        out[k] = x.p[k]
-        return out
+    def gradient(x: DarbouxPoint) -> np.ndarray:
+        g = np.zeros(x.dim)
+        g[1 + k] = x.q[k]
+        g[1 + x.n + k] = x.p[k]
+        return g
 
     def hessian(x: DarbouxPoint) -> np.ndarray:
         H = np.zeros((x.dim, x.dim))
@@ -134,28 +106,24 @@ def partial_legendre_hamiltonian(i: int, n: int = 2) -> ContactHamiltonian:
         H[1 + x.n + k, 1 + x.n + k] = 1.0
         return H
 
-    return ContactHamiltonian(
-        name=f"legendre_pair_{i}",
-        value=value,
-        d_phi=lambda x: 0.0,
-        d_q=d_q,
-        d_p=d_p,
-        hessian=hessian,
-    )
+    return ContactHamiltonian(f"legendre_pair_{i}", value, gradient, hessian)
 
 
 def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STEP) -> ContactVectorField:
-    """The contact field generated by h, with eta[X_h] = h by construction."""
+    """The contact field generated by h, with eta[X_h] = h by construction.
+
+    Without h.gradient, h.value is differenced with central steps h_fd.
+    """
+    gradient = h.gradient if h.gradient is not None else lambda x: central_diff_at(h.value, x, h_fd)
 
     def eval_x(x: DarbouxPoint) -> np.ndarray:
         n = x.n
-        hp = np.asarray(h.d_p(x), dtype=float)
-        hq = np.asarray(h.d_q(x), dtype=float)
-        hphi = h.d_phi(x)
+        grad = np.asarray(gradient(x), dtype=float)
+        hp = grad[n + 1 :]
         out = np.empty(x.dim)
         out[0] = h.value(x) - float(x.p @ hp)
         out[1 : n + 1] = -hp
-        out[n + 1 :] = hq + x.p * hphi
+        out[n + 1 :] = grad[1 : n + 1] + x.p * grad[0]
         return out
 
     if h.hessian is not None:
@@ -163,7 +131,7 @@ def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STE
         def jacobian(x: DarbouxPoint) -> np.ndarray:
             n = x.n
             dim = x.dim
-            grad = h.gradient(x)
+            grad = np.asarray(gradient(x), dtype=float)
             H = h.hessian(x)
             J = np.empty((dim, dim))
             psl = slice(n + 1, dim)
@@ -400,10 +368,6 @@ class LegendreMap:
     def total(cls, n: int = 2) -> "LegendreMap":
         return cls(frozenset(range(1, n + 1)), n)
 
-    @classmethod
-    def pairs(cls, indices: Iterable[int], n: int = 2) -> "LegendreMap":
-        return cls(frozenset(indices), n)
-
     @property
     def is_total(self) -> bool:
         return self.index_set == frozenset(range(1, self.n + 1))
@@ -443,7 +407,3 @@ def jacobian_discrete_legendre(m: LegendreMap, x: DarbouxPoint) -> np.ndarray:
         J[1 + n + k, 1 + k] = 1.0
     return J
 
-
-def generation_residual(h: ContactHamiltonian, X: ContactVectorField, x: DarbouxPoint) -> float:
-    """|eta[X](x) - h(x)|, the defining relation of the generated field."""
-    return abs(eval_eta(x).pair(X.eval(x)) - h.value(x))

@@ -26,7 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff, central_diff_at, eval_eta, reeb
+from .phasespace import (DEFAULT_FD_STEP, DarbouxPoint, _eta_partials, central_diff, central_diff_at,
+                         eval_eta, reeb)
 from .flows import (
     ContactVectorField,
     LegendreMap,
@@ -187,17 +188,14 @@ class MetricField:
 
 
 def _eta_outer(x: DarbouxPoint) -> np.ndarray:
-    eta = eval_eta(x).components
+    eta = eval_eta(x)
     return np.outer(eta, eta)
 
 
 def _eta_outer_partials(x: DarbouxPoint) -> np.ndarray:
     """D[A, B, C] = d (eta_A eta_B) / d Z^C."""
-    n, dim = x.n, x.dim
-    eta = eval_eta(x).components
-    E = np.zeros((dim, dim))
-    for a in range(n):
-        E[1 + a, 1 + n + a] = -1.0
+    eta = eval_eta(x)
+    E = _eta_partials(x)
     return np.einsum("ac,b->abc", E, eta) + np.einsum("a,bc->abc", eta, E)
 
 

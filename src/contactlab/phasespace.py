@@ -110,44 +110,13 @@ class Covector:
             raise ValueError(f"covector length must be odd and >= 3, got shape {comps.shape}")
         object.__setattr__(self, "components", comps)
 
-    @property
-    def dim(self) -> int:
-        return len(self.components)
 
-    def pair(self, vector: np.ndarray) -> float:
-        """Contract with a vector, omega[X]."""
-        return float(self.components @ np.asarray(vector, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class TwoForm:
-    """A 2-form as an exactly antisymmetric component matrix."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        comps = _frozen(self.components)
-        if comps.ndim != 2 or comps.shape[0] != comps.shape[1]:
-            raise ValueError("2-form components must form a square matrix")
-        if not np.array_equal(comps, -comps.T):
-            raise ValueError("2-form components must be exactly antisymmetric")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
-    def contract(self, vector: np.ndarray) -> np.ndarray:
-        """Interior product: (i_X omega)_B = X^A omega_{AB}."""
-        return np.asarray(vector, dtype=float) @ self.components
-
-
-def eval_eta(x: DarbouxPoint) -> Covector:
+def eval_eta(x: DarbouxPoint) -> np.ndarray:
     """The contact form eta = dPhi - p_a dq^a at x: components (1, -p, 0)."""
     comps = np.zeros(x.dim)
     comps[0] = 1.0
     comps[1 : x.n + 1] = -x.p
-    return Covector(comps)
+    return comps
 
 
 def _eta_partials(x: DarbouxPoint) -> np.ndarray:
@@ -166,19 +135,18 @@ class OneFormField:
     d_eval, when given, returns D[A, B] = d omega_A / d Z^B.
     """
 
-    eval: Callable[[DarbouxPoint], Covector]
+    eval: Callable[[DarbouxPoint], np.ndarray]
     d_eval: Optional[Callable[[DarbouxPoint], np.ndarray]] = None
     name: str = ""
 
 
-def eta_field(n: int = 2) -> OneFormField:
+def eta_field() -> OneFormField:
     """eta as a field with analytic coordinate derivatives."""
-    del n  # eta is shape-generic; kept for signature symmetry
     return OneFormField(eval=eval_eta, d_eval=_eta_partials, name="eta")
 
 
-def eval_deta(n: int = 2) -> TwoForm:
-    """d(eta) = dq^a ^ dp_a, a constant matrix in Darboux coordinates."""
+def eval_deta(n: int = 2) -> np.ndarray:
+    """d(eta) = dq^a ^ dp_a, a constant antisymmetric matrix in Darboux coordinates."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dim = 2 * n + 1
@@ -186,7 +154,7 @@ def eval_deta(n: int = 2) -> TwoForm:
     for a in range(n):
         comps[1 + a, 1 + n + a] = 1.0
         comps[1 + n + a, 1 + a] = -1.0
-    return TwoForm(comps)
+    return comps
 
 
 def reeb(n: int = 2) -> np.ndarray:
@@ -220,8 +188,8 @@ def volume_form_coefficient(x: DarbouxPoint) -> float:
         raise DimensionError(
             f"volume form antisymmetrization supports n <= {MAX_VOLUME_FORM_DOF}, got n={n}"
         )
-    eta = eval_eta(x).components
-    deta = eval_deta(n).components
+    eta = eval_eta(x)
+    deta = eval_deta(n)
     dim = x.dim
     total = 0.0
     for perm in itertools.permutations(range(dim)):

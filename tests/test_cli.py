@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from contactlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    ConfigError,
     RunConfig,
     config_from_args,
     build_arg_parser,
@@ -84,12 +86,31 @@ class TestConfig:
         ["omega-check", "--omega", "expr:q1", "--points", "2", "--h-fd", "0"],
         ["isometry", "--family", "gtd_partial", "--points", "1", "--recurrence-dt", "nan"],
         ["isometry", "--family", "gtd_partial", "--points", "1", "--recurrence-dt", "inf"],
+        ["curvature", "--cv", "4", "--omega", "const:1", "--u", "2", "--v", "1", "--delta-sing", "0"],
+        ["rho-scan", "--cv", "4", "--omega", "const:1", "--rho", "1:3:3", "--delta-sing", "-1"],
     ])
     def test_non_finite_or_non_positive_numeric_key(self, capsys, argv):
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be finite" in err or "must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["killing", "--points", "abc"],
+        ["killing", "--bogus", "1"],
+        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd", "-1e-4"],
+        ["quux"],
+    ])
+    def test_flag_error_exits_1_with_one_line(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["killing", "--help"])
+        assert exc.value.code == 0
+        assert "--family" in capsys.readouterr().out
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -434,7 +455,7 @@ class TestRunConfigDirect:
         capsys.readouterr()
 
     def test_parser_rejects_unknown_subcommand(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigError):
             build_arg_parser().parse_args(["quux"])
 
     def test_namespace_to_config(self):
@@ -443,3 +464,19 @@ class TestRunConfigDirect:
         cfg = config_from_args(args)
         assert (cfg.command, cfg.cv, cfg.seed) == ("rho-scan", 2.5, 9)
         assert cfg.omega == "const:1"  # default preserved
+
+
+class TestBenchmarkHooks:
+    def test_tracer_wraps_names_that_exist(self, monkeypatch):
+        # the benchmark's tracer and microbenchmarks reach into the package by
+        # name; a renamed or deleted name must fail here, not in a benchmark run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import micro  # noqa: F401
+        from tracing import Tracer
+
+        tracer = Tracer()
+        try:
+            tracer.install()
+        finally:
+            tracer.uninstall()
+        assert cli.build_arg_parser is build_arg_parser

@@ -286,6 +286,12 @@ class TestRhoScan:
             rho_scan(CV, OMEGA_ONE, 2.0, 1.0, 10)
         with pytest.raises(ValueError):
             rho_scan(CV, OMEGA_ONE, 0.5, 1.0, 1)
+        # rho = 2 lies on the band of c_v = 4, where a zero band once divided by zero
+        for delta_sing in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="delta_sing must be positive"):
+                rho_scan(4.0, OMEGA_ONE, 1.0, 3.0, 3, delta_sing=delta_sing)
+            with pytest.raises(ValueError, match="delta_sing must be positive"):
+                curvature_report(2.0, 1.0, 4.0, OMEGA_ONE, delta_sing)
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from contactlab.phasespace import DarbouxPoint, eval_eta, reeb
+from contactlab.phasespace import DarbouxPoint, central_diff, eval_eta, reeb
 from contactlab.flows import (
     ContactHamiltonian,
     ContactVectorField,
@@ -40,11 +40,17 @@ def unit_hamiltonian(n=2):
     return ContactHamiltonian(
         name="one",
         value=lambda x: 1.0,
-        d_phi=lambda x: 0.0,
-        d_q=lambda x: np.zeros(x.n),
-        d_p=lambda x: np.zeros(x.n),
+        gradient=lambda x: np.zeros(x.dim),
         hessian=lambda x: np.zeros((x.dim, x.dim)),
     )
+
+
+# each Legendre generator with its fast field: the total one and the pairs i = 1, 2
+GENERATORS = [
+    (total_legendre_hamiltonian(2), legendre_field(2)),
+    (partial_legendre_hamiltonian(1, 2), partial_legendre_field(1, 2)),
+    (partial_legendre_hamiltonian(2, 2), partial_legendre_field(2, 2)),
+]
 
 
 class TestHamiltonians:
@@ -72,14 +78,19 @@ class TestHamiltonians:
             partial_legendre_hamiltonian(0, 2)
 
     def test_analytic_partials_match_fd(self):
-        h = total_legendre_hamiltonian(2)
-        h_fd = 1e-5
-        fd = ContactHamiltonian.from_value("fd", h.value, h_fd)
-        for x in sample_darboux_points(10, 2, seed=11):
-            scale = max(1.0, abs(h.value(x)))
-            assert abs(h.d_phi(x) - fd.d_phi(x)) / scale < 10 * h_fd**2
-            assert np.abs(h.d_q(x) - fd.d_q(x)).max() / scale < 10 * h_fd**2
-            assert np.abs(h.d_p(x) - fd.d_p(x)).max() / scale < 10 * h_fd**2
+        # gradient and Hessian of every generator against central differences of value
+        h_fd, h_hess = 1e-5, 1e-3
+        for h, _ in GENERATORS:
+            def value(z, h=h):
+                return h.value(DarbouxPoint.from_array(z))
+
+            for x in sample_darboux_points(10, 2, seed=11):
+                z = x.to_array()
+                scale = max(1.0, abs(h.value(x)))
+                grad_fd = central_diff(value, z, h_fd)
+                hess_fd = central_diff(lambda y: central_diff(value, y, h_hess), z, h_hess)
+                assert np.abs(h.gradient(x) - grad_fd).max() / scale < 10 * h_fd**2
+                assert np.abs(h.hessian(x) - hess_fd).max() / scale < 1e-8
 
 
 class TestHamiltonianVectorField:
@@ -94,27 +105,25 @@ class TestHamiltonianVectorField:
         np.testing.assert_allclose(X.eval(x), [0.5, 0.0, 0.0, 1.0, 0.0], atol=0)
 
     def test_fast_field_matches_generic_construction(self):
-        X_fast = legendre_field(2)
-        X_generic = hamiltonian_vector_field(total_legendre_hamiltonian(2))
-        for x in sample_darboux_points(20, 2, seed=3):
-            np.testing.assert_allclose(X_fast.eval(x), X_generic.eval(x), atol=1e-14)
-            np.testing.assert_allclose(X_fast.jacobian(x), X_generic.jacobian(x), atol=1e-14)
+        for h, X_fast in GENERATORS:
+            X_generic = hamiltonian_vector_field(h)
+            for x in sample_darboux_points(20, 2, seed=3):
+                np.testing.assert_allclose(X_fast.eval(x), X_generic.eval(x), atol=1e-14)
+                np.testing.assert_allclose(X_fast.jacobian(x), X_generic.jacobian(x), atol=1e-14)
 
     def test_generation_identity(self):
         # eta[X_h] = h for a mixed-variable Hamiltonian
         h = ContactHamiltonian(
             name="q1p2",
             value=lambda x: x.q[0] * x.p[1],
-            d_phi=lambda x: 0.0,
-            d_q=lambda x: np.array([x.p[1], 0.0]),
-            d_p=lambda x: np.array([0.0, x.q[0]]),
+            gradient=lambda x: np.array([0.0, x.p[1], 0.0, 0.0, x.q[0]]),
         )
         X = hamiltonian_vector_field(h)
         for x in sample_darboux_points(100, 2, seed=17):
-            assert eval_eta(x).pair(X.eval(x)) == pytest.approx(h.value(x), rel=1e-12, abs=1e-13)
+            assert eval_eta(x) @ X.eval(x) == pytest.approx(h.value(x), rel=1e-12, abs=1e-13)
 
     def test_fd_jacobian_fallback(self):
-        h = ContactHamiltonian.from_value("exp", lambda x: math.exp(0.3 * x.q[0]) * x.p[0])
+        h = ContactHamiltonian("exp", lambda x: math.exp(0.3 * x.q[0]) * x.p[0])
         X = hamiltonian_vector_field(h)
         x = DarbouxPoint(0.1, [0.5, 0.2], [0.7, -0.4])
         J = X.jacobian(x)
@@ -124,8 +133,9 @@ class TestHamiltonianVectorField:
             np.testing.assert_allclose(J[:, B], col, atol=1e-6)
 
     def test_fd_paths_equal_the_hand_written_loops(self):
-        # the from_value partials and the FD Jacobian, written out as before
-        # they went through central_diff; the results must agree bit for bit
+        # the FD partials of a gradient-free Hamiltonian and the FD Jacobian,
+        # written out as before they went through central_diff; the results
+        # must agree bit for bit
         h_fd = 1e-5
         fn = lambda x: math.exp(0.3 * x.q[0]) * x.p[0] + math.sin(x.phi * x.q[1]) * x.p[1] ** 2
 
@@ -134,12 +144,10 @@ class TestHamiltonianVectorField:
 
         looped = ContactHamiltonian(
             name="loops", value=fn,
-            d_phi=lambda x: diff(x, 0),
-            d_q=lambda x: np.array([diff(x, 1 + a) for a in range(x.n)]),
-            d_p=lambda x: np.array([diff(x, 1 + x.n + a) for a in range(x.n)]),
+            gradient=lambda x: np.array([diff(x, B) for B in range(x.dim)]),
         )
         X_old = hamiltonian_vector_field(looped).eval
-        X = hamiltonian_vector_field(ContactHamiltonian.from_value("fd", fn, h_fd), h_fd)
+        X = hamiltonian_vector_field(ContactHamiltonian("fd", fn), h_fd)
         for x in sample_darboux_points(10, 2, seed=29):
             J_old = np.empty((5, 5))
             for B in range(5):

@@ -123,7 +123,7 @@ class TestBuildMetric:
     def test_gtd_partial_at_unit_point(self):
         G = gtd_partial_unit()
         M = G.eval(FROZEN_POINT)
-        eta = eval_eta(FROZEN_POINT).components
+        eta = eval_eta(FROZEN_POINT)
         np.testing.assert_array_equal(eta, [1, -1, -1, 0, 0])
         np.testing.assert_array_equal(M - np.outer(eta, eta), _dyad_half())
 
@@ -258,7 +258,7 @@ class TestKContact:
 
     def test_phi_dependent_metric_is_not(self):
         def ev(x):
-            eta = eval_eta(x).components
+            eta = eval_eta(x)
             return (1.0 + x.phi**2) * np.outer(eta, eta)
 
         G = MetricField("phi_weighted", "test", ev)
