@@ -26,7 +26,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,13 +82,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 COMMANDS = ("orbit", "legendre", "killing", "omega-check", "curvature", "rho-scan", "isometry")
-
-_CONFIG_KEYS = {
-    "command", "n", "family", "omega", "cv", "rho", "dt", "t_end", "ics", "pair",
-    "points", "seed", "out", "format", "v_fixed", "k", "xi", "chi", "maps",
-    "u", "v", "h_fd", "delta_sing", "recurrence_dt",
-}
-
 
 #: scalar config keys by the type their value must have; None is allowed for the optional ones
 _INT_KEYS = ("n", "points", "seed", "k", "pair")
@@ -254,6 +247,9 @@ class RunConfig:
             val = getattr(self, name)
             if val is not None and val <= 0:
                 raise ConfigError(f"{name} must be positive, got {val!r}")
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> Dict:
@@ -493,15 +489,7 @@ _SCAN_FIELDS = ["rho", "u", "v", "R_analytic", "R_numeric", "rel_error", "near_s
 
 
 def _report_row(report) -> Dict:
-    return {
-        "rho": report.rho,
-        "u": report.u,
-        "v": report.v,
-        "R_analytic": report.R_analytic,
-        "R_numeric": report.R_numeric,
-        "rel_error": report.rel_error,
-        "near_singularity": report.near_singularity,
-    }
+    return {name: getattr(report, name) for name in _SCAN_FIELDS}
 
 
 def _cmd_curvature(cfg: RunConfig):

@@ -345,6 +345,8 @@ def scalar_curvature_ideal_gas(u: float, v: float, c_v: float,
                                delta_sing: float = DEFAULT_SINGULAR_BAND,
                                h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
     """Closed-form scalar curvature of the induced ideal-gas metric."""
+    if not delta_sing > 0:
+        raise ValueError(f"delta_sing must be positive, got {delta_sing!r}")
     rho = u / v
     gap = rho * rho - c_v
     if abs(gap) < delta_sing:
@@ -387,9 +389,8 @@ class CurvatureReport:
 def _curvature_reports(us: List[float], v: float, c_v: float, omega_on_e: EquilibriumOmega,
                        delta_sing: float, h_fd: float) -> List[CurvatureReport]:
     """Reports at (u, v) for every u in us; the oracle runs once, on all rows outside the band."""
-    if not delta_sing > 0:
-        raise ValueError(f"delta_sing must be positive, got {delta_sing!r}")
     rhos = [u / v for u in us]
+    # a band that is not positive leaves every row outside it, for scalar_curvature_ideal_gas to reject
     off = [i for i, rho in enumerate(rhos) if not abs(rho * rho - c_v) < delta_sing]
     # every row starts flagged; the rows outside the band are filled in below
     reports = [CurvatureReport(u, v, rho, math.nan, math.nan, math.nan, True) for u, rho in zip(us, rhos)]

@@ -22,7 +22,7 @@ from typing import Callable, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff_at
+from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff
 
 
 class IntegrationError(RuntimeError):
@@ -37,134 +37,139 @@ class IntegrationError(RuntimeError):
 class ContactHamiltonian:
     """A scalar on phase space with optional analytic derivatives in the Z ordering.
 
-    gradient, when present, returns all 2n+1 first partials; without it the
-    generated field differences value.  hessian, when present, returns the
-    full (2n+1)x(2n+1) matrix of second partials and enables an analytic
-    Jacobian for the generated field.
+    value, gradient and hessian take Z arrays of shape (..., 2n+1) and keep
+    the leading axes.  gradient, when present, returns all 2n+1 first
+    partials; without it the generated field differences value.  hessian,
+    when present, returns the full (2n+1)x(2n+1) matrix of second partials
+    per point and enables an analytic Jacobian for the generated field.
     """
 
     name: str
-    value: Callable[[DarbouxPoint], float]
-    gradient: Optional[Callable[[DarbouxPoint], np.ndarray]] = None
-    hessian: Optional[Callable[[DarbouxPoint], np.ndarray]] = None
+    value: Callable[[np.ndarray], np.ndarray]
+    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
 class ContactVectorField:
     """A vector field on phase space.
 
-    eval_array, when present, evaluates on raw Z arrays of shape (..., 2n+1)
-    and is the fast path used by the integrator.  jacobian, when present,
-    returns J[A, B] = d X^A / d Z^B.
+    eval maps Z arrays of shape (..., 2n+1) to field values of the same
+    shape.  jacobian, when present, returns J[..., A, B] = d X^A / d Z^B.
+    A DarbouxPoint is array-like, so both also take one point.
     """
 
     name: str
-    eval: Callable[[DarbouxPoint], np.ndarray]
-    jacobian: Optional[Callable[[DarbouxPoint], np.ndarray]] = None
-    eval_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    eval: Callable[[np.ndarray], np.ndarray]
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+
+def _pair_slots(n: int, first: int, last: int) -> Tuple[slice, slice]:
+    """Basic slices of the q and p slots of pairs first..last-1 (0-based)."""
+    return slice(1 + first, 1 + last), slice(1 + n + first, 1 + n + last)
+
+
+def _pair_hamiltonian(n: int, first: int, last: int, name: str) -> ContactHamiltonian:
+    """h = sum of (q_a^2 + p_a^2)/2 over the pairs first..last-1 (0-based)."""
+    dim = 2 * n + 1
+    qs, ps = _pair_slots(n, first, last)
+    mask = np.zeros(dim)
+    mask[qs] = mask[ps] = 1.0
+    hess = np.diag(mask)
+
+    def value(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        q, p = z[..., qs], z[..., ps]
+        return 0.5 * (q * q + p * p).sum(axis=-1)
+
+    def gradient(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        g = np.zeros(z.shape)
+        g[..., qs] = z[..., qs]
+        g[..., ps] = z[..., ps]
+        return g
+
+    def hessian(z) -> np.ndarray:
+        H = np.empty(np.shape(z) + (dim,))
+        H[...] = hess
+        return H
+
+    return ContactHamiltonian(name, value, gradient, hessian)
 
 
 def total_legendre_hamiltonian(n: int = 2) -> ContactHamiltonian:
     """h = sum_i (q_i^2 + p_i^2)/2, the total Legendre generator."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def value(x: DarbouxPoint) -> float:
-        return 0.5 * float(x.q @ x.q + x.p @ x.p)
-
-    def gradient(x: DarbouxPoint) -> np.ndarray:
-        g = x.to_array()
-        g[0] = 0.0
-        return g
-
-    def hessian(x: DarbouxPoint) -> np.ndarray:
-        H = np.eye(x.dim)
-        H[0, 0] = 0.0
-        return H
-
-    return ContactHamiltonian("legendre_total", value, gradient, hessian)
+    return _pair_hamiltonian(n, 0, n, "legendre_total")
 
 
 def partial_legendre_hamiltonian(i: int, n: int = 2) -> ContactHamiltonian:
     """h_i = (q_i^2 + p_i^2)/2 for a single conjugate pair (1-based index)."""
     if not 1 <= i <= n:
         raise IndexError(f"pair index {i} out of range 1..{n}")
-    k = i - 1
-
-    def value(x: DarbouxPoint) -> float:
-        return 0.5 * (x.q[k] ** 2 + x.p[k] ** 2)
-
-    def gradient(x: DarbouxPoint) -> np.ndarray:
-        g = np.zeros(x.dim)
-        g[1 + k] = x.q[k]
-        g[1 + x.n + k] = x.p[k]
-        return g
-
-    def hessian(x: DarbouxPoint) -> np.ndarray:
-        H = np.zeros((x.dim, x.dim))
-        H[1 + k, 1 + k] = 1.0
-        H[1 + x.n + k, 1 + x.n + k] = 1.0
-        return H
-
-    return ContactHamiltonian(f"legendre_pair_{i}", value, gradient, hessian)
+    return _pair_hamiltonian(n, i - 1, i, f"legendre_pair_{i}")
 
 
 def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STEP) -> ContactVectorField:
     """The contact field generated by h, with eta[X_h] = h by construction.
 
-    Without h.gradient, h.value is differenced with central steps h_fd.
+    Without h.gradient, h.value is differenced with central steps h_fd, and
+    without h.hessian so is the field, for its Jacobian.
     """
-    gradient = h.gradient if h.gradient is not None else lambda x: central_diff_at(h.value, x, h_fd)
+    gradient = h.gradient if h.gradient is not None else lambda z: central_diff(h.value, z, h_fd)
 
-    def eval_x(x: DarbouxPoint) -> np.ndarray:
-        n = x.n
-        grad = np.asarray(gradient(x), dtype=float)
-        hp = grad[n + 1 :]
-        out = np.empty(x.dim)
-        out[0] = h.value(x) - float(x.p @ hp)
-        out[1 : n + 1] = -hp
-        out[n + 1 :] = grad[1 : n + 1] + x.p * grad[0]
+    def field(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        n = z.shape[-1] // 2
+        grad = np.asarray(gradient(z), dtype=float)
+        p = z[..., n + 1 :]
+        hp = grad[..., n + 1 :]
+        out = np.empty(z.shape)
+        out[..., 0] = h.value(z) - (p * hp).sum(axis=-1)
+        out[..., 1 : n + 1] = -hp
+        out[..., n + 1 :] = grad[..., 1 : n + 1] + p * grad[..., :1]
         return out
 
-    if h.hessian is not None:
+    if h.hessian is None:
+        return ContactVectorField(f"X[{h.name}]", field, lambda z: central_diff(field, z, h_fd))
 
-        def jacobian(x: DarbouxPoint) -> np.ndarray:
-            n = x.n
-            dim = x.dim
-            grad = np.asarray(gradient(x), dtype=float)
-            H = h.hessian(x)
-            J = np.empty((dim, dim))
-            psl = slice(n + 1, dim)
-            qsl = slice(1, n + 1)
-            # d_B (h - p_a h_{p_a})
-            J[0, :] = grad - x.p @ H[psl, :]
-            J[0, psl] -= grad[psl]
-            # d_B (-h_{p_a})
-            J[qsl, :] = -H[psl, :]
-            # d_B (h_{q_a} + p_a h_Phi)
-            J[psl, :] = H[qsl, :] + np.outer(x.p, H[0, :])
-            J[psl, psl] += grad[0] * np.eye(n)
-            return J
+    def jacobian(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        n = z.shape[-1] // 2
+        grad = np.asarray(gradient(z), dtype=float)
+        H = np.asarray(h.hessian(z), dtype=float)
+        p = z[..., n + 1 :, np.newaxis]
+        Hp = H[..., n + 1 :, :]
+        J = np.empty(H.shape)
+        # d_B (h - p_a h_{p_a})
+        J[..., 0, :] = grad - (p * Hp).sum(axis=-2)
+        J[..., 0, n + 1 :] -= grad[..., n + 1 :]
+        # d_B (-h_{p_a})
+        J[..., 1 : n + 1, :] = -Hp
+        # d_B (h_{q_a} + p_a h_Phi)
+        J[..., n + 1 :, :] = H[..., 1 : n + 1, :] + p * H[..., np.newaxis, 0, :]
+        diagonal = np.arange(n + 1, 2 * n + 1)
+        J[..., diagonal, diagonal] += grad[..., :1]
+        return J
 
-    else:
-
-        def jacobian(x: DarbouxPoint) -> np.ndarray:
-            return central_diff_at(eval_x, x, h_fd)
-
-    return ContactVectorField(name=f"X[{h.name}]", eval=eval_x, jacobian=jacobian)
+    return ContactVectorField(f"X[{h.name}]", field, jacobian)
 
 
 def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorField:
     """Shared fast implementation of X_L and the single-pair generators.
 
     Pairs first..last-1 (0-based) rotate; they are addressed through basic
-    slices, which keeps eval_array at a few whole-array operations per call.
+    slices, which keeps eval at a few whole-array operations per call.
     """
     dim = 2 * n + 1
-    qs = slice(1 + first, 1 + last)
-    ps = slice(1 + n + first, 1 + n + last)
+    qs, ps = _pair_slots(n, first, last)
+    rotation = np.zeros((dim, dim))
+    for a in range(first, last):
+        rotation[1 + a, 1 + n + a] = -1.0
+        rotation[1 + n + a, 1 + a] = 1.0
 
-    def eval_array(z: np.ndarray) -> np.ndarray:
+    def field(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         q = z[..., qs]
         p = z[..., ps]
@@ -174,19 +179,15 @@ def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorFi
         out[..., ps] = q
         return out
 
-    def eval_x(x: DarbouxPoint) -> np.ndarray:
-        return eval_array(x.to_array())
-
-    def jacobian(x: DarbouxPoint) -> np.ndarray:
-        J = np.zeros((dim, dim))
-        J[0, qs] = x.q[first:last]
-        J[0, ps] = -x.p[first:last]
-        for a in range(first, last):
-            J[1 + a, 1 + n + a] = -1.0
-            J[1 + n + a, 1 + a] = 1.0
+    def jacobian(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        J = np.empty(z.shape + (dim,))
+        J[...] = rotation
+        J[..., 0, qs] = z[..., qs]
+        J[..., 0, ps] = -z[..., ps]
         return J
 
-    return ContactVectorField(name=name, eval=eval_x, jacobian=jacobian, eval_array=eval_array)
+    return ContactVectorField(name, field, jacobian)
 
 
 def legendre_field(n: int = 2) -> ContactVectorField:
@@ -239,19 +240,6 @@ class FlowTrajectory:
         return self.point(len(self) - 1)
 
 
-def _field_array_eval(X: ContactVectorField) -> Callable[[np.ndarray], np.ndarray]:
-    if X.eval_array is not None:
-        return X.eval_array
-
-    def ev(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 1:
-            return np.asarray(X.eval(DarbouxPoint.from_array(z)), dtype=float)
-        return np.stack([ev(row) for row in z])
-
-    return ev
-
-
 def _rk4_step(f, y, dt):
     k1 = f(y)
     k2 = f(y + 0.5 * dt * k1)
@@ -280,11 +268,10 @@ def _rk4_states(X: ContactVectorField, z0: np.ndarray, schedule: list):
     Raises IntegrationError, carrying the last valid time, as soon as a step
     produces a non-finite state.
     """
-    f = _field_array_eval(X)
     y = np.asarray(z0, dtype=float)
     t = 0.0
     for step in schedule:
-        y = _rk4_step(f, y, step)
+        y = _rk4_step(X.eval, y, step)
         if not np.isfinite(y).all():
             raise IntegrationError(
                 f"flow of {X.name} became non-finite; last valid time t={t:.6g}", t

@@ -320,18 +320,12 @@ def reeb_vector_field(n: int = 2) -> ContactVectorField:
     """The Reeb field as a ContactVectorField (constant, zero Jacobian)."""
     R = reeb(n)
 
-    def eval_array(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        out[..., 0] = 1.0
+    def field(z) -> np.ndarray:
+        out = np.empty(np.shape(z))
+        out[...] = R
         return out
 
-    return ContactVectorField(
-        name="Reeb",
-        eval=lambda x: R.copy(),
-        jacobian=lambda x: np.zeros((2 * n + 1, 2 * n + 1)),
-        eval_array=eval_array,
-    )
+    return ContactVectorField("Reeb", field, lambda z: np.zeros(np.shape(z) + R.shape))
 
 
 def _metric_partials(G: MetricField, x: DarbouxPoint, h_fd: float) -> np.ndarray:
@@ -340,20 +334,14 @@ def _metric_partials(G: MetricField, x: DarbouxPoint, h_fd: float) -> np.ndarray
     return central_diff_at(G.eval, x, h_fd)
 
 
-def _field_jacobian(X: ContactVectorField, x: DarbouxPoint, h_fd: float) -> np.ndarray:
-    if X.jacobian is not None:
-        return np.asarray(X.jacobian(x), dtype=float)
-    return central_diff_at(lambda y: np.asarray(X.eval(y), dtype=float), x, h_fd)
-
-
 def lie_derivative_metric(X: ContactVectorField, G: MetricField, x: DarbouxPoint,
                           h_fd: float = DEFAULT_FD_STEP) -> np.ndarray:
     """(L_X G)_{AB} = X^C d_C G_{AB} + G_{CB} d_A X^C + G_{AC} d_B X^C."""
+    z = x.to_array()
     Gx = np.asarray(G.eval(x), dtype=float)
-    Xval = np.asarray(X.eval(x), dtype=float)
     D = _metric_partials(G, x, h_fd)
-    J = _field_jacobian(X, x, h_fd)
-    return D @ Xval + J.T @ Gx + Gx @ J
+    J = X.jacobian(z) if X.jacobian is not None else central_diff(X.eval, z, h_fd)
+    return D @ X.eval(z) + J.T @ Gx + Gx @ J
 
 
 def killing_residual(X: ContactVectorField, G: MetricField, x: DarbouxPoint,

@@ -83,6 +83,11 @@ class DarbouxPoint:
         """Flatten to the fixed Z ordering (Phi, q, p)."""
         return np.concatenate(([self.phi], self.q, self.p))
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """A fresh to_array(), so that np.asarray(x) and fields taking Z arrays accept a point."""
+        z = self.to_array()
+        return z if dtype is None else z.astype(dtype, copy=False)
+
     @classmethod
     def from_array(cls, z: Sequence[float]) -> "DarbouxPoint":
         z = np.asarray(z, dtype=float)

@@ -292,6 +292,8 @@ class TestRhoScan:
                 rho_scan(4.0, OMEGA_ONE, 1.0, 3.0, 3, delta_sing=delta_sing)
             with pytest.raises(ValueError, match="delta_sing must be positive"):
                 curvature_report(2.0, 1.0, 4.0, OMEGA_ONE, delta_sing)
+            with pytest.raises(ValueError, match="delta_sing must be positive"):
+                scalar_curvature_ideal_gas(2.0, 1.0, 4.0, OMEGA_ONE, delta_sing)
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):

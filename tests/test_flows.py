@@ -39,9 +39,9 @@ ORBIT_ICS = [
 def unit_hamiltonian(n=2):
     return ContactHamiltonian(
         name="one",
-        value=lambda x: 1.0,
-        gradient=lambda x: np.zeros(x.dim),
-        hessian=lambda x: np.zeros((x.dim, x.dim)),
+        value=lambda z: np.ones(z.shape[:-1]),
+        gradient=lambda z: np.zeros(z.shape),
+        hessian=lambda z: np.zeros(z.shape + z.shape[-1:]),
     )
 
 
@@ -51,6 +51,11 @@ GENERATORS = [
     (partial_legendre_hamiltonian(1, 2), partial_legendre_field(1, 2)),
     (partial_legendre_hamiltonian(2, 2), partial_legendre_field(2, 2)),
 ]
+
+# no gradient, so the field and its Jacobian are both central differences;
+# polynomial, so its batched and per-row values are plain IEEE arithmetic
+GRADIENT_FREE = ContactHamiltonian(
+    "poly", lambda z: z[..., 1] * z[..., 4] + z[..., 0] * z[..., 2] * z[..., 2] * z[..., 3])
 
 
 class TestHamiltonians:
@@ -111,19 +116,46 @@ class TestHamiltonianVectorField:
                 np.testing.assert_allclose(X_fast.eval(x), X_generic.eval(x), atol=1e-14)
                 np.testing.assert_allclose(X_fast.jacobian(x), X_generic.jacobian(x), atol=1e-14)
 
+    @pytest.mark.parametrize("h", [h for h, _ in GENERATORS] + [GRADIENT_FREE], ids=lambda h: h.name)
+    def test_batch_equals_per_row_calls(self, h):
+        X = hamiltonian_vector_field(h)
+        z = np.random.default_rng(13).normal(size=(64, 5))
+        assert np.array_equal(X.eval(z), np.array([X.eval(row) for row in z]))
+        assert np.array_equal(X.jacobian(z), np.array([X.jacobian(row) for row in z]))
+
+    def test_generic_field_flows_the_whole_batch(self):
+        h = total_legendre_hamiltonian(2)
+        shapes = set()
+
+        def value(z):
+            shapes.add(z.shape)
+            return h.value(z)
+
+        X = hamiltonian_vector_field(ContactHamiltonian(h.name, value, h.gradient, h.hessian))
+        z = np.stack([x.to_array() for x in sample_darboux_points(88, 2, seed=43)])
+        ends = flow_map(X, z, PI_2, 1e-3)
+        assert shapes == {(88, 5)}
+        np.testing.assert_allclose(ends, flow_map(legendre_field(2), z, PI_2, 1e-3), rtol=0, atol=1e-12)
+
     def test_generation_identity(self):
         # eta[X_h] = h for a mixed-variable Hamiltonian
+        def q1p2_gradient(z):
+            g = np.zeros(z.shape)
+            g[..., 1] = z[..., 4]
+            g[..., 4] = z[..., 1]
+            return g
+
         h = ContactHamiltonian(
             name="q1p2",
-            value=lambda x: x.q[0] * x.p[1],
-            gradient=lambda x: np.array([0.0, x.p[1], 0.0, 0.0, x.q[0]]),
+            value=lambda z: z[..., 1] * z[..., 4],
+            gradient=q1p2_gradient,
         )
         X = hamiltonian_vector_field(h)
         for x in sample_darboux_points(100, 2, seed=17):
-            assert eval_eta(x) @ X.eval(x) == pytest.approx(h.value(x), rel=1e-12, abs=1e-13)
+            assert eval_eta(x) @ X.eval(x) == pytest.approx(h.value(x.to_array()), rel=1e-12, abs=1e-13)
 
     def test_fd_jacobian_fallback(self):
-        h = ContactHamiltonian("exp", lambda x: math.exp(0.3 * x.q[0]) * x.p[0])
+        h = ContactHamiltonian("exp", lambda z: np.exp(0.3 * z[..., 1]) * z[..., 3])
         X = hamiltonian_vector_field(h)
         x = DarbouxPoint(0.1, [0.5, 0.2], [0.7, -0.4])
         J = X.jacobian(x)
@@ -137,14 +169,17 @@ class TestHamiltonianVectorField:
         # written out as before they went through central_diff; the results
         # must agree bit for bit
         h_fd = 1e-5
-        fn = lambda x: math.exp(0.3 * x.q[0]) * x.p[0] + math.sin(x.phi * x.q[1]) * x.p[1] ** 2
+
+        def fn(z):
+            z = np.asarray(z)
+            return np.exp(0.3 * z[..., 1]) * z[..., 3] + np.sin(z[..., 0] * z[..., 2]) * z[..., 4] ** 2
 
         def diff(x, index):
             return (fn(x.shifted(index, h_fd)) - fn(x.shifted(index, -h_fd))) / (2 * h_fd)
 
         looped = ContactHamiltonian(
             name="loops", value=fn,
-            gradient=lambda x: np.array([diff(x, B) for B in range(x.dim)]),
+            gradient=lambda z: np.array([diff(DarbouxPoint.from_array(z), B) for B in range(len(z))]),
         )
         X_old = hamiltonian_vector_field(looped).eval
         X = hamiltonian_vector_field(ContactHamiltonian("fd", fn), h_fd)
@@ -209,8 +244,7 @@ class TestIntegrateFlow:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_aborts_with_last_valid_time(self):
-        cubic = ContactVectorField(name="cubic", eval=lambda x: x.to_array() ** 3,
-                                   eval_array=lambda z: z**3)
+        cubic = ContactVectorField(name="cubic", eval=lambda z: z**3)
         ic = DarbouxPoint(10.0, [10.0, 10.0], [10.0, 10.0])
         with pytest.raises(IntegrationError) as err:
             integrate_flow(cubic, ic, t_end=10.0, dt=0.1)
@@ -219,8 +253,7 @@ class TestIntegrateFlow:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_flow_map_blowup_reports_same_time(self):
-        cubic = ContactVectorField(name="cubic", eval=lambda x: x.to_array() ** 3,
-                                   eval_array=lambda z: z**3)
+        cubic = ContactVectorField(name="cubic", eval=lambda z: z**3)
         ic = DarbouxPoint(10.0, [10.0, 10.0], [10.0, 10.0])
         with pytest.raises(IntegrationError) as recorded:
             integrate_flow(cubic, ic, t_end=10.0, dt=0.1)
@@ -272,13 +305,13 @@ class TestRotationFieldArrays:
     def test_slices_match_masked_formula(self, X, pairs):
         z = np.random.default_rng(5).normal(size=(64, 5))
         ref = _masked_rotation_reference(z, 2, pairs)
-        out = X.eval_array(z)
+        out = X.eval(z)
         assert np.array_equal(out, ref)
         # Phi and the rotating pairs agree bit for bit; in the slots of pairs
         # that do not rotate the mask left -0.0 where the slices write +0.0
         cols = [0] + [1 + a for a in pairs] + [3 + a for a in pairs]
         assert np.array_equal(out[:, cols].view(np.int64), ref[:, cols].view(np.int64))
-        assert np.array_equal(X.eval_array(z[7]), ref[7])
+        assert np.array_equal(X.eval(z[7]), ref[7])
 
 
 class TestClosedFormOrbit:

@@ -27,6 +27,10 @@ class TestDarbouxPoint:
         x = DarbouxPoint(1.5, [1.0, 2.0], [3.0, 4.0])
         assert x.n == 2 and x.dim == 5
         np.testing.assert_array_equal(x.to_array(), [1.5, 1, 2, 3, 4])
+        z = np.asarray(x)
+        np.testing.assert_array_equal(z, x.to_array())
+        z[:] = 9.0
+        np.testing.assert_array_equal(x.to_array(), [1.5, 1, 2, 3, 4])
         y = DarbouxPoint.from_array(x.to_array())
         assert y == x
 
