@@ -46,8 +46,7 @@ from .metriclab import (
     OmegaFunction,
     build_metric,
     discrete_isometry_residual,
-    flow_recurrence_residual,  # noqa: F401  perfbench/tracing.py wraps cli.flow_recurrence_residual
-    flow_recurrence_residuals,
+    flow_recurrence_residual,
     killing_residual,
     omega_registry,
     poisson_constraint_residual,
@@ -449,40 +448,35 @@ def _sampled_points(cfg: RunConfig, omega: Optional[OmegaFunction]):
     return sample_darboux_points(cfg.points, cfg.n, cfg.seed, omega=guard)
 
 
-def _cmd_killing(cfg: RunConfig):
-    G, omega = _metric_from_config(cfg)
-    X = legendre_field(cfg.n)
-    h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_FD_STEP
+def _residual_table(cfg: RunConfig, points, residuals: List[float]):
+    """One row per point: index, residual and the point's Z coordinates."""
     coord = _coord_names(cfg.n)
-    names = ["index"] + coord + ["residual"]
     rows = []
-    worst = 0.0
-    for idx, x in enumerate(_sampled_points(cfg, omega)):
-        res = killing_residual(X, G, x, h_fd)
-        worst = max(worst, res)
+    for idx, (x, res) in enumerate(zip(points, residuals)):
         row = {"index": idx, "residual": res}
         row.update(zip(coord, x.to_array()))
         rows.append(row)
-    print(f"killing: family={cfg.family} omega={cfg.omega} max residual = {worst:.6g}",
+    return ["index"] + coord + ["residual"], rows
+
+
+def _cmd_killing(cfg: RunConfig):
+    G, omega = _metric_from_config(cfg)
+    h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_FD_STEP
+    points = _sampled_points(cfg, omega)
+    residuals = killing_residual(legendre_field(cfg.n), G, points, h_fd).tolist()
+    print(f"killing: family={cfg.family} omega={cfg.omega} max residual = {max([0.0] + residuals):.6g}",
           file=sys.stderr)
-    return names, rows
+    return _residual_table(cfg, points, residuals)
 
 
 def _cmd_omega_check(cfg: RunConfig):
     omega = parse_omega_spec(cfg.omega, cfg.n)
     h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_FD_STEP
-    coord = _coord_names(cfg.n)
-    names = ["index"] + coord + ["residual"]
-    rows = []
-    worst = 0.0
-    for idx, x in enumerate(sample_darboux_points(cfg.points, cfg.n, cfg.seed)):
-        res = poisson_constraint_residual(omega, x, h_fd)
-        worst = max(worst, abs(res))
-        row = {"index": idx, "residual": res}
-        row.update(zip(coord, x.to_array()))
-        rows.append(row)
+    points = sample_darboux_points(cfg.points, cfg.n, cfg.seed)
+    residuals = poisson_constraint_residual(omega, points, h_fd).tolist()
+    worst = max([0.0] + [abs(res) for res in residuals])
     print(f"omega-check: omega={cfg.omega} max |residual| = {worst:.6g}", file=sys.stderr)
-    return names, rows
+    return _residual_table(cfg, points, residuals)
 
 
 _SCAN_FIELDS = ["rho", "u", "v", "R_analytic", "R_numeric", "rel_error", "near_singularity"]
@@ -527,7 +521,7 @@ def _cmd_isometry(cfg: RunConfig):
     coord = _coord_names(cfg.n)
     names = ["index"] + coord + ["check", "residual"]
     points = _sampled_points(cfg, omega)
-    recurrence = (flow_recurrence_residuals(G, points, cfg.recurrence_dt).tolist()
+    recurrence = (flow_recurrence_residual(G, points, cfg.recurrence_dt).tolist()
                   if cfg.recurrence_dt is not None else None)
     rows = []
     for idx, x in enumerate(points):

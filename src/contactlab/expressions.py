@@ -253,9 +253,9 @@ def compile_expression(expr: Expression, variables: Sequence[str]) -> Callable[.
     The result is nested closures, one per node, built once, with no exec or
     eval.  f(*values) evaluates the tree in IEEE doubles, each operand before
     the operator that uses it and left before right; the values must be
-    Python floats.  A real-domain violation, or a variable outside
-    `variables` once it is reached, raises ExpressionDomainError with the
-    bindings {variable: value}.
+    Python floats.  A real-domain violation, a non-finite result, or a
+    variable outside `variables` once it is reached, raises
+    ExpressionDomainError with the bindings {variable: value}.
     """
     variables = tuple(variables)
     index = {name: i for i, name in enumerate(variables)}
@@ -297,7 +297,10 @@ def compile_expression(expr: Expression, variables: Sequence[str]) -> Callable[.
     root = build(expr)
 
     def evaluate(*values: float) -> float:
-        return root(values)
+        result = root(values)
+        if not math.isfinite(result):  # float * and + overflow without raising
+            raise domain_error(f"non-finite result {result}", values)
+        return result
 
     return evaluate
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .phasespace import (DEFAULT_FD_STEP, DarbouxPoint, _eta_partials, central_diff, central_diff_at,
-                         eval_eta, reeb)
+from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, _eta_partials, central_diff, eval_eta, reeb
 from .flows import (
     ContactVectorField,
     LegendreMap,
@@ -174,35 +173,73 @@ class GtdPartialParams:
 class MetricField:
     """A point-dependent symmetric bilinear form on phase space.
 
-    d_eval, when present, returns D[A, B, C] = d G_{AB} / d Z^C.
+    eval maps Z arrays of shape (..., 2n+1) to G[..., A, B]; d_eval, when
+    present, returns D[..., A, B, C] = d G_{AB} / d Z^C.  A DarbouxPoint is
+    array-like, so both also take a single point.
     """
 
     name: str
     family: str
-    eval: Callable[[DarbouxPoint], np.ndarray]
-    d_eval: Optional[Callable[[DarbouxPoint], np.ndarray]] = None
+    eval: Callable[[np.ndarray], np.ndarray]
+    d_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def without_derivatives(self) -> "MetricField":
         """Copy with the analytic derivative path stripped (forces FD)."""
         return replace(self, d_eval=None)
 
 
-def _eta_outer(x: DarbouxPoint) -> np.ndarray:
-    eta = eval_eta(x)
-    return np.outer(eta, eta)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last axis, row by row, with the bits of a 1-D a @ b (BLAS ddot)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _eta_outer_partials(x: DarbouxPoint) -> np.ndarray:
-    """D[A, B, C] = d (eta_A eta_B) / d Z^C."""
-    eta = eval_eta(x)
-    E = _eta_partials(x)
-    return np.einsum("ac,b->abc", E, eta) + np.einsum("a,bc->abc", eta, E)
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each M[..., :, :], with the bits of np.linalg.norm(M, "fro")."""
+    flat = M.reshape(M.shape[:-2] + (M.shape[-2] * M.shape[-1],))
+    return np.sqrt(_dot(flat, flat))
 
 
-def _omega_z_gradient(omega: OmegaFunction, x: DarbouxPoint, h_fd: float) -> np.ndarray:
-    """dOmega/dZ^C in the full Z ordering (zero Phi slot)."""
-    dq, dp = omega.gradient(x.q, x.p, h_fd)
-    return np.concatenate(([0.0], dq, dp))
+def _rows(values) -> float | np.ndarray:
+    """A float for one point, one value per row for a batch."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _omega_rows(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
+    """Omega at each row of z, of shape z.shape[:-1]: one (q, p) call per row."""
+    n = (z.shape[-1] - 1) // 2
+    values = [omega.eval(r[1 : n + 1], r[n + 1 :]) for r in z.reshape(-1, z.shape[-1])]
+    return np.array(values, dtype=float).reshape(z.shape[:-1])
+
+
+def _omega_z_gradient(omega: OmegaFunction, z: np.ndarray, h_fd: float) -> np.ndarray:
+    """dOmega/dZ^C at each row of z, in the full Z ordering (zero Phi slot)."""
+    n = (z.shape[-1] - 1) // 2
+    out = np.zeros(z.shape)
+    for r, o in zip(z.reshape(-1, z.shape[-1]), out.reshape(-1, z.shape[-1])):
+        o[1 : n + 1], o[n + 1 :] = omega.gradient(r[1 : n + 1], r[n + 1 :], h_fd)
+    return out
+
+
+def _eta_outer(z: np.ndarray) -> np.ndarray:
+    eta = eval_eta(z)
+    return eta[..., :, None] * eta[..., None, :]
+
+
+def _eta_outer_partials(z: np.ndarray) -> np.ndarray:
+    """D[..., A, B, C] = d (eta_A eta_B) / d Z^C."""
+    eta = eval_eta(z)
+    T = _eta_partials(z)[..., :, None, :] * eta[..., None, :, None]  # T[..., A, B, C] = E[A, C] eta_B
+    return T + np.swapaxes(T, -3, -2)
+
+
+def _add_to_pairs(M: np.ndarray, coeff: np.ndarray) -> None:
+    """M[..., q^a, p_a] += coeff[..., a] and M[..., p_a, q^a] += coeff[..., a], for M[..., A, B].
+
+    For partials D[..., A, B, C], pass np.moveaxis(D, -1, -3) and coeff[..., C, a].
+    """
+    n = coeff.shape[-1]
+    for block in (M[..., 1 : n + 1, n + 1 :], M[..., n + 1 :, 1 : n + 1]):
+        np.einsum("...aa->...a", block)[...] += coeff  # a writable view of the block's diagonal
 
 
 def build_metric(family: str, params, n: int = 2,
@@ -225,32 +262,32 @@ def build_metric(family: str, params, n: int = 2,
             raise TypeError("epsilon family takes an OmegaFunction")
         omega = params
 
-        def ev(x: DarbouxPoint) -> np.ndarray:
-            if x.n != 2:
+        def ev(z) -> np.ndarray:
+            z = np.asarray(z, dtype=float)
+            if z.shape[-1] != 5:
                 raise ValueError("epsilon metric expects points with n = 2")
-            w = omega.eval(x.q, x.p)
-            if abs(w) < OMEGA_DEGENERACY_THRESHOLD:
-                warnings.warn(
-                    f"epsilon metric: |Omega| = {abs(w):.3g} < {OMEGA_DEGENERACY_THRESHOLD:g} "
-                    "at the evaluation point; the metric is degenerate there",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            G = _eta_outer(x)
+            w = _omega_rows(omega, z)
+            smallest = np.abs(w).min(initial=np.inf)
+            if smallest < OMEGA_DEGENERACY_THRESHOLD:
+                warnings.warn(f"epsilon metric: |Omega| = {smallest:.3g} < {OMEGA_DEGENERACY_THRESHOLD:g} "
+                              "at the evaluation point; the metric is degenerate there",
+                              RuntimeWarning, stacklevel=2)
+            G = _eta_outer(z)
             # coefficient 2*Omega*eps_a^b on dq^a x dp_b, halved per mirror
-            G[1, 4] += w
-            G[4, 1] += w
-            G[2, 3] -= w
-            G[3, 2] -= w
+            G[..., 1, 4] += w
+            G[..., 4, 1] += w
+            G[..., 2, 3] -= w
+            G[..., 3, 2] -= w
             return G
 
-        def dev(x: DarbouxPoint) -> np.ndarray:
-            D = _eta_outer_partials(x)
-            dw = _omega_z_gradient(omega, x, h_fd)
-            D[1, 4, :] += dw
-            D[4, 1, :] += dw
-            D[2, 3, :] -= dw
-            D[3, 2, :] -= dw
+        def dev(z) -> np.ndarray:
+            z = np.asarray(z, dtype=float)
+            D = _eta_outer_partials(z)
+            dw = _omega_z_gradient(omega, z, h_fd)
+            D[..., 1, 4, :] += dw
+            D[..., 4, 1, :] += dw
+            D[..., 2, 3, :] -= dw
+            D[..., 3, 2, :] -= dw
             return D
 
         return MetricField(f"epsilon[{omega.name}]", "epsilon", ev, dev)
@@ -262,25 +299,22 @@ def build_metric(family: str, params, n: int = 2,
             raise ValueError(f"xi/chi have length {len(params.xi)}, expected n={n}")
         xi, chi, omega = params.xi, params.chi, params.omega
 
-        def ev(x: DarbouxPoint) -> np.ndarray:
-            lam = omega.eval(x.q, x.p) * float(xi @ (x.q * x.p))
-            G = _eta_outer(x)
-            half = 0.5 * lam * chi
-            for a in range(x.n):
-                G[1 + a, 1 + x.n + a] += half[a]
-                G[1 + x.n + a, 1 + a] += half[a]
+        def ev(z) -> np.ndarray:
+            z = np.asarray(z, dtype=float)
+            lam = _omega_rows(omega, z) * _dot(xi, z[..., 1 : n + 1] * z[..., n + 1 :])
+            G = _eta_outer(z)
+            _add_to_pairs(G, 0.5 * lam[..., None] * chi)
             return G
 
-        def dev(x: DarbouxPoint) -> np.ndarray:
-            D = _eta_outer_partials(x)
-            w = omega.eval(x.q, x.p)
-            sigma = float(xi @ (x.q * x.p))
-            dlam = _omega_z_gradient(omega, x, h_fd) * sigma
-            dlam[1 : x.n + 1] += w * xi * x.p
-            dlam[x.n + 1 :] += w * xi * x.q
-            for a in range(x.n):
-                D[1 + a, 1 + x.n + a, :] += 0.5 * chi[a] * dlam
-                D[1 + x.n + a, 1 + a, :] += 0.5 * chi[a] * dlam
+        def dev(z) -> np.ndarray:
+            z = np.asarray(z, dtype=float)
+            q, p = z[..., 1 : n + 1], z[..., n + 1 :]
+            D = _eta_outer_partials(z)
+            w = _omega_rows(omega, z)[..., None]
+            dlam = _omega_z_gradient(omega, z, h_fd) * _dot(xi, q * p)[..., None]
+            dlam[..., 1 : n + 1] += w * xi * p
+            dlam[..., n + 1 :] += w * xi * q
+            _add_to_pairs(np.moveaxis(D, -1, -3), dlam[..., :, None] * (0.5 * chi))
             return D
 
         return MetricField(f"gtd_total[{omega.name}]", "gtd_total", ev, dev)
@@ -290,27 +324,28 @@ def build_metric(family: str, params, n: int = 2,
         raise TypeError("gtd_partial family takes GtdPartialParams")
     k, omega = params.k, params.omega
     exponent = 2 * k + 1
+    pairs = np.arange(n)
 
-    def ev(x: DarbouxPoint) -> np.ndarray:
-        w = omega.eval(x.q, x.p)
-        G = _eta_outer(x)
-        coeff = 0.5 * w * (x.q * x.p) ** exponent
-        for a in range(x.n):
-            G[1 + a, 1 + x.n + a] += coeff[a]
-            G[1 + x.n + a, 1 + a] += coeff[a]
+    def ev(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        w = _omega_rows(omega, z)
+        G = _eta_outer(z)
+        _add_to_pairs(G, 0.5 * w[..., None] * (z[..., 1 : n + 1] * z[..., n + 1 :]) ** exponent)
         return G
 
-    def dev(x: DarbouxPoint) -> np.ndarray:
-        D = _eta_outer_partials(x)
-        w = omega.eval(x.q, x.p)
-        dw = _omega_z_gradient(omega, x, h_fd)
-        qp = x.q * x.p
-        for a in range(x.n):
-            dcoeff = 0.5 * dw * qp[a] ** exponent
-            dcoeff[1 + a] += 0.5 * w * exponent * qp[a] ** (2 * k) * x.p[a]
-            dcoeff[1 + x.n + a] += 0.5 * w * exponent * qp[a] ** (2 * k) * x.q[a]
-            D[1 + a, 1 + x.n + a, :] += dcoeff
-            D[1 + x.n + a, 1 + a, :] += dcoeff
+    def dev(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        q, p = z[..., 1 : n + 1], z[..., n + 1 :]
+        D = _eta_outer_partials(z)
+        w = _omega_rows(omega, z)
+        dw = _omega_z_gradient(omega, z, h_fd)
+        qp = q * p
+        # dcoeff[..., C, a] = d (0.5 w (q^a p_a)^(2k+1)) / d Z^C
+        dcoeff = (0.5 * dw)[..., :, None] * (qp ** exponent)[..., None, :]
+        slope = 0.5 * w[..., None] * exponent * qp ** (2 * k)
+        dcoeff[..., 1 + pairs, pairs] += slope * p
+        dcoeff[..., 1 + n + pairs, pairs] += slope * q
+        _add_to_pairs(np.moveaxis(D, -1, -3), dcoeff)
         return D
 
     return MetricField(f"gtd_partial[k={k},{omega.name}]", "gtd_partial", ev, dev)
@@ -319,110 +354,91 @@ def build_metric(family: str, params, n: int = 2,
 def reeb_vector_field(n: int = 2) -> ContactVectorField:
     """The Reeb field as a ContactVectorField (constant, zero Jacobian)."""
     R = reeb(n)
-
-    def field(z) -> np.ndarray:
-        out = np.empty(np.shape(z))
-        out[...] = R
-        return out
-
-    return ContactVectorField("Reeb", field, lambda z: np.zeros(np.shape(z) + R.shape))
+    return ContactVectorField("Reeb", lambda z: np.broadcast_to(R, np.shape(z)).copy(),
+                              lambda z: np.zeros(np.shape(z) + R.shape))
 
 
-def _metric_partials(G: MetricField, x: DarbouxPoint, h_fd: float) -> np.ndarray:
-    if G.d_eval is not None:
-        return np.asarray(G.d_eval(x), dtype=float)
-    return central_diff_at(G.eval, x, h_fd)
-
-
-def lie_derivative_metric(X: ContactVectorField, G: MetricField, x: DarbouxPoint,
+def lie_derivative_metric(X: ContactVectorField, G: MetricField, x,
                           h_fd: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """(L_X G)_{AB} = X^C d_C G_{AB} + G_{CB} d_A X^C + G_{AC} d_B X^C."""
-    z = x.to_array()
-    Gx = np.asarray(G.eval(x), dtype=float)
-    D = _metric_partials(G, x, h_fd)
+    """(L_X G)_{AB} = X^C d_C G_{AB} + G_{CB} d_A X^C + G_{AC} d_B X^C, at x or each row of a Z batch."""
+    z = np.asarray(x, dtype=float)
+    Gz = np.asarray(G.eval(z), dtype=float)
+    D = G.d_eval(z) if G.d_eval is not None else central_diff(G.eval, z, h_fd)
     J = X.jacobian(z) if X.jacobian is not None else central_diff(X.eval, z, h_fd)
-    return D @ X.eval(z) + J.T @ Gx + Gx @ J
+    # one (B, C) @ (C,) product per (row, A): the bits of the one-point D @ xi
+    transport = (np.ascontiguousarray(D, dtype=float) @ X.eval(z)[..., None, :, None])[..., 0]
+    return transport + np.swapaxes(J, -1, -2) @ Gz + Gz @ J
 
 
-def killing_residual(X: ContactVectorField, G: MetricField, x: DarbouxPoint,
-                     h_fd: float = DEFAULT_FD_STEP) -> float:
-    """Frobenius norm of the Lie derivative; zero iff X is a Killing field of G at x."""
-    return float(np.linalg.norm(lie_derivative_metric(X, G, x, h_fd), "fro"))
+def killing_residual(X: ContactVectorField, G: MetricField, x,
+                     h_fd: float = DEFAULT_FD_STEP) -> float | np.ndarray:
+    """Frobenius norm of the Lie derivative (one per row of a batch); zero iff X is Killing for G at x."""
+    return _rows(_frobenius(lie_derivative_metric(X, G, x, h_fd)))
 
 
-def k_contact_residual(G: MetricField, x: DarbouxPoint,
-                       h_fd: float = DEFAULT_FD_STEP) -> float:
+def k_contact_residual(G: MetricField, x, h_fd: float = DEFAULT_FD_STEP) -> float | np.ndarray:
     """Norm of the Lie derivative along the Reeb field (= |dG/dPhi| since Reeb is constant)."""
-    return killing_residual(reeb_vector_field(x.n), G, x, h_fd)
+    return killing_residual(reeb_vector_field((np.shape(x)[-1] - 1) // 2), G, x, h_fd)
 
 
-def poisson_constraint_residual(omega: OmegaFunction, x: DarbouxPoint,
-                                h_fd: float = DEFAULT_FD_STEP) -> float:
-    """{h, Omega} = p_a dOmega/dq^a - q^a dOmega/dp_a at x."""
-    dq, dp = omega.gradient(x.q, x.p, h_fd)
-    return float(x.p @ dq - x.q @ dp)
+def poisson_constraint_residual(omega: OmegaFunction, x,
+                                h_fd: float = DEFAULT_FD_STEP) -> float | np.ndarray:
+    """{h, Omega} = p_a dOmega/dq^a - q^a dOmega/dp_a at a point, or at each row of a batch."""
+    z = np.asarray(x, dtype=float)
+    n = (z.shape[-1] - 1) // 2
+    dw = _omega_z_gradient(omega, z, h_fd)
+    return _rows(_dot(z[..., n + 1 :], dw[..., 1 : n + 1]) - _dot(z[..., 1 : n + 1], dw[..., n + 1 :]))
 
 
-def _pullback_defect(G: MetricField, x: DarbouxPoint, y: DarbouxPoint, J: np.ndarray) -> float:
-    """|| J^T G(y) J - G(x) ||_F for a map sending x to y with Jacobian J."""
+def _pullback_defect(G: MetricField, z, y, J: np.ndarray) -> np.ndarray:
+    """|| J^T G(y) J - G(z) ||_F for a map sending z to y with Jacobian J, row by row."""
     Gy = np.asarray(G.eval(y), dtype=float)
-    return float(np.linalg.norm(J.T @ Gy @ J - np.asarray(G.eval(x), dtype=float), "fro"))
+    return _frobenius(np.swapaxes(J, -1, -2) @ Gy @ J - np.asarray(G.eval(z), dtype=float))
 
 
 def discrete_isometry_residual(G: MetricField, m: LegendreMap, x: DarbouxPoint) -> float:
     """|| J^T G(m(x)) J - G(x) ||_F for the discrete Legendre map m."""
-    return _pullback_defect(G, x, discrete_legendre(x, m), jacobian_discrete_legendre(m, x))
+    return _rows(_pullback_defect(G, x, discrete_legendre(x, m), jacobian_discrete_legendre(m, x)))
 
 
-def _fd_flow_jacobians(points: Sequence[DarbouxPoint], dt: float, t: float, h_fd: float):
-    """Endpoints and central-difference Jacobians of the time-t X_L flow map.
+def _fd_flow_jacobians(z: np.ndarray, dt: float, t: float, h_fd: float):
+    """Endpoints and central-difference Jacobians of the time-t X_L flow map at each row of z.
 
-    Every point contributes 2*dim + 1 states (itself, then +h_fd and -h_fd
+    Every row contributes 2*dim + 1 states (itself, then +h_fd and -h_fd
     along each coordinate), and all of them go through one flow_map call.
     """
-    dim = points[0].dim
-    z = np.array([x.to_array() for x in points])
-    stencil = np.repeat(z[:, None, :], 2 * dim + 1, axis=1)
+    dim = z.shape[-1]
+    starts = z.reshape(-1, dim)
+    stencil = np.repeat(starts[:, None, :], 2 * dim + 1, axis=1)
     axes = np.arange(dim)
     stencil[:, 1 + 2 * axes, axes] += h_fd
     stencil[:, 2 + 2 * axes, axes] -= h_fd
-    ends = flow_map(legendre_field(points[0].n), stencil.reshape(-1, dim), t, dt)
-    ends = ends.reshape(len(points), 2 * dim + 1, dim)
-    # columns[i, B] = d(endpoint of point i) / dZ^B
-    columns = (ends[:, 1::2] - ends[:, 2::2]) / (2 * h_fd)
-    endpoints = [DarbouxPoint.from_array(e) for e in ends[:, 0]]
-    return endpoints, [np.ascontiguousarray(c.T) for c in columns]
+    ends = flow_map(legendre_field((dim - 1) // 2), stencil.reshape(-1, dim), t, dt)
+    ends = ends.reshape(len(starts), 2 * dim + 1, dim)
+    columns = (ends[:, 1::2] - ends[:, 2::2]) / (2 * h_fd)  # columns[i, B] = d(end of row i) / dZ^B
+    jacobians = np.ascontiguousarray(np.swapaxes(columns, -1, -2))
+    return ends[:, 0].reshape(z.shape), jacobians.reshape(z.shape + (dim,))
 
 
-def flow_recurrence_residuals(G: MetricField, points: Sequence[DarbouxPoint], dt: float,
-                              t: float = math.pi / 2.0, method: str = "fd",
-                              h_fd: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Pullback defects of G along the time-t flow map of X_L, one per point.
+def flow_recurrence_residual(G: MetricField, x, dt: float,
+                             t: float = math.pi / 2.0, method: str = "fd",
+                             h_fd: float = DEFAULT_FD_STEP) -> float | np.ndarray:
+    """Pullback defect of G along the time-t flow map of X_L, at x or one per row of a Z batch.
 
     method "fd" integrates the flow with RK4 at step dt and differentiates
-    the endpoint map by central differences, with the stencils of all
-    points integrated as one batch; method "closed_form" uses the exact
+    the endpoint map by central differences, with the stencils of all rows
+    integrated as one batch; method "closed_form" uses the exact
     trigonometric orbit and its analytic Jacobian (dt is ignored).  At
     t = pi/2 the flow map is the total Legendre transformation, where both
     gtd_* families recover their value.
     """
-    points = list(points)
+    z = np.asarray(x, dtype=float)
     if method == "closed_form":
-        endpoints = [closed_form_orbit(x, t) for x in points]
-        jacobians = [closed_form_orbit_jacobian(x, t) for x in points]
+        starts = [DarbouxPoint.from_array(r) for r in z.reshape(-1, z.shape[-1])]
+        ends = np.reshape([closed_form_orbit(s, t).to_array() for s in starts], z.shape)
+        J = np.reshape([closed_form_orbit_jacobian(s, t) for s in starts], z.shape + z.shape[-1:])
     elif method == "fd":
-        endpoints, jacobians = _fd_flow_jacobians(points, dt, t, h_fd) if points else ([], [])
+        ends, J = _fd_flow_jacobians(z, dt, t, h_fd)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'fd' or 'closed_form'")
-    return np.array([_pullback_defect(G, x, y, J) for x, y, J in zip(points, endpoints, jacobians)],
-                    dtype=float)
-
-
-def flow_recurrence_residual(G: MetricField, x: DarbouxPoint, dt: float,
-                             t: float = math.pi / 2.0, method: str = "fd",
-                             h_fd: float = DEFAULT_FD_STEP) -> float:
-    """Pullback defect of G along the time-t flow map of X_L at one point.
-
-    The single-point form of flow_recurrence_residuals, with the same methods.
-    """
-    return float(flow_recurrence_residuals(G, [x], dt, t, method, h_fd)[0])
+    return _rows(_pullback_defect(G, z, ends, J))

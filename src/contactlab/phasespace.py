@@ -14,6 +14,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -116,32 +117,39 @@ class Covector:
         object.__setattr__(self, "components", comps)
 
 
-def eval_eta(x: DarbouxPoint) -> np.ndarray:
-    """The contact form eta = dPhi - p_a dq^a at x: components (1, -p, 0)."""
-    comps = np.zeros(x.dim)
-    comps[0] = 1.0
-    comps[1 : x.n + 1] = -x.p
+def eval_eta(z) -> np.ndarray:
+    """The contact form eta = dPhi - p_a dq^a at Z of shape (..., 2n+1): components (1, -p, 0)."""
+    z = np.asarray(z, dtype=float)
+    n = (z.shape[-1] - 1) // 2
+    comps = np.zeros(z.shape)
+    comps[..., 0] = 1.0
+    comps[..., 1 : n + 1] = -z[..., n + 1 :]
     return comps
 
 
-def _eta_partials(x: DarbouxPoint) -> np.ndarray:
-    """D[A, B] = d eta_A / d Z^B; the only nonzero block is d(-p_a)/dp_a."""
-    n = x.n
-    D = np.zeros((x.dim, x.dim))
-    for a in range(n):
-        D[1 + a, 1 + n + a] = -1.0
-    return D
+def _eta_partials(z) -> np.ndarray:
+    """D[..., A, B] = d eta_A / d Z^B, a read-only view; the only nonzero block is d(-p_a)/dp_a."""
+    shape = np.shape(z)
+    return np.broadcast_to(_eta_jacobian(shape[-1]), shape + shape[-1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _eta_jacobian(dim: int) -> np.ndarray:
+    D = np.zeros((dim, dim))
+    D[range(1, (dim + 1) // 2), range((dim + 1) // 2, dim)] = -1.0
+    return _frozen(D)
 
 
 @dataclass(frozen=True)
 class OneFormField:
-    """A covector field: point evaluation plus optional analytic derivatives.
+    """A covector field: evaluation plus optional analytic derivatives.
 
-    d_eval, when given, returns D[A, B] = d omega_A / d Z^B.
+    Both take Z arrays of shape (..., 2n+1); d_eval, when given, returns
+    D[..., A, B] = d omega_A / d Z^B.
     """
 
-    eval: Callable[[DarbouxPoint], np.ndarray]
-    d_eval: Optional[Callable[[DarbouxPoint], np.ndarray]] = None
+    eval: Callable[[np.ndarray], np.ndarray]
+    d_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
 
@@ -254,41 +262,21 @@ def central_diff(f: Callable, z: Sequence[float], h) -> np.ndarray:
     return D
 
 
-def central_diff_at(f: Callable[[DarbouxPoint], np.ndarray], x: DarbouxPoint, h) -> np.ndarray:
-    """central_diff of a function of DarbouxPoints over all Z coordinates of x."""
-    return central_diff(lambda z: f(DarbouxPoint.from_array(z)), x.to_array(), h)
-
-
-def _as_vector_eval(X) -> Callable[[DarbouxPoint], np.ndarray]:
-    ev = getattr(X, "eval", None)
-    fn = ev if callable(ev) else X
-
-    def eval_x(x: DarbouxPoint) -> np.ndarray:
-        out = fn(x)
-        return np.asarray(getattr(out, "components", out), dtype=float)
-
-    return eval_x
-
-
-def lie_derivative_oneform(X, omega, x: DarbouxPoint, h_fd: float = DEFAULT_FD_STEP) -> Covector:
+def lie_derivative_oneform(X, omega, x, h_fd: float = DEFAULT_FD_STEP) -> Covector:
     """Lie derivative of a 1-form field along a vector field at a point.
 
-    (L_X omega)_A = X^B d_B omega_A + omega_B d_A X^B.  Analytic derivative
-    hooks (X.jacobian, omega.d_eval) are used where present, central finite
-    differences with step h_fd otherwise.
+    (L_X omega)_A = X^B d_B omega_A + omega_B d_A X^B.  X and omega are
+    callables on Z arrays, or objects whose eval does that; x is a point or
+    its Z array.  Analytic derivative hooks (X.jacobian, omega.d_eval) are
+    used where present, central finite differences with step h_fd otherwise.
     """
     if h_fd <= 0:
         raise ValueError("h_fd must be positive")
-    eval_x = _as_vector_eval(X)
-    eval_w = _as_vector_eval(omega)
-
-    Xval = eval_x(x)
-    wval = eval_w(x)
-
-    d_eval = getattr(omega, "d_eval", None)
-    Dw = d_eval(x) if callable(d_eval) else central_diff_at(eval_w, x, h_fd)
-
+    z = np.asarray(x, dtype=float)
+    eval_x = getattr(X, "eval", X)
+    eval_w = getattr(omega, "eval", omega)
     jac = getattr(X, "jacobian", None)
-    JX = jac(x) if callable(jac) else central_diff_at(eval_x, x, h_fd)
-
-    return Covector(Dw @ Xval + JX.T @ wval)
+    d_eval = getattr(omega, "d_eval", None)
+    JX = jac(z) if callable(jac) else central_diff(eval_x, z, h_fd)
+    Dw = d_eval(z) if callable(d_eval) else central_diff(eval_w, z, h_fd)
+    return Covector(Dw @ eval_x(z) + JX.T @ eval_w(z))

@@ -106,6 +106,22 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["killing", "--family", "epsilon", "--omega", "expr:q1*1e308*10", "--points", "3"],
+        ["killing", "--family", "gtd_partial", "--omega", "expr:q1*1e308*10", "--points", "3"],
+        ["omega-check", "--omega", "expr:q1*1e308*10", "--points", "3"],
+        ["isometry", "--family", "gtd_partial", "--omega", "expr:q1*1e308*10", "--points", "3"],
+        ["isometry", "--family", "gtd_total", "--omega", "expr:q1*1e308*10", "--points", "3",
+         "--map", "total", "--recurrence-dt", "1e-2"],
+        ["curvature", "--cv", "1.5", "--omega", "expr:u*1e308*10", "--u", "2", "--v", "1"],
+        ["rho-scan", "--cv", "1.5", "--omega", "expr:u*1e308*10", "--rho", "0.2:4:5"],
+    ])
+    def test_overflowing_expression_exits_2_with_one_line(self, capsys, argv):
+        # float * overflows to inf without raising; the expression's result check stops the run
+        assert main(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite result ") and err.count("\n") == 1
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["killing", "--help"])
@@ -480,3 +496,22 @@ class TestBenchmarkHooks:
         finally:
             tracer.uninstall()
         assert cli.build_arg_parser is build_arg_parser
+
+    @pytest.mark.parametrize("argv,span", [
+        (["isometry", "--family", "gtd_partial", "--omega", "const:1", "--points", "3",
+          "--recurrence-dt", "1e-2"], "metriclab.flow_recurrence_residual"),
+        (["killing", "--family", "epsilon", "--omega", "norm_sum", "--points", "20"],
+         "metriclab.killing_residual"),
+    ])
+    def test_tracer_sees_one_batched_call_per_command(self, monkeypatch, capsys, tmp_path, argv, span):
+        # the benchmark's per-layer figures come from these spans; the CLI must call the traced names
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracing import Tracer
+
+        tracer = Tracer()
+        tracer.install()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        finally:
+            tracer.uninstall()
+        assert [s[0] for s in tracer.spans].count(span) == 1

@@ -309,6 +309,19 @@ class TestCompiled:
             eval_expression(tree, bindings)
         assert err.value.bindings == bindings
 
+    @pytest.mark.parametrize("text,bindings,message", [
+        ("u*1e308*10", {"u": 2.0, "v": 1.0}, "non-finite result inf [at u=2, v=1]"),
+        ("-u*1e308-v*1e308", {"u": 1.0, "v": 1.0}, "non-finite result -inf [at u=1, v=1]"),
+        ("u*1e308*10-v*1e308*10", {"u": 1.0, "v": 1.0}, "non-finite result nan [at u=1, v=1]"),
+    ])
+    def test_non_finite_result_is_a_domain_error(self, text, bindings, message):
+        tree = parse_expression(text, UV)
+        assert outcome(compile_expression(tree, tuple(bindings)), *bindings.values()) == message
+        assert outcome(eval_expression, tree, bindings) == message
+        with pytest.raises(ExpressionDomainError) as err:
+            eval_expression(tree, bindings)
+        assert err.value.bindings == bindings
+
     def test_positional_order_follows_the_variables(self):
         f = compile_expression(parse_expression("u-2*v", UV), ("v", "u"))
         assert f(1.0, 5.0) == 3.0

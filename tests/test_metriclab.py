@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from contactlab.phasespace import DEFAULT_FD_STEP, DarbouxPoint, eval_eta
+from contactlab.phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff, eval_eta
 from contactlab.flows import LegendreMap, flow_map, legendre_field
 from contactlab.metriclab import (
     GtdPartialParams,
@@ -15,7 +15,6 @@ from contactlab.metriclab import (
     build_metric,
     discrete_isometry_residual,
     flow_recurrence_residual,
-    flow_recurrence_residuals,
     k_contact_residual,
     killing_residual,
     lie_derivative_metric,
@@ -257,9 +256,9 @@ class TestKContact:
             assert k_contact_residual(G, GENERIC_POINTS[2]) == 0.0
 
     def test_phi_dependent_metric_is_not(self):
-        def ev(x):
-            eta = eval_eta(x)
-            return (1.0 + x.phi**2) * np.outer(eta, eta)
+        def ev(z):
+            eta = eval_eta(z)
+            return (1.0 + z[0] ** 2) * np.outer(eta, eta)
 
         G = MetricField("phi_weighted", "test", ev)
         away = DarbouxPoint(0.8, [1.0, 1.0], [0.2, 0.3])
@@ -342,7 +341,7 @@ class TestBatchedFlowRecurrence:
     @pytest.mark.parametrize("method", ["fd", "closed_form"])
     def test_batch_equals_per_point(self, factory, method):
         G = factory()
-        batched = flow_recurrence_residuals(G, self.POINTS, dt=1e-2, method=method)
+        batched = flow_recurrence_residual(G, self.POINTS, dt=1e-2, method=method)
         single = [flow_recurrence_residual(G, x, dt=1e-2, method=method) for x in self.POINTS]
         assert batched.shape == (8,)
         assert np.array_equal(batched, single)
@@ -350,15 +349,86 @@ class TestBatchedFlowRecurrence:
     @pytest.mark.parametrize("factory", FAMILIES)
     def test_batch_equals_per_point_flow_map_reference(self, factory):
         G = factory()
-        batched = flow_recurrence_residuals(G, self.POINTS, dt=1e-2)
+        batched = flow_recurrence_residual(G, self.POINTS, dt=1e-2)
         reference = [_per_point_fd_recurrence(G, x, dt=1e-2) for x in self.POINTS]
         assert np.array_equal(batched, reference)
 
     @pytest.mark.parametrize("method", ["fd", "closed_form"])
     def test_empty_point_list(self, method):
-        out = flow_recurrence_residuals(gtd_total_unit(), [], dt=1e-3, method=method)
+        out = flow_recurrence_residual(gtd_total_unit(), np.empty((0, 5)), dt=1e-3, method=method)
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_unknown_method_rejected_without_points(self):
         with pytest.raises(ValueError):
-            flow_recurrence_residuals(gtd_total_unit(), [], dt=1e-3, method="euler")
+            flow_recurrence_residual(gtd_total_unit(), np.empty((0, 5)), dt=1e-3, method="euler")
+
+
+OMEGA_EXPR = omega_from_expression("q1^2*p2+sin(q2*p1)-exp(p1)/(1+q1^2)", 2)
+BATCH_FAMILIES = {
+    "epsilon": lambda: build_metric("epsilon", REGISTRY["norm_sum"]),
+    "epsilon_expr": lambda: build_metric("epsilon", OMEGA_EXPR),
+    "gtd_total": lambda: build_metric(
+        "gtd_total", GtdTotalParams(np.array([1.0, 2.0]), np.array([0.5, 1.5]), REGISTRY["pair_norm_1"])),
+    "gtd_partial": gtd_partial_unit,
+    "gtd_partial_k1": lambda: gtd_partial_unit(k=1),
+    "gtd_partial_k1_expr": lambda: build_metric("gtd_partial", GtdPartialParams(1, OMEGA_EXPR)),
+}
+
+
+def _one_point_killing(X, G, z, h_fd=DEFAULT_FD_STEP):
+    """Reference: the one-point formula, with 2-D products and np.linalg.norm."""
+    D = G.d_eval(z) if G.d_eval is not None else central_diff(G.eval, z, h_fd)
+    J = X.jacobian(z) if X.jacobian is not None else central_diff(X.eval, z, h_fd)
+    Gz = G.eval(z)
+    return float(np.linalg.norm(D @ X.eval(z) + J.T @ Gz + Gz @ J, "fro"))
+
+
+class TestBatchEqualsRows:
+    """A (16, 5) batch gives, row for row, the bits of sixteen one-point calls."""
+
+    POINTS = sample_darboux_points(16, 2, seed=101, omega=REGISTRY["norm_sum"])
+    Z = np.array([x.to_array() for x in POINTS])
+
+    @pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
+    @pytest.mark.parametrize("strip", [False, True])
+    def test_metric_and_partials(self, family, strip):
+        G = BATCH_FAMILIES[family]()
+        G = G.without_derivatives() if strip else G
+        assert np.array_equal(G.eval(self.Z), [G.eval(x) for x in self.POINTS])
+        assert np.array_equal(G.eval(self.Z), [G.eval(z) for z in self.Z])
+        if G.d_eval is not None:
+            assert G.d_eval(self.Z).shape == (16, 5, 5, 5)
+            assert np.array_equal(G.d_eval(self.Z), [G.d_eval(x) for x in self.POINTS])
+
+    @pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
+    @pytest.mark.parametrize("strip", [False, True])
+    @pytest.mark.parametrize("analytic_jacobian", [True, False])
+    def test_killing_residual(self, family, strip, analytic_jacobian):
+        import dataclasses
+
+        G = BATCH_FAMILIES[family]()
+        G = G.without_derivatives() if strip else G
+        X = X_L if analytic_jacobian else dataclasses.replace(X_L, jacobian=None)
+        batch = killing_residual(X, G, self.Z)
+        single = [killing_residual(X, G, x) for x in self.POINTS]
+        assert isinstance(batch, np.ndarray) and batch.shape == (16,)
+        assert all(isinstance(r, float) for r in single)
+        assert np.array_equal(batch, single)
+        assert np.array_equal(batch, [_one_point_killing(X, G, z) for z in self.Z])
+        assert np.array_equal(killing_residual(X, G, self.Z.reshape(4, 4, 5)), batch.reshape(4, 4))
+
+    @pytest.mark.parametrize("omega", [REGISTRY["cross_skew"], OMEGA_EXPR], ids=["registry", "expr"])
+    def test_poisson_constraint_residual(self, omega):
+        batch = poisson_constraint_residual(omega, self.Z)
+        single = [poisson_constraint_residual(omega, x) for x in self.POINTS]
+        assert batch.shape == (16,)
+        assert np.array_equal(batch, single)
+        reference = []
+        for x in self.POINTS:
+            dq, dp = omega.gradient(x.q, x.p)
+            reference.append(float(x.p @ dq - x.q @ dp))
+        assert np.array_equal(batch, reference)
+
+    def test_points_list_is_a_batch(self):
+        G = gtd_total_unit()
+        assert np.array_equal(killing_residual(X_L, G, self.POINTS), killing_residual(X_L, G, self.Z))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from contactlab.phasespace import (
-    Covector,
     DarbouxPoint,
     DimensionError,
     OneFormField,
@@ -127,16 +126,16 @@ class TestVolumeForm:
             volume_form_coefficient(x)
 
 
-def constant_q1_field(x):
-    out = np.zeros(x.dim)
+def constant_q1_field(z):
+    out = np.zeros(len(z))
     out[1] = 1.0
     return out
 
 
 class TestLieDerivativeOneForm:
     def test_along_reeb_vanishes(self):
-        def reeb_eval(x):
-            return reeb(x.n)
+        def reeb_eval(z):
+            return reeb((len(z) - 1) // 2)
 
         x = DarbouxPoint(0.7, [1.0, -0.3], [0.2, 1.1])
         out = lie_derivative_oneform(reeb_eval, eval_eta, x)
@@ -156,28 +155,28 @@ class TestLieDerivativeOneForm:
 
     def test_analytic_path_matches_fd(self):
         # smooth non-polynomial data so the O(h^2) bound is meaningful
-        def w_eval(x):
-            return Covector([math.sin(x.q[0]), 0.0, math.exp(x.p[1]), 0.0, math.cos(x.q[1])])
+        def w_eval(z):
+            return np.array([math.sin(z[1]), 0.0, math.exp(z[4]), 0.0, math.cos(z[2])])
 
-        def w_partials(x):
+        def w_partials(z):
             D = np.zeros((5, 5))
-            D[0, 1] = math.cos(x.q[0])
-            D[2, 4] = math.exp(x.p[1])
-            D[4, 2] = -math.sin(x.q[1])
+            D[0, 1] = math.cos(z[1])
+            D[2, 4] = math.exp(z[4])
+            D[4, 2] = -math.sin(z[2])
             return D
 
         class Field:
-            def eval(self, x):
-                return np.array([x.p[0] ** 2, math.sin(x.p[1]), x.phi, math.cos(x.q[0]), x.q[1] * x.p[0]])
+            def eval(self, z):
+                return np.array([z[3] ** 2, math.sin(z[4]), z[0], math.cos(z[1]), z[2] * z[3]])
 
-            def jacobian(self, x):
+            def jacobian(self, z):
                 J = np.zeros((5, 5))
-                J[0, 3] = 2 * x.p[0]
-                J[1, 4] = math.cos(x.p[1])
+                J[0, 3] = 2 * z[3]
+                J[1, 4] = math.cos(z[4])
                 J[2, 0] = 1.0
-                J[3, 1] = -math.sin(x.q[0])
-                J[4, 2] = x.p[0]
-                J[4, 3] = x.q[1]
+                J[3, 1] = -math.sin(z[1])
+                J[4, 2] = z[3]
+                J[4, 3] = z[2]
                 return J
 
         omega = OneFormField(eval=w_eval, d_eval=w_partials)
