@@ -27,7 +27,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -333,7 +333,16 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_rows(rows: List[Dict], fieldnames: Sequence[str], fmt: str, stream) -> None:
+def emit_rows(rows: Union[List[Dict], np.ndarray], fieldnames: Sequence[str], fmt: str, stream) -> None:
+    """Write a table as CSV or JSON.
+
+    rows is a list of dicts keyed by fieldnames or, for a table whose cells
+    are all floats, one (rows, len(fieldnames)) float array; the array is
+    written with the bytes its rows would give as dicts, without building them.
+    """
+    if isinstance(rows, np.ndarray):
+        _emit_table(rows, fieldnames, fmt, stream)
+        return
     if fmt == "csv":
         writer = csv.writer(stream)  # RFC 4180 CRLF line endings
         writer.writerow(fieldnames)
@@ -359,6 +368,36 @@ def emit_rows(rows: List[Dict], fieldnames: Sequence[str], fmt: str, stream) -> 
         stream.write("]\n")
 
 
+#: rows formatted per write on emit_rows' array path
+_EMIT_CHUNK_ROWS = 1024
+
+
+def _emit_table(table: np.ndarray, fieldnames: Sequence[str], fmt: str, stream) -> None:
+    """emit_rows for a float array: one %-template per row, applied a chunk of rows at a time.
+
+    "%.17g" and str() of a Python float give the bytes of _format_cell and
+    json.dumps; JSON writes a non-finite cell as null, like the dict path.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(fieldnames):
+        raise ValueError(f"a table for {len(fieldnames)} fields has shape {table.shape}")
+    if fmt == "csv":
+        csv.writer(stream).writerow(fieldnames)
+        row, sep = ",".join(["%.17g"] * len(fieldnames)) + "\r\n", ""
+    else:
+        row = "{" + ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in fieldnames) + "}"
+        sep = ", "
+        stream.write("[")
+    for start in range(0, len(table), _EMIT_CHUNK_ROWS):
+        chunk = table[start:start + _EMIT_CHUNK_ROWS]
+        cells = chunk.ravel().tolist()
+        if fmt == "json" and not np.isfinite(chunk).all():
+            cells = [c if math.isfinite(c) else "null" for c in cells]
+        stream.write((sep if start else "") + sep.join([row] * len(chunk)) % tuple(cells))
+    if fmt == "json":
+        stream.write("]\n")
+
+
 def resolve_output_path(out: Optional[str]) -> Optional[str]:
     if out is None:
         return None
@@ -370,7 +409,7 @@ def resolve_output_path(out: Optional[str]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (fieldnames, rows)
+# subcommand handlers; each returns (fieldnames, rows) for emit_rows
 
 def _coord_names(n: int) -> List[str]:
     return ["Phi"] + [f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
@@ -402,14 +441,12 @@ def _cmd_orbit(cfg: RunConfig):
     if cfg.pair is not None and not 1 <= cfg.pair <= cfg.n:
         raise ConfigError(f"pair index {cfg.pair} out of range 1..{cfg.n}")
     field = partial_legendre_field(cfg.pair, cfg.n) if cfg.pair is not None else legendre_field(cfg.n)
-    names = ["t"] + _coord_names(cfg.n)
-    rows = []
+    blocks = []
     for ic in cfg.ics:
-        point = _ic_to_point(ic, cfg.pair, cfg.n)
-        traj = integrate_flow(field, point, cfg.t_end, cfg.dt)
-        for t, z in zip(traj.times, traj.coords):
-            rows.append(dict(zip(names, [t, *z])))
-    return names, rows
+        traj = integrate_flow(field, _ic_to_point(ic, cfg.pair, cfg.n), cfg.t_end, cfg.dt)
+        blocks.append(np.column_stack((traj.times, traj.coords)))
+    # every cell is a float: one [t, Phi, q..., p...] array, trajectories in --ic order
+    return ["t"] + _coord_names(cfg.n), np.concatenate(blocks)
 
 
 def _cmd_legendre(cfg: RunConfig):

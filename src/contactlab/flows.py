@@ -16,6 +16,7 @@ exactly by the discrete map below.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, FrozenSet, Optional, Tuple
@@ -254,7 +255,10 @@ def _step_schedule(t_end: float, dt: float) -> list:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
-    n_full = int(math.floor(t_end / dt + 1e-12))
+    ratio = t_end / dt
+    if not ratio < sys.maxsize:  # the comparison is false for inf and nan too
+        raise ValueError(f"dt={dt!r} is too small for t_end={t_end!r}: {ratio:.6g} steps")
+    n_full = int(math.floor(ratio + 1e-12))
     remainder = t_end - n_full * dt
     steps = [dt] * n_full
     if remainder > 1e-12 * max(dt, 1.0):

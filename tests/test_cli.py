@@ -25,7 +25,7 @@ from contactlab.cli import (
     parse_rho_range,
     run,
 )
-from contactlab.flows import LegendreMap, discrete_legendre
+from contactlab.flows import LegendreMap, _step_schedule, discrete_legendre
 from contactlab.metriclab import GtdTotalParams, OmegaFunction, build_metric, flow_recurrence_residual
 from contactlab.phasespace import DarbouxPoint
 from contactlab.sampling import sample_darboux_points
@@ -122,6 +122,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: non-finite result ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--ic", "1,0,0", "--pair", "1", "--t-end", "1e300", "--dt", "1e-300"],
+        ["orbit", "--ic", "1,0,0", "--pair", "1", "--t-end", "1e30", "--dt", "1e-3"],
+        ["isometry", "--points", "1", "--recurrence-dt", "1e-320"],
+    ])
+    def test_step_count_that_overflows_exits_1_with_one_line(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "too small" in captured.err
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["killing", "--help"])
@@ -159,6 +171,25 @@ class TestOrbit:
         assert code == EXIT_OK
         first = read_csv(out)[0]
         assert [float(first[c]) for c in ("Phi", "q1", "q2", "p1", "p2")] == [1, 2, 3, 0.5, -1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_two_ics_give_the_two_single_ic_outputs_in_order(self, tmp_path, fmt):
+        base = ["orbit", "--t-end", "0.5", "--dt", "0.01", "--format", fmt]
+        ics = ["1,2,3,0.5,-1", "-0.5,0.1,0,2,1e-3"]
+        outputs = []
+        for i, extra in enumerate([[f"--ic={ics[0]}"], [f"--ic={ics[1]}"],
+                                   [f"--ic={ics[0]}", f"--ic={ics[1]}"]]):
+            out = tmp_path / f"{i}.{fmt}"
+            assert main([*base, *extra, "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        first, second, both = outputs
+        if fmt == "csv":
+            header, body = second.split(b"\r\n", 1)
+            assert first.startswith(header + b"\r\n")
+            assert both == first + body
+        else:
+            assert both == first[:-2] + b", " + second[1:]
+        assert len(both) > len(first) > 100
 
     def test_bad_ic_length(self):
         assert main(["orbit", "--ic", "1,0", "--t-end", "1", "--dt", "0.1"]) == EXIT_CONFIG
@@ -396,6 +427,37 @@ class TestEmission:
         emit_rows([], names, "json", empty)
         assert empty.getvalue() == "[]\n"
 
+        # an all-float table may come as one array: same bytes, non-finite cells as null
+        table = np.array([[0.1, -2.5e-300, math.nan], [-0.0, math.inf, 1e17], [5e-324, -math.inf, 3.0]])
+        floats = ["x", "y", "z"]
+        reference = io.StringIO()
+        json.dump([{name: v if math.isfinite(v) else None for name, v in zip(floats, row)}
+                   for row in table.tolist()], reference)
+        out = io.StringIO()
+        emit_rows(table, floats, "json", out)
+        assert out.getvalue() == reference.getvalue() + "\n"
+        for fmt, expected in (("json", "[]\n"), ("csv", "x,y,z\r\n")):
+            empty = io.StringIO()
+            emit_rows(np.empty((0, 3)), floats, fmt, empty)
+            assert empty.getvalue() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6, 7])
+    def test_array_path_across_chunk_boundaries(self, monkeypatch, fmt, rows):
+        monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 3)
+        names = ["t", "a", "b"]
+        table = np.arange(3.0 * rows).reshape(rows, 3) / 7.0
+        table[rows // 2, 1] = math.nan
+        table[-1, 2] = -math.inf
+        expected, got = io.StringIO(), io.StringIO()
+        emit_rows([dict(zip(names, row)) for row in table], names, fmt, expected)
+        emit_rows(table, names, fmt, got)
+        assert got.getvalue() == expected.getvalue()
+
+    def test_array_of_the_wrong_width_is_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            emit_rows(np.zeros((2, 3)), ["a", "b"], "csv", io.StringIO())
+
 
 class TestExpressionBackedPotential:
     def test_matches_builtin_ideal_gas(self):
@@ -515,3 +577,18 @@ class TestBenchmarkHooks:
         finally:
             tracer.uninstall()
         assert [s[0] for s in tracer.spans].count(span) == 1
+
+    def test_tracer_counts_the_orbit_table_in_one_emit_span(self, monkeypatch, tmp_path):
+        # orbit hands emit_rows one array; the tracer's rows count takes its len()
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracing import Tracer
+
+        tracer = Tracer()
+        tracer.install()
+        try:
+            assert main(["orbit", "--ic", "1,2,3,0.5,-1", "--t-end", "1", "--dt", "0.003",
+                         "--out", str(tmp_path / "orbit.csv")]) == EXIT_OK
+        finally:
+            tracer.uninstall()
+        assert [s[0] for s in tracer.spans].count("cli.emit_rows") == 1
+        assert tracer.counts[tracer.pass_id]["rows"] == len(_step_schedule(1.0, 0.003)) + 1

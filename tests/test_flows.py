@@ -242,6 +242,16 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             integrate_flow(legendre_field(2), ORBIT_ICS[0], -1.0, dt=0.1)
 
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-300), (1e30, 1e-3), (math.pi / 2, 1e-320),
+                                           (2.0**63, 1.0)])
+    def test_step_count_that_does_not_fit_an_index(self, t_end, dt):
+        # each is rejected before a step list or state array is allocated
+        X, ic = legendre_field(2), ORBIT_ICS[0]
+        with pytest.raises(ValueError, match="too small"):
+            integrate_flow(X, ic, t_end, dt)
+        with pytest.raises(ValueError, match="too small"):
+            flow_map(X, ic.to_array(), t_end, dt)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_aborts_with_last_valid_time(self):
         cubic = ContactVectorField(name="cubic", eval=lambda z: z**3)
