@@ -157,6 +157,50 @@ def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STE
     return ContactVectorField(f"X[{h.name}]", field, jacobian)
 
 
+@dataclass(frozen=True)
+class _RotationField(ContactVectorField):
+    """X_L or X_L_i: the field that rotates the pairs at slots (q index, p index).
+
+    float_step advances one state, held as a list of Python floats, by one
+    RK4 step, with the IEEE operations of _rk4_step over eval in the same
+    order, so both give the same bits.  That holds while numpy sums the
+    Phi-dot terms left to right, which it does for fewer than 8 terms (from 8
+    on it sums pairwise); FLOAT_PAIRS is that limit.
+    """
+
+    dim: int = 0
+    slots: Tuple[Tuple[int, int], ...] = ()
+
+    FLOAT_PAIRS = 7
+
+    def advances_in_floats(self, y: np.ndarray) -> bool:
+        return y.shape == (self.dim,) and len(self.slots) <= self.FLOAT_PAIRS
+
+    def float_step(self, y: list, h: float) -> list:
+        s = 0.5 * h
+        c = h / 6.0
+        # the field is 0.0 on every other slot, so the step adds c * 0.0 there
+        out = [v + 0.0 for v in y]
+        # Phi-dot of each stage, before the factor 0.5; numpy's sum starts at 0.0
+        f1 = f2 = f3 = f4 = 0.0
+        for a, b in self.slots:
+            q, p = y[a], y[b]
+            q2 = q + s * -p
+            p2 = p + s * q
+            q3 = q + s * -p2
+            p3 = p + s * q2
+            q4 = q + h * -p3
+            p4 = p + h * q3
+            f1 += q * q - p * p
+            f2 += q2 * q2 - p2 * p2
+            f3 += q3 * q3 - p3 * p3
+            f4 += q4 * q4 - p4 * p4
+            out[a] = q + c * (-p + 2.0 * (-p2 + -p3) + -p4)
+            out[b] = p + c * (q + 2.0 * (q2 + q3) + q4)
+        out[0] = y[0] + c * (0.5 * f1 + 2.0 * (0.5 * f2 + 0.5 * f3) + 0.5 * f4)
+        return out
+
+
 def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorField:
     """Shared fast implementation of X_L and the single-pair generators.
 
@@ -188,7 +232,8 @@ def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorFi
         J[..., 0, ps] = -z[..., ps]
         return J
 
-    return ContactVectorField(name, field, jacobian)
+    slots = tuple((1 + a, 1 + n + a) for a in range(first, last))
+    return _RotationField(name, field, jacobian, dim, slots)
 
 
 def legendre_field(n: int = 2) -> ContactVectorField:
@@ -269,14 +314,24 @@ def _step_schedule(t_end: float, dt: float) -> list:
 def _rk4_states(X: ContactVectorField, z0: np.ndarray, schedule: list):
     """Yield (t, state) after each classic RK4 step of the schedule from z0.
 
-    Raises IntegrationError, carrying the last valid time, as soon as a step
-    produces a non-finite state.
+    One state of a rotation field is advanced in Python floats, with the bits
+    of the numpy step; the state is then yielded as a list.  Raises
+    IntegrationError, carrying the last valid time, as soon as a step produces
+    a non-finite state.
     """
     y = np.asarray(z0, dtype=float)
+    floats = isinstance(X, _RotationField) and X.advances_in_floats(y)
+    if floats:
+        y = y.tolist()
     t = 0.0
     for step in schedule:
-        y = _rk4_step(X.eval, y, step)
-        if not np.isfinite(y).all():
+        if floats:
+            y = X.float_step(y, step)
+            finite = all(map(math.isfinite, y))
+        else:
+            y = _rk4_step(X.eval, y, step)
+            finite = np.isfinite(y).all()
+        if not finite:
             raise IntegrationError(
                 f"flow of {X.name} became non-finite; last valid time t={t:.6g}", t
             )
@@ -291,9 +346,11 @@ def flow_map(X: ContactVectorField, z0: np.ndarray, t_end: float, dt: float) -> 
     Classic RK4 with fixed step dt and a final partial step onto t_end.
     """
     y = np.array(z0, dtype=float)
-    for _, y in _rk4_states(X, y, _step_schedule(t_end, dt)):
-        pass
-    return y
+    # overflow shows as a non-finite state, which raises IntegrationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, y in _rk4_states(X, y, _step_schedule(t_end, dt)):
+            pass
+    return np.asarray(y, dtype=float)
 
 
 def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: float) -> FlowTrajectory:
@@ -303,9 +360,10 @@ def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: fl
     coords = np.empty((len(schedule) + 1, ic.dim))
     times[0] = 0.0
     coords[0] = ic.to_array()
-    for k, (t, y) in enumerate(_rk4_states(X, coords[0], schedule), start=1):
-        times[k] = t
-        coords[k] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (t, y) in enumerate(_rk4_states(X, coords[0], schedule), start=1):
+            times[k] = t
+            coords[k] = y
     return FlowTrajectory(times=times, coords=coords, ic=ic, dt=dt)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from contactlab.phasespace import DarbouxPoint, central_diff, eval_eta, reeb
 from contactlab.flows import (
+    _rk4_step,
     ContactHamiltonian,
     ContactVectorField,
     IntegrationError,
@@ -252,7 +253,6 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError, match="too small"):
             flow_map(X, ic.to_array(), t_end, dt)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_aborts_with_last_valid_time(self):
         cubic = ContactVectorField(name="cubic", eval=lambda z: z**3)
         ic = DarbouxPoint(10.0, [10.0, 10.0], [10.0, 10.0])
@@ -261,7 +261,6 @@ class TestIntegrateFlow:
         assert 0.0 <= err.value.last_valid_time < 10.0
         assert "last valid time" in str(err.value)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_flow_map_blowup_reports_same_time(self):
         cubic = ContactVectorField(name="cubic", eval=lambda z: z**3)
         ic = DarbouxPoint(10.0, [10.0, 10.0], [10.0, 10.0])
@@ -271,6 +270,17 @@ class TestIntegrateFlow:
             flow_map(cubic, ic.to_array(), 10.0, 0.1)
         assert str(endpoint.value) == str(recorded.value)
         assert endpoint.value.last_valid_time == recorded.value.last_valid_time
+
+    @pytest.mark.parametrize("run", [
+        lambda: flow_map(legendre_field(2), np.full((4, 5), 1e300), 1.0, 0.1),
+        lambda: integrate_flow(legendre_field(2), DarbouxPoint(1e300, [1e300] * 2, [1e300] * 2), 1.0, 0.1),
+        lambda: integrate_flow(legendre_field(8), DarbouxPoint(1e300, [1e300] * 8, [1e300] * 8), 1.0, 0.1),
+    ], ids=["batch", "one-state", "one-state-8-pairs"])
+    def test_overflow_raises_integration_error_not_a_warning(self, run):
+        # the suite turns RuntimeWarning into an error, so numpy's overflow warning would fail here
+        with pytest.raises(IntegrationError) as err:
+            run()
+        assert err.value.last_valid_time == 0.0
 
     def test_large_finite_states_do_not_abort(self):
         # the states are finite although their sum overflows
@@ -322,6 +332,22 @@ class TestRotationFieldArrays:
         cols = [0] + [1 + a for a in pairs] + [3 + a for a in pairs]
         assert np.array_equal(out[:, cols].view(np.int64), ref[:, cols].view(np.int64))
         assert np.array_equal(X.eval(z[7]), ref[7])
+
+
+class TestFloatStep:
+    def test_eight_pairs_stay_on_the_numpy_step(self):
+        # numpy sums 8 Phi-dot terms pairwise: for this state the float step, which sums
+        # left to right, gives other bits, so a single state must take the numpy step
+        X = legendre_field(8)
+        z = np.zeros(17)
+        z[1:9] = [1e8, 1, 1, 1, 1, 1, 1, 1]
+        assert not np.array_equal(X.float_step(z.tolist(), 0.1), _rk4_step(X.eval, z, 0.1))
+        traj = integrate_flow(X, DarbouxPoint.from_array(z), 0.5, 0.1)
+        batch = [z[None, :]]
+        for _ in range(5):
+            batch.append(flow_map(X, batch[-1], 0.1, 0.1))
+        assert np.array_equal(traj.coords.view(np.int64), np.concatenate(batch).view(np.int64))
+        assert np.array_equal(flow_map(X, z, 0.5, 0.1), batch[-1][0])
 
 
 class TestClosedFormOrbit:
