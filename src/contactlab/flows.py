@@ -15,10 +15,10 @@ exactly by the discrete map below.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -157,48 +157,93 @@ def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STE
     return ContactVectorField(f"X[{h.name}]", field, jacobian)
 
 
+def _rk4_pair_step(h: float) -> Tuple[float, float, float, float]:
+    """One classic RK4 step of size h of a rotating pair, as the map (e, b, sigma, tau).
+
+    The stages are linear in w = q + i p and their Phi-dot 0.5 Re(w^2) is
+    quadratic, so the step is exactly w <- w + E w and Phi <- Phi +
+    Re(conj(S) w^2) = Phi + sigma (q^2 - p^2) + tau 2 q p, where E = e + i b
+    and S = sigma + i tau are polynomials in h.  The map is held as E rather
+    than 1 + E, whose rounding would grow with every power.
+    """
+    h2 = h * h
+    return (h2 * (h2 / 24.0 - 0.5), h * (1.0 - h2 / 6.0),
+            h * (0.5 - h2 * (1.0 / 3.0 - h2 * (7.0 / 96.0 - h2 / 192.0))),
+            -h2 * (0.5 - h2 * (1.0 / 6.0 - h2 / 48.0)))
+
+
+def _then(a, b):
+    """The map a followed by the map b; their parts are floats or arrays that broadcast."""
+    ea, ba, sa, ta = a
+    eb, bb, sb, tb = b
+    # b's form pulled back through a: S_b conj((1 + E_a)^2) = S_b + S_b conj(U), U = E_a (2 + E_a)
+    ur = ea * (2.0 + ea) - ba * ba
+    ui = 2.0 * ba * (1.0 + ea)
+    return (ea + eb + (ea * eb - ba * bb), ba + bb + (ea * bb + ba * eb),
+            sa + sb + (sb * ur + tb * ui), ta + tb + (tb * ur - sb * ui))
+
+
+def _schedule_map(schedule: list):
+    """The map of the whole schedule: the full steps composed by squaring, then the partial step."""
+    full = len(schedule) if schedule[-1] == schedule[0] else len(schedule) - 1
+    out, power, k = (0.0,) * 4, _rk4_pair_step(schedule[0]), full
+    while k:  # from the lowest binary digit of k up
+        if k & 1:
+            out = _then(out, power)
+        k, power = k >> 1, _then(power, power)
+    for step in schedule[full:]:
+        out = _then(out, _rk4_pair_step(step))
+    return out
+
+
+def _schedule_maps(schedule: list) -> np.ndarray:
+    """(4, len(schedule)) array: the map of the first k steps, k = 1..len(schedule).
+
+    k = i B + j steps compose the power of j steps with a jump of i B steps;
+    the last map is _schedule_map's, so the last state has the endpoint's bits.
+    """
+    block = math.isqrt(len(schedule)) + 1
+    powers = list(itertools.accumulate([_rk4_pair_step(schedule[0])] * block, _then, initial=(0.0,) * 4))
+    jumps = list(itertools.accumulate([powers[-1]] * (len(schedule) // block), _then, initial=(0.0,) * 4))
+    maps = np.reshape(_then(np.transpose(powers[:-1]), np.transpose(jumps)[..., np.newaxis]), (4, -1))
+    maps = maps[:, 1 : len(schedule) + 1]
+    maps[:, -1] = _schedule_map(schedule)
+    return maps
+
+
 @dataclass(frozen=True)
 class _RotationField(ContactVectorField):
     """X_L or X_L_i: the field that rotates the pairs at slots (q index, p index).
 
-    float_step advances one state, held as a list of Python floats, by one
-    RK4 step, with the IEEE operations of _rk4_step over eval in the same
-    order, so both give the same bits.  That holds while numpy sums the
-    Phi-dot terms left to right, which it does for fewer than 8 terms (from 8
-    on it sums pairwise); FLOAT_PAIRS is that limit.
+    Its RK4 flows take the closed form of _rk4_pair_step instead of stepping.
+    stays_finite is a sufficient test that no state on the way overflows:
+    RK4 grows a pair only at steps above 2 sqrt 2, so steps of at most 2
+    keep |E| <= 2 and, over fewer than 2^63 steps, |S| < 1e19; with max|z|
+    times the number of pairs at most 1e140 every product stays finite.
     """
 
-    dim: int = 0
     slots: Tuple[Tuple[int, int], ...] = ()
 
-    FLOAT_PAIRS = 7
+    def move(self, maps, z: np.ndarray) -> np.ndarray:
+        """States z of shape (..., 2n+1) moved by maps (e, b, sigma, tau).
 
-    def advances_in_floats(self, y: np.ndarray) -> bool:
-        return y.shape == (self.dim,) and len(self.slots) <= self.FLOAT_PAIRS
-
-    def float_step(self, y: list, h: float) -> list:
-        s = 0.5 * h
-        c = h / 6.0
-        # the field is 0.0 on every other slot, so the step adds c * 0.0 there
-        out = [v + 0.0 for v in y]
-        # Phi-dot of each stage, before the factor 0.5; numpy's sum starts at 0.0
-        f1 = f2 = f3 = f4 = 0.0
-        for a, b in self.slots:
-            q, p = y[a], y[b]
-            q2 = q + s * -p
-            p2 = p + s * q
-            q3 = q + s * -p2
-            p3 = p + s * q2
-            q4 = q + h * -p3
-            p4 = p + h * q3
-            f1 += q * q - p * p
-            f2 += q2 * q2 - p2 * p2
-            f3 += q3 * q3 - p3 * p3
-            f4 += q4 * q4 - p4 * p4
-            out[a] = q + c * (-p + 2.0 * (-p2 + -p3) + -p4)
-            out[b] = p + c * (q + 2.0 * (q2 + q3) + q4)
-        out[0] = y[0] + c * (0.5 * f1 + 2.0 * (0.5 * f2 + 0.5 * f3) + 0.5 * f4)
+        Each part is a float, or an array of k maps; then the result has shape
+        (k,) + z.shape.  The other slots gain +0.0, as an RK4 step leaves them.
+        """
+        lead = np.shape(maps[0])
+        e, b, sigma, tau = (np.reshape(part, lead + (1,) * (z.ndim - 1)) for part in maps)
+        out = np.broadcast_to(z, lead + z.shape) + 0.0
+        d = 0.0
+        for a, c in self.slots:
+            q, p = z[..., a], z[..., c]
+            out[..., a] = q + (e * q - b * p)
+            out[..., c] = p + (b * q + e * p)
+            d = d + (sigma * (q * q - p * p) + tau * (2.0 * q * p))
+        out[..., 0] = z[..., 0] + d
         return out
+
+    def stays_finite(self, z: np.ndarray, schedule: list) -> bool:
+        return schedule[0] <= 2.0 and np.abs(z).max(initial=0.0) * len(self.slots) <= 1e140
 
 
 def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorField:
@@ -210,9 +255,8 @@ def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorFi
     dim = 2 * n + 1
     qs, ps = _pair_slots(n, first, last)
     rotation = np.zeros((dim, dim))
-    for a in range(first, last):
-        rotation[1 + a, 1 + n + a] = -1.0
-        rotation[1 + n + a, 1 + a] = 1.0
+    np.fill_diagonal(rotation[qs, ps], -1.0)
+    np.fill_diagonal(rotation[ps, qs], 1.0)
 
     def field(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -233,7 +277,7 @@ def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorFi
         return J
 
     slots = tuple((1 + a, 1 + n + a) for a in range(first, last))
-    return _RotationField(name, field, jacobian, dim, slots)
+    return _RotationField(name, field, jacobian, slots)
 
 
 def legendre_field(n: int = 2) -> ContactVectorField:
@@ -252,38 +296,19 @@ def partial_legendre_field(i: int, n: int = 2) -> ContactVectorField:
 
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """Samples of an integral curve; coords rows follow the Z ordering."""
+    """Samples of an integral curve from ic, at increasing times; coords rows follow the Z ordering."""
 
     times: np.ndarray
     coords: np.ndarray
     ic: DarbouxPoint
     dt: float
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        coords = np.asarray(self.coords, dtype=float)
-        if len(times) != len(coords):
-            raise ValueError("times and coords must have equal length")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.array_equal(coords[0], self.ic.to_array()):
-            raise ValueError("trajectory must start at the initial condition")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "coords", coords)
-
     def __len__(self) -> int:
         return len(self.times)
 
-    def point(self, k: int) -> DarbouxPoint:
-        return DarbouxPoint.from_array(self.coords[k])
-
-    @cached_property
-    def states(self) -> Tuple[DarbouxPoint, ...]:
-        return tuple(DarbouxPoint.from_array(z) for z in self.coords)
-
     @property
     def final(self) -> DarbouxPoint:
-        return self.point(len(self) - 1)
+        return DarbouxPoint.from_array(self.coords[-1])
 
 
 def _rk4_step(f, y, dt):
@@ -311,59 +336,66 @@ def _step_schedule(t_end: float, dt: float) -> list:
     return steps
 
 
-def _rk4_states(X: ContactVectorField, z0: np.ndarray, schedule: list):
-    """Yield (t, state) after each classic RK4 step of the schedule from z0.
+def _flow_blocks(X: ContactVectorField, z0: np.ndarray, schedule: list):
+    """Yield the states after steps 1, 2, ... of the schedule from z0, in blocks of shape (k,) + z0.shape.
 
-    One state of a rotation field is advanced in Python floats, with the bits
-    of the numpy step; the state is then yielded as a list.  Raises
-    IntegrationError, carrying the last valid time, as soon as a step produces
-    a non-finite state.
+    A rotation field moves z0 by the composed map of each step count; other
+    fields take classic RK4 steps.  Raises IntegrationError, carrying the
+    time of the last finite state, at the first state that is not finite.
     """
-    y = np.asarray(z0, dtype=float)
-    floats = isinstance(X, _RotationField) and X.advances_in_floats(y)
-    if floats:
-        y = y.tolist()
-    t = 0.0
+    if isinstance(X, _RotationField) and schedule:
+        maps, rows = _schedule_maps(schedule), max(1, (1 << 16) // max(1, z0.size))
+        blocks = (X.move(maps[:, k : k + rows], z0) for k in range(0, len(schedule), rows))
+    else:
+        blocks = _rk4_steps(X, z0, schedule)
+    done = 0
+    for block in blocks:
+        finite = np.isfinite(block.reshape(len(block), -1)).all(axis=1)
+        if not finite.all():
+            t = 0.0
+            for step in schedule[: done + int(finite.argmin())]:
+                t += step
+            raise IntegrationError(f"flow of {X.name} became non-finite; last valid time t={t:.6g}", t)
+        done += len(block)
+        yield block
+
+
+def _rk4_steps(X: ContactVectorField, y: np.ndarray, schedule: list):
     for step in schedule:
-        if floats:
-            y = X.float_step(y, step)
-            finite = all(map(math.isfinite, y))
-        else:
-            y = _rk4_step(X.eval, y, step)
-            finite = np.isfinite(y).all()
-        if not finite:
-            raise IntegrationError(
-                f"flow of {X.name} became non-finite; last valid time t={t:.6g}", t
-            )
-        t += step
-        yield t, y
+        y = _rk4_step(X.eval, y, step)
+        yield y[np.newaxis]
 
 
 def flow_map(X: ContactVectorField, z0: np.ndarray, t_end: float, dt: float) -> np.ndarray:
     """Endpoint of the time-t_end flow for one state or a batch of states.
 
     z0 has shape (2n+1,) or (m, 2n+1); the result has the same shape.
-    Classic RK4 with fixed step dt and a final partial step onto t_end.
+    Classic RK4 with fixed step dt and a final partial step onto t_end; a
+    rotation field whose states provably stay finite jumps there by one
+    composed map.
     """
     y = np.array(z0, dtype=float)
+    schedule = _step_schedule(t_end, dt)
     # overflow shows as a non-finite state, which raises IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, y in _rk4_states(X, y, _step_schedule(t_end, dt)):
-            pass
-    return np.asarray(y, dtype=float)
+        if isinstance(X, _RotationField) and schedule and X.stays_finite(y, schedule):
+            return X.move(_schedule_map(schedule), y)
+        for block in _flow_blocks(X, y, schedule):
+            y = block[-1]
+    return y
 
 
 def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: float) -> FlowTrajectory:
     """Integrate dZ/dt = X(Z) from ic with classic RK4 and record the curve."""
     schedule = _step_schedule(t_end, dt)
-    times = np.empty(len(schedule) + 1)
-    coords = np.empty((len(schedule) + 1, ic.dim))
-    times[0] = 0.0
-    coords[0] = ic.to_array()
+    times = np.zeros(len(schedule) + 1)
+    if schedule:
+        times[1:] = schedule[0]
+        times[-1] = schedule[-1]
+    np.add.accumulate(times, out=times)  # t += step, in order
+    z0 = ic.to_array()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (t, y) in enumerate(_rk4_states(X, coords[0], schedule), start=1):
-            times[k] = t
-            coords[k] = y
+        coords = np.concatenate([z0[np.newaxis], *_flow_blocks(X, z0, schedule)])
     return FlowTrajectory(times=times, coords=coords, ic=ic, dt=dt)
 
 

@@ -1,13 +1,17 @@
 """Tests for contact Hamiltonian fields, flows, and discrete Legendre maps."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from contactlab.phasespace import DarbouxPoint, central_diff, eval_eta, reeb
 from contactlab.flows import (
+    _rk4_pair_step,
     _rk4_step,
+    _schedule_map,
+    _step_schedule,
     ContactHamiltonian,
     ContactVectorField,
     IntegrationError,
@@ -234,7 +238,7 @@ class TestIntegrateFlow:
 
     def test_trajectory_invariants(self):
         traj = integrate_flow(legendre_field(2), ORBIT_ICS[1], 1.0, 0.1)
-        assert traj.states[0] == ORBIT_ICS[1]
+        assert DarbouxPoint.from_array(traj.coords[0]) == ORBIT_ICS[1]
         assert np.all(np.diff(traj.times) > 0)
 
     def test_dt_validation(self):
@@ -334,20 +338,83 @@ class TestRotationFieldArrays:
         assert np.array_equal(X.eval(z[7]), ref[7])
 
 
-class TestFloatStep:
-    def test_eight_pairs_stay_on_the_numpy_step(self):
-        # numpy sums 8 Phi-dot terms pairwise: for this state the float step, which sums
-        # left to right, gives other bits, so a single state must take the numpy step
-        X = legendre_field(8)
-        z = np.zeros(17)
-        z[1:9] = [1e8, 1, 1, 1, 1, 1, 1, 1]
-        assert not np.array_equal(X.float_step(z.tolist(), 0.1), _rk4_step(X.eval, z, 0.1))
-        traj = integrate_flow(X, DarbouxPoint.from_array(z), 0.5, 0.1)
-        batch = [z[None, :]]
-        for _ in range(5):
-            batch.append(flow_map(X, batch[-1], 0.1, 0.1))
-        assert np.array_equal(traj.coords.view(np.int64), np.concatenate(batch).view(np.int64))
-        assert np.array_equal(flow_map(X, z, 0.5, 0.1), batch[-1][0])
+def _single_steps(step, z, count):
+    """The (Phi, q, p) states after 0..count applications of the one-step map (e, b, sigma, tau).
+
+    Each step is taken in 40-digit decimals from the exact values of the
+    floats, so only the final rounding to floats remains.
+    """
+    e, b, sigma, tau = map(Decimal, step)
+    phi, q, p = map(Decimal, z)
+    rows = [(phi, q, p)]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for _ in range(count):
+            phi += sigma * (q * q - p * p) + tau * 2 * q * p
+            q, p = q + (e * q - b * p), p + (b * q + e * p)
+            rows.append((phi, q, p))
+    return np.array(rows, dtype=float)
+
+
+class TestRotationClosedForm:
+    Z = np.array([0.3, 1.0, -0.7])
+
+    @pytest.mark.parametrize("count, h", [(1, 1e-3), (2, 1e-3), (3, 0.3), (1571, 1e-3), (15708, 1e-4)])
+    def test_composition_by_squaring_equals_single_steps(self, count, h):
+        end = legendre_field(1).move(_schedule_map([h] * count), self.Z)
+        exact = _single_steps(_rk4_pair_step(h), self.Z, count)[-1]
+        assert np.abs(end - exact).max() <= 1e-15 * (1.0 + self.Z @ self.Z)
+
+    def test_one_step_map_is_the_rk4_step(self):
+        X = legendre_field(1)
+        generic = hamiltonian_vector_field(total_legendre_hamiltonian(1))
+        for h in (1e-3, 0.1, 0.7):
+            error = X.move(_rk4_pair_step(h), self.Z) - _rk4_step(generic.eval, self.Z, h)
+            assert np.abs(error).max() <= 1e-16 * (1.0 + self.Z @ self.Z)
+
+    def test_every_recorded_state_follows_the_single_steps(self):
+        # the rows compose a power within a block with a jump to the block's start
+        traj = integrate_flow(legendre_field(1), DarbouxPoint.from_array(self.Z), 2 * math.pi, 1e-3)
+        rows = _single_steps(_rk4_pair_step(1e-3), self.Z, len(traj) - 2)
+        assert np.abs(traj.coords[:-1] - rows).max() <= 1e-14 * (1.0 + self.Z @ self.Z)
+
+    def test_unstable_steps_overflow_as_integration_error(self):
+        # RK4 grows the pairs at steps above 2 sqrt 2, so the states overflow within 2000
+        # steps; the composed endpoint map must not return them as a finite-looking result
+        X, z = legendre_field(1), self.Z
+        generic = hamiltonian_vector_field(total_legendre_hamiltonian(1))
+        errors = []
+        for run in (lambda: flow_map(X, z, 6000.0, 3.0), lambda: flow_map(X, z[None, :], 6000.0, 3.0),
+                    lambda: integrate_flow(X, DarbouxPoint.from_array(z), 6000.0, 3.0),
+                    lambda: flow_map(generic, z, 6000.0, 3.0)):
+            with pytest.raises(IntegrationError) as err:
+                run()
+            errors.append(err.value.last_valid_time)
+        assert errors[0] == errors[1] == errors[2] > 1000.0
+        # the oracle's own Phi-dot sums overflow a little sooner
+        assert abs(errors[2] - errors[3]) <= 3 * 3.0
+
+    def test_still_slots_lose_their_negative_zero_as_in_an_rk4_step(self):
+        X = partial_legendre_field(1, 2)
+        z = np.array([-0.0, 1.0, -0.0, 0.5, -0.0])
+        stepped = _rk4_step(X.eval, z, 0.1)
+        rows = integrate_flow(X, DarbouxPoint.from_array(z), 0.3, 0.1).coords
+        for row in (rows[1], rows[-1], flow_map(X, z, 0.3, 0.1)):
+            assert np.array_equal(row[[2, 4]].view(np.int64), stepped[[2, 4]].view(np.int64))
+
+    def test_final_partial_step_is_applied_last(self):
+        # the step maps commute only up to the RK4 error, so at dt 0.5 the order shows in Phi
+        schedule = _step_schedule(1.2, 0.5)
+        assert schedule[:2] == [0.5, 0.5] and 0.19 < schedule[2] < 0.21
+        generic = hamiltonian_vector_field(total_legendre_hamiltonian(2))
+        z = np.array([0.3, 1.0, -0.7, 0.8, 0.4])
+        last = first = z
+        for h, g in zip(schedule, reversed(schedule)):
+            last = _rk4_step(generic.eval, last, h)
+            first = _rk4_step(generic.eval, first, g)
+        end = flow_map(legendre_field(2), z, 1.2, 0.5)
+        assert np.abs(end - last).max() <= 1e-15 * (1.0 + z @ z)
+        assert np.abs(end - first).max() > 1e-4
 
 
 class TestClosedFormOrbit:
