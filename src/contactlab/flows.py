@@ -196,19 +196,25 @@ def _schedule_map(schedule: list):
     return out
 
 
-def _schedule_maps(schedule: list) -> np.ndarray:
-    """(4, len(schedule)) array: the map of the first k steps, k = 1..len(schedule).
+def _schedule_maps(schedule: list, rows: int):
+    """Yield the maps of the first k steps, k = 1..len(schedule), as lists of 4 arrays of about rows maps.
 
     k = i B + j steps compose the power of j steps with a jump of i B steps;
     the last map is _schedule_map's, so the last state has the endpoint's bits.
     """
     block = math.isqrt(len(schedule)) + 1
     powers = list(itertools.accumulate([_rk4_pair_step(schedule[0])] * block, _then, initial=(0.0,) * 4))
-    jumps = list(itertools.accumulate([powers[-1]] * (len(schedule) // block), _then, initial=(0.0,) * 4))
-    maps = np.reshape(_then(np.transpose(powers[:-1]), np.transpose(jumps)[..., np.newaxis]), (4, -1))
-    maps = maps[:, 1 : len(schedule) + 1]
-    maps[:, -1] = _schedule_map(schedule)
-    return maps
+    jumps = np.transpose(list(itertools.accumulate([powers[-1]] * (len(schedule) // block), _then,
+                                                   initial=(0.0,) * 4)))
+    powers, per = np.transpose(powers[:-1]), max(1, rows // block)
+    for i in range(0, jumps.shape[1], per):
+        # the maps of i B, i B + 1, ... steps, from 1 step to the end of the schedule
+        maps = [part.reshape(-1)[int(i == 0) : len(schedule) + 1 - i * block]
+                for part in _then(powers, jumps[:, i : i + per, np.newaxis])]
+        if i + per >= jumps.shape[1]:
+            for part, last in zip(maps, _schedule_map(schedule)):
+                part[-1] = last
+        yield maps
 
 
 @dataclass(frozen=True)
@@ -344,8 +350,8 @@ def _flow_blocks(X: ContactVectorField, z0: np.ndarray, schedule: list):
     time of the last finite state, at the first state that is not finite.
     """
     if isinstance(X, _RotationField) and schedule:
-        maps, rows = _schedule_maps(schedule), max(1, (1 << 16) // max(1, z0.size))
-        blocks = (X.move(maps[:, k : k + rows], z0) for k in range(0, len(schedule), rows))
+        rows = max(1, (1 << 16) // max(1, z0.size))
+        blocks = (X.move(maps, z0) for maps in _schedule_maps(schedule, rows))
     else:
         blocks = _rk4_steps(X, z0, schedule)
     done = 0
@@ -393,9 +399,13 @@ def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: fl
         times[1:] = schedule[0]
         times[-1] = schedule[-1]
     np.add.accumulate(times, out=times)  # t += step, in order
-    z0 = ic.to_array()
+    coords = np.empty((len(schedule) + 1, ic.dim))
+    coords[0] = ic.to_array()
+    k = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = np.concatenate([z0[np.newaxis], *_flow_blocks(X, z0, schedule)])
+        for block in _flow_blocks(X, coords[0], schedule):
+            coords[k : k + len(block)] = block
+            k += len(block)
     return FlowTrajectory(times=times, coords=coords, ic=ic, dt=dt)
 
 

@@ -402,6 +402,18 @@ class TestRotationClosedForm:
         for row in (rows[1], rows[-1], flow_map(X, z, 0.3, 0.1)):
             assert np.array_equal(row[[2, 4]].view(np.int64), stepped[[2, 4]].view(np.int64))
 
+    def test_rows_in_several_blocks_follow_the_exact_orbit(self):
+        # 43,264 steps of 2^-10 fill two blocks of rows at n = 1, the last one exactly
+        X, z, dt = legendre_field(1), self.Z, 2.0**-10
+        traj = integrate_flow(X, DarbouxPoint.from_array(z), 43264 * dt, dt)
+        assert len(traj) == 43265
+        assert np.array_equal(traj.coords[-1].view(np.int64), flow_map(X, z, 43264 * dt, dt).view(np.int64))
+        t = traj.times
+        phi, q, p = z
+        s, c = np.sin(t), np.cos(t)
+        exact = np.column_stack((phi + 0.5 * (q * q - p * p) * s * c - p * q * s * s, q * c - p * s, q * s + p * c))
+        assert np.abs(traj.coords - exact).max() <= 1e-8
+
     def test_final_partial_step_is_applied_last(self):
         # the step maps commute only up to the RK4 error, so at dt 0.5 the order shows in Phi
         schedule = _step_schedule(1.2, 0.5)
