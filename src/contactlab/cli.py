@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -300,13 +301,9 @@ def parse_rho_range(spec: str) -> Tuple[float, float, int]:
 
 def _parse_maps(specs: Optional[List[str]], n: int) -> List[LegendreMap]:
     if not specs:
-        # every nonempty pair subset, total last
-        subsets: List[LegendreMap] = []
-        for mask in range(1, 2**n):
-            idx = frozenset(i + 1 for i in range(n) if mask & (1 << i))
-            subsets.append(LegendreMap(idx, n))
-        subsets.sort(key=lambda m: (len(m.index_set), sorted(m.index_set)))
-        return subsets
+        # every nonempty pair subset, by size, total last
+        return [LegendreMap(frozenset(pairs), n)
+                for size in range(1, n + 1) for pairs in itertools.combinations(range(1, n + 1), size)]
     maps = []
     for spec in specs:
         if spec == "total":
@@ -415,24 +412,21 @@ def _coord_names(n: int) -> List[str]:
     return ["Phi"] + [f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
 
 
-def _ic_to_point(ic: List[float], pair: Optional[int], n: int) -> DarbouxPoint:
+def _ic_array(ic: List[float], pair: Optional[int], n: int) -> np.ndarray:
+    """The Z array of an initial condition or point: Phi,q1..qn,p1..pn, or qi,pi,Phi with a pair."""
     if pair is not None:
         if len(ic) != 3:
             raise ConfigError(
                 f"with --pair, an initial condition is q{pair},p{pair},Phi; got {len(ic)} values"
             )
-        if not 1 <= pair <= n:
-            raise ConfigError(f"pair index {pair} out of range 1..{n}")
-        q = np.zeros(n)
-        p = np.zeros(n)
-        q[pair - 1] = ic[0]
-        p[pair - 1] = ic[1]
-        return DarbouxPoint(ic[2], q, p)
+        z = np.zeros(2 * n + 1)
+        z[[pair, n + pair, 0]] = ic
+        return z
     if len(ic) != 2 * n + 1:
         raise ConfigError(
             f"an initial condition is Phi,q1..q{n},p1..p{n} ({2 * n + 1} values); got {len(ic)}"
         )
-    return DarbouxPoint.from_array(np.asarray(ic, dtype=float))
+    return np.asarray(ic, dtype=float)
 
 
 def _cmd_orbit(cfg: RunConfig):
@@ -443,7 +437,7 @@ def _cmd_orbit(cfg: RunConfig):
     field = partial_legendre_field(cfg.pair, cfg.n) if cfg.pair is not None else legendre_field(cfg.n)
     blocks = []
     for ic in cfg.ics:
-        traj = integrate_flow(field, _ic_to_point(ic, cfg.pair, cfg.n), cfg.t_end, cfg.dt)
+        traj = integrate_flow(field, DarbouxPoint.from_array(_ic_array(ic, cfg.pair, cfg.n)), cfg.t_end, cfg.dt)
         blocks.append(np.column_stack((traj.times, traj.coords)))
     # every cell is a float: one [t, Phi, q..., p...] array, trajectories in --ic order
     return ["t"] + _coord_names(cfg.n), np.concatenate(blocks)
@@ -454,17 +448,17 @@ def _cmd_legendre(cfg: RunConfig):
         raise ConfigError("legendre requires at least one --point")
     maps = _parse_maps(cfg.maps, cfg.n) if cfg.maps else [LegendreMap.total(cfg.n)]
     coord = _coord_names(cfg.n)
-    names = ["index", "map"] + coord + [f"{c}_out" for c in coord]
-    rows = []
-    for idx, raw in enumerate(cfg.ics):
-        x = _ic_to_point(raw, None, cfg.n)
-        for m in maps:
-            y = discrete_legendre(x, m)
-            row = {"index": idx, "map": m.label()}
-            row.update(zip(coord, x.to_array()))
-            row.update(zip([f"{c}_out" for c in coord], y.to_array()))
-            rows.append(row)
-    return names, rows
+    out = [f"{c}_out" for c in coord]
+    Z = np.array([_ic_array(raw, None, cfg.n) for raw in cfg.ics])
+    # overflow shows as a non-finite image, which is a numeric failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = np.stack([discrete_legendre(Z, m) for m in maps], axis=1)
+    bad = np.argwhere(~np.isfinite(images).all(axis=-1))
+    if len(bad):
+        raise FloatingPointError(f"map {maps[bad[0][1]].label()} of point {bad[0][0]} is not finite")
+    rows = [{"index": idx, "map": m.label(), **dict(zip(coord + out, z + y))}
+            for idx, (z, ys) in enumerate(zip(Z.tolist(), images.tolist())) for m, y in zip(maps, ys)]
+    return ["index", "map"] + coord + out, rows
 
 
 def _metric_from_config(cfg: RunConfig):
@@ -488,11 +482,8 @@ def _sampled_points(cfg: RunConfig, omega: Optional[OmegaFunction]):
 def _residual_table(cfg: RunConfig, points, residuals: List[float]):
     """One row per point: index, residual and the point's Z coordinates."""
     coord = _coord_names(cfg.n)
-    rows = []
-    for idx, (x, res) in enumerate(zip(points, residuals)):
-        row = {"index": idx, "residual": res}
-        row.update(zip(coord, x.to_array()))
-        rows.append(row)
+    rows = [{"index": idx, **dict(zip(coord, x.to_array())), "residual": res}
+            for idx, (x, res) in enumerate(zip(points, residuals))]
     return ["index"] + coord + ["residual"], rows
 
 
@@ -556,20 +547,14 @@ def _cmd_isometry(cfg: RunConfig):
     G, omega = _metric_from_config(cfg)
     maps = _parse_maps(cfg.maps, cfg.n)
     coord = _coord_names(cfg.n)
-    names = ["index"] + coord + ["check", "residual"]
-    points = _sampled_points(cfg, omega)
-    recurrence = (flow_recurrence_residual(G, points, cfg.recurrence_dt).tolist()
-                  if cfg.recurrence_dt is not None else None)
-    rows = []
-    for idx, x in enumerate(points):
-        base = {"index": idx}
-        base.update(zip(coord, x.to_array()))
-        for m in maps:
-            rows.append({**base, "check": f"discrete:{m.label()}",
-                         "residual": discrete_isometry_residual(G, m, x)})
-        if recurrence is not None:
-            rows.append({**base, "check": "recurrence:pi/2", "residual": recurrence[idx]})
-    return names, rows
+    Z = np.array(_sampled_points(cfg, omega))
+    # the recurrence is evaluated first, which fixes the point that a failing Omega reports
+    recurrence = ([("recurrence:pi/2", flow_recurrence_residual(G, Z, cfg.recurrence_dt).tolist())]
+                  if cfg.recurrence_dt is not None else [])
+    checks = [(f"discrete:{m.label()}", discrete_isometry_residual(G, m, Z).tolist()) for m in maps] + recurrence
+    rows = [{"index": idx, **dict(zip(coord, z)), "check": check, "residual": residuals[idx]}
+            for idx, z in enumerate(Z.tolist()) for check, residuals in checks]
+    return ["index"] + coord + ["check", "residual"], rows
 
 
 _HANDLERS = {
@@ -589,7 +574,7 @@ def run(config: RunConfig) -> int:
         config.validate()
         fieldnames, rows = _HANDLERS[config.command](config)
     except (IntegrationError, DegenerateMetricError, SingularityError,
-            DomainError, ExpressionDomainError) as exc:
+            DomainError, ExpressionDomainError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, ExpressionError, ValueError, IndexError) as exc:

@@ -183,27 +183,26 @@ def _then(a, b):
             sa + sb + (sb * ur + tb * ui), ta + tb + (tb * ur - sb * ui))
 
 
-def _schedule_map(schedule: list):
+def _schedule_map(schedule: _Schedule):
     """The map of the whole schedule: the full steps composed by squaring, then the partial step."""
-    full = len(schedule) if schedule[-1] == schedule[0] else len(schedule) - 1
-    out, power, k = (0.0,) * 4, _rk4_pair_step(schedule[0]), full
+    out, power, k = (0.0,) * 4, _rk4_pair_step(schedule.dt), schedule.full
     while k:  # from the lowest binary digit of k up
         if k & 1:
             out = _then(out, power)
         k, power = k >> 1, _then(power, power)
-    for step in schedule[full:]:
-        out = _then(out, _rk4_pair_step(step))
+    if schedule.remainder:
+        out = _then(out, _rk4_pair_step(schedule.remainder))
     return out
 
 
-def _schedule_maps(schedule: list, rows: int):
+def _schedule_maps(schedule: _Schedule, rows: int):
     """Yield the maps of the first k steps, k = 1..len(schedule), as lists of 4 arrays of about rows maps.
 
     k = i B + j steps compose the power of j steps with a jump of i B steps;
     the last map is _schedule_map's, so the last state has the endpoint's bits.
     """
     block = math.isqrt(len(schedule)) + 1
-    powers = list(itertools.accumulate([_rk4_pair_step(schedule[0])] * block, _then, initial=(0.0,) * 4))
+    powers = list(itertools.accumulate([_rk4_pair_step(schedule.dt)] * block, _then, initial=(0.0,) * 4))
     jumps = np.transpose(list(itertools.accumulate([powers[-1]] * (len(schedule) // block), _then,
                                                    initial=(0.0,) * 4)))
     powers, per = np.transpose(powers[:-1]), max(1, rows // block)
@@ -248,8 +247,8 @@ class _RotationField(ContactVectorField):
         out[..., 0] = z[..., 0] + d
         return out
 
-    def stays_finite(self, z: np.ndarray, schedule: list) -> bool:
-        return schedule[0] <= 2.0 and np.abs(z).max(initial=0.0) * len(self.slots) <= 1e140
+    def stays_finite(self, z: np.ndarray, schedule: _Schedule) -> bool:
+        return schedule.dt <= 2.0 and np.abs(z).max(initial=0.0) * len(self.slots) <= 1e140
 
 
 def _rotation_field(n: int, first: int, last: int, name: str) -> ContactVectorField:
@@ -325,8 +324,25 @@ def _rk4_step(f, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _step_schedule(t_end: float, dt: float) -> list:
-    """Step sizes covering [0, t_end] exactly, with one final partial step."""
+@dataclass(frozen=True)
+class _Schedule:
+    """Full RK4 steps of dt, then a partial step of remainder unless it is 0.0; iterates the step sizes."""
+
+    dt: float
+    full: int
+    remainder: float
+
+    def __len__(self) -> int:
+        return self.full + (self.remainder > 0.0)
+
+    def __iter__(self):
+        yield from itertools.repeat(self.dt, self.full)
+        if self.remainder > 0.0:
+            yield self.remainder
+
+
+def _step_schedule(t_end: float, dt: float) -> _Schedule:
+    """Steps covering [0, t_end] exactly, with one final partial step (a lone one carried as a full step)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
@@ -336,13 +352,12 @@ def _step_schedule(t_end: float, dt: float) -> list:
         raise ValueError(f"dt={dt!r} is too small for t_end={t_end!r}: {ratio:.6g} steps")
     n_full = int(math.floor(ratio + 1e-12))
     remainder = t_end - n_full * dt
-    steps = [dt] * n_full
-    if remainder > 1e-12 * max(dt, 1.0):
-        steps.append(remainder)
-    return steps
+    if not remainder > 1e-12 * max(dt, 1.0):
+        return _Schedule(dt, n_full, 0.0)
+    return _Schedule(dt, n_full, remainder) if n_full else _Schedule(remainder, 1, 0.0)
 
 
-def _flow_blocks(X: ContactVectorField, z0: np.ndarray, schedule: list):
+def _flow_blocks(X: ContactVectorField, z0: np.ndarray, schedule: _Schedule):
     """Yield the states after steps 1, 2, ... of the schedule from z0, in blocks of shape (k,) + z0.shape.
 
     A rotation field moves z0 by the composed map of each step count; other
@@ -352,24 +367,19 @@ def _flow_blocks(X: ContactVectorField, z0: np.ndarray, schedule: list):
     if isinstance(X, _RotationField) and schedule:
         rows = max(1, (1 << 16) // max(1, z0.size))
         blocks = (X.move(maps, z0) for maps in _schedule_maps(schedule, rows))
-    else:
-        blocks = _rk4_steps(X, z0, schedule)
+    else:  # one state per block
+        states = itertools.accumulate(schedule, lambda y, step: _rk4_step(X.eval, y, step), initial=z0)
+        blocks = (y[np.newaxis] for y in itertools.islice(states, 1, None))
     done = 0
     for block in blocks:
         finite = np.isfinite(block.reshape(len(block), -1)).all(axis=1)
         if not finite.all():
             t = 0.0
-            for step in schedule[: done + int(finite.argmin())]:
+            for step in itertools.islice(schedule, done + int(finite.argmin())):
                 t += step
             raise IntegrationError(f"flow of {X.name} became non-finite; last valid time t={t:.6g}", t)
         done += len(block)
         yield block
-
-
-def _rk4_steps(X: ContactVectorField, y: np.ndarray, schedule: list):
-    for step in schedule:
-        y = _rk4_step(X.eval, y, step)
-        yield y[np.newaxis]
 
 
 def flow_map(X: ContactVectorField, z0: np.ndarray, t_end: float, dt: float) -> np.ndarray:
@@ -395,9 +405,9 @@ def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: fl
     """Integrate dZ/dt = X(Z) from ic with classic RK4 and record the curve."""
     schedule = _step_schedule(t_end, dt)
     times = np.zeros(len(schedule) + 1)
-    if schedule:
-        times[1:] = schedule[0]
-        times[-1] = schedule[-1]
+    times[1:] = schedule.dt
+    if schedule.remainder:
+        times[-1] = schedule.remainder
     np.add.accumulate(times, out=times)  # t += step, in order
     coords = np.empty((len(schedule) + 1, ic.dim))
     coords[0] = ic.to_array()
@@ -409,32 +419,36 @@ def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: fl
     return FlowTrajectory(times=times, coords=coords, ic=ic, dt=dt)
 
 
-def closed_form_orbit(ic: DarbouxPoint, t: float) -> DarbouxPoint:
-    """Exact state of the X_L flow at time t (all pairs rotate simultaneously).
+def closed_form_orbit(ic, t: float):
+    """Exact state of the X_L flow at time t, for a point or each row of a Z batch (all pairs rotate).
 
     Per pair: p(t) = p cos t + q sin t, q(t) = -p sin t + q cos t, and
     Phi(t) = Phi + sum_i [ (q_i^2 - p_i^2)/2 sin t cos t - p_i q_i sin^2 t ].
+    A DarbouxPoint gives a DarbouxPoint, an array of shape (..., 2n+1) an array.
     """
+    z = np.asarray(ic, dtype=float)
+    n = z.shape[-1] // 2
+    q, p = z[..., 1 : n + 1], z[..., n + 1 :]
     s, c = math.sin(t), math.cos(t)
-    q_t = -ic.p * s + ic.q * c
-    p_t = ic.p * c + ic.q * s
-    phi_t = ic.phi + float(np.sum(0.5 * (ic.q**2 - ic.p**2) * s * c - ic.p * ic.q * s * s))
-    return DarbouxPoint(phi_t, q_t, p_t)
+    phi = z[..., :1] + np.sum(0.5 * (q**2 - p**2) * s * c - p * q * s * s, axis=-1, keepdims=True)
+    out = np.concatenate((phi, -p * s + q * c, p * c + q * s), axis=-1)
+    return DarbouxPoint.from_array(out) if isinstance(ic, DarbouxPoint) else out
 
 
-def closed_form_orbit_jacobian(ic: DarbouxPoint, t: float) -> np.ndarray:
-    """Exact Jacobian of the time-t X_L flow map at ic."""
-    n = ic.n
+def closed_form_orbit_jacobian(ic, t: float) -> np.ndarray:
+    """Exact Jacobian of the time-t X_L flow map at ic, or at each row of a Z batch."""
+    z = np.asarray(ic, dtype=float)
+    n = z.shape[-1] // 2
+    q, p = z[..., 1 : n + 1], z[..., n + 1 :]
     s, c = math.sin(t), math.cos(t)
-    J = np.zeros((ic.dim, ic.dim))
-    J[0, 0] = 1.0
-    J[0, 1 : n + 1] = ic.q * s * c - ic.p * s * s
-    J[0, n + 1 :] = -ic.p * s * c - ic.q * s * s
-    for a in range(n):
-        J[1 + a, 1 + a] = c
-        J[1 + a, 1 + n + a] = -s
-        J[1 + n + a, 1 + a] = s
-        J[1 + n + a, 1 + n + a] = c
+    qs = np.arange(1, n + 1)
+    J = np.zeros(z.shape + z.shape[-1:])
+    J[..., 0, 0] = 1.0
+    J[..., 0, qs] = q * s * c - p * s * s
+    J[..., 0, n + qs] = -p * s * c - q * s * s
+    J[..., qs, qs] = J[..., n + qs, n + qs] = c
+    J[..., qs, n + qs] = -s
+    J[..., n + qs, qs] = s
     return J
 
 
@@ -467,34 +481,36 @@ class LegendreMap:
         return "total" if self.is_total else "+".join(str(i) for i in sorted(self.index_set))
 
 
-def discrete_legendre(x: DarbouxPoint, m: LegendreMap) -> DarbouxPoint:
-    """Interchange the selected pairs: q -> -p, p -> q, Phi -> Phi - sum p_i q_i."""
-    if m.n != x.n:
-        raise ValueError(f"map is for n={m.n}, point has n={x.n}")
-    q = x.q.copy()
-    p = x.p.copy()
-    phi = x.phi
-    for i in sorted(m.index_set):
-        k = i - 1
-        phi -= x.p[k] * x.q[k]
-        q[k] = -x.p[k]
-        p[k] = x.q[k]
-    return DarbouxPoint(phi, q, p)
+def _for_map(m: LegendreMap, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x as a Z array for m, and the q and p slots of m's pairs in increasing order."""
+    z = np.asarray(x, dtype=float)
+    if z.shape[-1:] != (2 * m.n + 1,):
+        raise ValueError(f"map is for n={m.n} ({2 * m.n + 1} coordinates), point has shape {z.shape}")
+    qs = np.array(sorted(m.index_set))
+    return z, qs, m.n + qs
 
 
-def jacobian_discrete_legendre(m: LegendreMap, x: DarbouxPoint) -> np.ndarray:
-    """Exact Jacobian of discrete_legendre at x (unit determinant)."""
-    if m.n != x.n:
-        raise ValueError(f"map is for n={m.n}, point has n={x.n}")
-    n = x.n
-    J = np.eye(x.dim)
-    for i in sorted(m.index_set):
-        k = i - 1
-        J[0, 1 + k] = -x.p[k]
-        J[0, 1 + n + k] = -x.q[k]
-        J[1 + k, 1 + k] = 0.0
-        J[1 + k, 1 + n + k] = -1.0
-        J[1 + n + k, 1 + n + k] = 0.0
-        J[1 + n + k, 1 + k] = 1.0
+def discrete_legendre(x, m: LegendreMap):
+    """Interchange the selected pairs: q -> -p, p -> q, Phi -> Phi - sum p_i q_i.
+
+    x is a point or a Z batch of shape (..., 2n+1); a DarbouxPoint gives a
+    DarbouxPoint, an array an array.  Phi subtracts the pairs in increasing order.
+    """
+    z, qs, ps = _for_map(m, x)
+    y = z.copy()
+    y[..., 0] = np.subtract.reduce(np.concatenate((z[..., :1], z[..., ps] * z[..., qs]), axis=-1), axis=-1)
+    y[..., qs] = -z[..., ps]
+    y[..., ps] = z[..., qs]
+    return DarbouxPoint.from_array(y) if isinstance(x, DarbouxPoint) else y
+
+
+def jacobian_discrete_legendre(m: LegendreMap, x) -> np.ndarray:
+    """Exact Jacobian of discrete_legendre at x or at each row of a Z batch (unit determinant)."""
+    z, qs, ps = _for_map(m, x)
+    J = np.broadcast_to(np.eye(z.shape[-1]), z.shape + z.shape[-1:]).copy()
+    J[..., 0, qs] = -z[..., ps]
+    J[..., 0, ps] = -z[..., qs]
+    J[..., qs, qs] = J[..., ps, ps] = 0.0
+    J[..., qs, ps] = -1.0
+    J[..., ps, qs] = 1.0
     return J
-

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, _eta_partials, central_diff, eval_eta, reeb
+from .phasespace import DEFAULT_FD_STEP, _eta_partials, central_diff, eval_eta, reeb
 from .flows import (
     ContactVectorField,
     LegendreMap,
@@ -396,8 +396,8 @@ def _pullback_defect(G: MetricField, z, y, J: np.ndarray) -> np.ndarray:
     return _frobenius(np.swapaxes(J, -1, -2) @ Gy @ J - np.asarray(G.eval(z), dtype=float))
 
 
-def discrete_isometry_residual(G: MetricField, m: LegendreMap, x: DarbouxPoint) -> float:
-    """|| J^T G(m(x)) J - G(x) ||_F for the discrete Legendre map m."""
+def discrete_isometry_residual(G: MetricField, m: LegendreMap, x) -> float | np.ndarray:
+    """|| J^T G(m(x)) J - G(x) ||_F for the discrete Legendre map m, at x or one per row of a Z batch."""
     return _rows(_pullback_defect(G, x, discrete_legendre(x, m), jacobian_discrete_legendre(m, x)))
 
 
@@ -434,9 +434,7 @@ def flow_recurrence_residual(G: MetricField, x, dt: float,
     """
     z = np.asarray(x, dtype=float)
     if method == "closed_form":
-        starts = [DarbouxPoint.from_array(r) for r in z.reshape(-1, z.shape[-1])]
-        ends = np.reshape([closed_form_orbit(s, t).to_array() for s in starts], z.shape)
-        J = np.reshape([closed_form_orbit_jacobian(s, t) for s in starts], z.shape + z.shape[-1:])
+        ends, J = closed_form_orbit(z, t), closed_form_orbit_jacobian(z, t)
     elif method == "fd":
         ends, J = _fd_flow_jacobians(z, dt, t, h_fd)
     else:

@@ -137,18 +137,29 @@ class TestConfig:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "too small" in captured.err
 
-    @pytest.mark.parametrize("n", [2, 8])
-    def test_overflowing_orbit_prints_one_stderr_line(self, n):
-        # a child process, where a numpy RuntimeWarning would print to stderr instead of raising
+    @staticmethod
+    def _child(argv):
+        """The CLI in a child process, where a numpy RuntimeWarning would print to stderr instead of raising."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = ["orbit", "--n", str(n), "--ic=" + ",".join(["1e200"] * (2 * n + 1)),
-                "--t-end", "1", "--dt", "0.1"]
-        proc = subprocess.run([sys.executable, "-W", "default", "-m", "contactlab.cli", *argv],
+        return subprocess.run([sys.executable, "-W", "default", "-m", "contactlab.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_overflowing_orbit_prints_one_stderr_line(self, n):
+        proc = self._child(["orbit", "--n", str(n), "--ic=" + ",".join(["1e200"] * (2 * n + 1)),
+                            "--t-end", "1", "--dt", "0.1"])
         assert proc.returncode == EXIT_NUMERIC
         assert proc.stdout == ""
         assert proc.stderr == "numeric failure: flow of X_L became non-finite; last valid time t=0\n"
+
+    def test_overflowing_legendre_map_prints_one_stderr_line(self):
+        # Phi - p q overflows to -inf; the second point's first map is the first non-finite image
+        proc = self._child(["legendre", "--point", "1,2,3,4,5", "--point=1e200,1e200,1e200,1e200,1e200",
+                            "--map", "2", "--map", "total"])
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stdout == ""
+        assert proc.stderr == "numeric failure: map 2 of point 1 is not finite\n"
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

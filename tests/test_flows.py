@@ -1,6 +1,7 @@
 """Tests for contact Hamiltonian fields, flows, and discrete Legendre maps."""
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,6 +12,7 @@ from contactlab.flows import (
     _rk4_pair_step,
     _rk4_step,
     _schedule_map,
+    _Schedule,
     _step_schedule,
     ContactHamiltonian,
     ContactVectorField,
@@ -361,7 +363,7 @@ class TestRotationClosedForm:
 
     @pytest.mark.parametrize("count, h", [(1, 1e-3), (2, 1e-3), (3, 0.3), (1571, 1e-3), (15708, 1e-4)])
     def test_composition_by_squaring_equals_single_steps(self, count, h):
-        end = legendre_field(1).move(_schedule_map([h] * count), self.Z)
+        end = legendre_field(1).move(_schedule_map(_Schedule(h, count, 0.0)), self.Z)
         exact = _single_steps(_rk4_pair_step(h), self.Z, count)[-1]
         assert np.abs(end - exact).max() <= 1e-15 * (1.0 + self.Z @ self.Z)
 
@@ -417,16 +419,31 @@ class TestRotationClosedForm:
     def test_final_partial_step_is_applied_last(self):
         # the step maps commute only up to the RK4 error, so at dt 0.5 the order shows in Phi
         schedule = _step_schedule(1.2, 0.5)
-        assert schedule[:2] == [0.5, 0.5] and 0.19 < schedule[2] < 0.21
+        assert (schedule.dt, schedule.full) == (0.5, 2) and 0.19 < schedule.remainder < 0.21
+        steps = list(schedule)
+        assert steps == [0.5, 0.5, schedule.remainder] and len(schedule) == 3
         generic = hamiltonian_vector_field(total_legendre_hamiltonian(2))
         z = np.array([0.3, 1.0, -0.7, 0.8, 0.4])
         last = first = z
-        for h, g in zip(schedule, reversed(schedule)):
+        for h, g in zip(steps, reversed(steps)):
             last = _rk4_step(generic.eval, last, h)
             first = _rk4_step(generic.eval, first, g)
         end = flow_map(legendre_field(2), z, 1.2, 0.5)
         assert np.abs(end - last).max() <= 1e-15 * (1.0 + z @ z)
         assert np.abs(end - first).max() > 1e-4
+
+    def test_a_fine_step_costs_no_memory_per_step(self):
+        # 1.57M steps of 1e-6: the schedule is (dt, full steps, remainder), and the endpoint
+        # map is composed by squaring, so nothing of the size of the step count is built
+        z = np.array([x.to_array() for x in sample_darboux_points(88, 2, seed=7)])
+        tracemalloc.start()
+        try:
+            end = flow_map(legendre_field(2), z, PI_2, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.abs(end - flow_map(legendre_field(2), z, PI_2, 1e-3)).max() < 1e-10
 
 
 class TestClosedFormOrbit:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contactlab.phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff, eval_eta
-from contactlab.flows import LegendreMap, flow_map, legendre_field
+from contactlab.flows import LegendreMap, closed_form_orbit, flow_map, legendre_field
 from contactlab.metriclab import (
     GtdPartialParams,
     GtdTotalParams,
@@ -333,6 +333,21 @@ def _per_point_fd_recurrence(G, x, dt, t=math.pi / 2.0, h_fd=DEFAULT_FD_STEP):
     return float(np.linalg.norm(J.T @ Gy @ J - G.eval(x), "fro"))
 
 
+def _one_point_closed_form(G, x, t):
+    """Reference: the exact orbit and its Jacobian at one point, filled pair by pair, and np.linalg.norm."""
+    n, s, c = x.n, math.sin(t), math.cos(t)
+    phi = x.phi + float(np.sum(0.5 * (x.q**2 - x.p**2) * s * c - x.p * x.q * s * s))
+    end = DarbouxPoint(phi, -x.p * s + x.q * c, x.p * c + x.q * s)
+    J = np.zeros((x.dim, x.dim))
+    J[0, 0] = 1.0
+    J[0, 1 : n + 1] = x.q * s * c - x.p * s * s
+    J[0, n + 1 :] = -x.p * s * c - x.q * s * s
+    for a in range(n):
+        J[1 + a, 1 + a] = J[1 + n + a, 1 + n + a] = c
+        J[1 + a, 1 + n + a], J[1 + n + a, 1 + a] = -s, s
+    return float(np.linalg.norm(J.T @ G.eval(end) @ J - G.eval(x), "fro"))
+
+
 class TestBatchedFlowRecurrence:
     POINTS = sample_darboux_points(8, 2, seed=97)
     FAMILIES = [gtd_partial_unit, lambda: gtd_partial_unit(k=1), gtd_total_unit]
@@ -345,6 +360,15 @@ class TestBatchedFlowRecurrence:
         single = [flow_recurrence_residual(G, x, dt=1e-2, method=method) for x in self.POINTS]
         assert batched.shape == (8,)
         assert np.array_equal(batched, single)
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("t", [math.pi / 2.0, 0.77])
+    def test_closed_form_batch_equals_one_point_orbits(self, factory, t):
+        G = factory()
+        Z = np.array([x.to_array() for x in self.POINTS])
+        assert np.array_equal(closed_form_orbit(Z, t), [closed_form_orbit(x, t).to_array() for x in self.POINTS])
+        batched = flow_recurrence_residual(G, Z, dt=1e-2, t=t, method="closed_form")
+        assert np.array_equal(batched, [_one_point_closed_form(G, x, t) for x in self.POINTS])
 
     @pytest.mark.parametrize("factory", FAMILIES)
     def test_batch_equals_per_point_flow_map_reference(self, factory):
@@ -381,6 +405,20 @@ def _one_point_killing(X, G, z, h_fd=DEFAULT_FD_STEP):
     J = X.jacobian(z) if X.jacobian is not None else central_diff(X.eval, z, h_fd)
     Gz = G.eval(z)
     return float(np.linalg.norm(D @ X.eval(z) + J.T @ Gz + Gz @ J, "fro"))
+
+
+def _one_point_isometry(G, m, x):
+    """Reference: the one-point map and its Jacobian, filled pair by pair, and np.linalg.norm."""
+    n, phi, q, p = x.n, x.phi, x.q.copy(), x.p.copy()
+    J = np.eye(x.dim)
+    for k in sorted(i - 1 for i in m.index_set):
+        phi -= x.p[k] * x.q[k]
+        q[k], p[k] = -x.p[k], x.q[k]
+        J[0, 1 + k], J[0, 1 + n + k] = -x.p[k], -x.q[k]
+        J[1 + k, 1 + k] = J[1 + n + k, 1 + n + k] = 0.0
+        J[1 + k, 1 + n + k], J[1 + n + k, 1 + k] = -1.0, 1.0
+    image = DarbouxPoint(phi, q, p)
+    return float(np.linalg.norm(J.T @ G.eval(image) @ J - G.eval(x), "fro"))
 
 
 class TestBatchEqualsRows:
@@ -428,6 +466,20 @@ class TestBatchEqualsRows:
             dq, dp = omega.gradient(x.q, x.p)
             reference.append(float(x.p @ dq - x.q @ dp))
         assert np.array_equal(batch, reference)
+
+    @pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
+    @pytest.mark.parametrize("pairs", [{1}, {2}, {1, 2}])
+    def test_discrete_isometry_residual(self, family, pairs):
+        G = BATCH_FAMILIES[family]()
+        m = LegendreMap(frozenset(pairs), 2)
+        batch = discrete_isometry_residual(G, m, self.Z)
+        assert isinstance(batch, np.ndarray) and batch.shape == (16,)
+        assert np.array_equal(batch, [_one_point_isometry(G, m, x) for x in self.POINTS])
+        assert np.array_equal(discrete_isometry_residual(G, m, self.POINTS), batch)
+        assert np.array_equal(discrete_isometry_residual(G, m, self.Z.reshape(4, 4, 5)), batch.reshape(4, 4))
+        # perfbench/micro.py times one call per DarbouxPoint
+        one = discrete_isometry_residual(G, m, self.POINTS[3])
+        assert isinstance(one, float) and one == batch[3]
 
     def test_points_list_is_a_batch(self):
         G = gtd_total_unit()

@@ -161,30 +161,38 @@ def test_rotation_blow_up_stops_where_the_oracle_stops(field):
     assert _flow_or_error(lambda: integrate_flow(X, DarbouxPoint.from_array(z), 3.0, 0.1)) == expected
 
 
-# a nonempty set of pairs of n = 1..4 and a point of that n
+# a nonempty set of pairs of n = 1..4 and a batch of 1..5 points of that n
 DISCRETE = st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.sets(st.integers(1, n), min_size=1),
-    arrays(np.float64, 2 * n + 1, elements=st.floats(-1e3, 1e3))))
+    st.integers(1, 5).flatmap(lambda m: arrays(np.float64, (m, 2 * n + 1), elements=st.floats(-1e3, 1e3)))))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(case=DISCRETE)
 def test_every_discrete_map_jacobian_has_unit_determinant(case):
     pairs, z = case
-    m = LegendreMap(frozenset(pairs), len(z) // 2)
-    J = jacobian_discrete_legendre(m, DarbouxPoint.from_array(z))
-    assert np.linalg.det(J) == pytest.approx(1.0, rel=1e-12)
+    m = LegendreMap(frozenset(pairs), z.shape[1] // 2)
+    J = jacobian_discrete_legendre(m, z)
+    assert J.shape == z.shape + z.shape[1:]
+    for row, Jrow in zip(z, J):
+        assert np.array_equal(Jrow, jacobian_discrete_legendre(m, DarbouxPoint.from_array(row)))
+        assert np.linalg.det(Jrow) == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(case=DISCRETE)
 def test_a_discrete_map_four_times_returns_the_start(case):
     pairs, z = case
-    m = LegendreMap(frozenset(pairs), len(z) // 2)
-    x = DarbouxPoint.from_array(z)
+    m = LegendreMap(frozenset(pairs), z.shape[1] // 2)
+    y = z
     for _ in range(4):
-        x = discrete_legendre(x, m)
-    assert np.abs(x.to_array() - z).max() <= 8 * np.finfo(float).eps * (1.0 + z @ z)
+        image = discrete_legendre(y, m)
+        for row, image_row in zip(y, image):
+            one = discrete_legendre(DarbouxPoint.from_array(row), m)
+            assert np.array_equal(image_row.view(np.int64), one.to_array().view(np.int64))
+        y = image
+    for start, end in zip(z, y):
+        assert np.abs(end - start).max() <= 8 * np.finfo(float).eps * (1.0 + start @ start)
 
 
 QUARTER_TURN_BATCHES = st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
@@ -217,6 +225,11 @@ CLI_FLAGS = {
         "--t-end": ["0", "1", "3.5", "-1", "nan", "inf", "1e30", "x"],
         "--dt": ["0.001", "0.1", "0.7", "0", "-0.1", "nan", "inf", "1e-320", "x"],
     },
+    "legendre": {
+        **COMMON_FLAGS,
+        "--point": ["1,2,3,4,5", "1e200,1e200,1e200,1e200,1e200", "1,2,3", "nan,0,0,0,0", "x"],
+        "--map": ["total", "1", "1,2", "3", "x"],
+    },
     "isometry": {
         **COMMON_FLAGS,
         "--family": ["epsilon", "gtd_total", "gtd_partial", "other"],
@@ -238,11 +251,10 @@ def _argv(command):
     option = st.sampled_from(sorted(flags)).flatmap(
         lambda flag: st.tuples(st.just(flag), st.sampled_from(flags[flag])))
     # a runnable command that the drawn flags then change: one initial condition at a coarse
-    # step, or one sampled point (the default of 20 costs 40 ms a run)
-    if command == "orbit":
-        base = ["orbit", "--ic", "0,1,0,0,0", "--dt", "0.01"]
-    else:
-        base = ["isometry", "--points", "1"]
+    # step, one explicit point, or one sampled point (the default of 20 costs 40 ms a run)
+    base = {"orbit": ["orbit", "--ic", "0,1,0,0,0", "--dt", "0.01"],
+            "legendre": ["legendre", "--point", "1,2,3,4,5"],
+            "isometry": ["isometry", "--points", "1"]}[command]
     return st.lists(option, max_size=3).map(lambda opts: base + [part for opt in opts for part in opt])
 
 
