@@ -268,9 +268,13 @@ def load_config_file(path: str) -> Dict:
 
 def _parse_float(text, label: str) -> float:
     try:
+        if isinstance(text, bool):  # JSON true/false is no number, as RunConfig.validate has it
+            raise TypeError
         val = float(text)
     except (TypeError, ValueError):
         raise ConfigError(f"{label}: not a number: {text!r}") from None
+    except OverflowError:  # a JSON integer beyond the float range
+        val = math.inf
     if not math.isfinite(val):
         raise ConfigError(f"{label}: must be finite, got {val!r}")
     return val
@@ -320,93 +324,92 @@ def _parse_maps(specs: Optional[List[str]], n: int) -> List[LegendreMap]:
 # ---------------------------------------------------------------------------
 # emission
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def emit_rows(rows: Union[List[Dict], np.ndarray], fieldnames: Sequence[str], fmt: str, stream) -> None:
     """Write a table as CSV or JSON.
 
-    rows is a list of dicts keyed by fieldnames or, for a table whose cells
-    are all floats, one (rows, len(fieldnames)) float array; the array is
-    written with the bytes its rows would give as dicts, without building them.
+    rows is a structured array with a field per name, a (rows, len(fieldnames)) float array, or a
+    list of dicts keyed by fieldnames, which is made a structured array first.
     """
-    if isinstance(rows, np.ndarray):
-        _emit_table(rows, fieldnames, fmt, stream)
-        return
-    if fmt == "csv":
-        writer = csv.writer(stream)  # RFC 4180 CRLF line endings
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_format_cell(row[name]) for name in fieldnames])
-    else:
-        def jsonable(value):
-            if isinstance(value, (np.integer,)):
-                return int(value)
-            if isinstance(value, (float, np.floating)):
-                value = float(value)
-                return value if math.isfinite(value) else None
-            return value
-
-        # one json.dumps (the C encoder) per row; json.dump of the whole list
-        # would go through the pure-Python iterencode, and one json.dumps of
-        # it would hold the whole document in memory at once
-        stream.write("[")
-        for i, row in enumerate(rows):
-            if i:
-                stream.write(", ")
-            stream.write(json.dumps({name: jsonable(row[name]) for name in fieldnames}))
-        stream.write("]\n")
+    if not isinstance(rows, np.ndarray):
+        rows = _typed_table(fieldnames, *([row[name] for row in rows] for name in fieldnames))
+    _emit_table(rows, fieldnames, fmt, stream)
 
 
-#: rows formatted per write on emit_rows' array path
+def _typed_table(fieldnames: Sequence[str], *parts) -> np.ndarray:
+    """The parts' columns as a structured array, text as str objects; a 2-D part gives a field per column."""
+    arrays = [np.asarray(part) for part in parts]
+    arrays = [a if a.dtype.kind in "biuf" else np.array(part, dtype=object) for a, part in zip(arrays, parts)]
+    columns = [c for a in arrays for c in (a.T if a.ndim == 2 else [a])]
+    table = np.empty(len(columns[0]), dtype=[(name, c.dtype) for name, c in zip(fieldnames, columns)])
+    for name, column in zip(fieldnames, columns, strict=True):
+        table[name] = column
+    return table
+
+
+#: rows formatted per write
 _EMIT_CHUNK_ROWS = 1024
 
 
-def _emit_table(table: np.ndarray, fieldnames: Sequence[str], fmt: str, stream) -> None:
-    """emit_rows for a float array: one %-template per row, applied a chunk of rows at a time.
+def _cells(column: np.ndarray, fmt: str, alone: bool) -> List:
+    """The %-arguments of a column's cells; alone: the column is the table's only one."""
+    kind, cells = column.dtype.kind, column.tolist()
+    if kind == "b":
+        return ["true" if c else "false" for c in cells]
+    if kind == "O" and fmt == "json":
+        return [json.dumps(c) for c in cells]
+    if kind == "O":  # csv.writer's minimal quoting, which also quotes a row's only cell when it is empty
+        return ['"' + t.replace('"', '""') + '"' if (alone and not t) or any(s in t for s in ',"\r\n')
+                else t for t in map(str, cells)]
+    if kind == "f" and fmt == "json" and not np.isfinite(column).all():
+        return [c if math.isfinite(c) else "null" for c in cells]
+    return cells
 
-    "%.17g" and str() of a Python float give the bytes of _format_cell and
-    json.dumps; JSON writes a non-finite cell as null, like the dict path.
+
+def _emit_table(table: np.ndarray, fieldnames: Sequence[str], fmt: str, stream) -> None:
+    """emit_rows for a typed table: one %-template per row, applied a chunk of rows at a time.
+
+    A float cell is "%.17g" in CSV and str() in JSON (null when not finite), an int "%d", a bool
+    true/false, and text is quoted as csv.writer or json.dumps quotes it.  An all-float chunk
+    becomes its cells with one ravel().tolist().
     """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] != len(fieldnames):
-        raise ValueError(f"a table for {len(fieldnames)} fields has shape {table.shape}")
+    if table.dtype.names is None:
+        table = np.asarray(table, dtype=float)
+        if table.ndim != 2 or table.shape[1] != len(fieldnames):
+            raise ValueError(f"a table for {len(fieldnames)} fields has shape {table.shape}")
+        kinds = ["f"] * len(fieldnames)
+    else:
+        kinds = [table.dtype[name].kind for name in fieldnames]
+        if set(kinds) == {"f"}:
+            table = np.column_stack([table[name] for name in fieldnames])
+    templates = [{"f": "%.17g" if fmt == "csv" else "%s", "i": "%d", "u": "%d"}.get(k, "%s") for k in kinds]
     if fmt == "csv":
         csv.writer(stream).writerow(fieldnames)
-        row, sep = ",".join(["%.17g"] * len(fieldnames)) + "\r\n", ""
+        row, sep = ",".join(templates) + "\r\n", ""
     else:
-        row = "{" + ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in fieldnames) + "}"
-        sep = ", "
         stream.write("[")
+        names = [json.dumps(name).replace("%", "%%") for name in fieldnames]
+        row, sep = "{" + ", ".join(f"{name}: {t}" for name, t in zip(names, templates)) + "}", ", "
     for start in range(0, len(table), _EMIT_CHUNK_ROWS):
         chunk = table[start:start + _EMIT_CHUNK_ROWS]
-        cells = chunk.ravel().tolist()
-        if fmt == "json" and not np.isfinite(chunk).all():
-            cells = [c if math.isfinite(c) else "null" for c in cells]
+        if chunk.dtype.names is None:
+            cells = _cells(chunk.ravel(), fmt, False)
+        else:
+            columns = [_cells(chunk[name], fmt, len(fieldnames) == 1) for name in fieldnames]
+            cells = itertools.chain.from_iterable(zip(*columns))
         stream.write((sep if start else "") + sep.join([row] * len(chunk)) % tuple(cells))
     if fmt == "json":
         stream.write("]\n")
 
 
 def resolve_output_path(out: Optional[str]) -> Optional[str]:
-    if out is None:
-        return None
-    if not os.path.isabs(out):
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base:
-            return os.path.join(base, out)
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    if out is not None and base and not os.path.isabs(out):
+        return os.path.join(base, out)
     return out
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (fieldnames, rows) for emit_rows
+# subcommand handlers; each returns (fieldnames, table) for emit_rows
 
 def _coord_names(n: int) -> List[str]:
     return ["Phi"] + [f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
@@ -447,8 +450,6 @@ def _cmd_legendre(cfg: RunConfig):
     if not cfg.ics:
         raise ConfigError("legendre requires at least one --point")
     maps = _parse_maps(cfg.maps, cfg.n) if cfg.maps else [LegendreMap.total(cfg.n)]
-    coord = _coord_names(cfg.n)
-    out = [f"{c}_out" for c in coord]
     Z = np.array([_ic_array(raw, None, cfg.n) for raw in cfg.ics])
     # overflow shows as a non-finite image, which is a numeric failure
     with np.errstate(over="ignore", invalid="ignore"):
@@ -456,9 +457,11 @@ def _cmd_legendre(cfg: RunConfig):
     bad = np.argwhere(~np.isfinite(images).all(axis=-1))
     if len(bad):
         raise FloatingPointError(f"map {maps[bad[0][1]].label()} of point {bad[0][0]} is not finite")
-    rows = [{"index": idx, "map": m.label(), **dict(zip(coord + out, z + y))}
-            for idx, (z, ys) in enumerate(zip(Z.tolist(), images.tolist())) for m, y in zip(maps, ys)]
-    return ["index", "map"] + coord + out, rows
+    # a row per point and map, points first
+    names = ["index", "map"] + _coord_names(cfg.n) + [f"{c}_out" for c in _coord_names(cfg.n)]
+    index, points = np.repeat(np.arange(len(Z)), len(maps)), np.repeat(Z, len(maps), axis=0)
+    labels = [m.label() for m in maps] * len(Z)
+    return names, _typed_table(names, index, labels, points, images.reshape(-1, Z.shape[1]))
 
 
 def _metric_from_config(cfg: RunConfig):
@@ -480,11 +483,9 @@ def _sampled_points(cfg: RunConfig, omega: Optional[OmegaFunction]):
 
 
 def _residual_table(cfg: RunConfig, points, residuals: List[float]):
-    """One row per point: index, residual and the point's Z coordinates."""
-    coord = _coord_names(cfg.n)
-    rows = [{"index": idx, **dict(zip(coord, x.to_array())), "residual": res}
-            for idx, (x, res) in enumerate(zip(points, residuals))]
-    return ["index"] + coord + ["residual"], rows
+    """One row per point: index, the point's Z coordinates and its residual."""
+    names = ["index"] + _coord_names(cfg.n) + ["residual"]
+    return names, _typed_table(names, np.arange(len(points)), np.array(points), residuals)
 
 
 def _cmd_killing(cfg: RunConfig):
@@ -507,11 +508,10 @@ def _cmd_omega_check(cfg: RunConfig):
     return _residual_table(cfg, points, residuals)
 
 
-_SCAN_FIELDS = ["rho", "u", "v", "R_analytic", "R_numeric", "rel_error", "near_singularity"]
-
-
-def _report_row(report) -> Dict:
-    return {name: getattr(report, name) for name in _SCAN_FIELDS}
+def _scan_table(reports):
+    """One row per curvature report, a column per report attribute."""
+    names = ["rho", "u", "v", "R_analytic", "R_numeric", "rel_error", "near_singularity"]
+    return names, _typed_table(names, *([getattr(r, name) for r in reports] for name in names))
 
 
 def _cmd_curvature(cfg: RunConfig):
@@ -521,8 +521,9 @@ def _cmd_curvature(cfg: RunConfig):
         raise ConfigError("u and v must be positive")
     omega = parse_equilibrium_omega_spec(cfg.omega)
     h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_CURVATURE_STEP
-    report = curvature_report(cfg.u, cfg.v, cfg.cv, omega, cfg.delta_sing, h_fd)
-    return _SCAN_FIELDS, [_report_row(report)]
+    with np.errstate(all="ignore"):  # an extreme scale gives a null R_numeric, not a numpy warning
+        report = curvature_report(cfg.u, cfg.v, cfg.cv, omega, cfg.delta_sing, h_fd)
+    return _scan_table([report])
 
 
 def _cmd_rho_scan(cfg: RunConfig):
@@ -531,7 +532,8 @@ def _cmd_rho_scan(cfg: RunConfig):
         raise ConfigError("rho range must be positive for the ideal gas")
     omega = parse_equilibrium_omega_spec(cfg.omega)
     h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_CURVATURE_STEP
-    reports = rho_scan(cfg.cv, omega, lo, hi, steps, cfg.v_fixed, cfg.delta_sing, h_fd)
+    with np.errstate(all="ignore"):
+        reports = rho_scan(cfg.cv, omega, lo, hi, steps, cfg.v_fixed, cfg.delta_sing, h_fd)
     flagged = sum(r.near_singularity for r in reports)
     if flagged:
         print(f"rho-scan: {flagged} points flagged near rho = sqrt({cfg.cv:g})", file=sys.stderr)
@@ -540,21 +542,22 @@ def _cmd_rho_scan(cfg: RunConfig):
         print(f"rho-scan: no R_numeric on {len(reasons)} rows ({NULL_DEGENERATE}: "
               f"{reasons.count(NULL_DEGENERATE)}, {NULL_OUTSIDE}: {reasons.count(NULL_OUTSIDE)})",
               file=sys.stderr)
-    return _SCAN_FIELDS, [_report_row(r) for r in reports]
+    return _scan_table(reports)
 
 
 def _cmd_isometry(cfg: RunConfig):
     G, omega = _metric_from_config(cfg)
     maps = _parse_maps(cfg.maps, cfg.n)
-    coord = _coord_names(cfg.n)
     Z = np.array(_sampled_points(cfg, omega))
     # the recurrence is evaluated first, which fixes the point that a failing Omega reports
-    recurrence = ([("recurrence:pi/2", flow_recurrence_residual(G, Z, cfg.recurrence_dt).tolist())]
+    recurrence = ([("recurrence:pi/2", flow_recurrence_residual(G, Z, cfg.recurrence_dt))]
                   if cfg.recurrence_dt is not None else [])
-    checks = [(f"discrete:{m.label()}", discrete_isometry_residual(G, m, Z).tolist()) for m in maps] + recurrence
-    rows = [{"index": idx, **dict(zip(coord, z)), "check": check, "residual": residuals[idx]}
-            for idx, z in enumerate(Z.tolist()) for check, residuals in checks]
-    return ["index"] + coord + ["check", "residual"], rows
+    checks = [(f"discrete:{m.label()}", discrete_isometry_residual(G, m, Z)) for m in maps] + recurrence
+    # a row per point and check, points first
+    labels, residuals = zip(*checks)
+    names = ["index"] + _coord_names(cfg.n) + ["check", "residual"]
+    index, points = np.repeat(np.arange(len(Z)), len(labels)), np.repeat(Z, len(labels), axis=0)
+    return names, _typed_table(names, index, points, list(labels) * len(Z), np.ravel(residuals, order="F"))
 
 
 _HANDLERS = {
@@ -586,9 +589,7 @@ def run(config: RunConfig) -> int:
         if path is None:
             emit_rows(rows, fieldnames, config.format, sys.stdout)
         else:
-            directory = os.path.dirname(path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
+            os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 emit_rows(rows, fieldnames, config.format, fh)
     except OSError as exc:
@@ -699,20 +700,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if merged.get(key) is not None and not isinstance(merged[key], list):
             raise ConfigError(f"{key} must be a list, got {merged[key]!r}")
 
-    if "ics" in merged and merged["ics"] is not None:
-        merged["ics"] = [
-            _parse_float_list(item, "initial condition") if not isinstance(item, list) else item
-            for item in merged["ics"]
-        ]
+    if merged.get("ics") is not None:
+        merged["ics"] = [_parse_float_list(item, "initial condition") for item in merged["ics"]]
     for key in ("xi", "chi"):
-        if key in merged and merged[key] is not None and not isinstance(merged[key], list):
+        if merged.get(key) is not None:
             merged[key] = _parse_float_list(merged[key], key)
-    if "maps" in merged and merged["maps"] is not None:
+    if merged.get("maps") is not None:
         merged["maps"] = [str(m) for m in merged["maps"]]
-
-    unknown = set(merged) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    # the file's keys are checked on loading, and every flag is a key
     try:
         return RunConfig(**merged)
     except TypeError as exc:

@@ -359,9 +359,12 @@ def scalar_curvature_ideal_gas(u: float, v: float, c_v: float,
     w_u = omega_on_e.partial_u(u, v, h_fd)
     w_v = omega_on_e.partial_v(u, v, h_fd)
     w_uv = omega_on_e.partial_uv(u, v, h_fd)
-    return (2.0 * rho * rho / w**3) * (
-        v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap**3
-    )
+    try:
+        return (2.0 * rho * rho / w**3) * (
+            v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap**3
+        )
+    except OverflowError:
+        raise FloatingPointError(f"closed-form curvature overflows at u={u:g}, v={v:g}, c_v={c_v:g}") from None
 
 
 @dataclass(frozen=True)

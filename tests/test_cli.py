@@ -32,6 +32,7 @@ from contactlab.flows import LegendreMap, _step_schedule, discrete_legendre
 from contactlab.metriclab import GtdTotalParams, OmegaFunction, build_metric, flow_recurrence_residual
 from contactlab.phasespace import DarbouxPoint
 from contactlab.sampling import sample_darboux_points
+from emit_reference import reference_text
 
 PI_2 = math.pi / 2.0
 
@@ -78,6 +79,58 @@ class TestConfig:
         assert main(["isometry", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, text", [
+        (["legendre"], '{"ics": [[1e400, 0, 0, 0, 0]]}'),
+        (["legendre"], '{"ics": [[NaN, 0, 0, 0, 0]]}'),
+        (["legendre"], '{"ics": [[true, 0, 0, 0, 0]]}'),
+        (["orbit"], '{"ics": [[0, 1e999, 0, 0, 0]]}'),
+        (["isometry", "--family", "gtd_total", "--points", "2"], '{"xi": [1e400, 1]}'),
+        (["isometry", "--family", "gtd_total", "--points", "2"], '{"chi": [1, false]}'),
+        (["isometry", "--family", "gtd_total", "--points", "2"], '{"xi": [1, 1%s]}' % ("0" * 400)),
+    ], ids=["ics_inf", "ics_nan", "ics_bool", "orbit_ics_inf", "xi_inf", "chi_bool", "xi_huge_int"])
+    def test_config_list_is_checked_like_its_flag(self, tmp_path, capsys, argv, text):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(text)
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be finite" in captured.err or "not a number" in captured.err
+
+    def test_config_lists_of_numbers_and_number_strings_still_run(self, tmp_path, capsys):
+        cfg = tmp_path / "lists.json"
+        cfg.write_text('{"ics": [[1, 2, 3, 4, "5"]], "xi": [2, "1"], "chi": ["0.5", 1]}')
+        assert main(["legendre", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("0,total,1,2,3,4,5,")
+        assert main(["isometry", "--family", "gtd_total", "--points", "2", "--config", str(cfg)]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--u", "2", "--v", "1", "--cv", "1e300"],
+        ["rho-scan", "--rho", "0.2:4:5", "--cv", "1e300"],
+        ["curvature", "--u", "2", "--v", "1", "--omega", "const:1e200"],
+    ])
+    def test_overflowing_closed_form_curvature_exits_2_with_one_line(self, capsys, argv):
+        assert main(argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: closed-form curvature overflows at u=")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, data, err", [
+        (["curvature", "--u", "1e300", "--v", "1"],
+         "1.0000000000000001e+300,1.0000000000000001e+300,1,nan,0,nan,false", ""),
+        (["curvature", "--u", "1e-300", "--v", "1e-3"], "1e-297,1e-300,0.001,-0,nan,nan,false", ""),
+        (["rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-300"],
+         "0.20000000000000001,2.0000000000000001e-301,1e-300,-0.03084698098026566,nan,nan,false",
+         "rho-scan: no R_numeric on 5 rows (degenerate metric: 0, stencil outside the domain: 5)\n"),
+    ], ids=["u_1e300", "u_1e-300", "v_fixed_1e-300"])
+    def test_extreme_scales_give_null_rows_without_numpy_warnings(self, capsys, argv, data, err):
+        # a numpy warning is an error in this suite; the row is the one the oracle gave when it warned
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == data
+        assert captured.err == err
 
     @pytest.mark.parametrize("argv", [
         ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd", "0"],
@@ -472,14 +525,20 @@ class TestEmission:
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6, 7])
     def test_array_path_across_chunk_boundaries(self, monkeypatch, fmt, rows):
         monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 3)
-        names = ["t", "a", "b"]
-        table = np.arange(3.0 * rows).reshape(rows, 3) / 7.0
-        table[rows // 2, 1] = math.nan
-        table[-1, 2] = -math.inf
-        expected, got = io.StringIO(), io.StringIO()
-        emit_rows([dict(zip(names, row)) for row in table], names, fmt, expected)
-        emit_rows(table, names, fmt, got)
-        assert got.getvalue() == expected.getvalue()
+        floats = np.arange(3.0 * rows).reshape(rows, 3) / 7.0
+        floats[rows // 2, 1] = math.nan
+        floats[-1, 2] = -math.inf
+        # the same rows as a typed table: an int, a float, a bool and a text column
+        typed = np.empty(rows, dtype=[("index", np.int64), ("x", float), ("flag", bool), ("label", object)])
+        typed["index"] = np.arange(rows) * -10**17
+        typed["x"] = floats[:, 1]
+        typed["flag"] = np.arange(rows) % 2 == 0
+        typed["label"] = ["a,b", 'say "x"', "", "line\r\nbreak", "total", "1+2", "\u00e9"][:rows]
+        for table in (floats, typed):
+            names = ["t", "a", "b"] if table.dtype.names is None else list(table.dtype.names)
+            got = io.StringIO()
+            emit_rows(table, names, fmt, got)
+            assert got.getvalue() == reference_text(table.tolist(), names, fmt)
 
     def test_array_of_the_wrong_width_is_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -40,6 +40,7 @@ from contactlab.flows import (  # noqa: E402
 )
 from contactlab.metriclab import GtdPartialParams, GtdTotalParams, build_metric, omega_registry  # noqa: E402
 from contactlab.phasespace import DarbouxPoint  # noqa: E402
+from emit_reference import reference_text  # noqa: E402
 
 REGISTRY = omega_registry(2)
 # bounded away from zero, so no sampled batch is degenerate for the epsilon family
@@ -71,19 +72,44 @@ def test_metric_batch_is_symmetric_and_equals_its_rows(family, z):
 SPECIAL_CELLS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e17, -1e17,
                                  123456789012345678.0, 2.0**63, math.inf, -math.inf, math.nan])
 CELLS = st.one_of(SPECIAL_CELLS, st.floats(), st.integers(-10**18, 10**18).map(float))
-TABLES = st.tuples(st.integers(0, 40), st.integers(1, 7)).flatmap(
-    lambda shape: arrays(np.float64, shape, elements=CELLS))
+TEXT = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n"]), st.characters()), max_size=6)
+# a column of m cells by its type; text mixes in the characters that CSV quotes
+COLUMNS = {
+    "f": lambda m: arrays(np.float64, m, elements=CELLS),
+    "i": lambda m: arrays(np.int64, m, elements=st.integers(-10**18, 10**18)),
+    "b": lambda m: arrays(np.bool_, m),
+    "s": lambda m: arrays(object, m, elements=TEXT),
+}
+# a table of typed columns, half the time all float (like orbit's)
+TYPED_TABLES = st.tuples(
+    st.integers(0, 40),
+    st.one_of(st.lists(st.just("f"), min_size=1, max_size=7),
+              st.lists(st.sampled_from("fibs"), min_size=1, max_size=7)),
+).flatmap(lambda shape: st.tuples(*[COLUMNS[kind](shape[0]) for kind in shape[1]]))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(table=TABLES)
-def test_float_array_emits_the_bytes_of_its_dict_rows(fmt, table):
-    names = [f"c{j}" for j in range(table.shape[1])]
-    expected, got = io.StringIO(), io.StringIO()
-    emit_rows([dict(zip(names, row)) for row in table], names, fmt, expected)
-    emit_rows(table, names, fmt, got)
-    assert got.getvalue() == expected.getvalue()
+@given(columns=TYPED_TABLES)
+# each character that CSV quotes on its own, and an empty cell alone in its row
+@example(columns=(np.array(["a\rb", "c\nd", "e,f", 'g"h', "", "plain"], dtype=object),))
+@example(columns=(np.array(["x\r", ""], dtype=object), np.array([1, -10**18]), np.array([True, False]),
+                  np.array([math.nan, 1e17])))
+def test_typed_table_emits_the_reference_bytes(columns):
+    names = [f"c{j}" for j in range(len(columns))]
+    table = np.empty(len(columns[0]), dtype=[(name, c.dtype) for name, c in zip(names, columns)])
+    for name, column in zip(names, columns):
+        table[name] = column
+    rows = table.tolist()
+    # the structured array, its rows as dicts, and an all-float table as one 2-D array
+    forms = [table, [dict(zip(names, row)) for row in rows]]
+    if all(c.dtype.kind == "f" for c in columns):
+        forms.append(np.column_stack(columns))
+    for fmt in ("csv", "json"):
+        expected = reference_text(rows, names, fmt)
+        for form in forms:
+            got = io.StringIO()
+            emit_rows(form, names, fmt, got)
+            assert got.getvalue() == expected
 
 
 # +-0.0, subnormals, and magnitudes whose squares overflow within a few steps
@@ -243,6 +269,43 @@ CLI_FLAGS = {
         "--recurrence-dt": ["0.001", "0.1", "0", "-1", "nan", "1e-320", "x"],
         "--h-fd": ["1e-5", "0", "-1", "nan"],
     },
+    "killing": {
+        **COMMON_FLAGS,
+        "--family": ["epsilon", "gtd_total", "gtd_partial", "other"],
+        "--omega": ["norm_sum", "const:1", "const:0", "expr:q1^2+p1^2", "expr:1/0", "expr:q1*1e308*10",
+                    "const:x", "bogus"],
+        "--points": ["1", "2", "0", "-2", "x"],
+        "--k": ["0", "1", "-1", "x"],
+        "--xi": ["1,1", "1,2", "1", "1e400,1", "x"],
+        "--chi": ["1,1", "1,-1", "x"],
+        "--h-fd": ["1e-5", "1e-300", "0", "-1", "nan", "inf", "x"],
+    },
+    "omega-check": {
+        **COMMON_FLAGS,
+        "--omega": ["norm_sum", "const:1", "expr:q1", "expr:1/0", "expr:q1*1e308*10", "const:x", "bogus"],
+        "--points": ["1", "2", "0", "-2", "x"],
+        "--h-fd": ["1e-5", "1e-300", "0", "-1", "nan", "inf", "x"],
+    },
+    "curvature": {
+        **COMMON_FLAGS,
+        "--cv": ["1.5", "4", "1e300", "0", "-1", "nan", "x"],
+        "--omega": ["const:1", "const:0", "const:1e200", "expr:1+u/(u+v)", "expr:ln(u-3)", "expr:u*1e308*10",
+                    "norm_sum", "x"],
+        "--u": ["2", "1e300", "1e-300", "0", "-1", "inf", "x"],
+        "--v": ["1", "1e-3", "1e-300", "1e300", "0", "x"],
+        "--h-fd": ["1e-4", "1e-300", "0", "-1", "nan", "x"],
+        "--delta-sing": ["1e-3", "10", "0", "-1", "nan", "x"],
+    },
+    "rho-scan": {
+        **COMMON_FLAGS,
+        "--cv": ["1.5", "4", "1e300", "0", "-1", "nan", "x"],
+        "--omega": ["const:1", "const:0", "expr:1+u/(u+v)", "expr:ln(u-3)", "expr:u*1e308*10", "x"],
+        "--rho": ["0.2:4:5", "1e-300:1e300:3", "0:1:3", "-1:1:3", "2:1:3", "1:2:1", "1:2", "1:2:x", "a:1:3",
+                  "1:inf:3"],
+        "--v-fixed": ["1", "1e-300", "1e-3", "1e4", "1e300", "0", "-1", "x"],
+        "--h-fd": ["1e-4", "1e-300", "0", "-1", "nan", "x"],
+        "--delta-sing": ["1e-3", "10", "0", "-1", "nan", "x"],
+    },
 }
 
 
@@ -251,10 +314,15 @@ def _argv(command):
     option = st.sampled_from(sorted(flags)).flatmap(
         lambda flag: st.tuples(st.just(flag), st.sampled_from(flags[flag])))
     # a runnable command that the drawn flags then change: one initial condition at a coarse
-    # step, one explicit point, or one sampled point (the default of 20 costs 40 ms a run)
+    # step, one explicit point, one or two sampled points (the default of 20 costs 40 ms an
+    # isometry run), one state, or a five-point scan
     base = {"orbit": ["orbit", "--ic", "0,1,0,0,0", "--dt", "0.01"],
             "legendre": ["legendre", "--point", "1,2,3,4,5"],
-            "isometry": ["isometry", "--points", "1"]}[command]
+            "isometry": ["isometry", "--points", "1"],
+            "killing": ["killing", "--points", "2"],
+            "omega-check": ["omega-check", "--points", "2"],
+            "curvature": ["curvature", "--u", "2", "--v", "1"],
+            "rho-scan": ["rho-scan", "--rho", "0.2:4:5"]}[command]
     return st.lists(option, max_size=3).map(lambda opts: base + [part for opt in opts for part in opt])
 
 
