@@ -112,6 +112,21 @@ def test_typed_table_emits_the_reference_bytes(columns):
             assert got.getvalue() == expected
 
 
+FLOAT_TABLES = st.tuples(st.integers(0, 40), st.integers(1, 7)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=CELLS))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(table=FLOAT_TABLES)
+def test_float_array_emits_the_bytes_of_its_dict_rows(fmt, table):
+    names = [f"c{j}" for j in range(table.shape[1])]
+    expected, got = io.StringIO(), io.StringIO()
+    emit_rows([dict(zip(names, row)) for row in table], names, fmt, expected)
+    emit_rows(table, names, fmt, got)
+    assert got.getvalue() == expected.getvalue()
+
+
 # +-0.0, subnormals, and magnitudes whose squares overflow within a few steps
 STATE_SPECIALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e150, -1e150, 1e200])
 STATE_CELLS = st.one_of(STATE_SPECIALS, st.floats(-3.0, 3.0),
