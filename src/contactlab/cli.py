@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff
+from .phasespace import DarbouxPoint
 from .flows import (
     IntegrationError,
     LegendreMap,
@@ -70,6 +70,7 @@ from .expressions import (
     ExpressionDomainError,
     ExpressionError,
     compile_expression,
+    diff,
     eval_expression,  # noqa: F401  perfbench/tracing.py wraps cli.eval_expression
     parse_expression,
 )
@@ -102,63 +103,73 @@ def _phase_context(n: int) -> List[str]:
 
 
 def omega_from_expression(text: str, n: int = 2) -> OmegaFunction:
-    """Phase-space Omega(q, p) from an expression in q1..qn, p1..pn.
+    """Phase-space Omega(q, p) from an expression in q1..qn, p1..pn, with exact partials.
 
-    Derivatives are left to the finite-difference fallback.
+    Each partial is a compiled derivative tree (expressions.diff); d_q and d_p
+    convert the point once and evaluate their n partials on it.
     """
     context = _phase_context(n)
-    f = compile_expression(parse_expression(text, context), context)
+    tree = parse_expression(text, context)
+    f = compile_expression(tree, context)
 
-    def ev(q: np.ndarray, p: np.ndarray) -> float:
-        return f(*np.asarray(q, dtype=float).tolist(), *np.asarray(p, dtype=float).tolist())
+    def values(q: np.ndarray, p: np.ndarray) -> List[float]:
+        return [*np.asarray(q, dtype=float).tolist(), *np.asarray(p, dtype=float).tolist()]
 
-    return OmegaFunction(name=f"expr:{text}", eval=ev)
+    def partials(names: List[str]):
+        fs = [compile_expression(diff(tree, name), context) for name in names]
+
+        def evaluate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+            xs = values(q, p)
+            return np.array([g(*xs) for g in fs])
+
+        return evaluate
+
+    return OmegaFunction(f"expr:{text}", lambda q, p: f(*values(q, p)),
+                         partials(context[:n]), partials(context[n:]))
+
+
+_UV = ("u", "v")
+
+
+def _uv_function(tree):
+    """The compiled tree as a function of (u, v), each taken as a float."""
+    f = compile_expression(tree, _UV)
+    return lambda u, v: f(float(u), float(v))
 
 
 def equilibrium_omega_from_expression(text: str) -> EquilibriumOmega:
-    """Equilibrium-space Omega(u, v) from an expression in u, v (FD partials)."""
-    f = compile_expression(parse_expression(text, ("u", "v")), ("u", "v"))
-    return EquilibriumOmega.from_callable(lambda u, v: f(float(u), float(v)), name=f"expr:{text}")
+    """Equilibrium-space Omega(u, v) from an expression in u, v, with exact partials."""
+    tree = parse_expression(text, _UV)
+    d_u = diff(tree, "u")
+    return EquilibriumOmega(f"expr:{text}", *map(_uv_function, (tree, d_u, diff(tree, "v"), diff(d_u, "v"))))
 
 
-def fundamental_relation_from_expression(text: str, name: Optional[str] = None,
-                                         h_fd: float = DEFAULT_FD_STEP) -> FundamentalRelation:
-    """A two-coordinate potential Phi(u, v) with FD gradient and Hessian.
+def fundamental_relation_from_expression(text: str, name: Optional[str] = None) -> FundamentalRelation:
+    """A two-coordinate potential Phi(u, v) with exact gradient and Hessian.
 
     The Hessian and the domain test go point by point through batches, so an
     induced metric over this relation can be evaluated on batches too.
     """
-    f = compile_expression(parse_expression(text, ("u", "v")), ("u", "v"))
-    h = float(h_fd)
-
-    def value(q) -> float:
-        return f(float(q[0]), float(q[1]))
-
-    def gradient(q) -> np.ndarray:
-        return central_diff(value, q, h_fd)
+    tree = parse_expression(text, _UV)
+    d_u, d_v = diff(tree, "u"), diff(tree, "v")
+    f, f_u, f_v, f_uu, f_uv, f_vv = map(
+        _uv_function, (tree, d_u, d_v, diff(d_u, "u"), diff(d_u, "v"), diff(d_v, "v")))
 
     def hessian(q) -> np.ndarray:
-        u, v = float(q[0]), float(q[1])
-        f0 = f(u, v)
-        H = np.empty((2, 2))
-        H[0, 0] = (f(u + h, v) - 2 * f0 + f(u - h, v)) / h**2
-        H[1, 1] = (f(u, v + h) - 2 * f0 + f(u, v - h)) / h**2
-        H[0, 1] = H[1, 0] = (
-            f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)
-        ) / (4 * h**2)
-        return H
+        mixed = f_uv(q[0], q[1])
+        return np.array([[f_uu(q[0], q[1]), mixed], [mixed, f_vv(q[0], q[1])]])
 
     def in_domain(q) -> bool:
         try:
-            value(q)
+            f(q[0], q[1])
             return True
         except ExpressionDomainError:
             return False
 
     return FundamentalRelation(
-        name=name or f"expr:{text}", n=2, value=value,
-        gradient=gradient, hessian=pointwise(hessian, (2, 2)),
-        in_domain=pointwise(in_domain, (), bool),
+        name=name or f"expr:{text}", n=2, value=lambda q: f(q[0], q[1]),
+        gradient=lambda q: np.array([f_u(q[0], q[1]), f_v(q[0], q[1])]),
+        hessian=pointwise(hessian, (2, 2)), in_domain=pointwise(in_domain, (), bool),
     )
 
 
@@ -240,9 +251,8 @@ class RunConfig:
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         for name in _REAL_KEYS:
-            val = getattr(self, name)
-            if val is not None and not math.isfinite(val):
-                raise ConfigError(f"{name} must be finite, got {val!r}")
+            if getattr(self, name) is not None:
+                _parse_float(getattr(self, name), name)  # a JSON integer beyond the float range is not finite
         for name in ("h_fd", "delta_sing"):
             val = getattr(self, name)
             if val is not None and val <= 0:
@@ -490,9 +500,8 @@ def _residual_table(cfg: RunConfig, points, residuals: List[float]):
 
 def _cmd_killing(cfg: RunConfig):
     G, omega = _metric_from_config(cfg)
-    h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_FD_STEP
     points = _sampled_points(cfg, omega)
-    residuals = killing_residual(legendre_field(cfg.n), G, points, h_fd).tolist()
+    residuals = killing_residual(legendre_field(cfg.n), G, points).tolist()
     print(f"killing: family={cfg.family} omega={cfg.omega} max residual = {max([0.0] + residuals):.6g}",
           file=sys.stderr)
     return _residual_table(cfg, points, residuals)
@@ -500,9 +509,8 @@ def _cmd_killing(cfg: RunConfig):
 
 def _cmd_omega_check(cfg: RunConfig):
     omega = parse_omega_spec(cfg.omega, cfg.n)
-    h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_FD_STEP
     points = sample_darboux_points(cfg.points, cfg.n, cfg.seed)
-    residuals = poisson_constraint_residual(omega, points, h_fd).tolist()
+    residuals = poisson_constraint_residual(omega, points).tolist()
     worst = max([0.0] + [abs(res) for res in residuals])
     print(f"omega-check: omega={cfg.omega} max |residual| = {worst:.6g}", file=sys.stderr)
     return _residual_table(cfg, points, residuals)
@@ -644,13 +652,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="gtd_partial exponent parameter (default 0)")
     p.add_argument("--xi", help="gtd_total diagonal, comma-separated (default ones)")
     p.add_argument("--chi", help="gtd_total diagonal, comma-separated (default ones)")
-    p.add_argument("--h-fd", type=float, dest="h_fd")
     add_common(p)
 
     p = sub.add_parser("omega-check", help="Poisson-constraint residuals of Omega")
     p.add_argument("--omega")
     p.add_argument("--points", type=int)
-    p.add_argument("--h-fd", type=float, dest="h_fd")
     add_common(p)
 
     p = sub.add_parser("curvature", help="ideal-gas curvature at one point")

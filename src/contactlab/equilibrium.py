@@ -163,7 +163,11 @@ def pullback_metric(G: MetricField, fr: FundamentalRelation, q: np.ndarray) -> n
 
 @dataclass(frozen=True)
 class EquilibriumOmega:
-    """A scalar Omega(u, v) on the equilibrium space with derivative access."""
+    """A scalar Omega(u, v) on the equilibrium space with derivative access.
+
+    A partial without its exact function (from_phase_space gives none) is a
+    central difference with the scaled step of the curvature oracle.
+    """
 
     name: str
     eval: Callable[[float, float], float]
@@ -175,10 +179,6 @@ class EquilibriumOmega:
     def constant(cls, c: float = 1.0, name: Optional[str] = None) -> "EquilibriumOmega":
         zero = lambda u, v: 0.0
         return cls(name or f"const:{c:g}", lambda u, v: float(c), zero, zero, zero)
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[float, float], float], name: str = "omega") -> "EquilibriumOmega":
-        return cls(name, fn)
 
     @classmethod
     def from_phase_space(cls, omega: OmegaFunction, fr: FundamentalRelation) -> "EquilibriumOmega":

@@ -14,7 +14,8 @@ sqrt, sin and cos are reserved.  Parsing is strict: errors carry the byte
 offset of the offending token.  to_string emits a fully parenthesized form
 that reparses to an identical tree.  compile_expression turns a tree into
 nested closures once, so repeated evaluation does not walk the tree again;
-eval_expression is a one-off compile and call.
+eval_expression is a one-off compile and call.  diff gives a partial
+derivative as another tree, which compiles the same way.
 """
 
 from __future__ import annotations
@@ -250,8 +251,8 @@ def parse_expression(text: str, context: Iterable[str]) -> Expression:
 def compile_expression(expr: Expression, variables: Sequence[str]) -> Callable[..., float]:
     """Compile expr into a function of the variables' values, taken in that order.
 
-    The result is nested closures, one per node, built once, with no exec or
-    eval.  f(*values) evaluates the tree in IEEE doubles, each operand before
+    The result is nested closures, one per distinct node, built once, with no
+    exec or eval.  f(*values) evaluates the tree in IEEE doubles, each operand before
     the operator that uses it and left before right; the values must be
     Python floats.  A real-domain violation, a non-finite result, or a
     variable outside `variables` once it is reached, raises
@@ -263,7 +264,14 @@ def compile_expression(expr: Expression, variables: Sequence[str]) -> Callable[.
     def domain_error(message: str, xs) -> ExpressionDomainError:
         return ExpressionDomainError(message, dict(zip(variables, xs)))
 
+    built: Dict[int, Callable] = {}  # id of a node -> its closure, so a subtree that diff shares compiles once
+
     def build(node: Expression):
+        if id(node) not in built:
+            built[id(node)] = build_node(node)
+        return built[id(node)]
+
+    def build_node(node: Expression):
         if isinstance(node, Num):
             value = node.value
             return lambda xs: value
@@ -341,6 +349,156 @@ def eval_expression(expr: Expression, bindings: Dict[str, float]) -> float:
     """Evaluate in IEEE doubles; real-domain violations raise with the bindings."""
     names = tuple(bindings)
     return compile_expression(expr, names)(*[float(bindings[name]) for name in names])
+
+
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+
+
+def _is(node: Expression, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _neg(a: Expression) -> Expression:
+    if isinstance(a, Num):
+        return Num(-a.value)
+    return a.operand if isinstance(a, Neg) else Neg(a)
+
+
+def _add(a: Expression, b: Expression) -> Expression:
+    if _is(a, 0.0):
+        return b
+    if _is(b, 0.0):
+        return a
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value + b.value)
+    return BinOp("+", a, b)
+
+
+def _sub(a: Expression, b: Expression) -> Expression:
+    if _is(b, 0.0):
+        return a
+    if _is(a, 0.0):
+        return _neg(b)
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value - b.value)
+    return BinOp("-", a, b)
+
+
+def _mul(a: Expression, b: Expression) -> Expression:
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    if _is(a, 1.0):
+        return b
+    if _is(b, 1.0):
+        return a
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value * b.value)
+    return BinOp("*", a, b)
+
+
+def _div(a: Expression, b: Expression) -> Expression:
+    if _is(a, 0.0):
+        return _ZERO
+    return a if _is(b, 1.0) else BinOp("/", a, b)
+
+
+def _pow(a: Expression, b: Expression) -> Expression:
+    if _is(b, 0.0):
+        return _ONE
+    return a if _is(b, 1.0) else BinOp("^", a, b)
+
+
+#: deepest derivative tree diff returns.  Differentiation deepens a tree by up
+#: to three levels per level (a tower u^u^...^u), and compile_expression takes
+#: two interpreter frames per level, so this keeps it well inside the
+#: recursion limit.
+MAX_DERIVATIVE_DEPTH = 3 * MAX_NESTING
+
+
+def diff(expr: Expression, var: str) -> Expression:
+    """The partial derivative of expr with respect to the variable var, as a tree.
+
+    Sum, product, quotient and power rules, and the chain rule through ln,
+    exp, sqrt, sin and cos.  Terms equal to 0, factors and exponents equal to
+    1, and arithmetic on two numbers are folded away as the tree is built.
+    An exponent whose derivative folds to 0 takes the power rule
+    b * a^(b-1) * a', so x^3 never evaluates ln(x); any other takes
+    a^b * (b' ln(a) + b a'/a).  The result shares subtrees with expr and
+    within itself; each shared subtree of expr is differentiated once.  It
+    compiles with compile_expression; where the derivative has no real value
+    (sqrt(x) at x = 0, say) its evaluation raises ExpressionDomainError.  A
+    result deeper than MAX_DERIVATIVE_DEPTH raises ExpressionSyntaxError.
+    """
+    done: Dict[int, Expression] = {}  # id of a node of expr -> its derivative
+
+    def d(node: Expression) -> Expression:
+        if id(node) in done:
+            return done[id(node)]
+        if isinstance(node, (Num, Var)):
+            out = _ONE if isinstance(node, Var) and node.name == var else _ZERO
+        elif isinstance(node, Neg):
+            out = _neg(d(node.operand))
+        elif isinstance(node, Call):
+            a, da = node.arg, d(node.arg)
+            if _is(da, 0.0):
+                out = _ZERO
+            elif node.func == "ln":
+                out = _div(da, a)
+            elif node.func == "sqrt":
+                out = _div(da, _mul(_TWO, node))
+            elif node.func == "exp":
+                out = _mul(node, da)
+            elif node.func == "sin":
+                out = _mul(Call("cos", a), da)
+            else:
+                out = _mul(Neg(Call("sin", a)), da)
+        elif isinstance(node, BinOp):
+            a, b = node.left, node.right
+            da, db = d(a), d(b)
+            if node.op == "+":
+                out = _add(da, db)
+            elif node.op == "-":
+                out = _sub(da, db)
+            elif node.op == "*":
+                out = _add(_mul(da, b), _mul(a, db))
+            elif node.op == "/":
+                out = _sub(_div(da, b), _div(_mul(a, db), _pow(b, _TWO)))
+            elif _is(db, 0.0):  # ^ with an exponent free of var
+                out = _mul(_mul(b, _pow(a, _sub(b, _ONE))), da)
+            else:
+                out = _mul(node, _add(_mul(db, Call("ln", a)), _mul(b, _div(da, a))))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        done[id(node)] = out
+        return out
+
+    result = d(expr)
+    if _depth(result) > MAX_DERIVATIVE_DEPTH:
+        raise ExpressionSyntaxError(
+            f"the derivative in {var} is nested too deeply (more than {MAX_DERIVATIVE_DEPTH} levels)", 0)
+    return result
+
+
+def _operands(node: Expression) -> tuple:
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, Neg):
+        return (node.operand,)
+    return (node.arg,) if isinstance(node, Call) else ()
+
+
+def _depth(root: Expression) -> int:
+    """Operators on the longest path from root down to a leaf, found without recursion."""
+    depth: Dict[int, int] = {}
+    stack = [root]
+    while stack:
+        pending = [c for c in _operands(stack[-1]) if id(c) not in depth]
+        if pending:
+            stack.extend(pending)
+        else:
+            node = stack.pop()
+            depth[id(node)] = max([depth[id(c)] + 1 for c in _operands(node)], default=0)
+    return depth[id(root)]
 
 
 def to_string(expr: Expression) -> str:

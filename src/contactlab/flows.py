@@ -23,7 +23,7 @@ from typing import Callable, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from .phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff
+from .phasespace import DarbouxPoint
 
 
 class IntegrationError(RuntimeError):
@@ -36,19 +36,18 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ContactHamiltonian:
-    """A scalar on phase space with optional analytic derivatives in the Z ordering.
+    """A scalar on phase space with its exact derivatives in the Z ordering.
 
     value, gradient and hessian take Z arrays of shape (..., 2n+1) and keep
-    the leading axes.  gradient, when present, returns all 2n+1 first
-    partials; without it the generated field differences value.  hessian,
-    when present, returns the full (2n+1)x(2n+1) matrix of second partials
-    per point and enables an analytic Jacobian for the generated field.
+    the leading axes.  gradient returns all 2n+1 first partials, and hessian
+    the full (2n+1)x(2n+1) matrix of second partials per point, from which
+    the generated field gets its Jacobian.
     """
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gradient: Callable[[np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -112,18 +111,13 @@ def partial_legendre_hamiltonian(i: int, n: int = 2) -> ContactHamiltonian:
     return _pair_hamiltonian(n, i - 1, i, f"legendre_pair_{i}")
 
 
-def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STEP) -> ContactVectorField:
-    """The contact field generated by h, with eta[X_h] = h by construction.
-
-    Without h.gradient, h.value is differenced with central steps h_fd, and
-    without h.hessian so is the field, for its Jacobian.
-    """
-    gradient = h.gradient if h.gradient is not None else lambda z: central_diff(h.value, z, h_fd)
+def hamiltonian_vector_field(h: ContactHamiltonian) -> ContactVectorField:
+    """The contact field generated by h, with eta[X_h] = h by construction, and its Jacobian."""
 
     def field(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         n = z.shape[-1] // 2
-        grad = np.asarray(gradient(z), dtype=float)
+        grad = np.asarray(h.gradient(z), dtype=float)
         p = z[..., n + 1 :]
         hp = grad[..., n + 1 :]
         out = np.empty(z.shape)
@@ -132,13 +126,10 @@ def hamiltonian_vector_field(h: ContactHamiltonian, h_fd: float = DEFAULT_FD_STE
         out[..., n + 1 :] = grad[..., 1 : n + 1] + p * grad[..., :1]
         return out
 
-    if h.hessian is None:
-        return ContactVectorField(f"X[{h.name}]", field, lambda z: central_diff(field, z, h_fd))
-
     def jacobian(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         n = z.shape[-1] // 2
-        grad = np.asarray(gradient(z), dtype=float)
+        grad = np.asarray(h.gradient(z), dtype=float)
         H = np.asarray(h.hessian(z), dtype=float)
         p = z[..., n + 1 :, np.newaxis]
         Hp = H[..., n + 1 :, :]

@@ -46,15 +46,16 @@ METRIC_FAMILIES = ("gtd_total", "gtd_partial", "epsilon")
 
 @dataclass(frozen=True)
 class OmegaFunction:
-    """A Phi-independent scalar Omega(q, p) with optional analytic partials."""
+    """A Phi-independent scalar Omega(q, p) with its exact partials dOmega/dq and dOmega/dp."""
 
     name: str
     eval: Callable[[np.ndarray, np.ndarray], float]
-    d_q: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    d_p: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    d_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @property
     def analytic(self) -> bool:
+        """Whether both partials are given (perfbench/tracing.py counts FD rows by it)."""
         return self.d_q is not None and self.d_p is not None
 
     @classmethod
@@ -66,15 +67,11 @@ class OmegaFunction:
             d_p=lambda q, p: np.zeros_like(np.asarray(p, dtype=float)),
         )
 
-    def gradient(self, q: np.ndarray, p: np.ndarray,
-                 h_fd: float = DEFAULT_FD_STEP) -> tuple:
-        """(dOmega/dq, dOmega/dp), analytic when available else central FD."""
+    def gradient(self, q: np.ndarray, p: np.ndarray) -> tuple:
+        """(dOmega/dq, dOmega/dp) as float arrays."""
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
-        if self.analytic:
-            return np.asarray(self.d_q(q, p), dtype=float), np.asarray(self.d_p(q, p), dtype=float)
-        return (central_diff(lambda q_: self.eval(q_, p), q, h_fd),
-                central_diff(lambda p_: self.eval(q, p_), p, h_fd))
+        return np.asarray(self.d_q(q, p), dtype=float), np.asarray(self.d_p(q, p), dtype=float)
 
 
 def omega_registry(n: int = 2) -> dict:
@@ -211,12 +208,12 @@ def _omega_rows(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
     return np.array(values, dtype=float).reshape(z.shape[:-1])
 
 
-def _omega_z_gradient(omega: OmegaFunction, z: np.ndarray, h_fd: float) -> np.ndarray:
+def _omega_z_gradient(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
     """dOmega/dZ^C at each row of z, in the full Z ordering (zero Phi slot)."""
     n = (z.shape[-1] - 1) // 2
     out = np.zeros(z.shape)
     for r, o in zip(z.reshape(-1, z.shape[-1]), out.reshape(-1, z.shape[-1])):
-        o[1 : n + 1], o[n + 1 :] = omega.gradient(r[1 : n + 1], r[n + 1 :], h_fd)
+        o[1 : n + 1], o[n + 1 :] = omega.gradient(r[1 : n + 1], r[n + 1 :])
     return out
 
 
@@ -242,15 +239,12 @@ def _add_to_pairs(M: np.ndarray, coeff: np.ndarray) -> None:
         np.einsum("...aa->...a", block)[...] += coeff  # a writable view of the block's diagonal
 
 
-def build_metric(family: str, params, n: int = 2,
-                 h_fd: float = DEFAULT_FD_STEP) -> MetricField:
+def build_metric(family: str, params, n: int = 2) -> MetricField:
     """Construct a built-in metric family as a MetricField.
 
     params: GtdTotalParams for "gtd_total", GtdPartialParams for
     "gtd_partial", and a bare OmegaFunction for "epsilon" (n = 2 only).
-    Analytic component derivatives are attached whenever Omega has
-    analytic partials; otherwise the chain rule falls back to central
-    differences of Omega with step h_fd.
+    The component derivatives follow by the chain rule from Omega's partials.
     """
     if family not in METRIC_FAMILIES:
         raise ValueError(f"unknown metric family {family!r}; expected one of {METRIC_FAMILIES}")
@@ -283,7 +277,7 @@ def build_metric(family: str, params, n: int = 2,
         def dev(z) -> np.ndarray:
             z = np.asarray(z, dtype=float)
             D = _eta_outer_partials(z)
-            dw = _omega_z_gradient(omega, z, h_fd)
+            dw = _omega_z_gradient(omega, z)
             D[..., 1, 4, :] += dw
             D[..., 4, 1, :] += dw
             D[..., 2, 3, :] -= dw
@@ -311,7 +305,7 @@ def build_metric(family: str, params, n: int = 2,
             q, p = z[..., 1 : n + 1], z[..., n + 1 :]
             D = _eta_outer_partials(z)
             w = _omega_rows(omega, z)[..., None]
-            dlam = _omega_z_gradient(omega, z, h_fd) * _dot(xi, q * p)[..., None]
+            dlam = _omega_z_gradient(omega, z) * _dot(xi, q * p)[..., None]
             dlam[..., 1 : n + 1] += w * xi * p
             dlam[..., n + 1 :] += w * xi * q
             _add_to_pairs(np.moveaxis(D, -1, -3), dlam[..., :, None] * (0.5 * chi))
@@ -338,7 +332,7 @@ def build_metric(family: str, params, n: int = 2,
         q, p = z[..., 1 : n + 1], z[..., n + 1 :]
         D = _eta_outer_partials(z)
         w = _omega_rows(omega, z)
-        dw = _omega_z_gradient(omega, z, h_fd)
+        dw = _omega_z_gradient(omega, z)
         qp = q * p
         # dcoeff[..., C, a] = d (0.5 w (q^a p_a)^(2k+1)) / d Z^C
         dcoeff = (0.5 * dw)[..., :, None] * (qp ** exponent)[..., None, :]
@@ -381,12 +375,11 @@ def k_contact_residual(G: MetricField, x, h_fd: float = DEFAULT_FD_STEP) -> floa
     return killing_residual(reeb_vector_field((np.shape(x)[-1] - 1) // 2), G, x, h_fd)
 
 
-def poisson_constraint_residual(omega: OmegaFunction, x,
-                                h_fd: float = DEFAULT_FD_STEP) -> float | np.ndarray:
+def poisson_constraint_residual(omega: OmegaFunction, x) -> float | np.ndarray:
     """{h, Omega} = p_a dOmega/dq^a - q^a dOmega/dp_a at a point, or at each row of a batch."""
     z = np.asarray(x, dtype=float)
     n = (z.shape[-1] - 1) // 2
-    dw = _omega_z_gradient(omega, z, h_fd)
+    dw = _omega_z_gradient(omega, z)
     return _rows(_dot(z[..., n + 1 :], dw[..., 1 : n + 1]) - _dot(z[..., 1 : n + 1], dw[..., n + 1 :]))
 
 

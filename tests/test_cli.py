@@ -28,8 +28,14 @@ from contactlab.cli import (
     parse_rho_range,
     run,
 )
-from contactlab.flows import LegendreMap, _step_schedule, discrete_legendre
-from contactlab.metriclab import GtdTotalParams, OmegaFunction, build_metric, flow_recurrence_residual
+from contactlab.flows import LegendreMap, _step_schedule, discrete_legendre, legendre_field
+from contactlab.metriclab import (
+    GtdTotalParams,
+    OmegaFunction,
+    build_metric,
+    flow_recurrence_residual,
+    killing_residual,
+)
 from contactlab.phasespace import DarbouxPoint
 from contactlab.sampling import sample_darboux_points
 from emit_reference import reference_text
@@ -98,6 +104,21 @@ class TestConfig:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "must be finite" in captured.err or "not a number" in captured.err
 
+    @pytest.mark.parametrize("argv,text", [
+        (["curvature", "--u", "2", "--v", "1"], '{"cv": 1%s}' % ("0" * 400)),
+        (["curvature", "--u", "2"], '{"v": -1%s}' % ("0" * 400)),
+        (["orbit", "--ic", "0,1,0,0,0"], '{"dt": 1%s}' % ("0" * 400)),
+        (["curvature", "--u", "2", "--v", "1"], '{"cv": 1e400}'),
+    ], ids=["cv_huge_int", "v_huge_negative_int", "dt_huge_int", "cv_inf"])
+    def test_config_scalar_is_checked_like_its_flag(self, tmp_path, capsys, argv, text):
+        cfg = tmp_path / "scalar.json"
+        cfg.write_text(text)
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be finite" in captured.err
+
     def test_config_lists_of_numbers_and_number_strings_still_run(self, tmp_path, capsys):
         cfg = tmp_path / "lists.json"
         cfg.write_text('{"ics": [[1, 2, 3, 4, "5"]], "xi": [2, "1"], "chi": ["0.5", 1]}')
@@ -138,8 +159,8 @@ class TestConfig:
         ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd", "inf"],
         ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "inf", "--v", "1"],
         ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "nan"],
-        ["killing", "--family", "epsilon", "--omega", "norm_sum", "--points", "2", "--h-fd", "nan"],
-        ["omega-check", "--omega", "expr:q1", "--points", "2", "--h-fd", "0"],
+        ["killing", "--family", "gtd_total", "--xi", "nan,1", "--points", "2"],
+        ["omega-check", "--omega", "const:inf", "--points", "2"],
         ["isometry", "--family", "gtd_partial", "--points", "1", "--recurrence-dt", "nan"],
         ["isometry", "--family", "gtd_partial", "--points", "1", "--recurrence-dt", "inf"],
         ["curvature", "--cv", "4", "--omega", "const:1", "--u", "2", "--v", "1", "--delta-sing", "0"],
@@ -556,24 +577,27 @@ class TestExpressionBackedPotential:
         np.testing.assert_allclose(fr.gradient(q), gas.gradient(q), rtol=1e-8)
         np.testing.assert_allclose(fr.hessian(q), gas.hessian(q), atol=1e-5)
 
-    def test_hessian_equals_the_bindings_stencil(self):
-        from contactlab.expressions import eval_expression, parse_expression
+    def test_hessian_equals_the_ideal_gas(self):
+        # exact second derivatives: the expression gas is the built-in gas, and its
+        # oracle curvature is the built-in one (a second difference at 1e-5 gave -13445 at (3, 2))
+        from contactlab.equilibrium import EquilibriumOmega, ideal_gas, induced_metric, scalar_curvature_numeric
 
-        text, h = "1.5*ln(u)+ln(v)+u*v^2", 1e-5
-        fr = fundamental_relation_from_expression(text, h_fd=h)
-        tree = parse_expression(text, ("u", "v"))
+        fr, gas = fundamental_relation_from_expression("1.5*ln(u)+ln(v)"), ideal_gas(1.5)
+        grid = np.array([[u, v] for u in (0.3, 1.0, 2.5, 7.0) for v in (0.2, 1.0, 3.0)])
+        np.testing.assert_allclose(fr.hessian(grid), gas.hessian(grid), rtol=1e-15, atol=0)
+        for q in grid:
+            np.testing.assert_allclose(fr.gradient(q), gas.gradient(q), rtol=1e-15, atol=0)
+        G, one = build_metric("epsilon", OmegaFunction.constant(1.0)), EquilibriumOmega.constant(1.0)
+        q = np.array([3.0, 2.0])
+        R = scalar_curvature_numeric(induced_metric(G, fr, one), q)
+        assert R == pytest.approx(scalar_curvature_numeric(induced_metric(G, gas, one), q), rel=1e-9)
+        assert R == pytest.approx(96.00003, rel=1e-6)
 
-        def f(u, v):
-            return eval_expression(tree, {"u": u, "v": v})
-
+    def test_hessian_with_a_mixed_term(self):
+        fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)+u*v^2")
         for u, v in ((1.7, 0.9), (2.5, 1.1), (0.6, 2.0)):
-            H = np.empty((2, 2))
-            f0 = f(u, v)
-            H[0, 0] = (f(u + h, v) - 2 * f0 + f(u - h, v)) / h**2
-            H[1, 1] = (f(u, v + h) - 2 * f0 + f(u, v - h)) / h**2
-            H[0, 1] = H[1, 0] = (f(u + h, v + h) - f(u + h, v - h)
-                                 - f(u - h, v + h) + f(u - h, v - h)) / (4 * h**2)
-            assert np.array_equal(fr.hessian(np.array([u, v])), H)
+            H = [[-1.5 / u**2, 2 * v], [2 * v, -1 / v**2 + 2 * u]]
+            np.testing.assert_allclose(fr.hessian(np.array([u, v])), H, rtol=1e-15)
 
     def test_domain_predicate(self):
         fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)")
@@ -590,6 +614,46 @@ class TestExpressionBackedPotential:
         assert np.array_equal(g.eval(Q), np.array([g.eval(q) for q in Q]))
         assert fr.in_domain(np.array([[1.0, 1.0], [-1.0, 1.0]])).tolist() == [True, False]
         assert math.isfinite(scalar_curvature_numeric(g, np.array([2.0, 1.0])))
+
+
+class TestExactExpressionDerivatives:
+    """expr: Omegas take exact partials (expressions.diff), so their verdicts are the registry's."""
+
+    @staticmethod
+    def residuals(tmp_path, argv):
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        return read_csv(out)
+
+    def test_sixth_power_omega_is_killing(self, tmp_path):
+        # central differences of this Omega read 2.6e-8, against criterion 3's 1e-9
+        rows = self.residuals(tmp_path, ["killing", "--family", "epsilon", "--omega", "expr:(q1^2+p1^2)^3",
+                                         "--points", "20", "--seed", "7"])
+        assert len(rows) == 20 and max(float(r["residual"]) for r in rows) < 1e-9
+
+    def test_quadratic_omega_reads_like_the_registry(self, tmp_path):
+        # central differences read 3.5e-10 here; the registry's norm_sum reads 2.1e-15
+        rows = self.residuals(tmp_path, ["killing", "--family", "epsilon", "--omega",
+                                         "expr:q1^2+p1^2+q2^2+p2^2", "--points", "20", "--seed", "7"])
+        assert max(float(r["residual"]) for r in rows) <= 1e-13
+
+    def test_inverse_cross_omega_is_killing_away_from_its_pole(self):
+        # central differences read up to 2809 at seed 7, where |q1 p2 - q2 p1| is small
+        omega = parse_omega_spec("expr:1/(q1*p2-q2*p1)")
+        G = build_metric("epsilon", omega)
+        for seed in range(1, 31):
+            Z = np.array(sample_darboux_points(20, 2, seed, omega=omega))
+            Z = Z[np.abs(Z[:, 1] * Z[:, 4] - Z[:, 2] * Z[:, 3]) >= 1e-2]
+            assert killing_residual(legendre_field(2), G, Z).max() < 1e-9, seed
+
+    def test_omega_check_of_q1_is_p1_exactly(self, tmp_path):
+        rows = self.residuals(tmp_path, ["omega-check", "--omega", "expr:q1", "--points", "20"])
+        assert [float(r["residual"]) for r in rows] == [float(r["p1"]) for r in rows]
+
+    @pytest.mark.parametrize("command", ["killing", "omega-check"])
+    def test_h_fd_is_no_flag_where_it_would_set_nothing(self, capsys, command):
+        assert main([command, "--points", "2", "--h-fd", "1e-5"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: unrecognized arguments: --h-fd 1e-5\n"
 
 
 class TestRunConfigDirect:
@@ -644,6 +708,15 @@ class TestBenchmarkHooks:
         finally:
             tracer.uninstall()
         assert cli.build_arg_parser is build_arg_parser
+
+    def test_microbenchmarks_run(self, monkeypatch):
+        # perfbench/micro.py times library paths that no command takes (the FD Killing
+        # path of a metric without derivatives among them); deleting one must fail here
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import micro
+
+        figures = micro.run(7, 0.05)
+        assert figures and all(math.isfinite(value) and value > 0 for value in figures.values())
 
     @pytest.mark.parametrize("argv,span", [
         (["isometry", "--family", "gtd_partial", "--omega", "const:1", "--points", "3",

@@ -190,14 +190,14 @@ class TestNumericCurvature:
                        + np.einsum("ace,edb->abcd", gamma, gamma) - np.einsum("ade,ecb->abcd", gamma, gamma))
             return float(np.einsum("bd,bd->", np.linalg.inv(ev(q)), np.einsum("abad->bd", riemann)))
 
-        omega = EquilibriumOmega.from_callable(lambda u, v: 1.0 + 0.1 * u * v)
+        omega = EquilibriumOmega("omega", lambda u, v: 1.0 + 0.1 * u * v)
         for q in (np.array([2.5, 1.3]), np.array([7.0, 0.4]), np.array([0.3, 0.2])):
             for om in (OMEGA_ONE, omega):
                 g = induced_metric(EPS_UNIT, GAS, om)
                 assert scalar_curvature_numeric(g, q) == curvature(g.eval, q)
 
     def test_fd_omega_partials_equal_the_hand_written_differences(self):
-        omega = EquilibriumOmega.from_callable(lambda u, v: math.exp(0.3 * u) * v**2)
+        omega = EquilibriumOmega("omega", lambda u, v: math.exp(0.3 * u) * v**2)
         for u, v in ((2.5, 1.3), (0.4, 3.0), (0.5, 0.7)):
             hu, hv = 1e-4 * max(1.0, u), 1e-4 * max(1.0, v)
             assert omega.partial_u(u, v) == (omega.eval(u + hu, v) - omega.eval(u - hu, v)) / (2 * hu)

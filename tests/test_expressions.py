@@ -18,7 +18,9 @@ from contactlab.expressions import (
     UnknownIdentifierError,
     Var,
     FUNCTIONS,
+    MAX_DERIVATIVE_DEPTH,
     compile_expression,
+    diff,
     eval_expression,
     parse_expression,
     to_string,
@@ -192,7 +194,8 @@ class TestEvaluation:
 
 class TestExpressionDerivatives:
     def test_fd_matches_analytic_for_registry_functions(self):
-        # expression twins of the built-in metric functions, on a positive grid
+        # expression twins of the built-in metric functions, on a positive grid: central
+        # differences of the expression, and its exact partials, against the registry's
         twins = {
             "pair_norm_1": "q1^2+p1^2",
             "pair_norm_2": "q2^2+p2^2",
@@ -210,16 +213,97 @@ class TestExpressionDerivatives:
                 for b in grid:
                     q = np.array([a, b])
                     p = np.array([b, a])
-                    dq_e, dp_e = om_expr.gradient(q, p)
                     dq_a, dp_a = om_exact.gradient(q, p)
-                    assert np.abs(dq_e - dq_a).max() < 1e-6, name
-                    assert np.abs(dp_e - dp_a).max() < 1e-6, name
+                    dq_fd = central_diff(lambda q_: om_expr.eval(q_, p), q, 1e-5)
+                    dp_fd = central_diff(lambda p_: om_expr.eval(q, p_), p, 1e-5)
+                    assert np.abs(dq_fd - dq_a).max() < 1e-6, name
+                    assert np.abs(dp_fd - dp_a).max() < 1e-6, name
+                    dq_e, dp_e = om_expr.gradient(q, p)
+                    assert np.array_equal(dq_e, dq_a) and np.array_equal(dp_e, dp_a), name
 
     def test_central_diff_of_an_expression(self):
         tree = parse_expression("sin(u)*v", UV)
         d_u, d_v = central_diff(lambda q: eval_expression(tree, {"u": q[0], "v": q[1]}), [0.6, 2.0], 1e-5)
         assert d_u == pytest.approx(2.0 * math.cos(0.6), abs=1e-9)
         assert d_v == pytest.approx(math.sin(0.6), abs=1e-9)
+
+
+def _domain_points(text, count=5):
+    """Seeded points in [0.1, 2]^4, inside the domain of every corpus expression."""
+    rng = random.Random(f"diff:{text}")
+    return [[rng.uniform(0.1, 2.0) for _ in PHASE_VARS] for _ in range(count)]
+
+
+class TestDiff:
+    @pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
+    def test_matches_central_differences(self, text):
+        tree = parse_expression(text, PHASE_VARS)
+        f = compile_expression(tree, PHASE_VARS)
+        partials = [compile_expression(diff(tree, name), PHASE_VARS) for name in PHASE_VARS]
+        for x in _domain_points(text):
+            fd = central_diff(lambda z: f(*z.tolist()), x, 1e-6)
+            exact = np.array([d(*x) for d in partials])
+            scale = 1.0 + abs(f(*x)) + np.abs(exact).max()
+            assert np.abs(exact - fd).max() <= 1e-7 * scale, (text, x)
+
+    @pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
+    def test_matches_sympy(self, text):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(PHASE_VARS)
+        tree = parse_expression(text, PHASE_VARS)
+        reference = sympy.sympify(to_string(tree).replace("^", "**"), locals={"ln": sympy.log})
+        for name, symbol in zip(PHASE_VARS, symbols):
+            d = compile_expression(diff(tree, name), PHASE_VARS)
+            d_ref = sympy.lambdify(symbols, sympy.diff(reference, symbol), "math")
+            for x in _domain_points(text):
+                assert d(*x) == pytest.approx(float(d_ref(*x)), rel=1e-12, abs=1e-12), (text, name, x)
+
+    def test_folds_zero_and_one_terms(self):
+        def d(text, var="q1"):
+            return diff(parse_expression(text, PHASE_VARS), var)
+
+        assert d("q1") == Num(1.0) and d("p1") == Num(0.0) and d("2.5") == Num(0.0)
+        assert d("q1^2+p1^2") == BinOp("*", Num(2.0), Var("q1"))
+        assert d("q1*p2-q2*p1") == Var("p2")
+        assert d("-q1") == Num(-1.0)
+        assert d("exp(p1)") == Num(0.0)
+
+    def test_a_constant_exponent_takes_the_power_rule(self):
+        # x^3 is 3 x^2 and never ln(x), so a negative base keeps its derivative
+        tree = diff(parse_expression("q1^3", PHASE_VARS), "q1")
+        assert "ln" not in to_string(tree)
+        assert compile_expression(tree, PHASE_VARS)(-2.0, 0.0, 0.0, 0.0) == 12.0
+
+    def test_a_varying_exponent_takes_ln_of_the_base(self):
+        d = compile_expression(diff(parse_expression("q1^p1", PHASE_VARS), "p1"), PHASE_VARS)
+        assert d(2.0, 0.0, 3.0, 0.0) == pytest.approx(8.0 * math.log(2.0), rel=1e-15)
+
+    def test_a_derivative_without_a_real_value_is_a_domain_error(self):
+        d = compile_expression(diff(parse_expression("sqrt(q1)", PHASE_VARS), "q1"), PHASE_VARS)
+        with pytest.raises(ExpressionDomainError):
+            d(0.0, 1.0, 1.0, 1.0)
+
+    def test_a_derivative_deeper_than_the_limit_is_a_syntax_error(self):
+        # each level of a tower u^u^...^u deepens the derivative by three
+        assert diff(parse_expression("u^" * 99 + "u", UV), "u") is not None
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply") as err:
+            diff(parse_expression("u^" * MAX_NESTING + "u", UV), "u")
+        assert str(MAX_DERIVATIVE_DEPTH) in str(err.value)
+
+    def test_shared_subtrees_compile_to_the_bits_of_the_unshared_tree(self):
+        shared = parse_expression("sin(u)/v+u", UV)
+        dag = BinOp("*", shared, BinOp("-", shared, Num(1.0)))
+        tree = parse_expression("(sin(u)/v+u)*((sin(u)/v+u)-1)", UV)
+        assert dag == tree
+        f_dag, f_tree = compile_expression(dag, UV), compile_expression(tree, UV)
+        for u, v in ((0.3, 1.7), (2.5, -1e-3), (1.1, 0.0), (-4.0, 3.0)):
+            assert outcome(f_dag, u, v) == outcome(f_tree, u, v)
+
+    def test_second_derivative_of_a_long_product(self):
+        # u v u v ... shares its factors among the terms of every derivative
+        text = "u" + "*v*u" * 50
+        d_uv = compile_expression(diff(diff(parse_expression(text, UV), "u"), "v"), UV)
+        assert d_uv(1.0, 1.0) == 51.0 * 50.0
 
 
 def walk(expr, bindings):

@@ -59,10 +59,34 @@ GENERATORS = [
     (partial_legendre_hamiltonian(2, 2), partial_legendre_field(2, 2)),
 ]
 
-# no gradient, so the field and its Jacobian are both central differences;
-# polynomial, so its batched and per-row values are plain IEEE arithmetic
-GRADIENT_FREE = ContactHamiltonian(
-    "poly", lambda z: z[..., 1] * z[..., 4] + z[..., 0] * z[..., 2] * z[..., 2] * z[..., 3])
+
+def _poly_gradient(z):
+    z = np.asarray(z, dtype=float)
+    g = np.empty(z.shape)
+    g[..., 0] = z[..., 2] * z[..., 2] * z[..., 3]
+    g[..., 1] = z[..., 4]
+    g[..., 2] = 2.0 * z[..., 0] * z[..., 2] * z[..., 3]
+    g[..., 3] = z[..., 0] * z[..., 2] * z[..., 2]
+    g[..., 4] = z[..., 1]
+    return g
+
+
+def _poly_hessian(z):
+    z = np.asarray(z, dtype=float)
+    H = np.zeros(z.shape + z.shape[-1:])
+    H[..., 0, 2] = H[..., 2, 0] = 2.0 * z[..., 2] * z[..., 3]
+    H[..., 0, 3] = H[..., 3, 0] = z[..., 2] * z[..., 2]
+    H[..., 1, 4] = H[..., 4, 1] = 1.0
+    H[..., 2, 2] = 2.0 * z[..., 0] * z[..., 3]
+    H[..., 2, 3] = H[..., 3, 2] = 2.0 * z[..., 0] * z[..., 2]
+    return H
+
+
+# a generator that depends on Phi, unlike the rotation generators; polynomial,
+# so its batched and per-row values are plain IEEE arithmetic
+POLY = ContactHamiltonian(
+    "poly", lambda z: z[..., 1] * z[..., 4] + z[..., 0] * z[..., 2] * z[..., 2] * z[..., 3],
+    _poly_gradient, _poly_hessian)
 
 
 class TestHamiltonians:
@@ -123,7 +147,7 @@ class TestHamiltonianVectorField:
                 np.testing.assert_allclose(X_fast.eval(x), X_generic.eval(x), atol=1e-14)
                 np.testing.assert_allclose(X_fast.jacobian(x), X_generic.jacobian(x), atol=1e-14)
 
-    @pytest.mark.parametrize("h", [h for h, _ in GENERATORS] + [GRADIENT_FREE], ids=lambda h: h.name)
+    @pytest.mark.parametrize("h", [h for h, _ in GENERATORS] + [POLY], ids=lambda h: h.name)
     def test_batch_equals_per_row_calls(self, h):
         X = hamiltonian_vector_field(h)
         z = np.random.default_rng(13).normal(size=(64, 5))
@@ -152,50 +176,31 @@ class TestHamiltonianVectorField:
             g[..., 4] = z[..., 1]
             return g
 
+        def q1p2_hessian(z):
+            H = np.zeros(z.shape + z.shape[-1:])
+            H[..., 1, 4] = H[..., 4, 1] = 1.0
+            return H
+
         h = ContactHamiltonian(
             name="q1p2",
             value=lambda z: z[..., 1] * z[..., 4],
             gradient=q1p2_gradient,
+            hessian=q1p2_hessian,
         )
         X = hamiltonian_vector_field(h)
         for x in sample_darboux_points(100, 2, seed=17):
             assert eval_eta(x) @ X.eval(x) == pytest.approx(h.value(x.to_array()), rel=1e-12, abs=1e-13)
 
-    def test_fd_jacobian_fallback(self):
-        h = ContactHamiltonian("exp", lambda z: np.exp(0.3 * z[..., 1]) * z[..., 3])
-        X = hamiltonian_vector_field(h)
-        x = DarbouxPoint(0.1, [0.5, 0.2], [0.7, -0.4])
-        J = X.jacobian(x)
-        h_ref = 1e-5
-        for B in range(5):
-            col = (X.eval(x.shifted(B, h_ref)) - X.eval(x.shifted(B, -h_ref))) / (2 * h_ref)
-            np.testing.assert_allclose(J[:, B], col, atol=1e-6)
-
-    def test_fd_paths_equal_the_hand_written_loops(self):
-        # the FD partials of a gradient-free Hamiltonian and the FD Jacobian,
-        # written out as before they went through central_diff; the results
-        # must agree bit for bit
+    def test_jacobian_matches_fd_of_the_field(self):
+        # the Jacobian built from the exact Hessian, against central differences of the field
+        X = hamiltonian_vector_field(POLY)
         h_fd = 1e-5
-
-        def fn(z):
-            z = np.asarray(z)
-            return np.exp(0.3 * z[..., 1]) * z[..., 3] + np.sin(z[..., 0] * z[..., 2]) * z[..., 4] ** 2
-
-        def diff(x, index):
-            return (fn(x.shifted(index, h_fd)) - fn(x.shifted(index, -h_fd))) / (2 * h_fd)
-
-        looped = ContactHamiltonian(
-            name="loops", value=fn,
-            gradient=lambda z: np.array([diff(DarbouxPoint.from_array(z), B) for B in range(len(z))]),
-        )
-        X_old = hamiltonian_vector_field(looped).eval
-        X = hamiltonian_vector_field(ContactHamiltonian("fd", fn), h_fd)
         for x in sample_darboux_points(10, 2, seed=29):
-            J_old = np.empty((5, 5))
-            for B in range(5):
-                J_old[:, B] = (X_old(x.shifted(B, h_fd)) - X_old(x.shifted(B, -h_fd))) / (2 * h_fd)
-            assert np.array_equal(X.eval(x), X_old(x))
-            assert np.array_equal(X.jacobian(x), J_old)
+            z = x.to_array()
+            J_fd = central_diff(X.eval, z, h_fd)
+            scale = max(1.0, np.abs(J_fd).max())
+            assert np.abs(X.jacobian(z) - J_fd).max() / scale < 1e-8
+            assert np.abs(POLY.gradient(z) - central_diff(POLY.value, z, h_fd)).max() / scale < 1e-8
 
 
 class TestIntegrateFlow:

@@ -288,18 +288,17 @@ CLI_FLAGS = {
         **COMMON_FLAGS,
         "--family": ["epsilon", "gtd_total", "gtd_partial", "other"],
         "--omega": ["norm_sum", "const:1", "const:0", "expr:q1^2+p1^2", "expr:1/0", "expr:q1*1e308*10",
-                    "const:x", "bogus"],
+                    "const:x", "bogus", "expr:(q1^2+p1^2)^3", "expr:1/(q1*p2-q2*p1)"],
         "--points": ["1", "2", "0", "-2", "x"],
         "--k": ["0", "1", "-1", "x"],
         "--xi": ["1,1", "1,2", "1", "1e400,1", "x"],
         "--chi": ["1,1", "1,-1", "x"],
-        "--h-fd": ["1e-5", "1e-300", "0", "-1", "nan", "inf", "x"],
     },
     "omega-check": {
         **COMMON_FLAGS,
-        "--omega": ["norm_sum", "const:1", "expr:q1", "expr:1/0", "expr:q1*1e308*10", "const:x", "bogus"],
+        "--omega": ["norm_sum", "const:1", "expr:q1", "expr:1/0", "expr:q1*1e308*10", "const:x", "bogus",
+                    "expr:sqrt(q1^2+p1^2)", "expr:1/(q1*p2-q2*p1)", "expr:" + "q1^" * 100 + "q1"],
         "--points": ["1", "2", "0", "-2", "x"],
-        "--h-fd": ["1e-5", "1e-300", "0", "-1", "nan", "inf", "x"],
     },
     "curvature": {
         **COMMON_FLAGS,
@@ -314,7 +313,8 @@ CLI_FLAGS = {
     "rho-scan": {
         **COMMON_FLAGS,
         "--cv": ["1.5", "4", "1e300", "0", "-1", "nan", "x"],
-        "--omega": ["const:1", "const:0", "expr:1+u/(u+v)", "expr:ln(u-3)", "expr:u*1e308*10", "x"],
+        "--omega": ["const:1", "const:0", "expr:1+u/(u+v)", "expr:ln(u-3)", "expr:u*1e308*10", "x",
+                    "expr:sqrt(u-2)", "expr:" + "u^v^" * 50 + "u"],
         "--rho": ["0.2:4:5", "1e-300:1e300:3", "0:1:3", "-1:1:3", "2:1:3", "1:2:1", "1:2", "1:2:x", "a:1:3",
                   "1:inf:3"],
         "--v-fixed": ["1", "1e-300", "1e-3", "1e4", "1e300", "0", "-1", "x"],
