@@ -61,6 +61,7 @@ from .equilibrium import (
     FundamentalRelation,
     SingularityError,
     curvature_report,
+    curvature_table,
     embed,
     embedding_tangents,
     first_law_residual,

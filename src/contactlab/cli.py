@@ -62,7 +62,7 @@ from .equilibrium import (
     EquilibriumOmega,
     FundamentalRelation,
     SingularityError,
-    curvature_report,
+    curvature_table,
     pointwise,
     rho_scan,
 )
@@ -382,6 +382,7 @@ def _emit_table(table: np.ndarray, fieldnames: Sequence[str], fmt: str, stream) 
     true/false, and text is quoted as csv.writer or json.dumps quotes it.  An all-float chunk
     becomes its cells with one ravel().tolist().
     """
+    table = np.asarray(table)  # a record array as a plain one, whose field lookups skip recarray's Python methods
     if table.dtype.names is None:
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(fieldnames):
@@ -492,10 +493,10 @@ def _sampled_points(cfg: RunConfig, omega: Optional[OmegaFunction]):
     return sample_darboux_points(cfg.points, cfg.n, cfg.seed, omega=guard)
 
 
-def _residual_table(cfg: RunConfig, points, residuals: List[float]):
+def _residual_table(cfg: RunConfig, points: np.ndarray, residuals: List[float]):
     """One row per point: index, the point's Z coordinates and its residual."""
     names = ["index"] + _coord_names(cfg.n) + ["residual"]
-    return names, _typed_table(names, np.arange(len(points)), np.array(points), residuals)
+    return names, _typed_table(names, np.arange(len(points)), points, residuals)
 
 
 def _cmd_killing(cfg: RunConfig):
@@ -516,10 +517,8 @@ def _cmd_omega_check(cfg: RunConfig):
     return _residual_table(cfg, points, residuals)
 
 
-def _scan_table(reports):
-    """One row per curvature report, a column per report attribute."""
-    names = ["rho", "u", "v", "R_analytic", "R_numeric", "rel_error", "near_singularity"]
-    return names, _typed_table(names, *([getattr(r, name) for r in reports] for name in names))
+#: the columns of a curvature table that curvature and rho-scan emit
+_SCAN_NAMES = ["rho", "u", "v", "R_analytic", "R_numeric", "rel_error", "near_singularity"]
 
 
 def _cmd_curvature(cfg: RunConfig):
@@ -530,8 +529,8 @@ def _cmd_curvature(cfg: RunConfig):
     omega = parse_equilibrium_omega_spec(cfg.omega)
     h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_CURVATURE_STEP
     with np.errstate(all="ignore"):  # an extreme scale gives a null R_numeric, not a numpy warning
-        report = curvature_report(cfg.u, cfg.v, cfg.cv, omega, cfg.delta_sing, h_fd)
-    return _scan_table([report])
+        table = curvature_table([cfg.u], cfg.v, cfg.cv, omega, cfg.delta_sing, h_fd)
+    return _SCAN_NAMES, table
 
 
 def _cmd_rho_scan(cfg: RunConfig):
@@ -541,22 +540,22 @@ def _cmd_rho_scan(cfg: RunConfig):
     omega = parse_equilibrium_omega_spec(cfg.omega)
     h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_CURVATURE_STEP
     with np.errstate(all="ignore"):
-        reports = rho_scan(cfg.cv, omega, lo, hi, steps, cfg.v_fixed, cfg.delta_sing, h_fd)
-    flagged = sum(r.near_singularity for r in reports)
+        table = rho_scan(cfg.cv, omega, lo, hi, steps, cfg.v_fixed, cfg.delta_sing, h_fd)
+    flagged = int(np.count_nonzero(table.near_singularity))
     if flagged:
         print(f"rho-scan: {flagged} points flagged near rho = sqrt({cfg.cv:g})", file=sys.stderr)
-    reasons = [r.null_reason for r in reports if r.null_reason is not None]
+    reasons = [r for r in table.null_reason.tolist() if r is not None]
     if reasons:
         print(f"rho-scan: no R_numeric on {len(reasons)} rows ({NULL_DEGENERATE}: "
               f"{reasons.count(NULL_DEGENERATE)}, {NULL_OUTSIDE}: {reasons.count(NULL_OUTSIDE)})",
               file=sys.stderr)
-    return _scan_table(reports)
+    return _SCAN_NAMES, table
 
 
 def _cmd_isometry(cfg: RunConfig):
     G, omega = _metric_from_config(cfg)
     maps = _parse_maps(cfg.maps, cfg.n)
-    Z = np.array(_sampled_points(cfg, omega))
+    Z = _sampled_points(cfg, omega)
     # the recurrence is evaluated first, which fixes the point that a failing Omega reports
     recurrence = ([("recurrence:pi/2", flow_recurrence_residual(G, Z, cfg.recurrence_dt))]
                   if cfg.recurrence_dt is not None else [])
@@ -590,6 +589,9 @@ def run(config: RunConfig) -> int:
         return EXIT_NUMERIC
     except (ConfigError, ExpressionError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy refuses an array too large at once (rho-scan --rho 0.5:4:1e11 steps)
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     path = resolve_output_path(config.out)

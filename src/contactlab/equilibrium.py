@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .phasespace import DarbouxPoint, central_diff, eval_eta
+from .phasespace import DarbouxPoint, _central_differences, _central_stencil, central_diff, eval_eta
 from .metriclab import MetricField, OmegaFunction, build_metric
 
 #: half-width of the |rho^2 - c_v| band flagged as near-singular
@@ -262,67 +262,101 @@ def _metric_eval(g) -> Callable[[np.ndarray], np.ndarray]:
     return ev if callable(ev) else pointwise(g, (2, 2))
 
 
-def _christoffel(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray, h_fd: float) -> np.ndarray:
-    """Gamma^a_{bc} at each row of Q with metric first derivatives by central differences."""
-    ginv = np.linalg.inv(metric(Q))
-    D = central_diff(metric, Q, _scaled_step(Q, h_fd))  # D[..., a, b, c] = d_c g_{ab}
-    return 0.5 * (
+#: rows of Q per stencil block of the curvature oracle; a block's arrays hold about 3 KB per row
+ORACLE_BLOCK_ROWS = 1024
+
+
+def _metric_on(metric: Callable[[np.ndarray], np.ndarray], Y: np.ndarray,
+               in_domain: Optional[Callable]):
+    """metric at the points Y of shape (..., rows, 2), and which rows have a point outside the domain.
+
+    When metric raises DomainError and in_domain is given, it is evaluated on
+    the points inside the domain only, and the others get an identity stand-in;
+    without in_domain the error propagates.
+    """
+    try:
+        return metric(Y), np.zeros(Y.shape[-2], dtype=bool)
+    except DomainError:
+        if in_domain is None:
+            raise
+    inside = in_domain(Y)
+    G = np.broadcast_to(np.eye(2), Y.shape + (2,)).copy()
+    G[inside] = metric(Y[inside])
+    return G, ~inside.reshape(-1, Y.shape[-2]).all(axis=0)
+
+
+def _curvature_block(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray,
+                     h_fd: float, in_domain: Optional[Callable]):
+    """_scalar_curvature_rows on one block of rows: (R, det, outside), with metric called twice.
+
+    The nested stencil of a row (the 4 first-level points of central_diff, and
+    the 16 points of central_diff at each of them) holds 16 distinct points
+    besides the centre: "+-u, then +-v" is "+-v, then +-u" bit for bit, since
+    a shift leaves the other coordinate, and so its scaled step, unchanged.
+    The metric is evaluated once at each, with the centre's value from Q's call.
+    """
+    G, outside = _metric_on(metric, Q, in_domain)
+    det = np.linalg.det(G)
+    R = np.full(len(Q), math.nan)
+    rows = np.flatnonzero(~(np.abs(det) <= 1e-12) & ~outside)
+    if not len(rows):
+        return R, det, outside
+    k = len(rows)
+    first, steps1 = _central_stencil(Q[rows], _scaled_step(Q[rows], h_fd))  # (4, k, 2): +u, -u, +v, -v
+    second, steps2 = _central_stencil(first, _scaled_step(first, h_fd))  # second[inner, outer]
+    # evaluated: the first level, every u-shift of it, and the v-shifts of its v-shifted points
+    points = np.concatenate((first, second[:2].reshape(8, k, 2), second[2:, 2:].reshape(4, k, 2)))
+    values, stencil_outside = _metric_on(metric, points, in_domain)
+    outside[rows[stencil_outside]] = True
+    G1 = values[:4]
+    G2 = np.empty((4, 4, k, 2, 2))
+    G2[:2] = values[4:12].reshape(2, 4, k, 2, 2)
+    G2[2:, 2:] = values[12:].reshape(2, 2, k, 2, 2)
+    G2[2:, :2] = G2[:2, 2:].swapaxes(0, 1)  # v-shifts of the u-shifted points: the mirrored corners
+    # Christoffel symbols Gamma^a_{bc} of the centre (index 0) and the first level, in one call
+    ginv = np.linalg.inv(np.concatenate((G[rows][np.newaxis], G1)))
+    D = np.concatenate((_central_differences(G1, steps1)[np.newaxis],
+                        _central_differences(G2, steps2)))  # D[..., a, b, c] = d_c g_{ab}
+    gammas = 0.5 * (
         np.einsum("...ad,...dcb->...abc", ginv, D)
         + np.einsum("...ad,...dbc->...abc", ginv, D)
         - np.einsum("...ad,...bcd->...abc", ginv, D)
     )
+    gamma = gammas[0]
+    dgamma = _central_differences(gammas[1:], steps1)  # dgamma[..., a, b, c, e] = d_e Gamma^a_{bc}
+    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
+    riemann = (
+        np.einsum("...adbc->...abcd", dgamma)
+        - np.einsum("...acbd->...abcd", dgamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+    )
+    ricci = np.einsum("...abad->...bd", riemann)
+    R[rows] = np.einsum("...bd,...bd->...", ginv[0], ricci)
+    R[outside] = math.nan
+    return R, det, outside
 
 
 def _scalar_curvature_rows(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray,
                            h_fd: float, in_domain: Optional[Callable] = None):
-    """The curvature oracle at every row of Q, shape (m, 2), in one batch.
+    """The curvature oracle at every row of Q, shape (m, 2), ORACLE_BLOCK_ROWS rows at a time.
 
     Returns (R, det, reasons): det g at each row, and R, NaN on every row i
-    whose reasons[i] says why it has no value (NULL_DEGENERATE when
-    |det g| <= 1e-12, checked before any stencil point is evaluated).
-    When metric raises DomainError and in_domain is given, the rows with a
-    stencil point outside the domain are NULL_OUTSIDE and the metric is
-    evaluated on the other rows only; without in_domain the error propagates.
+    whose reasons[i] (an object array) says why it has no value:
+    NULL_DEGENERATE when |det g| <= 1e-12, checked before any stencil point
+    is evaluated.  When metric raises DomainError and in_domain is given, the
+    rows with a stencil point outside the domain are NULL_OUTSIDE and the
+    metric is evaluated on the other points only; without in_domain the error
+    propagates.  Every row has the bits of a block of that row alone.
     """
     m = len(Q)
-    rows = np.arange(m)  # the rows of Q that metric's current argument holds
-    outside = np.zeros(m, dtype=bool)
-
-    def masked(Y: np.ndarray) -> np.ndarray:
-        try:
-            return metric(Y)
-        except DomainError:
-            if in_domain is None:
-                raise
-        inside = in_domain(Y)  # Y has shape (..., len(rows), 2)
-        outside[rows[~inside.reshape(-1, len(rows)).all(axis=0)]] = True
-        G = np.broadcast_to(np.eye(2), Y.shape + (2,)).copy()  # a stand-in on rows that are dropped
-        G[inside] = metric(Y[inside])
-        return G
-
-    G = masked(Q)
-    det = np.linalg.det(G)
-    degenerate = np.abs(det) <= 1e-12
-    R = np.full(m, math.nan)
-    rows = np.flatnonzero(~degenerate & ~outside)
-    if len(rows):
-        Qk = Q[rows]
-        ginv = np.linalg.inv(G[rows])
-        gamma = _christoffel(masked, Qk, h_fd)
-        # dgamma[..., a, b, c, e] = d_e Gamma^a_{bc}
-        dgamma = central_diff(lambda Y: _christoffel(masked, Y, h_fd), Qk, _scaled_step(Qk, h_fd))
-        # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-        riemann = (
-            np.einsum("...adbc->...abcd", dgamma)
-            - np.einsum("...acbd->...abcd", dgamma)
-            + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-            - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
-        )
-        ricci = np.einsum("...abad->...bd", riemann)
-        R[rows] = np.einsum("...bd,...bd->...", ginv, ricci)
-        R[outside] = math.nan
-    reasons = [NULL_DEGENERATE if d else NULL_OUTSIDE if o else None
-               for d, o in zip(degenerate.tolist(), outside.tolist())]
+    R, det, outside = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    for start in range(0, m, ORACLE_BLOCK_ROWS):
+        block = slice(start, start + ORACLE_BLOCK_ROWS)
+        R[block], det[block], outside[block] = _curvature_block(metric, Q[block], h_fd, in_domain)
+    reasons = np.full(m, None, dtype=object)
+    reasons[outside] = NULL_OUTSIDE
+    reasons[np.abs(det) <= 1e-12] = NULL_DEGENERATE
     return R, det, reasons
 
 
@@ -389,46 +423,64 @@ class CurvatureReport:
             raise ValueError("rho must equal u/v exactly")
 
 
-def _curvature_reports(us: List[float], v: float, c_v: float, omega_on_e: EquilibriumOmega,
-                       delta_sing: float, h_fd: float) -> List[CurvatureReport]:
-    """Reports at (u, v) for every u in us; the oracle runs once, on all rows outside the band."""
-    rhos = [u / v for u in us]
-    # a band that is not positive leaves every row outside it, for scalar_curvature_ideal_gas to reject
-    off = [i for i, rho in enumerate(rhos) if not abs(rho * rho - c_v) < delta_sing]
-    # every row starts flagged; the rows outside the band are filled in below
-    reports = [CurvatureReport(u, v, rho, math.nan, math.nan, math.nan, True) for u, rho in zip(us, rhos)]
-    if not off:
-        return reports
-    gas = ideal_gas(c_v)
-    g = induced_metric(_EPSILON_UNIT, gas, omega_on_e)
-    analytic = [scalar_curvature_ideal_gas(us[i], v, c_v, omega_on_e, delta_sing, h_fd) for i in off]
-    Q = np.array([[us[i], v] for i in off], dtype=float)
-    numeric, _, reasons = _scalar_curvature_rows(g.eval, Q, h_fd, gas.in_domain)
-    for i, r_analytic, r_numeric, reason in zip(off, analytic, numeric.tolist(), reasons):
-        if reason is None:
-            rel = abs(r_numeric - r_analytic) / max(abs(r_analytic), 1e-300)
-        else:
-            rel = math.nan
-        reports[i] = CurvatureReport(us[i], v, rhos[i], r_analytic, r_numeric, rel, False, reason)
-    return reports
+#: the columns of curvature_table and rho_scan, with their types
+CURVATURE_FIELDS = [("rho", float), ("u", float), ("v", float), ("R_analytic", float),
+                    ("R_numeric", float), ("rel_error", float), ("near_singularity", bool),
+                    ("null_reason", object)]
+
+
+def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
+                    delta_sing: float = DEFAULT_SINGULAR_BAND,
+                    h_fd: float = DEFAULT_CURVATURE_STEP) -> np.recarray:
+    """Both curvature paths at (u, v) for every u in us: a record array, a row per u.
+
+    The columns are CURVATURE_FIELDS, each row holding what CurvatureReport
+    holds.  Rows inside the singular band are flagged and have NaN values;
+    the oracle runs on all other rows at once.
+    """
+    table = np.empty(len(us), dtype=CURVATURE_FIELDS)  # a plain array while filling: field access is cheaper
+    table["u"] = us
+    table["v"] = v
+    table["R_analytic"] = table["R_numeric"] = table["rel_error"] = math.nan
+    table["null_reason"] = None
+    with np.errstate(all="ignore"):  # as in the closed form's float arithmetic, which raises or gives inf
+        rho = table["rho"] = table["u"] / v
+        # a band that is not positive leaves every row outside it, for scalar_curvature_ideal_gas to reject
+        table["near_singularity"] = np.abs(rho * rho - c_v) < delta_sing
+    off = np.flatnonzero(~table["near_singularity"])
+    if len(off):
+        us_off = table["u"][off]
+        analytic = np.array([scalar_curvature_ideal_gas(u, v, c_v, omega_on_e, delta_sing, h_fd)
+                             for u in us_off.tolist()])
+        gas = ideal_gas(c_v)
+        g = induced_metric(_EPSILON_UNIT, gas, omega_on_e)
+        numeric, _, reasons = _scalar_curvature_rows(g.eval, np.column_stack((us_off, table["v"][off])), h_fd,
+                                                     gas.in_domain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = np.abs(numeric - analytic) / np.maximum(np.abs(analytic), 1e-300)
+        rel[reasons.astype(bool)] = math.nan
+        table["R_analytic"][off] = analytic
+        table["R_numeric"][off] = numeric
+        table["rel_error"][off] = rel
+        table["null_reason"][off] = reasons
+    return table.view(np.recarray)
 
 
 def curvature_report(u: float, v: float, c_v: float, omega_on_e: EquilibriumOmega,
                      delta_sing: float = DEFAULT_SINGULAR_BAND,
                      h_fd: float = DEFAULT_CURVATURE_STEP) -> CurvatureReport:
     """Evaluate both curvature paths at (u, v), flagging the singular band."""
-    return _curvature_reports([u], v, c_v, omega_on_e, delta_sing, h_fd)[0]
+    table = curvature_table([u], v, c_v, omega_on_e, delta_sing, h_fd)
+    return CurvatureReport(**dict(zip(table.dtype.names, table.tolist()[0])))
 
 
 def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: float,
              steps: int, v_fixed: float = 1.0,
              delta_sing: float = DEFAULT_SINGULAR_BAND,
-             h_fd: float = DEFAULT_CURVATURE_STEP) -> List[CurvatureReport]:
-    """Curvature reports on an inclusive rho grid, u = rho * v_fixed.
+             h_fd: float = DEFAULT_CURVATURE_STEP) -> np.recarray:
+    """curvature_table on an inclusive rho grid, u = rho * v_fixed, ordered by rho.
 
     Points inside the singular band are flagged and skipped for rel_error.
-    The oracle evaluates all other points as one batch.  Reports are
-    ordered by rho.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -436,5 +488,5 @@ def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: 
         raise ValueError("rho range must be non-empty")
     if v_fixed <= 0:
         raise ValueError("v_fixed must be positive")
-    us = [float(rho * v_fixed) for rho in np.linspace(rho_min, rho_max, steps)]
-    return _curvature_reports(us, v_fixed, c_v, omega_on_e, delta_sing, h_fd)
+    return curvature_table(np.linspace(rho_min, rho_max, steps) * v_fixed, v_fixed, c_v, omega_on_e,
+                           delta_sing, h_fd)

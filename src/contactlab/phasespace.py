@@ -236,16 +236,8 @@ def central_diff(f: Callable, z: Sequence[float], h) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     if z.ndim > 1:
-        dim = z.shape[-1]
-        steps = np.moveaxis(np.broadcast_to(np.asarray(h, dtype=float), z.shape), -1, 0)
-        shifted = np.stack([z] * (2 * dim))  # z + h_B e_B at 2B, z - h_B e_B at 2B + 1
-        for B in range(dim):
-            shifted[2 * B, ..., B] += steps[B]
-            shifted[2 * B + 1, ..., B] -= steps[B]
-        values = f(shifted)
-        diff = values[0::2] - values[1::2]
-        D = diff / (2 * steps).reshape(steps.shape + (1,) * (diff.ndim - steps.ndim))
-        return np.moveaxis(D, 0, -1)
+        shifted, steps = _central_stencil(z, h)
+        return _central_differences(f(shifted), steps)
     values = z.tolist()
     dim = len(values)
     steps = [float(s) for s in h] if isinstance(h, (list, tuple, np.ndarray)) else [float(h)] * dim
@@ -260,6 +252,29 @@ def central_diff(f: Callable, z: Sequence[float], h) -> np.ndarray:
             D = np.empty(getattr(column, "shape", ()) + (dim,))
         D[..., B] = column
     return D
+
+
+def _central_stencil(z: np.ndarray, h):
+    """The points of central_diff at a batch z of shape (..., d), and their steps.
+
+    Returns (shifted, steps): shifted has shape (2d,) + z.shape, with
+    z + h_B e_B at 2B and z - h_B e_B at 2B + 1; steps[B] is h_B at every
+    point, shape (d,) + z.shape[:-1].  h is as for central_diff.
+    """
+    dim = z.shape[-1]
+    steps = np.moveaxis(np.broadcast_to(np.asarray(h, dtype=float), z.shape), -1, 0)
+    shifted = np.stack([z] * (2 * dim))
+    for B in range(dim):
+        shifted[2 * B, ..., B] += steps[B]
+        shifted[2 * B + 1, ..., B] -= steps[B]
+    return shifted, steps
+
+
+def _central_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """central_diff from f's values on a _central_stencil: D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B)."""
+    diff = values[0::2] - values[1::2]
+    D = diff / (2 * steps).reshape(steps.shape + (1,) * (diff.ndim - steps.ndim))
+    return np.moveaxis(D, 0, -1)
 
 
 def lie_derivative_oneform(X, omega, x, h_fd: float = DEFAULT_FD_STEP) -> Covector:

@@ -7,11 +7,10 @@ numpy RNG versioning.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .phasespace import DarbouxPoint
 from .metriclab import OmegaFunction
 
 _MASK64 = (1 << 64) - 1
@@ -40,26 +39,29 @@ class SplitMix64:
 def sample_darboux_points(count: int, n: int, seed: int,
                           low: float = -2.0, high: float = 2.0,
                           omega: Optional[OmegaFunction] = None,
-                          omega_min: float = 1e-12) -> List[DarbouxPoint]:
-    """Draw points uniformly from [low, high]^(2n+1) in the Z ordering.
+                          omega_min: float = 1e-12) -> np.ndarray:
+    """Draw points uniformly from [low, high]^(2n+1): a Z array of shape (count, 2n+1).
 
-    When omega is given, points with |Omega| < omega_min are rejected and
-    redrawn (deterministically, from the same stream); required for
-    epsilon-family runs where Omega must not vanish.
+    Each row's coordinates are drawn in the Z ordering.  When omega is given,
+    points with |Omega| < omega_min are rejected and redrawn
+    (deterministically, from the same stream); required for epsilon-family
+    runs where Omega must not vanish.  DarbouxPoint.from_array makes a row a
+    point.
     """
     rng = SplitMix64(seed)
     dim = 2 * n + 1
-    points = []
-    attempts = 0
-    while len(points) < count:
+    Z = np.empty((count, dim))
+    accepted = attempts = 0
+    while accepted < count:
         attempts += 1
         if attempts > 1000 * count:
             raise ValueError(
                 f"omega filter |{omega.name}| >= {omega_min:g} rejected nearly every draw"
             )
-        z = np.array([rng.uniform(low, high) for _ in range(dim)])
-        x = DarbouxPoint.from_array(z)
-        if omega is not None and abs(omega.eval(x.q, x.p)) < omega_min:
+        z = Z[accepted]
+        z[:] = [rng.uniform(low, high) for _ in range(dim)]
+        # Omega gets copies: a redraw overwrites the row
+        if omega is not None and abs(omega.eval(z[1 : n + 1].copy(), z[n + 1 :].copy())) < omega_min:
             continue
-        points.append(x)
-    return points
+        accepted += 1
+    return Z

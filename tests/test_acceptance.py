@@ -97,7 +97,7 @@ def test_criterion_1_flow_equals_discrete_map():
     with criterion(1, "RK4 quarter-turn flow matches the discrete total map (< 1e-8, < 5 s)"):
         start = time.monotonic()
         total = LegendreMap.total(2)
-        points = AXIS_ICS + sample_darboux_points(50, 2, seed=20260811)
+        points = AXIS_ICS + [DarbouxPoint.from_array(z) for z in sample_darboux_points(50, 2, seed=20260811)]
 
         # one full trajectory through the public integrator
         traj = integrate_flow(X_L, AXIS_ICS[1], PI_2, dt=1e-4)
@@ -125,7 +125,7 @@ def test_criterion_2_conservation_and_contact_invariance():
             assert np.abs(values - h.value(ic)).max() < 1e-10
 
         # the 50 random orbits, checkpointed in 64 segments around the turn
-        states = np.stack([p.to_array() for p in sample_darboux_points(50, 2, seed=20260811)])
+        states = sample_darboux_points(50, 2, seed=20260811)
         h0 = 0.5 * (states[:, 1:] ** 2).sum(axis=1)
         worst = 0.0
         for _ in range(64):
@@ -165,7 +165,7 @@ def test_criterion_4_discrete_isometries_and_recurrence():
         gtd_t = build_metric("gtd_total", GtdTotalParams.identity(REGISTRY["const"]))
         gtd_p = build_metric("gtd_partial", GtdPartialParams(0, REGISTRY["const"]))
         maps = [LegendreMap(frozenset(s), 2) for s in ({1}, {2}, {1, 2})]
-        points = GENERIC_POINTS + sample_darboux_points(20, 2, seed=701)
+        points = GENERIC_POINTS + [DarbouxPoint.from_array(z) for z in sample_darboux_points(20, 2, seed=701)]
 
         for x in points:
             for m in maps:

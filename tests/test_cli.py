@@ -211,6 +211,13 @@ class TestConfig:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "too small" in captured.err
 
+    def test_table_too_large_to_allocate_exits_1_with_one_line(self, capsys):
+        # 10^15 rows (7 PiB) exceed any address space, so numpy refuses the grid before touching memory
+        assert main(["rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "0.5:4:1000000000000000"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
+
     @staticmethod
     def _child(argv):
         """The CLI in a child process, where a numpy RuntimeWarning would print to stderr instead of raising."""

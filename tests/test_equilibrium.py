@@ -1,10 +1,12 @@
 """Tests for the Legendre embedding, induced metrics, and scalar curvature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from contactlab import equilibrium
 from contactlab.cli import parse_equilibrium_omega_spec
 from contactlab.equilibrium import (
     NULL_DEGENERATE,
@@ -14,6 +16,7 @@ from contactlab.equilibrium import (
     DomainError,
     EquilibriumOmega,
     SingularityError,
+    _scalar_curvature_rows,
     curvature_report,
     embed,
     first_law_residual,
@@ -26,6 +29,7 @@ from contactlab.equilibrium import (
     scalar_curvature_numeric,
 )
 from contactlab.metriclab import OmegaFunction, build_metric, omega_registry
+from contactlab.phasespace import central_diff
 
 CV = 1.5
 GAS = ideal_gas(CV)
@@ -365,3 +369,148 @@ class TestInconsistencyProbe:
                     continue
                 sup = max(sup, abs(scalar_curvature_ideal_gas(u, v, CV, om)))
             assert sup > 0.01, name
+
+
+def _nested_oracle_rows(metric, Q, h_fd, in_domain):
+    """The curvature oracle as nested central_diff calls: the metric at 26 points per row, in 5 calls.
+
+    Returns (R, reasons) with the semantics of equilibrium._scalar_curvature_rows.
+    """
+    m = len(Q)
+    rows = np.arange(m)
+    outside = np.zeros(m, dtype=bool)
+
+    def step(Y):
+        return h_fd * np.maximum(1.0, np.abs(Y))
+
+    def masked(Y):
+        try:
+            return metric(Y)
+        except DomainError:
+            pass
+        inside = in_domain(Y)
+        outside[rows[~inside.reshape(-1, len(rows)).all(axis=0)]] = True
+        G = np.broadcast_to(np.eye(2), Y.shape + (2,)).copy()
+        G[inside] = metric(Y[inside])
+        return G
+
+    def christoffel(Y):
+        ginv = np.linalg.inv(masked(Y))
+        D = central_diff(masked, Y, step(Y))
+        return 0.5 * (np.einsum("...ad,...dcb->...abc", ginv, D) + np.einsum("...ad,...dbc->...abc", ginv, D)
+                      - np.einsum("...ad,...bcd->...abc", ginv, D))
+
+    G = masked(Q)
+    degenerate = np.abs(np.linalg.det(G)) <= 1e-12
+    R = np.full(m, math.nan)
+    rows = np.flatnonzero(~degenerate & ~outside)
+    if len(rows):
+        Qk = Q[rows]
+        gamma = christoffel(Qk)
+        dgamma = central_diff(christoffel, Qk, step(Qk))
+        riemann = (np.einsum("...adbc->...abcd", dgamma) - np.einsum("...acbd->...abcd", dgamma)
+                   + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+                   - np.einsum("...ade,...ecb->...abcd", gamma, gamma))
+        ricci = np.einsum("...abad->...bd", riemann)
+        R[rows] = np.einsum("...bd,...bd->...", np.linalg.inv(G[rows]), ricci)
+        R[outside] = math.nan
+    reasons = [NULL_DEGENERATE if d else NULL_OUTSIDE if o else None
+               for d, o in zip(degenerate.tolist(), outside.tolist())]
+    return R, reasons
+
+
+def _counting(omega):
+    """omega with its eval calls recorded as (u, v) pairs in the returned list."""
+    calls = []
+
+    def ev(u, v):
+        calls.append((u, v))
+        return omega.eval(u, v)
+
+    return EquilibriumOmega(omega.name, ev, omega.d_u, omega.d_v, omega.d_uv), calls
+
+
+ORACLE_OMEGAS = ["const:1", "expr:1+0.4*u/(u+v)", "expr:1+0.1*u*v+exp(-u)"]
+# u and v on both sides of 1, where the scaled step h * max(1, |q|) changes rule, and exactly on it;
+# u = 5e-5 at v = 1e-3 reaches u < 0 in the stencil, u <= 0 is outside at the centre, v = 1e4 is
+# degenerate, and u = sqrt(1.5) v sits on the degeneracy locus of c_v = 1.5
+ORACLE_GRID = np.array(
+    [[u, v] for u in (0.3, 0.9, 1.0 - 1e-5, 1.0, 1.0 + 1e-5, 1.7, 3.0) for v in (0.5, 1.0, 1.6)]
+    + [[5e-5, 1e-3], [2e-3, 1e-3], [0.0, 1.0], [-1.0, 1.0], [2.0, 1e4], [math.sqrt(1.5), 1.0],
+       [1.5 * math.sqrt(1.5), 1.5], [1e-300, 1.0], [2.5, 1e-300]])
+
+
+class TestStencilOnce:
+    """The oracle evaluates each distinct stencil point once; R and reasons keep the nested oracle's bits."""
+
+    @pytest.mark.parametrize("omega", ORACLE_OMEGAS)
+    def test_rows_equal_the_nested_central_diff_oracle(self, omega):
+        g = induced_metric(EPS_UNIT, GAS, parse_equilibrium_omega_spec(omega))
+        with np.errstate(all="ignore"):  # the extreme rows overflow in both paths alike
+            R, _, reasons = _scalar_curvature_rows(g.eval, ORACLE_GRID, 1e-4, GAS.in_domain)
+            R_ref, reasons_ref = _nested_oracle_rows(g.eval, ORACLE_GRID, 1e-4, GAS.in_domain)
+        assert np.array_equal(R.view(np.int64), R_ref.view(np.int64))
+        assert reasons.tolist() == reasons_ref
+        assert {NULL_OUTSIDE, NULL_DEGENERATE, None} <= set(reasons_ref)
+
+    @pytest.mark.parametrize("omega", ORACLE_OMEGAS)
+    @pytest.mark.parametrize("h_fd", [1e-4, 1e-3, 0.3])
+    def test_rho_scan_equals_the_nested_oracle_on_a_grid_across_one(self, omega, h_fd):
+        om = parse_equilibrium_omega_spec(omega)
+        table = rho_scan(CV, om, 0.01, 2.6, 60, v_fixed=1.3, h_fd=h_fd)
+        off = ~table.near_singularity
+        g = induced_metric(EPS_UNIT, GAS, om)
+        R_ref, reasons_ref = _nested_oracle_rows(g.eval, np.column_stack((table.u, table.v))[off], h_fd,
+                                                 GAS.in_domain)
+        assert np.array_equal(table.R_numeric[off].view(np.int64), R_ref.view(np.int64))
+        assert table.null_reason[off].tolist() == reasons_ref
+
+    def test_blocks_do_not_change_a_row(self, monkeypatch):
+        g = induced_metric(EPS_UNIT, GAS, OMEGA_UV)
+        with np.errstate(all="ignore"):
+            whole = _scalar_curvature_rows(g.eval, ORACLE_GRID, 1e-4, GAS.in_domain)
+            monkeypatch.setattr(equilibrium, "ORACLE_BLOCK_ROWS", 4)
+            blocked = _scalar_curvature_rows(g.eval, ORACLE_GRID, 1e-4, GAS.in_domain)
+        assert np.array_equal(whole[0].view(np.int64), blocked[0].view(np.int64))
+        assert np.array_equal(whole[1].view(np.int64), blocked[1].view(np.int64))
+        assert whole[2].tolist() == blocked[2].tolist()
+
+    def test_two_metric_calls_per_block_at_17_points_per_row(self, monkeypatch):
+        g = induced_metric(EPS_UNIT, GAS, OMEGA_UV)
+        points = []
+
+        def metric(Y):
+            points.append(Y.size // 2)
+            return g.eval(Y)
+
+        Q = np.array([[u, 1.0] for u in np.linspace(0.3, 3.0, 10)])
+        monkeypatch.setattr(equilibrium, "ORACLE_BLOCK_ROWS", 4)
+        _scalar_curvature_rows(metric, Q, 1e-4, GAS.in_domain)
+        assert points == [4, 16 * 4, 4, 16 * 4, 2, 16 * 2]
+
+    def test_omega_calls_per_row(self):
+        # the parent oracle called Omega 26 times per row, and the closed form once more
+        om, calls = _counting(OMEGA_UV)
+        table = rho_scan(CV, om, 0.3, 3.0, 12)
+        assert not table.near_singularity.any() and all(r is None for r in table.null_reason)
+        assert len(calls) == 18 * 12
+        calls.clear()
+        curvature_report(2.0, 1.0, CV, om)
+        assert len(calls) == 18
+
+    def test_a_degenerate_row_calls_omega_at_its_centre_only(self):
+        om, calls = _counting(OMEGA_ONE)
+        table = rho_scan(CV, om, 0.2, 4.0, 12, v_fixed=1e4)
+        assert all(r == NULL_DEGENERATE for r in table.null_reason)
+        assert len(calls) == 2 * 12  # the closed form and the determinant test
+
+    def test_memory_is_bounded_by_the_block(self):
+        # a 10k-row scan held about 32 MB at its peak when the whole grid was one stencil batch
+        rho_scan(CV, OMEGA_ONE, 0.2, 4.0, 10)
+        tracemalloc.start()
+        try:
+            rho_scan(CV, OMEGA_ONE, 0.2, 4.0, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"

@@ -120,13 +120,12 @@ class TestHamiltonians:
             def value(z, h=h):
                 return h.value(DarbouxPoint.from_array(z))
 
-            for x in sample_darboux_points(10, 2, seed=11):
-                z = x.to_array()
-                scale = max(1.0, abs(h.value(x)))
+            for z in sample_darboux_points(10, 2, seed=11):
+                scale = max(1.0, abs(h.value(z)))
                 grad_fd = central_diff(value, z, h_fd)
                 hess_fd = central_diff(lambda y: central_diff(value, y, h_hess), z, h_hess)
-                assert np.abs(h.gradient(x) - grad_fd).max() / scale < 10 * h_fd**2
-                assert np.abs(h.hessian(x) - hess_fd).max() / scale < 1e-8
+                assert np.abs(h.gradient(z) - grad_fd).max() / scale < 10 * h_fd**2
+                assert np.abs(h.hessian(z) - hess_fd).max() / scale < 1e-8
 
 
 class TestHamiltonianVectorField:
@@ -163,7 +162,7 @@ class TestHamiltonianVectorField:
             return h.value(z)
 
         X = hamiltonian_vector_field(ContactHamiltonian(h.name, value, h.gradient, h.hessian))
-        z = np.stack([x.to_array() for x in sample_darboux_points(88, 2, seed=43)])
+        z = sample_darboux_points(88, 2, seed=43)
         ends = flow_map(X, z, PI_2, 1e-3)
         assert shapes == {(88, 5)}
         np.testing.assert_allclose(ends, flow_map(legendre_field(2), z, PI_2, 1e-3), rtol=0, atol=1e-12)
@@ -189,14 +188,13 @@ class TestHamiltonianVectorField:
         )
         X = hamiltonian_vector_field(h)
         for x in sample_darboux_points(100, 2, seed=17):
-            assert eval_eta(x) @ X.eval(x) == pytest.approx(h.value(x.to_array()), rel=1e-12, abs=1e-13)
+            assert eval_eta(x) @ X.eval(x) == pytest.approx(h.value(x), rel=1e-12, abs=1e-13)
 
     def test_jacobian_matches_fd_of_the_field(self):
         # the Jacobian built from the exact Hessian, against central differences of the field
         X = hamiltonian_vector_field(POLY)
         h_fd = 1e-5
-        for x in sample_darboux_points(10, 2, seed=29):
-            z = x.to_array()
+        for z in sample_darboux_points(10, 2, seed=29):
             J_fd = central_diff(X.eval, z, h_fd)
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(X.jacobian(z) - J_fd).max() / scale < 1e-8
@@ -307,11 +305,10 @@ class TestIntegrateFlow:
 
     def test_flow_map_batches_states(self):
         X = legendre_field(2)
-        pts = sample_darboux_points(8, 2, seed=29)
-        batch = np.stack([p.to_array() for p in pts])
+        batch = sample_darboux_points(8, 2, seed=29)
         ends = flow_map(X, batch, 0.7, 1e-3)
-        for row, p in zip(ends, pts):
-            np.testing.assert_allclose(row, closed_form_orbit(p, 0.7).to_array(), atol=1e-10)
+        for row, z in zip(ends, batch):
+            np.testing.assert_allclose(row, closed_form_orbit(z, 0.7), atol=1e-10)
 
 
 def _masked_rotation_reference(z, n, pairs):
@@ -440,7 +437,7 @@ class TestRotationClosedForm:
     def test_a_fine_step_costs_no_memory_per_step(self):
         # 1.57M steps of 1e-6: the schedule is (dt, full steps, remainder), and the endpoint
         # map is composed by squaring, so nothing of the size of the step count is built
-        z = np.array([x.to_array() for x in sample_darboux_points(88, 2, seed=7)])
+        z = sample_darboux_points(88, 2, seed=7)
         tracemalloc.start()
         try:
             end = flow_map(legendre_field(2), z, PI_2, 1e-6)
@@ -508,15 +505,15 @@ class TestDiscreteLegendre:
             y = x
             for _ in range(4):
                 y = discrete_legendre(y, m)
-            np.testing.assert_allclose(y.to_array(), x.to_array(), atol=1e-14)
+            np.testing.assert_allclose(y, x, atol=1e-14)
 
     def test_flow_at_quarter_turn_equals_total_map(self):
         m = LegendreMap.total(2)
         X = legendre_field(2)
         points = sample_darboux_points(10, 2, seed=37)
-        ends = flow_map(X, np.array([x.to_array() for x in points]), PI_2, 1e-4)
+        ends = flow_map(X, points, PI_2, 1e-4)
         for x, end in zip(points, ends):
-            np.testing.assert_allclose(end, discrete_legendre(x, m).to_array(), atol=1e-8)
+            np.testing.assert_allclose(end, discrete_legendre(x, m), atol=1e-8)
 
     def test_map_validation(self):
         with pytest.raises(ValueError):

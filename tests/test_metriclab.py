@@ -68,7 +68,7 @@ class TestOmegaRegistry:
     def test_fd_gradient_agrees_with_analytic(self):
         # central differences of eval, a test-side oracle, against each entry's exact partials
         for name, omega in REGISTRY.items():
-            for x in sample_darboux_points(10, 2, seed=59):
+            for x in map(DarbouxPoint.from_array, sample_darboux_points(10, 2, seed=59)):
                 dq, dp = omega.gradient(x.q, x.p)
                 assert np.abs(central_diff(lambda q: omega.eval(q, x.p), x.q, 1e-5) - dq).max() < 1e-8, name
                 assert np.abs(central_diff(lambda p: omega.eval(x.q, p), x.p, 1e-5) - dp).max() < 1e-8, name
@@ -98,7 +98,7 @@ class TestOmegaGradient:
     def test_expression_gradient_equals_the_hand_written_partials(self):
         omega = omega_from_expression("q1^2*p2+sin(q2*p1)-exp(p1)/(1+q1^2)", 2)
         assert omega.analytic
-        for x in sample_darboux_points(10, 2, seed=31):
+        for x in map(DarbouxPoint.from_array, sample_darboux_points(10, 2, seed=31)):
             (q1, q2), (p1, p2) = x.q, x.p
             dq = [2 * q1 * p2 + math.exp(p1) * 2 * q1 / (1 + q1**2) ** 2, math.cos(q2 * p1) * p1]
             dp = [math.cos(q2 * p1) * q2 - math.exp(p1) / (1 + q1**2), q1**2]
@@ -243,7 +243,7 @@ class TestKillingResidual:
     def test_residual_dominates_the_bracket(self, omega):
         # regression bound: residual >= c |{h, Omega}| with c frozen at 1.9
         G = build_metric("epsilon", omega)
-        for x in GENERIC_POINTS + sample_darboux_points(20, 2, seed=73):
+        for x in [*GENERIC_POINTS, *sample_darboux_points(20, 2, seed=73)]:
             bracket = abs(poisson_constraint_residual(omega, x))
             assert killing_residual(X_L, G, x) >= 1.9 * bracket
 
@@ -347,7 +347,7 @@ def _one_point_closed_form(G, x, t):
 
 
 class TestBatchedFlowRecurrence:
-    POINTS = sample_darboux_points(8, 2, seed=97)
+    POINTS = [DarbouxPoint.from_array(z) for z in sample_darboux_points(8, 2, seed=97)]
     FAMILIES = [gtd_partial_unit, lambda: gtd_partial_unit(k=1), gtd_total_unit]
 
     @pytest.mark.parametrize("factory", FAMILIES)
@@ -422,8 +422,8 @@ def _one_point_isometry(G, m, x):
 class TestBatchEqualsRows:
     """A (16, 5) batch gives, row for row, the bits of sixteen one-point calls."""
 
-    POINTS = sample_darboux_points(16, 2, seed=101, omega=REGISTRY["norm_sum"])
-    Z = np.array([x.to_array() for x in POINTS])
+    Z = sample_darboux_points(16, 2, seed=101, omega=REGISTRY["norm_sum"])
+    POINTS = [DarbouxPoint.from_array(z) for z in Z]
 
     @pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
     @pytest.mark.parametrize("strip", [False, True])

@@ -116,8 +116,8 @@ class TestVolumeForm:
     def test_point_independent(self):
         origin = DarbouxPoint(0.0, [0.0, 0.0], [0.0, 0.0])
         c0 = volume_form_coefficient(origin)
-        for x in sample_darboux_points(5, 2, seed=7):
-            assert volume_form_coefficient(x) == c0
+        for z in sample_darboux_points(5, 2, seed=7):
+            assert volume_form_coefficient(DarbouxPoint.from_array(z)) == c0
         assert abs(c0) >= 1.0
 
     def test_dimension_guard(self):
