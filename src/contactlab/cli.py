@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -105,59 +106,40 @@ def _phase_context(n: int) -> List[str]:
 def omega_from_expression(text: str, n: int = 2) -> OmegaFunction:
     """Phase-space Omega(q, p) from an expression in q1..qn, p1..pn, with exact partials.
 
-    Each partial is a compiled derivative tree (expressions.diff); d_q and d_p
-    convert the point once and evaluate their n partials on it.
+    d_q and d_p each compile their n derivative trees (expressions.diff) into one program.
     """
     context = _phase_context(n)
     tree = parse_expression(text, context)
-    f = compile_expression(tree, context)
 
-    def values(q: np.ndarray, p: np.ndarray) -> List[float]:
-        return [*np.asarray(q, dtype=float).tolist(), *np.asarray(p, dtype=float).tolist()]
+    def batched(trees):
+        f = compile_expression(trees, context)
+        return lambda q, p: np.asarray(f(*np.moveaxis(np.asanyarray(q, dtype=float), -1, 0),
+                                         *np.moveaxis(np.asanyarray(p, dtype=float), -1, 0)), dtype=float)
 
-    def partials(names: List[str]):
-        fs = [compile_expression(diff(tree, name), context) for name in names]
-
-        def evaluate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            xs = values(q, p)
-            return np.array([g(*xs) for g in fs])
-
-        return evaluate
-
-    return OmegaFunction(f"expr:{text}", lambda q, p: f(*values(q, p)),
-                         partials(context[:n]), partials(context[n:]))
+    return OmegaFunction(f"expr:{text}", batched(tree), batched([diff(tree, x) for x in context[:n]]),
+                         batched([diff(tree, x) for x in context[n:]]))
 
 
 _UV = ("u", "v")
-
-
-def _uv_function(tree):
-    """The compiled tree as a function of (u, v), each taken as a float."""
-    f = compile_expression(tree, _UV)
-    return lambda u, v: f(float(u), float(v))
 
 
 def equilibrium_omega_from_expression(text: str) -> EquilibriumOmega:
     """Equilibrium-space Omega(u, v) from an expression in u, v, with exact partials."""
     tree = parse_expression(text, _UV)
     d_u = diff(tree, "u")
-    return EquilibriumOmega(f"expr:{text}", *map(_uv_function, (tree, d_u, diff(tree, "v"), diff(d_u, "v"))))
+    return EquilibriumOmega(f"expr:{text}", *(compile_expression(t, _UV)
+                                              for t in (tree, d_u, diff(tree, "v"), diff(d_u, "v"))))
 
 
 def fundamental_relation_from_expression(text: str, name: Optional[str] = None) -> FundamentalRelation:
     """A two-coordinate potential Phi(u, v) with exact gradient and Hessian.
 
-    The Hessian and the domain test go point by point through batches, so an
-    induced metric over this relation can be evaluated on batches too.
+    Gradient and Hessian take a batch in one call; the domain test goes point by point through it.
     """
     tree = parse_expression(text, _UV)
     d_u, d_v = diff(tree, "u"), diff(tree, "v")
-    f, f_u, f_v, f_uu, f_uv, f_vv = map(
-        _uv_function, (tree, d_u, d_v, diff(d_u, "u"), diff(d_u, "v"), diff(d_v, "v")))
-
-    def hessian(q) -> np.ndarray:
-        mixed = f_uv(q[0], q[1])
-        return np.array([[f_uu(q[0], q[1]), mixed], [mixed, f_vv(q[0], q[1])]])
+    f, gradient, second = (compile_expression(t, _UV) for t in (
+        tree, (d_u, d_v), (diff(d_u, "v"), diff(d_u, "u"), diff(d_v, "v"))))  # second: uv, uu, vv
 
     def in_domain(q) -> bool:
         try:
@@ -168,8 +150,9 @@ def fundamental_relation_from_expression(text: str, name: Optional[str] = None) 
 
     return FundamentalRelation(
         name=name or f"expr:{text}", n=2, value=lambda q: f(q[0], q[1]),
-        gradient=lambda q: np.array([f_u(q[0], q[1]), f_v(q[0], q[1])]),
-        hessian=pointwise(hessian, (2, 2)), in_domain=pointwise(in_domain, (), bool),
+        gradient=lambda q: np.asarray(gradient(q[..., 0], q[..., 1]), dtype=float),
+        hessian=lambda q: np.asarray(second(q[..., 0], q[..., 1]))[..., [[1, 0], [0, 2]]],  # [[uu, uv], [uv, vv]]
+        in_domain=pointwise(in_domain, (), bool),
     )
 
 
@@ -556,10 +539,11 @@ def _cmd_isometry(cfg: RunConfig):
     G, omega = _metric_from_config(cfg)
     maps = _parse_maps(cfg.maps, cfg.n)
     Z = _sampled_points(cfg, omega)
+    at_z = functools.cache(lambda: G.eval(Z))  # every check compares with G(Z): one evaluation
     # the recurrence is evaluated first, which fixes the point that a failing Omega reports
-    recurrence = ([("recurrence:pi/2", flow_recurrence_residual(G, Z, cfg.recurrence_dt))]
+    recurrence = ([("recurrence:pi/2", flow_recurrence_residual(G, Z, cfg.recurrence_dt, at_x=at_z))]
                   if cfg.recurrence_dt is not None else [])
-    checks = [(f"discrete:{m.label()}", discrete_isometry_residual(G, m, Z)) for m in maps] + recurrence
+    checks = [(f"discrete:{m.label()}", discrete_isometry_residual(G, m, Z, at_z)) for m in maps] + recurrence
     # a row per point and check, points first
     labels, residuals = zip(*checks)
     names = ["index"] + _coord_names(cfg.n) + ["check", "residual"]

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phasespace import DarbouxPoint, _central_differences, _central_stencil, central_diff, eval_eta
+from .phasespace import DarbouxPoint, _central_differences, _central_stencil, eval_eta
 from .metriclab import MetricField, OmegaFunction, build_metric
 
 #: half-width of the |rho^2 - c_v| band flagged as near-singular
@@ -87,9 +87,9 @@ class SingularityError(ArithmeticError):
 class FundamentalRelation:
     """A thermodynamic potential Phi(q) with gradient, Hessian and domain.
 
-    hessian and in_domain must accept batches of points of shape (..., n),
-    as ideal_gas's do, for an induced metric to evaluate batches; pointwise
-    adapts functions of one point.
+    gradient, hessian and in_domain must accept batches of points of shape
+    (..., n), as ideal_gas's do, for an induced metric or a pulled-back Omega
+    to evaluate batches; pointwise adapts functions of one point.
     """
 
     name: str
@@ -115,7 +115,7 @@ def ideal_gas(c_v: float = 1.5) -> FundamentalRelation:
         name=f"ideal_gas[c_v={c_v:g}]",
         n=2,
         value=lambda q: c_v * math.log(q[0]) + math.log(q[1]),
-        gradient=lambda q: np.array([c_v / q[0], 1.0 / q[1]]),
+        gradient=lambda q: np.stack((c_v / q[..., 0], 1.0 / q[..., 1]), axis=-1),
         hessian=hessian,
         in_domain=lambda q: (q[..., 0] > 0) & (q[..., 1] > 0),
     )
@@ -165,51 +165,50 @@ def pullback_metric(G: MetricField, fr: FundamentalRelation, q: np.ndarray) -> n
 class EquilibriumOmega:
     """A scalar Omega(u, v) on the equilibrium space with derivative access.
 
-    A partial without its exact function (from_phase_space gives none) is a
-    central difference with the scaled step of the curvature oracle.
+    eval and the partials take floats or arrays that broadcast, each element with the bits of its own
+    call; a failing batch raises its first failing element's error.  A partial without its exact
+    function (from_phase_space gives none) is a central difference with the oracle's scaled step.
     """
 
     name: str
-    eval: Callable[[float, float], float]
-    d_u: Optional[Callable[[float, float], float]] = None
-    d_v: Optional[Callable[[float, float], float]] = None
-    d_uv: Optional[Callable[[float, float], float]] = None
+    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_u: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    d_v: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    d_uv: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @classmethod
     def constant(cls, c: float = 1.0, name: Optional[str] = None) -> "EquilibriumOmega":
-        zero = lambda u, v: 0.0
-        return cls(name or f"const:{c:g}", lambda u, v: float(c), zero, zero, zero)
+        value = lambda c: lambda u, v: np.full(np.broadcast_shapes(np.shape(u), np.shape(v)), c)
+        return cls(name or f"const:{c:g}", value(float(c)), value(0.0), value(0.0), value(0.0))
 
     @classmethod
     def from_phase_space(cls, omega: OmegaFunction, fr: FundamentalRelation) -> "EquilibriumOmega":
         """Pull a phase-space Omega(q, p) back along the embedding of fr."""
-        def ev(u: float, v: float) -> float:
-            q = np.array([u, v])
+        def ev(u, v) -> np.ndarray:
+            q = np.stack(np.broadcast_arrays(u, v, subok=True), axis=-1).astype(float)
             return omega.eval(q, fr.gradient(q))
 
         return cls(f"{omega.name}|{fr.name}", ev)
 
-    def partial_u(self, u: float, v: float, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
-        if self.d_u is not None:
-            return float(self.d_u(u, v))
-        return float(central_diff(lambda w: self.eval(float(w[0]), v), [u], _scaled_step(u, h_fd))[0])
+    def _difference(self, us: tuple, vs: tuple, divisor):
+        """(f_0 - f_1) or (f_0 - f_1 - f_2 + f_3), over divisor, for f_k = eval(us[k], vs[k]) in one call."""
+        points = np.broadcast_arrays(*us, *vs)
+        f = np.moveaxis(self.eval(np.stack(points[: len(us)], axis=-1), np.stack(points[len(us) :], axis=-1)), -1, 0)
+        return (f[0] - f[1] if len(f) == 2 else f[0] - f[1] - f[2] + f[3]) / divisor
 
-    def partial_v(self, u: float, v: float, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
-        if self.d_v is not None:
-            return float(self.d_v(u, v))
-        return float(central_diff(lambda w: self.eval(u, float(w[0])), [v], _scaled_step(v, h_fd))[0])
+    def partial_u(self, u, v, h_fd: float = DEFAULT_CURVATURE_STEP):
+        h = _scaled_step(u, h_fd)
+        return self.d_u(u, v) if self.d_u is not None else self._difference((u + h, u - h), (v, v), 2 * h)
 
-    def partial_uv(self, u: float, v: float, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
+    def partial_v(self, u, v, h_fd: float = DEFAULT_CURVATURE_STEP):
+        h = _scaled_step(v, h_fd)
+        return self.d_v(u, v) if self.d_v is not None else self._difference((u, u), (v + h, v - h), 2 * h)
+
+    def partial_uv(self, u, v, h_fd: float = DEFAULT_CURVATURE_STEP):
         if self.d_uv is not None:
-            return float(self.d_uv(u, v))
-        hu = float(_scaled_step(u, h_fd))
-        hv = float(_scaled_step(v, h_fd))
-        return (
-            self.eval(u + hu, v + hv)
-            - self.eval(u + hu, v - hv)
-            - self.eval(u - hu, v + hv)
-            + self.eval(u - hu, v - hv)
-        ) / (4 * hu * hv)
+            return self.d_uv(u, v)
+        hu, hv = _scaled_step(u, h_fd), _scaled_step(v, h_fd)
+        return self._difference((u + hu, u + hu, u - hu, u - hu), (v + hv, v - hv, v + hv, v - hv), 4 * hu * hv)
 
 
 @dataclass(frozen=True)
@@ -243,10 +242,9 @@ def induced_metric(G: MetricField, fr: FundamentalRelation,
         if not np.all(inside):
             outside = q[~inside][0] if q.ndim > 1 else q
             raise DomainError(f"point {outside.tolist()} outside the domain of {fr.name}")
-        # Omega keeps its scalar (u, v) contract: one call per point
-        w = np.array([omega_on_e.eval(u, v) for u, v in q.reshape(-1, 2).tolist()])
+        w = np.asarray(omega_on_e.eval(q[..., 0], q[..., 1]), dtype=float)
         EH = _EPS2 @ fr.hessian(q)
-        return w.reshape(q.shape[:-1] + (1, 1)) * (EH + EH.swapaxes(-1, -2))
+        return w[..., None, None] * (EH + EH.swapaxes(-1, -2))
 
     return EquilibriumMetric(f"induced[{fr.name},{omega_on_e.name}]", ev, omega_on_e)
 
@@ -374,31 +372,69 @@ def scalar_curvature_numeric(g, q: np.ndarray, h_fd: float = DEFAULT_CURVATURE_S
     return float(R[0])
 
 
-def scalar_curvature_ideal_gas(u: float, v: float, c_v: float,
-                               omega_on_e: EquilibriumOmega,
+def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumOmega,
                                delta_sing: float = DEFAULT_SINGULAR_BAND,
-                               h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
-    """Closed-form scalar curvature of the induced ideal-gas metric."""
+                               h_fd: float = DEFAULT_CURVATURE_STEP):
+    """Closed-form scalar curvature of the induced ideal-gas metric at (u, v), or at each u of an array."""
     if not delta_sing > 0:
         raise ValueError(f"delta_sing must be positive, got {delta_sing!r}")
+    if isinstance(u, np.ndarray):
+        return _closed_form_rows(u, v, c_v, omega_on_e, delta_sing, h_fd)
     rho = u / v
     gap = rho * rho - c_v
     if abs(gap) < delta_sing:
         raise SingularityError(
             f"rho^2 = {rho * rho:.6g} lies within {delta_sing:g} of c_v = {c_v:g}"
         )
-    w = omega_on_e.eval(u, v)
+    w = float(omega_on_e.eval(u, v))
     if abs(w) < 1e-12:
         raise DegenerateMetricError(f"Omega vanishes at (u, v) = ({u:g}, {v:g})")
-    w_u = omega_on_e.partial_u(u, v, h_fd)
-    w_v = omega_on_e.partial_v(u, v, h_fd)
-    w_uv = omega_on_e.partial_uv(u, v, h_fd)
+    w_u = float(omega_on_e.partial_u(u, v, h_fd))
+    w_v = float(omega_on_e.partial_v(u, v, h_fd))
+    w_uv = float(omega_on_e.partial_uv(u, v, h_fd))
     try:
         return (2.0 * rho * rho / w**3) * (
             v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap**3
         )
-    except OverflowError:
-        raise FloatingPointError(f"closed-form curvature overflows at u={u:g}, v={v:g}, c_v={c_v:g}") from None
+    except (OverflowError, ZeroDivisionError) as exc:  # a cube overflows, or underflows to 0
+        what = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
+        raise FloatingPointError(f"closed-form curvature {what} at u={u:g}, v={v:g}, c_v={c_v:g}") from None
+
+
+def _closed_form_rows(us: np.ndarray, v: float, c_v: float, omega_on_e: EquilibriumOmega,
+                      delta_sing: float, h_fd: float) -> np.ndarray:
+    """scalar_curvature_ideal_gas at each u of us, with one call of Omega and of each partial.
+
+    Each element has the bits of its own call: the arithmetic is correctly rounded ufuncs, and the
+    cubes go through float **.  When any element would fail (v = 0, the singular band, a failing or
+    vanishing Omega, a cube that overflows or underflows to 0), the elements go one at a time, so the
+    first failing one raises its own error.
+    """
+    def one_at_a_time():
+        return np.array([scalar_curvature_ideal_gas(u, v, c_v, omega_on_e, delta_sing, h_fd) for u in us.tolist()])
+
+    if v == 0:
+        return one_at_a_time()
+    with np.errstate(all="ignore"):  # float arithmetic overflows to inf without a word
+        rho = us / v
+        gap = rho * rho - c_v
+        if (np.abs(gap) < delta_sing).any():
+            return one_at_a_time()
+        try:
+            w = np.asarray(omega_on_e.eval(us, v), dtype=float)
+            w_u, w_v, w_uv = (np.asarray(f(us, v, h_fd), dtype=float)
+                              for f in (omega_on_e.partial_u, omega_on_e.partial_v, omega_on_e.partial_uv))
+            w3, gap3 = _cubes(w), _cubes(gap)
+        except ArithmeticError:  # a failing Omega or partial, or a cube's OverflowError
+            return one_at_a_time()
+        if (np.abs(w) < 1e-12).any() or not (w3.all() and gap3.all()):
+            return one_at_a_time()
+        return (2.0 * rho * rho / w3) * (v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap3)
+
+
+def _cubes(x: np.ndarray) -> np.ndarray:
+    """x**3 with float **, element by element: libm's pow, as the closed form at one point takes it."""
+    return np.array([t**3 for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -436,7 +472,7 @@ def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
 
     The columns are CURVATURE_FIELDS, each row holding what CurvatureReport
     holds.  Rows inside the singular band are flagged and have NaN values;
-    the oracle runs on all other rows at once.
+    both paths run on all other rows at once.
     """
     table = np.empty(len(us), dtype=CURVATURE_FIELDS)  # a plain array while filling: field access is cheaper
     table["u"] = us
@@ -450,8 +486,7 @@ def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
     off = np.flatnonzero(~table["near_singularity"])
     if len(off):
         us_off = table["u"][off]
-        analytic = np.array([scalar_curvature_ideal_gas(u, v, c_v, omega_on_e, delta_sing, h_fd)
-                             for u in us_off.tolist()])
+        analytic = scalar_curvature_ideal_gas(us_off, v, c_v, omega_on_e, delta_sing, h_fd)
         gas = ideal_gas(c_v)
         g = induced_metric(_EPSILON_UNIT, gas, omega_on_e)
         numeric, _, reasons = _scalar_curvature_rows(g.eval, np.column_stack((us_off, table["v"][off])), h_fd,

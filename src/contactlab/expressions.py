@@ -12,19 +12,21 @@ Identifiers must come from the declared context set ({q1..qn, p1..pn} on
 phase space, {u, v} on the equilibrium space); the callable names ln, exp,
 sqrt, sin and cos are reserved.  Parsing is strict: errors carry the byte
 offset of the offending token.  to_string emits a fully parenthesized form
-that reparses to an identical tree.  compile_expression turns a tree into
-nested closures once, so repeated evaluation does not walk the tree again;
-eval_expression is a one-off compile and call.  diff gives a partial
-derivative as another tree, which compiles the same way.
+that reparses to an identical tree.  compile_expression turns trees into a
+straight-line program once, which evaluates floats or whole numpy arrays
+with the same bits; eval_expression is a one-off compile and call.  diff
+gives a partial derivative as another tree, which compiles the same way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, Sequence, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Union
+
+import numpy as np
 
 FUNCTIONS = {
     "ln": math.log,
@@ -248,101 +250,124 @@ def parse_expression(text: str, context: Iterable[str]) -> Expression:
     return _Parser(text, frozenset(context)).parse()
 
 
-def compile_expression(expr: Expression, variables: Sequence[str]) -> Callable[..., float]:
-    """Compile expr into a function of the variables' values, taken in that order.
+def compile_expression(expr: Union[Expression, Sequence[Expression]],
+                       variables: Sequence[str]) -> Callable[..., object]:
+    """Compile expr, or a sequence of trees, into a function of the variables' values, taken in that order.
 
-    The result is nested closures, one per distinct node, built once, with no
-    exec or eval.  f(*values) evaluates the tree in IEEE doubles, each operand before
-    the operator that uses it and left before right; the values must be
-    Python floats.  A real-domain violation, a non-finite result, or a
-    variable outside `variables` once it is reached, raises
-    ExpressionDomainError with the bindings {variable: value}.
+    A straight-line program, built once with no exec or eval, evaluates each distinct node once per call,
+    operands first and left before right.  The values are floats or numpy arrays that broadcast together;
+    on arrays + - * / and negation are numpy ufuncs, which round as float operators do, and ^ and the
+    functions go element by element through float ** and math, so each element has the bits of its floats.
+    A real-domain violation, a non-finite result, or a variable outside `variables` once it is reached,
+    raises ExpressionDomainError with the bindings {variable: value}, on arrays that of the first failing
+    element in C order.  A sequence of trees gives a list of values, or an array with a last axis over them.
     """
     variables = tuple(variables)
     index = {name: i for i, name in enumerate(variables)}
+    single = not isinstance(expr, (list, tuple))  # a sequence gives a sequence, even of one value
+    trees = [expr] if single else list(expr)
+    steps: List[Callable] = []  # each appends one value to the list of values, which starts with the inputs
+    slots: Dict[int, int] = {}  # id of a node -> its place in that list
 
-    def domain_error(message: str, xs) -> ExpressionDomainError:
-        return ExpressionDomainError(message, dict(zip(variables, xs)))
+    def domain_error(message: str, values) -> ExpressionDomainError:
+        return ExpressionDomainError(message, dict(zip(variables, values)))
 
-    built: Dict[int, Callable] = {}  # id of a node -> its closure, so a subtree that diff shares compiles once
+    def build(node: Expression) -> int:
+        if id(node) not in slots:
+            if type(node) is Var and node.name in index:
+                slots[id(node)] = index[node.name]
+            else:
+                steps.append(build_step(node))  # after the steps of its operands
+                slots[id(node)] = len(variables) + len(steps) - 1
+        return slots[id(node)]
 
-    def build(node: Expression):
-        if id(node) not in built:
-            built[id(node)] = build_node(node)
-        return built[id(node)]
+    def guarded(fn: Callable, label: Callable, *operands: int) -> Callable:
+        # float +, - and * cannot raise; /, ^ and the functions can, and their errors say which failed
+        def step(v):
+            args = [v[i] for i in operands]
+            if any(type(x) is not float for x in args):
+                x, y = args[0], args[-1]
+                if fn is operator.truediv and ((y != 0).all() if isinstance(y, np.ndarray) else y != 0):
+                    return x / y
+                return _elementwise(fn, *args)  # raises where a float call would
+            try:
+                result = fn(*args)
+            except _ARITHMETIC_ERRORS as exc:
+                raise domain_error(f"{label(*args)}: {exc}", v) from None
+            if isinstance(result, complex):
+                raise domain_error(f"{label(*args)}: complex result", v)
+            return result
 
-    def build_node(node: Expression):
+        return step
+
+    def build_step(node: Expression) -> Callable:
         if isinstance(node, Num):
-            value = node.value
-            return lambda xs: value
+            return lambda v, value=node.value: value
         if isinstance(node, Var):
-            if node.name in index:
-                return itemgetter(index[node.name])
-            message = f"unbound variable {node.name!r}"
-
-            def unbound(xs):
-                raise domain_error(message, xs)
+            def unbound(v, message=f"unbound variable {node.name!r}"):
+                raise domain_error(message, v)
 
             return unbound
         if isinstance(node, Neg):
-            operand = build(node.operand)
-            return lambda xs: -operand(xs)
+            a = build(node.operand)
+            return lambda v: -v[a]
         if isinstance(node, Call):
-            func, fn, arg = node.func, FUNCTIONS[node.func], build(node.arg)
-
-            def call(xs):
-                a = arg(xs)
-                try:
-                    return fn(a)
-                except (ValueError, OverflowError) as exc:
-                    raise domain_error(f"{func}({a:g}): {exc}", xs) from None
-
-            return call
+            return guarded(FUNCTIONS[node.func], lambda x, func=node.func: f"{func}({x:g})", build(node.arg))
         if isinstance(node, BinOp):
-            return _compile_binop(node.op, build(node.left), build(node.right), domain_error)
+            a, b, fn = build(node.left), build(node.right), _OPERATORS[node.op]
+            if node.op in "+-*":
+                return lambda v: fn(v[a], v[b])
+            return guarded(fn, lambda x, y, op=node.op: f"{op} failed", a, b)
         raise TypeError(f"not an expression node: {node!r}")
 
-    root = build(expr)
+    outputs = []
+    for tree in trees:
+        def check(v, a=build(tree)):
+            x = v[a]
+            if type(x) is not float and not np.isfinite(x).all():
+                raise ArithmeticError("non-finite result")
+            if type(x) is float and not math.isfinite(x):  # float * and + overflow without raising
+                raise domain_error(f"non-finite result {x}", v)
+            return x
 
-    def evaluate(*values: float) -> float:
-        result = root(values)
-        if not math.isfinite(result):  # float * and + overflow without raising
-            raise domain_error(f"non-finite result {result}", values)
-        return result
+        steps.append(check)
+        outputs.append(len(variables) + len(steps) - 1)
+
+    def run(values: list) -> list:
+        for step in steps:
+            values.append(step(values))
+        return [values[i] for i in outputs]
+
+    def evaluate(*values):
+        if len(values) != len(variables):
+            raise TypeError(f"expected {len(variables)} values, got {len(values)}")
+        arrays = [x for x in values if isinstance(x, np.ndarray)]
+        if not arrays:
+            out = run([float(x) for x in values])
+            return out[0] if single else out
+        shape = np.broadcast_shapes(*[x.shape for x in arrays])
+        xs = [float(x) if not isinstance(x, np.ndarray) else np.asanyarray(x, dtype=float) if x.shape == shape
+              else np.broadcast_to(np.asanyarray(x, dtype=float), shape, subok=True) for x in values]
+        try:
+            with np.errstate(all="ignore"):
+                out = [x if isinstance(x, np.ndarray) else np.full(shape, x) for x in run(xs)]
+        except (ArithmeticError, ValueError, TypeError):  # elements one at a time: the first failing one raises
+            rows = zip(*[np.broadcast_to(x, shape).ravel().tolist() for x in xs])
+            out = list(np.moveaxis(np.array([run(list(row)) for row in rows], dtype=float).reshape(
+                shape + (len(trees),)), -1, 0))
+        return np.array(out[0], dtype=float) if single else np.stack(out, axis=-1)
 
     return evaluate
 
 
-def _compile_binop(op: str, left, right, domain_error):
-    # float +, - and * cannot raise; / and ^ can, and their errors carry the operator
-    if op == "+":
-        return lambda xs: left(xs) + right(xs)
-    if op == "-":
-        return lambda xs: left(xs) - right(xs)
-    if op == "*":
-        return lambda xs: left(xs) * right(xs)
-    if op == "/":
-        def divide(xs):
-            a, b = left(xs), right(xs)
-            try:
-                return a / b
-            except _ARITHMETIC_ERRORS as exc:
-                raise domain_error(f"/ failed: {exc}", xs) from None
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
-        return divide
-    if op == "^":
-        def power(xs):
-            a, b = left(xs), right(xs)
-            try:
-                result = a**b
-            except _ARITHMETIC_ERRORS as exc:
-                raise domain_error(f"^ failed: {exc}", xs) from None
-            if isinstance(result, complex):
-                raise domain_error("^ failed: complex result", xs)
-            return result
 
-        return power
-    raise TypeError(f"not an operator: {op!r}")
+def _elementwise(fn: Callable, *args) -> np.ndarray:
+    """fn applied element by element to Python floats: args are arrays of one shape, or floats."""
+    shape = next(x.shape for x in args if isinstance(x, np.ndarray))
+    lists = [x.ravel().tolist() if isinstance(x, np.ndarray) else [x] * math.prod(shape) for x in args]
+    return np.array(list(map(fn, *lists)), dtype=float).reshape(shape)  # a complex power is a TypeError here
 
 
 def eval_expression(expr: Expression, bindings: Dict[str, float]) -> float:

@@ -46,10 +46,14 @@ METRIC_FAMILIES = ("gtd_total", "gtd_partial", "epsilon")
 
 @dataclass(frozen=True)
 class OmegaFunction:
-    """A Phi-independent scalar Omega(q, p) with its exact partials dOmega/dq and dOmega/dp."""
+    """A Phi-independent scalar Omega(q, p) with its exact partials dOmega/dq and dOmega/dp.
+
+    Each takes a batch, q and p of shape (..., n), and gives shape (...) or
+    (..., n) with each row's bits; a failing batch raises its first failing row's error.
+    """
 
     name: str
-    eval: Callable[[np.ndarray, np.ndarray], float]
+    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -60,18 +64,23 @@ class OmegaFunction:
 
     @classmethod
     def constant(cls, c: float = 1.0, name: Optional[str] = None) -> "OmegaFunction":
-        return cls(
-            name=name or f"const:{c:g}",
-            eval=lambda q, p: float(c),
-            d_q=lambda q, p: np.zeros_like(np.asarray(q, dtype=float)),
-            d_p=lambda q, p: np.zeros_like(np.asarray(p, dtype=float)),
-        )
+        zeros = lambda q, p: np.zeros(np.shape(q))
+        return cls(name or f"const:{c:g}", lambda q, p: np.full(np.shape(q)[:-1], float(c)), zeros, zeros)
 
     def gradient(self, q: np.ndarray, p: np.ndarray) -> tuple:
-        """(dOmega/dq, dOmega/dp) as float arrays."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return np.asarray(self.d_q(q, p), dtype=float), np.asarray(self.d_p(q, p), dtype=float)
+        """(dOmega/dq, dOmega/dp) as float arrays; a failing batch raises the first row's error, d_q before d_p."""
+        q, p = np.asanyarray(q, dtype=float), np.asanyarray(p, dtype=float)
+        try:
+            return np.asarray(self.d_q(q, p), dtype=float), np.asarray(self.d_p(q, p), dtype=float)
+        except ArithmeticError:
+            for q_row, p_row in zip(q.reshape(-1, q.shape[-1]), p.reshape(-1, p.shape[-1])):
+                self.d_q(q_row, p_row), self.d_p(q_row, p_row)
+            raise
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x**2 element by element with float **, libm's pow as in x[k] ** 2 of one point (an array's ** 2 is x*x)."""
+    return np.array([t**2 for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 def omega_registry(n: int = 2) -> dict:
@@ -82,51 +91,38 @@ def omega_registry(n: int = 2) -> dict:
     exist for n = 2 only.
     """
     reg = {"const": OmegaFunction.constant(1.0, name="const")}
-    for i in range(1, n + 1):
-        k = i - 1
-
-        def ev(q, p, k=k):
-            return float(q[k] ** 2 + p[k] ** 2)
-
-        def dq(q, p, k=k):
-            out = np.zeros(len(q))
-            out[k] = 2.0 * q[k]
-            return out
-
-        def dp(q, p, k=k):
-            out = np.zeros(len(p))
-            out[k] = 2.0 * p[k]
-            return out
-
-        reg[f"pair_norm_{i}"] = OmegaFunction(f"pair_norm_{i}", ev, dq, dp)
+    for k in range(n):
+        partial = lambda x, k=k: np.where(np.arange(x.shape[-1]) == k, 2.0 * x, 0.0)  # 2 x_k in slot k
+        reg[f"pair_norm_{k + 1}"] = OmegaFunction(
+            f"pair_norm_{k + 1}", lambda q, p, k=k: _squares(q[..., k]) + _squares(p[..., k]),
+            lambda q, p, d=partial: d(q), lambda q, p, d=partial: d(p))
     reg["norm_sum"] = OmegaFunction(
         "norm_sum",
-        eval=lambda q, p: float(q @ q + p @ p),
-        d_q=lambda q, p: 2.0 * np.asarray(q, dtype=float),
-        d_p=lambda q, p: 2.0 * np.asarray(p, dtype=float),
+        eval=lambda q, p: _dot(q, q) + _dot(p, p),
+        d_q=lambda q, p: 2.0 * np.asanyarray(q, dtype=float),
+        d_p=lambda q, p: 2.0 * np.asanyarray(p, dtype=float),
     )
     if n == 2:
         reg["cross_sum"] = OmegaFunction(
             "cross_sum",
-            eval=lambda q, p: float(q[0] * q[1] + p[0] * p[1]),
-            d_q=lambda q, p: np.array([q[1], q[0]], dtype=float),
-            d_p=lambda q, p: np.array([p[1], p[0]], dtype=float),
+            eval=lambda q, p: q[..., 0] * q[..., 1] + p[..., 0] * p[..., 1],
+            d_q=lambda q, p: q[..., ::-1].copy(),
+            d_p=lambda q, p: p[..., ::-1].copy(),
         )
         reg["cross_skew"] = OmegaFunction(
             "cross_skew",
-            eval=lambda q, p: float(q[0] * p[1] - q[1] * p[0]),
-            d_q=lambda q, p: np.array([p[1], -p[0]], dtype=float),
-            d_p=lambda q, p: np.array([-q[1], q[0]], dtype=float),
+            eval=lambda q, p: q[..., 0] * p[..., 1] - q[..., 1] * p[..., 0],
+            d_q=lambda q, p: np.stack((p[..., 1], -p[..., 0]), axis=-1),
+            d_p=lambda q, p: np.stack((-q[..., 1], q[..., 0]), axis=-1),
         )
+
+        norms = lambda q, p: _squares(q) + _squares(p)  # (q_i^2 + p_i^2) for i = 1, 2
+        product_partial = lambda x, w: 2 * x * w[..., ::-1]  # 2 x_1 w_2, 2 x_2 w_1
         reg["pair_norm_product"] = OmegaFunction(
             "pair_norm_product",
-            eval=lambda q, p: float((q[0] ** 2 + p[0] ** 2) * (q[1] ** 2 + p[1] ** 2)),
-            d_q=lambda q, p: np.array(
-                [2 * q[0] * (q[1] ** 2 + p[1] ** 2), 2 * q[1] * (q[0] ** 2 + p[0] ** 2)]
-            ),
-            d_p=lambda q, p: np.array(
-                [2 * p[0] * (q[1] ** 2 + p[1] ** 2), 2 * p[1] * (q[0] ** 2 + p[0] ** 2)]
-            ),
+            eval=lambda q, p: np.multiply(*np.moveaxis(norms(q, p), -1, 0)),
+            d_q=lambda q, p: product_partial(q, norms(q, p)),
+            d_p=lambda q, p: product_partial(p, norms(q, p)),
         )
     return reg
 
@@ -201,19 +197,17 @@ def _rows(values) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def _omega_rows(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
-    """Omega at each row of z, of shape z.shape[:-1]: one (q, p) call per row."""
+def _omega_on(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
+    """Omega at each row of z, of shape z.shape[:-1], in one call."""
     n = (z.shape[-1] - 1) // 2
-    values = [omega.eval(r[1 : n + 1], r[n + 1 :]) for r in z.reshape(-1, z.shape[-1])]
-    return np.array(values, dtype=float).reshape(z.shape[:-1])
+    return np.asarray(omega.eval(z[..., 1 : n + 1], z[..., n + 1 :]), dtype=float)
 
 
-def _omega_z_gradient(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
-    """dOmega/dZ^C at each row of z, in the full Z ordering (zero Phi slot)."""
+def _omega_z_partials(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
+    """dOmega/dZ^C at each row of z, in the full Z ordering (zero Phi slot), in one gradient call."""
     n = (z.shape[-1] - 1) // 2
     out = np.zeros(z.shape)
-    for r, o in zip(z.reshape(-1, z.shape[-1]), out.reshape(-1, z.shape[-1])):
-        o[1 : n + 1], o[n + 1 :] = omega.gradient(r[1 : n + 1], r[n + 1 :])
+    out[..., 1 : n + 1], out[..., n + 1 :] = omega.gradient(z[..., 1 : n + 1], z[..., n + 1 :])
     return out
 
 
@@ -244,7 +238,8 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
 
     params: GtdTotalParams for "gtd_total", GtdPartialParams for
     "gtd_partial", and a bare OmegaFunction for "epsilon" (n = 2 only).
-    The component derivatives follow by the chain rule from Omega's partials.
+    The component derivatives follow by the chain rule from Omega's partials;
+    eval and d_eval call Omega and its gradient once per batch.
     """
     if family not in METRIC_FAMILIES:
         raise ValueError(f"unknown metric family {family!r}; expected one of {METRIC_FAMILIES}")
@@ -260,7 +255,7 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
             z = np.asarray(z, dtype=float)
             if z.shape[-1] != 5:
                 raise ValueError("epsilon metric expects points with n = 2")
-            w = _omega_rows(omega, z)
+            w = _omega_on(omega, z)
             smallest = np.abs(w).min(initial=np.inf)
             if smallest < OMEGA_DEGENERACY_THRESHOLD:
                 warnings.warn(f"epsilon metric: |Omega| = {smallest:.3g} < {OMEGA_DEGENERACY_THRESHOLD:g} "
@@ -277,7 +272,7 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
         def dev(z) -> np.ndarray:
             z = np.asarray(z, dtype=float)
             D = _eta_outer_partials(z)
-            dw = _omega_z_gradient(omega, z)
+            dw = _omega_z_partials(omega, z)
             D[..., 1, 4, :] += dw
             D[..., 4, 1, :] += dw
             D[..., 2, 3, :] -= dw
@@ -295,7 +290,7 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
 
         def ev(z) -> np.ndarray:
             z = np.asarray(z, dtype=float)
-            lam = _omega_rows(omega, z) * _dot(xi, z[..., 1 : n + 1] * z[..., n + 1 :])
+            lam = _omega_on(omega, z) * _dot(xi, z[..., 1 : n + 1] * z[..., n + 1 :])
             G = _eta_outer(z)
             _add_to_pairs(G, 0.5 * lam[..., None] * chi)
             return G
@@ -304,8 +299,8 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
             z = np.asarray(z, dtype=float)
             q, p = z[..., 1 : n + 1], z[..., n + 1 :]
             D = _eta_outer_partials(z)
-            w = _omega_rows(omega, z)[..., None]
-            dlam = _omega_z_gradient(omega, z) * _dot(xi, q * p)[..., None]
+            w = _omega_on(omega, z)[..., None]
+            dlam = _omega_z_partials(omega, z) * _dot(xi, q * p)[..., None]
             dlam[..., 1 : n + 1] += w * xi * p
             dlam[..., n + 1 :] += w * xi * q
             _add_to_pairs(np.moveaxis(D, -1, -3), dlam[..., :, None] * (0.5 * chi))
@@ -322,7 +317,7 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
 
     def ev(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        w = _omega_rows(omega, z)
+        w = _omega_on(omega, z)
         G = _eta_outer(z)
         _add_to_pairs(G, 0.5 * w[..., None] * (z[..., 1 : n + 1] * z[..., n + 1 :]) ** exponent)
         return G
@@ -331,8 +326,8 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
         z = np.asarray(z, dtype=float)
         q, p = z[..., 1 : n + 1], z[..., n + 1 :]
         D = _eta_outer_partials(z)
-        w = _omega_rows(omega, z)
-        dw = _omega_z_gradient(omega, z)
+        w = _omega_on(omega, z)
+        dw = _omega_z_partials(omega, z)
         qp = q * p
         # dcoeff[..., C, a] = d (0.5 w (q^a p_a)^(2k+1)) / d Z^C
         dcoeff = (0.5 * dw)[..., :, None] * (qp ** exponent)[..., None, :]
@@ -379,19 +374,28 @@ def poisson_constraint_residual(omega: OmegaFunction, x) -> float | np.ndarray:
     """{h, Omega} = p_a dOmega/dq^a - q^a dOmega/dp_a at a point, or at each row of a batch."""
     z = np.asarray(x, dtype=float)
     n = (z.shape[-1] - 1) // 2
-    dw = _omega_z_gradient(omega, z)
-    return _rows(_dot(z[..., n + 1 :], dw[..., 1 : n + 1]) - _dot(z[..., 1 : n + 1], dw[..., n + 1 :]))
+    q, p = z[..., 1 : n + 1], z[..., n + 1 :]
+    dq, dp = omega.gradient(q, p)
+    return _rows(_dot(p, dq) - _dot(q, dp))
 
 
-def _pullback_defect(G: MetricField, z, y, J: np.ndarray) -> np.ndarray:
-    """|| J^T G(y) J - G(z) ||_F for a map sending z to y with Jacobian J, row by row."""
+def _pullback_defect(G: MetricField, z, y, J: np.ndarray, at_z: Optional[Callable] = None) -> np.ndarray:
+    """|| J^T G(y) J - G(z) ||_F for a map sending z to y with Jacobian J, row by row.
+
+    G(y) is evaluated first; at_z, when given, is then called for G(z) in place of G.eval(z).
+    """
     Gy = np.asarray(G.eval(y), dtype=float)
-    return _frobenius(np.swapaxes(J, -1, -2) @ Gy @ J - np.asarray(G.eval(z), dtype=float))
+    Gz = G.eval(z) if at_z is None else at_z()
+    return _frobenius(np.swapaxes(J, -1, -2) @ Gy @ J - np.asarray(Gz, dtype=float))
 
 
-def discrete_isometry_residual(G: MetricField, m: LegendreMap, x) -> float | np.ndarray:
-    """|| J^T G(m(x)) J - G(x) ||_F for the discrete Legendre map m, at x or one per row of a Z batch."""
-    return _rows(_pullback_defect(G, x, discrete_legendre(x, m), jacobian_discrete_legendre(m, x)))
+def discrete_isometry_residual(G: MetricField, m: LegendreMap, x,
+                               at_x: Optional[Callable] = None) -> float | np.ndarray:
+    """|| J^T G(m(x)) J - G(x) ||_F for the discrete Legendre map m, at x or one per row of a Z batch.
+
+    at_x, when given, returns G(x); checks at the same points share one evaluation of it this way.
+    """
+    return _rows(_pullback_defect(G, x, discrete_legendre(x, m), jacobian_discrete_legendre(m, x), at_x))
 
 
 def _fd_flow_jacobians(z: np.ndarray, dt: float, t: float, h_fd: float):
@@ -415,7 +419,8 @@ def _fd_flow_jacobians(z: np.ndarray, dt: float, t: float, h_fd: float):
 
 def flow_recurrence_residual(G: MetricField, x, dt: float,
                              t: float = math.pi / 2.0, method: str = "fd",
-                             h_fd: float = DEFAULT_FD_STEP) -> float | np.ndarray:
+                             h_fd: float = DEFAULT_FD_STEP,
+                             at_x: Optional[Callable] = None) -> float | np.ndarray:
     """Pullback defect of G along the time-t flow map of X_L, at x or one per row of a Z batch.
 
     method "fd" integrates the flow with RK4 at step dt and differentiates
@@ -423,7 +428,8 @@ def flow_recurrence_residual(G: MetricField, x, dt: float,
     integrated as one batch; method "closed_form" uses the exact
     trigonometric orbit and its analytic Jacobian (dt is ignored).  At
     t = pi/2 the flow map is the total Legendre transformation, where both
-    gtd_* families recover their value.
+    gtd_* families recover their value.  at_x, when given, returns G(x), as
+    in discrete_isometry_residual.
     """
     z = np.asarray(x, dtype=float)
     if method == "closed_form":
@@ -432,4 +438,4 @@ def flow_recurrence_residual(G: MetricField, x, dt: float,
         ends, J = _fd_flow_jacobians(z, dt, t, h_fd)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'fd' or 'closed_form'")
-    return _rows(_pullback_defect(G, z, ends, J))
+    return _rows(_pullback_defect(G, z, ends, J, at_x))

@@ -1,0 +1,286 @@
+"""Batched Omega evaluation: a batch equals its rows' one-point calls bit for bit, fails as the
+first failing row, and runs no numpy ufunc whose bits could depend on the host."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from contactlab import equilibrium, expressions, metriclab, sampling
+from contactlab.cli import equilibrium_omega_from_expression, omega_from_expression, parse_omega_spec
+from contactlab.equilibrium import EquilibriumOmega, ideal_gas, scalar_curvature_ideal_gas
+from contactlab.expressions import compile_expression, diff, parse_expression
+from contactlab.metriclab import omega_registry
+from contactlab.sampling import sample_darboux_points
+
+from test_expressions import ROUND_TRIP_CORPUS
+
+UV = ("u", "v")
+GAS = ideal_gas(1.5)
+#: the corpus on (u, v): q1, p2 -> u and q2, p1 -> v
+UV_CORPUS = [t.replace("q1", "u").replace("p2", "u").replace("q2", "v").replace("p1", "v")
+             for t in ROUND_TRIP_CORPUS]
+
+
+def outcome(fn, *args):
+    """fn's value as a float array, or its error's type, message and bindings."""
+    try:
+        return np.asarray(fn(*args), dtype=float)
+    except Exception as exc:  # noqa: BLE001  every error must match, whatever its type
+        return type(exc), str(exc), getattr(exc, "bindings", None)
+
+
+def same(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a == b
+
+
+def check_batch(fn, batch_args, row_args, shape=None):
+    """fn on the batch against fn on each row: the same bits, or the first failing row's error.
+
+    shape is the batch's shape when it is not (len(row_args),).
+    """
+    rows = [outcome(fn, *args) for args in row_args]
+    batch = outcome(fn, *batch_args)
+    failures = [r for r in rows if not isinstance(r, np.ndarray)]
+    if failures:
+        assert same(batch, failures[0])
+    else:
+        expected = np.array(rows)
+        assert same(batch, expected.reshape((shape or expected.shape[:1]) + expected.shape[1:]))
+    return len(failures)
+
+
+def seeded_rows(key: str, width: int, count: int = 8):
+    """count rows in (0.1, 2), then count rows in (-2, 2), where ln, sqrt and powers fail."""
+    rng = random.Random(key)
+    return [np.array([[rng.uniform(low, 2.0) for _ in range(width)] for _ in range(count)])
+            for low in (0.1, -2.0)]
+
+
+@pytest.fixture(scope="module")
+def failures():
+    """Failing rows met per test, so the module can check that failures were exercised at all."""
+    return []
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
+def test_phase_space_corpus(text, failures):
+    omega = omega_from_expression(text, 2)
+    for Z in seeded_rows(text, 4):
+        q, p = Z[:, :2], Z[:, 2:]
+        rows = [(q[i], p[i]) for i in range(len(Z))]
+        for fn in (omega.eval, omega.d_q, omega.d_p, lambda q, p: np.concatenate(omega.gradient(q, p), -1)):
+            failures.append(check_batch(fn, (q, p), rows))
+            for i in range(len(Z)):  # and every failing row with its own error
+                alone = outcome(fn, q[i : i + 1], p[i : i + 1])
+                expected = outcome(fn, *rows[i])
+                assert same(alone, expected[None] if isinstance(expected, np.ndarray) else expected)
+
+
+@pytest.mark.parametrize("text", UV_CORPUS)
+def test_equilibrium_corpus(text, failures):
+    omega = equilibrium_omega_from_expression(text)
+    for Z in seeded_rows(text, 2):
+        u, v = Z[:, 0], Z[:, 1]
+        rows = list(zip(u.tolist(), v.tolist()))
+        for fn in (omega.eval, omega.d_u, omega.d_v, omega.d_uv):
+            failures.append(check_batch(fn, (u, v), rows))
+            for i, (ui, vi) in enumerate(rows):  # and every failing row with its own error
+                alone = outcome(fn, u[i : i + 1], v[i : i + 1])
+                expected = outcome(fn, ui, vi)
+                assert same(alone, expected[None] if isinstance(expected, np.ndarray) else expected)
+        # a 2-D batch with a float v broadcast over it
+        check_batch(omega.eval, (u.reshape(2, 4), 0.7), [(x, 0.7) for x in u.tolist()], (2, 4))
+
+
+def test_the_corpus_met_failing_rows(failures):
+    if len(failures) == 0:
+        pytest.skip("run with the corpus tests")
+    assert sum(f > 0 for f in failures) >= 20
+
+
+@pytest.mark.parametrize("name", sorted(omega_registry(2)))
+def test_registry(name):
+    omega = omega_registry(2)[name]
+    rng = np.random.default_rng(5)
+    Z = rng.uniform(-2.0, 2.0, (16, 4))
+    q, p = Z[:, :2], Z[:, 2:]
+    for fn in (omega.eval, omega.d_q, omega.d_p):
+        check_batch(fn, (q, p), [(q[i], p[i]) for i in range(len(Z))])
+        check_batch(fn, (q.reshape(4, 4, 2), p.reshape(4, 4, 2)), [(q[i], p[i]) for i in range(len(Z))], (4, 4))
+
+
+@pytest.mark.parametrize("spec", ["expr:q1^2+p1^2", "expr:ln(q1)*p1", "pair_norm_1", "norm_sum", "const"])
+def test_one_degree_of_freedom(spec):
+    omega = parse_omega_spec(spec, 1)
+    Z = np.random.default_rng(6).uniform(-2.0, 2.0, (8, 3))
+    q, p = Z[:, 1:2], Z[:, 2:]
+    rows = [(q[i], p[i]) for i in range(len(Z))]
+    assert omega.d_q(np.ones(1), np.ones(1)).shape == omega.d_p(np.ones(1), np.ones(1)).shape == (1,)
+    for fn in (omega.eval, omega.d_q, omega.d_p, lambda q, p: np.concatenate(omega.gradient(q, p), -1)):
+        check_batch(fn, (q, p), rows)
+    residual = lambda z: metriclab.poisson_constraint_residual(omega, z)
+    check_batch(residual, (Z,), [(z,) for z in Z])
+
+
+@pytest.mark.parametrize("spec", ["norm_sum", "cross_skew", "pair_norm_product", "expr:1/(q1*p2-q2*p1)",
+                                  "expr:ln(q1-1)"])
+def test_from_phase_space(spec):
+    omega = EquilibriumOmega.from_phase_space(parse_omega_spec(spec, 2), GAS)
+    u, v = np.linspace(0.3, 3.0, 9), np.linspace(0.5, 2.0, 9)
+    rows = list(zip(u.tolist(), v.tolist()))
+    for fn in (omega.eval, omega.partial_u, omega.partial_v, omega.partial_uv):
+        check_batch(fn, (u, v), rows)
+
+
+@pytest.mark.parametrize("spec", ["const:1", "expr:1+0.4*u/(u+v)", "expr:ln(u-1)", "expr:1/(u-2)", "expr:u^700",
+                                  "expr:1e-13*u", "norm_sum|gas"])
+def test_closed_form_rows(spec):
+    if spec == "norm_sum|gas":
+        omega = EquilibriumOmega.from_phase_space(omega_registry(2)["norm_sum"], GAS)
+    else:
+        omega = (EquilibriumOmega.constant(1.0) if spec == "const:1"
+                 else equilibrium_omega_from_expression(spec[5:]))
+    us = np.linspace(0.3, 4.0, 23)
+    us = us[np.abs((us / 1.1) ** 2 - 1.5) >= 1e-2]
+    rows = [(u,) for u in us.tolist()]
+
+    check_batch(lambda u: scalar_curvature_ideal_gas(u, 1.1, 1.5, omega, 1e-3, 1e-4), (us,), rows)
+
+
+def test_an_underflowing_gap_fails_as_its_row():
+    # (rho^2 - c_v)^3 underflows to 0 at the second row only
+    us = np.array([1.0, 1.1e-100, 2.0])
+    with pytest.raises(FloatingPointError, match=r"divides by zero at u=1.1e-100, v=1, c_v=1e-200"):
+        scalar_curvature_ideal_gas(us, 1.0, 1e-200, EquilibriumOmega.constant(1.0), 1e-300, 1e-4)
+
+
+def test_a_partial_that_fails_on_arrays_is_not_hidden_by_the_row_fallback():
+    # the fallback runs rows one at a time only for the closed form's own failures and ArithmeticError
+    unit = EquilibriumOmega.constant(1.0)
+    scalar_only = EquilibriumOmega("scalar-only", unit.eval, lambda u, v: math.exp(u), unit.d_v, unit.d_uv)
+    assert math.isfinite(scalar_curvature_ideal_gas(2.0, 1.0, 1.5, scalar_only))
+    with pytest.raises(TypeError):
+        scalar_curvature_ideal_gas(np.array([2.0, 3.0]), 1.0, 1.5, scalar_only)
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees are evaluated once per call
+
+def test_a_shared_call_is_evaluated_once_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setitem(expressions.FUNCTIONS, "exp", lambda x: calls.append(x) or math.exp(x))
+    # every factor exp(v) is its own node, which d/dv returns as is, so the tree shares 30 of them
+    tree = parse_expression("u" + "*exp(v)*u" * 30, UV)
+    d_uv = compile_expression(diff(diff(tree, "u"), "v"), UV)
+    d_uv(1.0, 0.5)
+    assert len(calls) == 30
+    calls.clear()
+    d_uv(np.ones(3), np.full(3, 0.5))
+    assert len(calls) == 30 * 3
+
+
+class Recorder(np.ndarray):
+    """An array that records the name of every numpy ufunc applied to it, and passes itself on."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        Recorder.seen.append(ufunc.__name__)
+        plain = [x.view(np.ndarray) if isinstance(x, Recorder) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, Recorder) else x for x in kwargs["out"])
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(Recorder) if isinstance(result, np.ndarray) and result.ndim else result
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """fn(*args) on Recorder views of the array args: the ufuncs it ran, by name.
+
+    The element-by-element helpers hand back plain arrays; here they hand back
+    Recorders, so the arithmetic on their values is recorded too.
+    """
+    for module, name in ((expressions, "_elementwise"), (metriclab, "_squares"), (equilibrium, "_cubes")):
+        plain = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, plain=plain: plain(*a).view(Recorder))
+
+    def run(fn, *args):
+        Recorder.seen = []
+        fn(*[a.view(Recorder) if isinstance(a, np.ndarray) else a for a in args])
+        return list(Recorder.seen)
+
+    return run
+
+
+def test_multiplications_grow_linearly_with_a_long_product(recorded):
+    # u v u v ... shares its factors among the terms of every derivative
+    for factors in (21, 101):
+        text = "u" + "*v*u" * (factors // 2)
+        d_uv = compile_expression(diff(diff(parse_expression(text, UV), "u"), "v"), UV)
+        seen = recorded(d_uv, np.ones(4), np.ones(4))
+        assert 0 < seen.count("multiply") <= 12 * factors
+
+
+#: ufuncs that give every element the bits of the float operation on any host: correctly rounded
+#: arithmetic, comparisons and exact integer operations.  matmul is the BLAS dot that a one-point
+#: q @ q calls as well (norm_sum), so a batch keeps each row's bits wherever the row's call has them.
+HOST_INDEPENDENT = {"add", "subtract", "multiply", "divide", "negative", "absolute", "maximum",
+                    "equal", "not_equal", "less", "less_equal", "greater", "greater_equal", "isfinite",
+                    "logical_and", "logical_or", "logical_not", "invert",
+                    "bitwise_xor", "right_shift", "matmul"}
+
+GUARD_EXPRESSIONS = ["(q1^2+p1^2)^3", "exp(-q1^2/2)*ln(q2^2+1)", "sqrt(q1^2+q2^2)/(1+p1^2)",
+                     "sin(q1)*cos(p2)^2", "q1^p1"]
+
+
+@pytest.mark.parametrize("text", GUARD_EXPRESSIONS)
+def test_expression_omegas_run_host_independent_ufuncs_only(text, recorded):
+    omega = omega_from_expression(text, 2)
+    Z = np.random.default_rng(3).uniform(0.2, 2.0, (6, 4))
+    seen = recorded(omega.eval, Z[:, :2], Z[:, 2:]) + recorded(omega.gradient, Z[:, :2], Z[:, 2:])
+    assert "multiply" in seen
+    assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
+    uv = equilibrium_omega_from_expression(text.replace("q1", "u").replace("q2", "v").replace("p1", "u")
+                                           .replace("p2", "v"))
+    for fn in (uv.eval, uv.d_u, uv.d_v, uv.d_uv):
+        assert set(recorded(fn, Z[:, 0], Z[:, 1])) <= HOST_INDEPENDENT
+
+
+@pytest.mark.parametrize("name", sorted(omega_registry(2)))
+def test_registry_omegas_run_host_independent_ufuncs_only(name, recorded):
+    omega = omega_registry(2)[name]
+    Z = np.random.default_rng(4).uniform(-2.0, 2.0, (6, 4))
+    seen = recorded(omega.eval, Z[:, :2], Z[:, 2:]) + recorded(omega.gradient, Z[:, :2], Z[:, 2:])
+    assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
+
+
+@pytest.mark.parametrize("omega", [EquilibriumOmega.constant(2.0),
+                                   equilibrium_omega_from_expression("exp(u/v)^2+sqrt(u)"),
+                                   EquilibriumOmega.from_phase_space(omega_registry(2)["pair_norm_product"], GAS)])
+def test_the_closed_form_runs_host_independent_ufuncs_only(omega, recorded):
+    seen = recorded(lambda us: scalar_curvature_ideal_gas(us, 1.1, 1.5, omega, 1e-3, 1e-4), np.linspace(2.0, 4.0, 5))
+    assert "multiply" in seen and "divide" in seen
+    assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
+
+
+def test_the_sampler_runs_host_independent_ufuncs_only(monkeypatch):
+    arange = np.arange
+    monkeypatch.setattr(sampling.np, "arange", lambda *a, **k: arange(*a, **k).view(Recorder))
+    Recorder.seen = []
+    Z = sample_darboux_points(30, 2, 7, omega=omega_from_expression("q1*p2^3", 2), omega_min=0.5)
+    seen = list(Recorder.seen)
+    monkeypatch.undo()
+    assert {"bitwise_xor", "right_shift", "multiply"} <= set(seen)
+    assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
+    assert np.array_equal(np.asarray(Z), sample_darboux_points(30, 2, 7, omega=omega_from_expression("q1*p2^3", 2),
+                                                               omega_min=0.5))
+
+
+def test_the_guard_sees_a_numpy_power(recorded):
+    assert "power" in recorded(lambda x: x**3.0, np.ones(3))
+    assert {"power", "square"} & set(recorded(lambda x: x**2, np.ones(3)))
+    assert not {"power", "square", "exp", "log", "sqrt", "sin", "cos"} & HOST_INDEPENDENT

@@ -138,6 +138,19 @@ class TestConfig:
         assert captured.err.startswith("numeric failure: closed-form curvature overflows at u=")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--cv", "1e-200", "--omega", "const:1", "--u", "1.1e-100", "--v", "1",
+         "--delta-sing", "1e-300"],
+        ["rho-scan", "--cv", "1e-200", "--omega", "const:1", "--rho", "1e-100:2e-100:5", "--delta-sing", "1e-300"],
+    ])
+    def test_closed_form_whose_gap_cubed_underflows_exits_2_with_one_line(self, capsys, argv):
+        # (rho^2 - c_v)^3 underflows to 0, which the closed form divides by
+        assert main(argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: closed-form curvature divides by zero at u=")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, data, err", [
         (["curvature", "--u", "1e300", "--v", "1"],
          "1.0000000000000001e+300,1.0000000000000001e+300,1,nan,0,nan,false", ""),
@@ -347,6 +360,17 @@ class TestKilling:
         rows = read_csv(out)
         assert max(float(r["residual"]) for r in rows) > 0.1
 
+    @pytest.mark.parametrize("command", [["omega-check"], ["killing", "--family", "gtd_total"],
+                                         ["killing", "--family", "gtd_partial"]])
+    def test_an_expression_at_one_degree_of_freedom_matches_the_registry(self, tmp_path, command):
+        # at n = 1 the expression's partials keep a last axis of length 1, as pair_norm_1's do
+        tables = []
+        for omega in ("expr:q1^2+p1^2", "pair_norm_1"):
+            out = tmp_path / "t.csv"
+            assert main(command + ["--n", "1", "--omega", omega, "--points", "5", "--out", str(out)]) == EXIT_OK
+            tables.append(read_csv(out))
+        assert len(tables[0]) == 5 and tables[0] == tables[1]
+
     def test_bad_omega_spec_is_config_error(self):
         assert main(["killing", "--family", "epsilon", "--omega", "nope"]) == EXIT_CONFIG
 
@@ -478,6 +502,22 @@ class TestIsometry:
         G = build_metric("gtd_total", GtdTotalParams.identity(OmegaFunction.constant(1.0)))
         expected = [flow_recurrence_residual(G, x, 1e-3) for x in sample_darboux_points(3, 2, 13)]
         assert [float(r["residual"]) for r in rec] == expected
+
+    def test_metric_at_the_points_is_evaluated_once_after_the_first_image(self, monkeypatch):
+        const = OmegaFunction.constant(1.0)
+        calls = []
+
+        def counted(spec, n=2):
+            return OmegaFunction("counted", lambda q, p: calls.append(q.copy()) or const.eval(q, p),
+                                 const.d_q, const.d_p)
+
+        monkeypatch.setattr(cli, "parse_omega_spec", counted)
+        assert main(["isometry", "--family", "gtd_partial", "--points", "3", "--seed", "13",
+                     "--recurrence-dt", "1e-2", "--out", os.devnull]) == EXIT_OK
+        Z = sample_darboux_points(3, 2, 13)
+        # the recurrence's ends, the points once, then the images of the three maps
+        assert len(calls) == 5
+        assert not np.array_equal(calls[0], Z[:, 1:3]) and np.array_equal(calls[1], Z[:, 1:3])
 
 
 class TestEmission:

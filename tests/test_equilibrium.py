@@ -201,7 +201,7 @@ class TestNumericCurvature:
                 assert scalar_curvature_numeric(g, q) == curvature(g.eval, q)
 
     def test_fd_omega_partials_equal_the_hand_written_differences(self):
-        omega = EquilibriumOmega("omega", lambda u, v: math.exp(0.3 * u) * v**2)
+        omega = EquilibriumOmega("omega", parse_equilibrium_omega_spec("expr:exp(0.3*u)*v^2").eval)
         for u, v in ((2.5, 1.3), (0.4, 3.0), (0.5, 0.7)):
             hu, hv = 1e-4 * max(1.0, u), 1e-4 * max(1.0, v)
             assert omega.partial_u(u, v) == (omega.eval(u + hu, v) - omega.eval(u - hu, v)) / (2 * hu)
@@ -420,11 +420,11 @@ def _nested_oracle_rows(metric, Q, h_fd, in_domain):
 
 
 def _counting(omega):
-    """omega with its eval calls recorded as (u, v) pairs in the returned list."""
+    """omega with the (u, v) points of its eval calls recorded in the returned list, a pair per point."""
     calls = []
 
     def ev(u, v):
-        calls.append((u, v))
+        calls.extend(np.broadcast(u, v))
         return omega.eval(u, v)
 
     return EquilibriumOmega(omega.name, ev, omega.d_u, omega.d_v, omega.d_uv), calls

@@ -7,7 +7,7 @@ from contactlab.metriclab import OmegaFunction
 from contactlab.sampling import SplitMix64, sample_darboux_points
 
 #: |q1| < 1 on half of [-2, 2], so the guard rejects about half of the draws
-Q1 = OmegaFunction("q1", lambda q, p: float(q[0]), None, None)
+Q1 = OmegaFunction("q1", lambda q, p: q[..., 0], None, None)
 
 
 def _reference_rows(count, n, seed, omega=None, omega_min=1e-12):
@@ -39,6 +39,6 @@ class TestSampleDarbouxPoints:
         assert (np.abs(Z[:, 1]) >= 1.0).all()
 
     def test_a_guard_that_rejects_everything_stops(self):
-        never = OmegaFunction("0", lambda q, p: 0.0, None, None)
+        never = OmegaFunction("0", lambda q, p: np.zeros(q.shape[:-1]), None, None)
         with pytest.raises(ValueError, match="rejected nearly every draw"):
             sample_darboux_points(2, 2, seed=7, omega=never)
