@@ -53,7 +53,6 @@ from .metriclab import (
     reeb_vector_field,
 )
 from .equilibrium import (
-    CurvatureReport,
     DegenerateMetricError,
     DomainError,
     EquilibriumMetric,

@@ -12,9 +12,10 @@ Subcommands map onto the library operations:
 
 Data goes to --out (or stdout) as CSV (CRLF lines, 17 significant digits)
 or JSON (an array of row objects; non-finite values become null).
-Diagnostics go to stderr.  Identical configuration and seed produce
-byte-identical output.  The environment variable CTL_OUTPUT_DIR supplies a
-default directory for relative output paths.
+Diagnostics go to stderr, a warning as one "warning: <message>" line.
+Identical configuration and seed produce byte-identical output.  The
+environment variable CTL_OUTPUT_DIR supplies a default directory for
+relative output paths.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 import numbers
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -562,11 +564,18 @@ _HANDLERS = {
 }
 
 
+def _print_warning(message, *_) -> None:
+    """A warning as one stderr line, without the file, line number and source line Python adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     try:
         config.validate()
-        fieldnames, rows = _HANDLERS[config.command](config)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            fieldnames, rows = _HANDLERS[config.command](config)
     except (IntegrationError, DegenerateMetricError, SingularityError,
             DomainError, ExpressionDomainError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -25,11 +25,13 @@ the closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .expressions import _elementwise
 from .phasespace import DarbouxPoint, _central_differences, _central_stencil, eval_eta
 from .metriclab import MetricField, OmegaFunction, build_metric
 
@@ -42,11 +44,11 @@ DEFAULT_CURVATURE_STEP = 1e-4
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-#: epsilon-family metric with unit Omega; curvature_report only needs its family tag
+#: epsilon-family metric with unit Omega; curvature_table only needs its family tag
 _EPSILON_UNIT = build_metric("epsilon", OmegaFunction.constant(1.0))
 
 
-#: why the oracle has no value at a row (CurvatureReport.null_reason)
+#: why the oracle has no value at a row (the null_reason column)
 NULL_DEGENERATE = "degenerate metric"
 NULL_OUTSIDE = "stencil outside the domain"
 
@@ -375,88 +377,53 @@ def scalar_curvature_numeric(g, q: np.ndarray, h_fd: float = DEFAULT_CURVATURE_S
 def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumOmega,
                                delta_sing: float = DEFAULT_SINGULAR_BAND,
                                h_fd: float = DEFAULT_CURVATURE_STEP):
-    """Closed-form scalar curvature of the induced ideal-gas metric at (u, v), or at each u of an array."""
+    """Closed-form scalar curvature of the induced ideal-gas metric at (u, v), or at each u of an array.
+
+    One call of Omega and of each partial serves all of u.  Each element has the bits of the float arithmetic
+    (correctly rounded ufuncs, and float ** for the cubes) and fails where it does, in its order: v = 0, the
+    band, Omega, a vanishing Omega, the partials, a cube (a divisor) that overflows or is 0.  A failing
+    array goes again one 0-d element at a time, so that the first failing element raises its own error.
+    """
     if not delta_sing > 0:
         raise ValueError(f"delta_sing must be positive, got {delta_sing!r}")
-    if isinstance(u, np.ndarray):
-        return _closed_form_rows(u, v, c_v, omega_on_e, delta_sing, h_fd)
-    rho = u / v
-    gap = rho * rho - c_v
-    if abs(gap) < delta_sing:
-        raise SingularityError(
-            f"rho^2 = {rho * rho:.6g} lies within {delta_sing:g} of c_v = {c_v:g}"
-        )
-    w = float(omega_on_e.eval(u, v))
-    if abs(w) < 1e-12:
-        raise DegenerateMetricError(f"Omega vanishes at (u, v) = ({u:g}, {v:g})")
-    w_u = float(omega_on_e.partial_u(u, v, h_fd))
-    w_v = float(omega_on_e.partial_v(u, v, h_fd))
-    w_uv = float(omega_on_e.partial_uv(u, v, h_fd))
-    try:
-        return (2.0 * rho * rho / w**3) * (
-            v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap**3
-        )
-    except (OverflowError, ZeroDivisionError) as exc:  # a cube overflows, or underflows to 0
-        what = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
-        raise FloatingPointError(f"closed-form curvature {what} at u={u:g}, v={v:g}, c_v={c_v:g}") from None
-
-
-def _closed_form_rows(us: np.ndarray, v: float, c_v: float, omega_on_e: EquilibriumOmega,
-                      delta_sing: float, h_fd: float) -> np.ndarray:
-    """scalar_curvature_ideal_gas at each u of us, with one call of Omega and of each partial.
-
-    Each element has the bits of its own call: the arithmetic is correctly rounded ufuncs, and the
-    cubes go through float **.  When any element would fail (v = 0, the singular band, a failing or
-    vanishing Omega, a cube that overflows or underflows to 0), the elements go one at a time, so the
-    first failing one raises its own error.
-    """
-    def one_at_a_time():
-        return np.array([scalar_curvature_ideal_gas(u, v, c_v, omega_on_e, delta_sing, h_fd) for u in us.tolist()])
-
     if v == 0:
-        return one_at_a_time()
-    with np.errstate(all="ignore"):  # float arithmetic overflows to inf without a word
-        rho = us / v
-        gap = rho * rho - c_v
-        if (np.abs(gap) < delta_sing).any():
-            return one_at_a_time()
+        raise ZeroDivisionError("float division by zero")  # u / v
+    us = np.asarray(u, dtype=float)
+
+    def cube(x: np.ndarray) -> np.ndarray:
         try:
+            x3 = _elementwise(operator.pow, x, 3.0)
+        except OverflowError:  # pow grows with |x|: the largest finite |x| overflows
+            size = np.where(np.isfinite(x), np.abs(x), 0.0)
+            failed, what = size == size.max(), "overflows"
+        else:
+            failed, what = x3 == 0, "divides by zero"
+        if failed.any():
+            raise FloatingPointError(f"closed-form curvature {what} at u={us[failed][0]:g}, v={v:g}, c_v={c_v:g}")
+        return x3
+
+    try:
+        with np.errstate(all="ignore"):  # float arithmetic overflows to inf without a word
+            rho = us / v
+            rho2 = rho * rho
+            gap = np.asarray(rho2 - c_v)  # an array even for a 0-d u
+            band = np.abs(gap) < delta_sing
+            if band.any():
+                raise SingularityError(f"rho^2 = {rho2[band][0]:.6g} lies within {delta_sing:g} of c_v = {c_v:g}")
             w = np.asarray(omega_on_e.eval(us, v), dtype=float)
+            vanishing = np.abs(w) < 1e-12
+            if vanishing.any():
+                raise DegenerateMetricError(f"Omega vanishes at (u, v) = ({us[vanishing][0]:g}, {v:g})")
             w_u, w_v, w_uv = (np.asarray(f(us, v, h_fd), dtype=float)
                               for f in (omega_on_e.partial_u, omega_on_e.partial_v, omega_on_e.partial_uv))
-            w3, gap3 = _cubes(w), _cubes(gap)
-        except ArithmeticError:  # a failing Omega or partial, or a cube's OverflowError
-            return one_at_a_time()
-        if (np.abs(w) < 1e-12).any() or not (w3.all() and gap3.all()):
-            return one_at_a_time()
-        return (2.0 * rho * rho / w3) * (v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap3)
-
-
-def _cubes(x: np.ndarray) -> np.ndarray:
-    """x**3 with float **, element by element: libm's pow, as the closed form at one point takes it."""
-    return np.array([t**3 for t in x.ravel().tolist()]).reshape(x.shape)
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Analytic vs numeric curvature at one scan point.
-
-    null_reason says why R_numeric is NaN outside the singular band:
-    NULL_DEGENERATE or NULL_OUTSIDE, else None.
-    """
-
-    u: float
-    v: float
-    rho: float
-    R_analytic: float
-    R_numeric: float
-    rel_error: float
-    near_singularity: bool
-    null_reason: Optional[str] = None
-
-    def __post_init__(self):
-        if self.rho != self.u / self.v:
-            raise ValueError("rho must equal u/v exactly")
+            w3, gap3 = cube(w), cube(gap)
+            R = (2.0 * rho * rho / w3) * (v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap3)
+    except ArithmeticError:
+        if not us.ndim:
+            raise
+        R = np.array([scalar_curvature_ideal_gas(np.array(x), v, c_v, omega_on_e, delta_sing, h_fd)
+                      for x in us.ravel().tolist()]).reshape(us.shape)
+    return np.asarray(R) if isinstance(u, np.ndarray) else float(R)
 
 
 #: the columns of curvature_table and rho_scan, with their types
@@ -470,9 +437,10 @@ def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
                     h_fd: float = DEFAULT_CURVATURE_STEP) -> np.recarray:
     """Both curvature paths at (u, v) for every u in us: a record array, a row per u.
 
-    The columns are CURVATURE_FIELDS, each row holding what CurvatureReport
-    holds.  Rows inside the singular band are flagged and have NaN values;
-    both paths run on all other rows at once.
+    The columns are CURVATURE_FIELDS; null_reason says why R_numeric is NaN
+    outside the singular band: NULL_DEGENERATE or NULL_OUTSIDE, else None.
+    Rows inside the singular band are flagged and have NaN values; both
+    paths run on all other rows at once.
     """
     table = np.empty(len(us), dtype=CURVATURE_FIELDS)  # a plain array while filling: field access is cheaper
     table["u"] = us
@@ -503,10 +471,9 @@ def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
 
 def curvature_report(u: float, v: float, c_v: float, omega_on_e: EquilibriumOmega,
                      delta_sing: float = DEFAULT_SINGULAR_BAND,
-                     h_fd: float = DEFAULT_CURVATURE_STEP) -> CurvatureReport:
-    """Evaluate both curvature paths at (u, v), flagging the singular band."""
-    table = curvature_table([u], v, c_v, omega_on_e, delta_sing, h_fd)
-    return CurvatureReport(**dict(zip(table.dtype.names, table.tolist()[0])))
+                     h_fd: float = DEFAULT_CURVATURE_STEP) -> np.record:
+    """Both curvature paths at (u, v): the row of curvature_table, whose fields read as attributes."""
+    return curvature_table([u], v, c_v, omega_on_e, delta_sing, h_fd)[0]
 
 
 def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: float,

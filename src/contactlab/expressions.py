@@ -261,6 +261,7 @@ def compile_expression(expr: Union[Expression, Sequence[Expression]],
     A real-domain violation, a non-finite result, or a variable outside `variables` once it is reached,
     raises ExpressionDomainError with the bindings {variable: value}, on arrays that of the first failing
     element in C order.  A sequence of trees gives a list of values, or an array with a last axis over them.
+    0-d arrays evaluate as floats do, and give 0-d arrays.
     """
     variables = tuple(variables)
     index = {name: i for i, name in enumerate(variables)}
@@ -342,10 +343,10 @@ def compile_expression(expr: Union[Expression, Sequence[Expression]],
         if len(values) != len(variables):
             raise TypeError(f"expected {len(variables)} values, got {len(values)}")
         arrays = [x for x in values if isinstance(x, np.ndarray)]
-        if not arrays:
-            out = run([float(x) for x in values])
-            return out[0] if single else out
         shape = np.broadcast_shapes(*[x.shape for x in arrays])
+        if not shape:  # floats, or 0-d arrays, which give a 0-d array
+            out = run([float(x) for x in values])
+            return (out[0] if single else out) if not arrays else np.array(out[0] if single else out)
         xs = [float(x) if not isinstance(x, np.ndarray) else np.asanyarray(x, dtype=float) if x.shape == shape
               else np.broadcast_to(np.asanyarray(x, dtype=float), shape, subok=True) for x in values]
         try:
@@ -364,7 +365,10 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": oper
 
 
 def _elementwise(fn: Callable, *args) -> np.ndarray:
-    """fn applied element by element to Python floats: args are arrays of one shape, or floats."""
+    """fn applied element by element to Python floats: args are arrays of one shape, or floats.
+
+    With operator.pow it is libm's pow, as a float ** takes it, whose bits, unlike numpy's power's, do not
+    depend on the host; every power in the package that must have a float **'s bits goes through it."""
     shape = next(x.shape for x in args if isinstance(x, np.ndarray))
     lists = [x.ravel().tolist() if isinstance(x, np.ndarray) else [x] * math.prod(shape) for x in args]
     return np.array(list(map(fn, *lists)), dtype=float).reshape(shape)  # a complex power is a TypeError here

@@ -20,12 +20,14 @@ are not, although they recover their value at every quarter turn.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from .expressions import _elementwise
 from .phasespace import DEFAULT_FD_STEP, _eta_partials, central_diff, eval_eta, reeb
 from .flows import (
     ContactVectorField,
@@ -78,11 +80,6 @@ class OmegaFunction:
             raise
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x**2 element by element with float **, libm's pow as in x[k] ** 2 of one point (an array's ** 2 is x*x)."""
-    return np.array([t**2 for t in x.ravel().tolist()]).reshape(x.shape)
-
-
 def omega_registry(n: int = 2) -> dict:
     """Built-in Legendre-invariant metric functions, all with {h, Omega} = 0.
 
@@ -91,10 +88,12 @@ def omega_registry(n: int = 2) -> dict:
     exist for n = 2 only.
     """
     reg = {"const": OmegaFunction.constant(1.0, name="const")}
+    # q^2 + p^2 with float **, as q[k] ** 2 of one point takes it (an array's ** 2 is q*q)
+    norms = lambda q, p: _elementwise(operator.pow, q, 2.0) + _elementwise(operator.pow, p, 2.0)
     for k in range(n):
         partial = lambda x, k=k: np.where(np.arange(x.shape[-1]) == k, 2.0 * x, 0.0)  # 2 x_k in slot k
         reg[f"pair_norm_{k + 1}"] = OmegaFunction(
-            f"pair_norm_{k + 1}", lambda q, p, k=k: _squares(q[..., k]) + _squares(p[..., k]),
+            f"pair_norm_{k + 1}", lambda q, p, k=k: norms(q[..., k], p[..., k]),
             lambda q, p, d=partial: d(q), lambda q, p, d=partial: d(p))
     reg["norm_sum"] = OmegaFunction(
         "norm_sum",
@@ -116,8 +115,7 @@ def omega_registry(n: int = 2) -> dict:
             d_p=lambda q, p: np.stack((-q[..., 1], q[..., 0]), axis=-1),
         )
 
-        norms = lambda q, p: _squares(q) + _squares(p)  # (q_i^2 + p_i^2) for i = 1, 2
-        product_partial = lambda x, w: 2 * x * w[..., ::-1]  # 2 x_1 w_2, 2 x_2 w_1
+        product_partial = lambda x, w: 2 * x * w[..., ::-1]  # 2 x_1 w_2, 2 x_2 w_1, for w = (q_i^2 + p_i^2)
         reg["pair_norm_product"] = OmegaFunction(
             "pair_norm_product",
             eval=lambda q, p: np.multiply(*np.moveaxis(norms(q, p), -1, 0)),
@@ -314,12 +312,19 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
     k, omega = params.k, params.omega
     exponent = 2 * k + 1
     pairs = np.arange(n)
+    name = f"gtd_partial[k={k},{omega.name}]"
+
+    def power(qp: np.ndarray, e: int) -> np.ndarray:  # float ** per element; an overflow is a numeric failure
+        try:
+            return _elementwise(operator.pow, qp, float(e))
+        except OverflowError:
+            raise FloatingPointError(f"{name}: (q^a p_a)^{e} overflows") from None
 
     def ev(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         w = _omega_on(omega, z)
         G = _eta_outer(z)
-        _add_to_pairs(G, 0.5 * w[..., None] * (z[..., 1 : n + 1] * z[..., n + 1 :]) ** exponent)
+        _add_to_pairs(G, 0.5 * w[..., None] * power(z[..., 1 : n + 1] * z[..., n + 1 :], exponent))
         return G
 
     def dev(z) -> np.ndarray:
@@ -330,14 +335,14 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
         dw = _omega_z_partials(omega, z)
         qp = q * p
         # dcoeff[..., C, a] = d (0.5 w (q^a p_a)^(2k+1)) / d Z^C
-        dcoeff = (0.5 * dw)[..., :, None] * (qp ** exponent)[..., None, :]
-        slope = 0.5 * w[..., None] * exponent * qp ** (2 * k)
+        dcoeff = (0.5 * dw)[..., :, None] * power(qp, exponent)[..., None, :]
+        slope = 0.5 * w[..., None] * exponent * power(qp, 2 * k)
         dcoeff[..., 1 + pairs, pairs] += slope * p
         dcoeff[..., 1 + n + pairs, pairs] += slope * q
         _add_to_pairs(np.moveaxis(D, -1, -3), dcoeff)
         return D
 
-    return MetricField(f"gtd_partial[k={k},{omega.name}]", "gtd_partial", ev, dev)
+    return MetricField(name, "gtd_partial", ev, dev)
 
 
 def reeb_vector_field(n: int = 2) -> ContactVectorField:

@@ -220,42 +220,22 @@ def volume_form_coefficient(x: DarbouxPoint) -> float:
 
 
 def central_diff(f: Callable, z: Sequence[float], h) -> np.ndarray:
-    """Central-difference derivative of f at the coordinate vector z.
+    """Central-difference derivative of f at the point z, or at each point of a batch z of shape (..., d).
 
-    D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B), where h is one
-    step for every coordinate, or a list, tuple or array of one step per
-    coordinate.  f may return a scalar or an array; D has f's shape plus a
-    last axis of len(z).  Each call of f gets a fresh copy of z.
-
-    z may also be a batch of points of shape (..., d), with h one step or an
-    array of z's shape (a step per point and coordinate).  f is then called
-    once, on all 2d shifted copies of z stacked along a new leading axis, so
-    it must map points of shape (..., d) to values with the same leading
-    axes.  D has z's leading axes, then f's value axes, then a last axis of
-    d; each row equals what a call at that row alone gives.
+    D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B), with h one step or an array of z's shape.
+    At one point f is called at each shifted point in turn and may return a scalar or an array; D has f's
+    shape plus a last axis of d.  At a batch f is called once, on the 2d shifted copies stacked along a new
+    leading axis, and must keep the leading axes; D has z's leading axes, f's value axes, then d, each row
+    as a call at that row alone gives it.  D is C-contiguous.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim > 1:
-        shifted, steps = _central_stencil(z, h)
-        return _central_differences(f(shifted), steps)
-    values = z.tolist()
-    dim = len(values)
-    steps = [float(s) for s in h] if isinstance(h, (list, tuple, np.ndarray)) else [float(h)] * dim
-    D = None
-    for B in range(dim):
-        up = z.copy()
-        up[B] = values[B] + steps[B]
-        down = z.copy()
-        down[B] = values[B] - steps[B]
-        column = (f(up) - f(down)) / (2 * steps[B])
-        if D is None:
-            D = np.empty(getattr(column, "shape", ()) + (dim,))
-        D[..., B] = column
-    return D
+    shifted, steps = _central_stencil(z, h)
+    values = f(shifted) if z.ndim > 1 else np.array([f(point) for point in shifted])
+    return np.ascontiguousarray(_central_differences(values, steps))
 
 
 def _central_stencil(z: np.ndarray, h):
-    """The points of central_diff at a batch z of shape (..., d), and their steps.
+    """The points of central_diff at z of shape (..., d), one point or a batch, and their steps.
 
     Returns (shifted, steps): shifted has shape (2d,) + z.shape, with
     z + h_B e_B at 2B and z - h_B e_B at 2B + 1; steps[B] is h_B at every

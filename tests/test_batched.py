@@ -201,12 +201,12 @@ class Recorder(np.ndarray):
 def recorded(monkeypatch):
     """fn(*args) on Recorder views of the array args: the ufuncs it ran, by name.
 
-    The element-by-element helpers hand back plain arrays; here they hand back
-    Recorders, so the arithmetic on their values is recorded too.
+    The element-by-element helper hands back plain arrays; here it hands back
+    Recorders, in every module that calls it, so the arithmetic on its values is recorded too.
     """
-    for module, name in ((expressions, "_elementwise"), (metriclab, "_squares"), (equilibrium, "_cubes")):
-        plain = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, plain=plain: plain(*a).view(Recorder))
+    plain = expressions._elementwise
+    for module in (expressions, metriclab, equilibrium):
+        monkeypatch.setattr(module, "_elementwise", lambda *a: plain(*a).view(Recorder))
 
     def run(fn, *args):
         Recorder.seen = []
@@ -228,7 +228,7 @@ def test_multiplications_grow_linearly_with_a_long_product(recorded):
 #: ufuncs that give every element the bits of the float operation on any host: correctly rounded
 #: arithmetic, comparisons and exact integer operations.  matmul is the BLAS dot that a one-point
 #: q @ q calls as well (norm_sum), so a batch keeps each row's bits wherever the row's call has them.
-HOST_INDEPENDENT = {"add", "subtract", "multiply", "divide", "negative", "absolute", "maximum",
+HOST_INDEPENDENT = {"add", "subtract", "multiply", "divide", "negative", "absolute", "maximum", "minimum",
                     "equal", "not_equal", "less", "less_equal", "greater", "greater_equal", "isfinite",
                     "logical_and", "logical_or", "logical_not", "invert",
                     "bitwise_xor", "right_shift", "matmul"}
@@ -264,6 +264,21 @@ def test_registry_omegas_run_host_independent_ufuncs_only(name, recorded):
 def test_the_closed_form_runs_host_independent_ufuncs_only(omega, recorded):
     seen = recorded(lambda us: scalar_curvature_ideal_gas(us, 1.1, 1.5, omega, 1e-3, 1e-4), np.linspace(2.0, 4.0, 5))
     assert "multiply" in seen and "divide" in seen
+    assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
+
+
+@pytest.mark.parametrize("family, k", [("epsilon", None), ("gtd_total", None), ("gtd_partial", 0),
+                                       ("gtd_partial", 1), ("gtd_partial", 2)])
+def test_metric_families_run_host_independent_ufuncs_only(family, k, recorded, monkeypatch):
+    omega = omega_registry(2)["pair_norm_product"]
+    params = (omega if family == "epsilon" else metriclab.GtdPartialParams(k, omega) if k is not None
+              else metriclab.GtdTotalParams([0.7, 1.3], [1.1, 0.9], omega))
+    G = metriclab.build_metric(family, params)
+    # the metrics take np.asarray of Z, which would drop the Recorder
+    monkeypatch.setattr(np, "asarray", lambda a, dtype=None, **kw: np.asanyarray(a, dtype=dtype, **kw))
+    Z = np.random.default_rng(8).uniform(-2.0, 2.0, (6, 5))
+    seen = recorded(G.eval, Z) + recorded(G.d_eval, Z)
+    assert "multiply" in seen
     assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
 
 

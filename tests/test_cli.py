@@ -28,6 +28,7 @@ from contactlab.cli import (
     parse_rho_range,
     run,
 )
+from contactlab.equilibrium import EquilibriumOmega, curvature_report
 from contactlab.flows import LegendreMap, _step_schedule, discrete_legendre, legendre_field
 from contactlab.metriclab import (
     GtdTotalParams,
@@ -254,6 +255,26 @@ class TestConfig:
         assert proc.returncode == EXIT_NUMERIC
         assert proc.stdout == ""
         assert proc.stderr == "numeric failure: map 2 of point 1 is not finite\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["killing", "--family", "epsilon", "--omega", "expr:q1^1000", "--points", "5"],
+         "warning: overflow encountered in matmul\nkilling: family=epsilon omega=expr:q1^1000 max residual = inf\n"),
+        (["isometry", "--family", "epsilon", "--omega", "expr:1e-13/q1^2", "--points", "3", "--map", "total"],
+         "warning: epsilon metric: |Omega| = 4.67e-14 < 1e-12 at the evaluation point; the metric is degenerate there\n"),
+    ], ids=["numpy_overflow", "degenerate_epsilon"])
+    def test_a_warning_prints_as_one_line_in_order(self, argv, err):
+        # no file:line prefix and no source line, so stderr does not depend on the install or the line numbers
+        proc = self._child(argv)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.count("\n") == int(argv[argv.index("--points") + 1]) + 1
+        assert proc.stderr == err
+
+    def test_an_overflowing_gtd_partial_power_is_a_numeric_failure(self, capsys):
+        # |q^a p_a| reaches 3.75 at these points, whose 601st power overflows
+        assert main(["killing", "--family", "gtd_partial", "--k", "300", "--points", "100"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: gtd_partial[k=300,const:1]: (q^a p_a)^601 overflows\n"
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -747,14 +768,25 @@ class TestBenchmarkHooks:
         # name; a renamed or deleted name must fail here, not in a benchmark run
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import micro  # noqa: F401
-        from tracing import Tracer
+        from tracing import _TRACED, Tracer
 
+        assert all(hasattr(module, attr) for module, attr, _ in _TRACED)
         tracer = Tracer()
         try:
             tracer.install()
         finally:
             tracer.uninstall()
         assert cli.build_arg_parser is build_arg_parser
+        assert all(getattr(module, attr).__name__ != "traced" for module, attr, _ in _TRACED)
+        # and what it reads of the values those names return
+        assert OmegaFunction.constant(1.0).analytic
+        G = build_metric("gtd_total", GtdTotalParams.identity(OmegaFunction.constant(1.0)))
+        assert G.without_derivatives().d_eval is None and G.d_eval is not None
+        stream = io.StringIO()
+        emit_rows([{"t": 0.5, "q1": 1.0}, {"t": 1.0, "q1": -2.0}], ["t", "q1"], "csv", stream)
+        assert stream.getvalue() == "t,q1\r\n0.5,1\r\n1,-2\r\n"
+        report = curvature_report(2.0, 1.0, 1.5, EquilibriumOmega.constant(1.0))
+        assert not report.near_singularity and math.isfinite(report.R_numeric)
 
     def test_microbenchmarks_run(self, monkeypatch):
         # perfbench/micro.py times library paths that no command takes (the FD Killing

@@ -11,7 +11,6 @@ from contactlab.cli import parse_equilibrium_omega_spec
 from contactlab.equilibrium import (
     NULL_DEGENERATE,
     NULL_OUTSIDE,
-    CurvatureReport,
     DegenerateMetricError,
     DomainError,
     EquilibriumOmega,
@@ -28,6 +27,7 @@ from contactlab.equilibrium import (
     scalar_curvature_ideal_gas,
     scalar_curvature_numeric,
 )
+from contactlab.expressions import ExpressionDomainError
 from contactlab.metriclab import OmegaFunction, build_metric, omega_registry
 from contactlab.phasespace import central_diff
 
@@ -251,6 +251,26 @@ class TestClosedFormCurvature:
             scaled = scalar_curvature_ideal_gas(lam * 2.6, lam * 1.3, CV, OMEGA_ONE)
             assert scaled == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("u, v, cv, spec, delta_sing, error, message", [
+        (2.0, 0.0, CV, "const:1", 1e-3, ZeroDivisionError, "float division by zero"),
+        (math.sqrt(CV) + 1e-6, 1.0, CV, "const:1", 1e-3, SingularityError, "rho^2 = 1.5 lies within 0.001 of c_v = 1.5"),
+        (0.8, 1.0, CV, "expr:ln(u-1)", 1e-3, ExpressionDomainError, "ln(-0.2): math domain error [at u=0.8, v=1]"),
+        (2.0, 1.0, CV, "expr:u-2", 1e-3, DegenerateMetricError, "Omega vanishes at (u, v) = (2, 1)"),
+        (2.0, 1.0, CV, "expr:1+sqrt(u-2)", 1e-3, ExpressionDomainError,
+         "/ failed: float division by zero [at u=2, v=1]"),
+        (100.0, 1.0, CV, "expr:u^100", 1e-3, FloatingPointError, "closed-form curvature overflows at u=100, v=1, c_v=1.5"),
+        (1e110, 1.0, CV, "const:1", 1e-3, FloatingPointError, "closed-form curvature overflows at u=1e+110, v=1, c_v=1.5"),
+        (1.1e-100, 1.0, 1e-200, "const:1", 1e-300, FloatingPointError,
+         "closed-form curvature divides by zero at u=1.1e-100, v=1, c_v=1e-200"),
+    ], ids=["v_zero", "band", "omega", "vanishing_omega", "partial", "omega_cubed", "gap_cubed", "gap_cubed_is_zero"])
+    def test_every_failure_raises_the_error_of_its_element(self, u, v, cv, spec, delta_sing, error, message):
+        # the error of the float arithmetic at the failing element, whatever form u takes
+        omega = parse_equilibrium_omega_spec(spec)
+        for at in (u, np.array(u), np.array([3.0, u, 2.5])):  # a float, a 0-d array, a batch failing second
+            with pytest.raises(error) as info:
+                scalar_curvature_ideal_gas(at, v, cv, omega, delta_sing)
+            assert type(info.value) is error and str(info.value) == message
+
 
 class TestRhoScan:
     def test_shape_of_the_curve(self):
@@ -299,14 +319,9 @@ class TestRhoScan:
             with pytest.raises(ValueError, match="delta_sing must be positive"):
                 scalar_curvature_ideal_gas(2.0, 1.0, 4.0, OMEGA_ONE, delta_sing)
 
-    def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            CurvatureReport(u=2.0, v=1.0, rho=1.9, R_analytic=0.0, R_numeric=0.0,
-                            rel_error=0.0, near_singularity=False)
-
     def test_single_point_report(self):
         r = curvature_report(2.0, 1.0, CV, OMEGA_ONE)
-        assert not r.near_singularity
+        assert r.rho == r.u / r.v and not r.near_singularity
         assert r.R_analytic == pytest.approx(6.144, abs=1e-12)
         assert r.rel_error < 1e-3
 

@@ -416,3 +416,28 @@ class TestCompiled:
         omega = equilibrium_omega_from_expression(text)
         for u, v in ((0.3, 1.7), (2.5, 1e-3), (np.float64(1.1), 4), (1.0, -1.0), (0, 0)):
             assert outcome(omega.eval, u, v) == outcome(walk, tree, {"u": u, "v": v})
+
+    @pytest.mark.parametrize("text, part, u, v", [
+        ("(u+v)^2", "eval", 3.0, 1.0), ("ln(u+v)", "eval", 3.0, 1.0), ("1/(u-v)", "d_u", 3.0, 1.0),
+        ("ln(u+v)", "eval", -3.0, 1.0), ("1/(u-v)", "d_u", 1.0, 1.0), ("(u+v)^2", "d_uv", 3.0, 1.0),
+    ])
+    def test_zero_dimensional_arrays_evaluate_as_floats(self, text, part, u, v):
+        # arithmetic on 0-d arrays gives numpy floats, neither float nor array, so they take the float path
+        fn = getattr(equilibrium_omega_from_expression(text), part)
+        try:
+            expected = fn(u, v)
+        except ExpressionDomainError as exc:
+            expected = exc
+        for args in ((np.array(u), v), (np.array(u), np.array(v))):
+            if isinstance(expected, ExpressionDomainError):  # the float call's error, with its bindings
+                with pytest.raises(ExpressionDomainError) as err:
+                    fn(*args)
+                assert str(err.value) == str(expected) and err.value.bindings == {"u": u, "v": v}
+            else:
+                value = fn(*args)
+                assert type(value) is np.ndarray and value.shape == () and value == expected
+
+    def test_a_sequence_at_zero_dimensional_arrays_gives_an_array_over_the_trees(self):
+        pair = compile_expression([parse_expression(t, UV) for t in ("(u+v)^2", "ln(u+v)")], UV)
+        assert np.array_equal(pair(np.array(3.0), 1.0), np.array(pair(3.0, 1.0)))
+        assert pair(np.array(3.0), 1.0).shape == (2,)
