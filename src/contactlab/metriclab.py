@@ -28,7 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expressions import _elementwise
-from .phasespace import DEFAULT_FD_STEP, _eta_partials, central_diff, eval_eta, reeb
+from .phasespace import (DEFAULT_FD_STEP, _central_differences, _central_stencil, _eta_partials, central_diff,
+                         eval_eta, reeb)
 from .flows import (
     ContactVectorField,
     LegendreMap,
@@ -185,9 +186,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _frobenius(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each M[..., :, :], with the bits of np.linalg.norm(M, "fro")."""
+    """Frobenius norm of each M[..., :, :], with the bits of np.linalg.norm(M, "fro").
+
+    A row of finite entries whose sum of squares overflows is scaled by its largest |entry| first.
+    """
     flat = M.reshape(M.shape[:-2] + (M.shape[-2] * M.shape[-1],))
-    return np.sqrt(_dot(flat, flat))
+    if np.abs(flat).max(initial=0.0) < 1e150:  # no sum of squares can overflow
+        return np.sqrt(_dot(flat, flat))
+    with np.errstate(over="ignore"):
+        norms = np.asarray(np.sqrt(_dot(flat, flat)))
+    over = np.isinf(norms) & np.isfinite(flat).all(axis=-1)
+    scale = np.abs(flat[over]).max(axis=-1, keepdims=True)
+    norms[over] = scale[..., 0] * np.linalg.norm(flat[over] / scale, axis=-1)
+    return norms
 
 
 def _rows(values) -> float | np.ndarray:
@@ -209,26 +220,31 @@ def _omega_z_partials(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eta_outer(z: np.ndarray) -> np.ndarray:
-    eta = eval_eta(z)
-    return eta[..., :, None] * eta[..., None, :]
+def _contact_metric(name: str, family: str, half: Callable, d_half: Callable) -> MetricField:
+    """eta x eta + L_ab sym(dq^a x dp_b) as a MetricField: the one assembly of every family.
 
-
-def _eta_outer_partials(z: np.ndarray) -> np.ndarray:
-    """D[..., A, B, C] = d (eta_A eta_B) / d Z^C."""
-    eta = eval_eta(z)
-    T = _eta_partials(z)[..., :, None, :] * eta[..., None, :, None]  # T[..., A, B, C] = E[A, C] eta_B
-    return T + np.swapaxes(T, -3, -2)
-
-
-def _add_to_pairs(M: np.ndarray, coeff: np.ndarray) -> None:
-    """M[..., q^a, p_a] += coeff[..., a] and M[..., p_a, q^a] += coeff[..., a], for M[..., A, B].
-
-    For partials D[..., A, B, C], pass np.moveaxis(D, -1, -3) and coeff[..., C, a].
+    half(z) is L/2 at each row of a float Z array, of shape (..., n, n), or (..., n) for a diagonal L;
+    d_half(z) is its Z-partials, (..., 2n+1, n[, n]).  Each half goes to (q^a, p_b) and to its mirror.
     """
-    n = coeff.shape[-1]
-    for block in (M[..., 1 : n + 1, n + 1 :], M[..., n + 1 :, 1 : n + 1]):
-        np.einsum("...aa->...a", block)[...] += coeff  # a writable view of the block's diagonal
+    def add_mirrored(M, half):  # M[..., q^a, p_b] and M[..., p_b, q^a] += half[..., a, b]
+        n = half.shape[-1]
+        for block in (M[..., 1 : n + 1, n + 1 :], M[..., n + 1 :, 1 : n + 1].swapaxes(-1, -2)):
+            (block if half.ndim == M.ndim else np.einsum("...aa->...a", block))[...] += half
+        return M
+
+    def ev(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        block, eta = half(z), eval_eta(z)
+        return add_mirrored(eta[..., :, None] * eta[..., None, :], block)
+
+    def dev(z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        T = _eta_partials(z)[..., :, None, :] * eval_eta(z)[..., None, :, None]  # E[A, C] eta_B at [A, B, C]
+        D = T + np.swapaxes(T, -3, -2)
+        add_mirrored(np.moveaxis(D, -1, -3), d_half(z))  # C before A, B, as d_half has it
+        return D
+
+    return MetricField(name, family, ev, dev)
 
 
 def build_metric(family: str, params, n: int = 2) -> MetricField:
@@ -236,8 +252,9 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
 
     params: GtdTotalParams for "gtd_total", GtdPartialParams for
     "gtd_partial", and a bare OmegaFunction for "epsilon" (n = 2 only).
-    The component derivatives follow by the chain rule from Omega's partials;
-    eval and d_eval call Omega and its gradient once per batch.
+    Each family gives _contact_metric its half-block L/2, whose derivatives
+    follow by the chain rule from Omega's partials; eval and d_eval call
+    Omega and its gradient once per batch.
     """
     if family not in METRIC_FAMILIES:
         raise ValueError(f"unknown metric family {family!r}; expected one of {METRIC_FAMILIES}")
@@ -249,8 +266,12 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
             raise TypeError("epsilon family takes an OmegaFunction")
         omega = params
 
-        def ev(z) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
+        def skew(w):  # [[-0, w], [-w, -0]]: adding -0.0 leaves every bit of an entry, a zero's sign too
+            out = np.full(w.shape + (2, 2), -0.0)
+            out[..., 0, 1], out[..., 1, 0] = w, -w
+            return out
+
+        def half(z) -> np.ndarray:  # coefficient 2*Omega*eps_ab on dq^a x dp_b
             if z.shape[-1] != 5:
                 raise ValueError("epsilon metric expects points with n = 2")
             w = _omega_on(omega, z)
@@ -258,26 +279,11 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
             if smallest < OMEGA_DEGENERACY_THRESHOLD:
                 warnings.warn(f"epsilon metric: |Omega| = {smallest:.3g} < {OMEGA_DEGENERACY_THRESHOLD:g} "
                               "at the evaluation point; the metric is degenerate there",
-                              RuntimeWarning, stacklevel=2)
-            G = _eta_outer(z)
-            # coefficient 2*Omega*eps_a^b on dq^a x dp_b, halved per mirror
-            G[..., 1, 4] += w
-            G[..., 4, 1] += w
-            G[..., 2, 3] -= w
-            G[..., 3, 2] -= w
-            return G
+                              RuntimeWarning, stacklevel=3)  # at the caller of eval
+            return skew(w)
 
-        def dev(z) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
-            D = _eta_outer_partials(z)
-            dw = _omega_z_partials(omega, z)
-            D[..., 1, 4, :] += dw
-            D[..., 4, 1, :] += dw
-            D[..., 2, 3, :] -= dw
-            D[..., 3, 2, :] -= dw
-            return D
-
-        return MetricField(f"epsilon[{omega.name}]", "epsilon", ev, dev)
+        d_half = lambda z: skew(_omega_z_partials(omega, z))
+        return _contact_metric(f"epsilon[{omega.name}]", "epsilon", half, d_half)
 
     if family == "gtd_total":
         if not isinstance(params, GtdTotalParams):
@@ -286,32 +292,25 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
             raise ValueError(f"xi/chi have length {len(params.xi)}, expected n={n}")
         xi, chi, omega = params.xi, params.chi, params.omega
 
-        def ev(z) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
+        def half(z) -> np.ndarray:  # coefficient lam chi_a on dq^a x dp_a, lam = Omega xi_a q^a p_a
             lam = _omega_on(omega, z) * _dot(xi, z[..., 1 : n + 1] * z[..., n + 1 :])
-            G = _eta_outer(z)
-            _add_to_pairs(G, 0.5 * lam[..., None] * chi)
-            return G
+            return 0.5 * lam[..., None] * chi
 
-        def dev(z) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
+        def d_half(z) -> np.ndarray:
             q, p = z[..., 1 : n + 1], z[..., n + 1 :]
-            D = _eta_outer_partials(z)
             w = _omega_on(omega, z)[..., None]
             dlam = _omega_z_partials(omega, z) * _dot(xi, q * p)[..., None]
             dlam[..., 1 : n + 1] += w * xi * p
             dlam[..., n + 1 :] += w * xi * q
-            _add_to_pairs(np.moveaxis(D, -1, -3), dlam[..., :, None] * (0.5 * chi))
-            return D
+            return dlam[..., :, None] * (0.5 * chi)
 
-        return MetricField(f"gtd_total[{omega.name}]", "gtd_total", ev, dev)
+        return _contact_metric(f"gtd_total[{omega.name}]", "gtd_total", half, d_half)
 
-    # gtd_partial
+    # gtd_partial: coefficient Omega (q^a p_a)^(2k+1) on dq^a x dp_a
     if not isinstance(params, GtdPartialParams):
         raise TypeError("gtd_partial family takes GtdPartialParams")
     k, omega = params.k, params.omega
     exponent = 2 * k + 1
-    pairs = np.arange(n)
     name = f"gtd_partial[k={k},{omega.name}]"
 
     def power(qp: np.ndarray, e: int) -> np.ndarray:  # float ** per element; an overflow is a numeric failure
@@ -320,29 +319,21 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
         except OverflowError:
             raise FloatingPointError(f"{name}: (q^a p_a)^{e} overflows") from None
 
-    def ev(z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+    def half(z) -> np.ndarray:
         w = _omega_on(omega, z)
-        G = _eta_outer(z)
-        _add_to_pairs(G, 0.5 * w[..., None] * power(z[..., 1 : n + 1] * z[..., n + 1 :], exponent))
-        return G
+        return 0.5 * w[..., None] * power(z[..., 1 : n + 1] * z[..., n + 1 :], exponent)
 
-    def dev(z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+    def d_half(z) -> np.ndarray:  # d_half[..., C, a] = d (0.5 w (q^a p_a)^(2k+1)) / d Z^C
         q, p = z[..., 1 : n + 1], z[..., n + 1 :]
-        D = _eta_outer_partials(z)
         w = _omega_on(omega, z)
-        dw = _omega_z_partials(omega, z)
-        qp = q * p
-        # dcoeff[..., C, a] = d (0.5 w (q^a p_a)^(2k+1)) / d Z^C
-        dcoeff = (0.5 * dw)[..., :, None] * power(qp, exponent)[..., None, :]
+        dw, qp = _omega_z_partials(omega, z), q * p
+        dhalf = (0.5 * dw)[..., :, None] * power(qp, exponent)[..., None, :]
         slope = 0.5 * w[..., None] * exponent * power(qp, 2 * k)
-        dcoeff[..., 1 + pairs, pairs] += slope * p
-        dcoeff[..., 1 + n + pairs, pairs] += slope * q
-        _add_to_pairs(np.moveaxis(D, -1, -3), dcoeff)
-        return D
+        np.einsum("...aa->...a", dhalf[..., 1 : n + 1, :])[...] += slope * p  # at C = q^a
+        np.einsum("...aa->...a", dhalf[..., n + 1 :, :])[...] += slope * q  # at C = p_a
+        return dhalf
 
-    return MetricField(name, "gtd_partial", ev, dev)
+    return _contact_metric(name, "gtd_partial", half, d_half)
 
 
 def reeb_vector_field(n: int = 2) -> ContactVectorField:
@@ -352,27 +343,25 @@ def reeb_vector_field(n: int = 2) -> ContactVectorField:
                               lambda z: np.zeros(np.shape(z) + R.shape))
 
 
-def lie_derivative_metric(X: ContactVectorField, G: MetricField, x,
-                          h_fd: float = DEFAULT_FD_STEP) -> np.ndarray:
+def lie_derivative_metric(X: ContactVectorField, G: MetricField, x) -> np.ndarray:
     """(L_X G)_{AB} = X^C d_C G_{AB} + G_{CB} d_A X^C + G_{AC} d_B X^C, at x or each row of a Z batch."""
     z = np.asarray(x, dtype=float)
     Gz = np.asarray(G.eval(z), dtype=float)
-    D = G.d_eval(z) if G.d_eval is not None else central_diff(G.eval, z, h_fd)
-    J = X.jacobian(z) if X.jacobian is not None else central_diff(X.eval, z, h_fd)
+    D = G.d_eval(z) if G.d_eval is not None else central_diff(G.eval, z, DEFAULT_FD_STEP)
+    J = X.jacobian(z) if X.jacobian is not None else central_diff(X.eval, z, DEFAULT_FD_STEP)
     # one (B, C) @ (C,) product per (row, A): the bits of the one-point D @ xi
     transport = (np.ascontiguousarray(D, dtype=float) @ X.eval(z)[..., None, :, None])[..., 0]
     return transport + np.swapaxes(J, -1, -2) @ Gz + Gz @ J
 
 
-def killing_residual(X: ContactVectorField, G: MetricField, x,
-                     h_fd: float = DEFAULT_FD_STEP) -> float | np.ndarray:
+def killing_residual(X: ContactVectorField, G: MetricField, x) -> float | np.ndarray:
     """Frobenius norm of the Lie derivative (one per row of a batch); zero iff X is Killing for G at x."""
-    return _rows(_frobenius(lie_derivative_metric(X, G, x, h_fd)))
+    return _rows(_frobenius(lie_derivative_metric(X, G, x)))
 
 
-def k_contact_residual(G: MetricField, x, h_fd: float = DEFAULT_FD_STEP) -> float | np.ndarray:
+def k_contact_residual(G: MetricField, x) -> float | np.ndarray:
     """Norm of the Lie derivative along the Reeb field (= |dG/dPhi| since Reeb is constant)."""
-    return killing_residual(reeb_vector_field((np.shape(x)[-1] - 1) // 2), G, x, h_fd)
+    return killing_residual(reeb_vector_field((np.shape(x)[-1] - 1) // 2), G, x)
 
 
 def poisson_constraint_residual(omega: OmegaFunction, x) -> float | np.ndarray:
@@ -403,28 +392,18 @@ def discrete_isometry_residual(G: MetricField, m: LegendreMap, x,
     return _rows(_pullback_defect(G, x, discrete_legendre(x, m), jacobian_discrete_legendre(m, x), at_x))
 
 
-def _fd_flow_jacobians(z: np.ndarray, dt: float, t: float, h_fd: float):
-    """Endpoints and central-difference Jacobians of the time-t X_L flow map at each row of z.
-
-    Every row contributes 2*dim + 1 states (itself, then +h_fd and -h_fd
-    along each coordinate), and all of them go through one flow_map call.
-    """
+def _fd_flow_jacobians(z: np.ndarray, dt: float, t: float):
+    """Endpoints and central_diff Jacobians of the time-t X_L flow map at each row of z, in one flow_map call."""
     dim = z.shape[-1]
-    starts = z.reshape(-1, dim)
-    stencil = np.repeat(starts[:, None, :], 2 * dim + 1, axis=1)
-    axes = np.arange(dim)
-    stencil[:, 1 + 2 * axes, axes] += h_fd
-    stencil[:, 2 + 2 * axes, axes] -= h_fd
-    ends = flow_map(legendre_field((dim - 1) // 2), stencil.reshape(-1, dim), t, dt)
-    ends = ends.reshape(len(starts), 2 * dim + 1, dim)
-    columns = (ends[:, 1::2] - ends[:, 2::2]) / (2 * h_fd)  # columns[i, B] = d(end of row i) / dZ^B
-    jacobians = np.ascontiguousarray(np.swapaxes(columns, -1, -2))
-    return ends[:, 0].reshape(z.shape), jacobians.reshape(z.shape + (dim,))
+    shifted, steps = _central_stencil(z.reshape(-1, dim), DEFAULT_FD_STEP)
+    states = np.concatenate((z.reshape(1, -1, dim), shifted))
+    ends = flow_map(legendre_field((dim - 1) // 2), states.reshape(-1, dim), t, dt).reshape(states.shape)
+    jacobians = np.ascontiguousarray(_central_differences(ends[1:], steps))  # [i, A, B] = d end_A / dZ^B
+    return ends[0].reshape(z.shape), jacobians.reshape(z.shape + (dim,))
 
 
 def flow_recurrence_residual(G: MetricField, x, dt: float,
                              t: float = math.pi / 2.0, method: str = "fd",
-                             h_fd: float = DEFAULT_FD_STEP,
                              at_x: Optional[Callable] = None) -> float | np.ndarray:
     """Pullback defect of G along the time-t flow map of X_L, at x or one per row of a Z batch.
 
@@ -440,7 +419,7 @@ def flow_recurrence_residual(G: MetricField, x, dt: float,
     if method == "closed_form":
         ends, J = closed_form_orbit(z, t), closed_form_orbit_jacobian(z, t)
     elif method == "fd":
-        ends, J = _fd_flow_jacobians(z, dt, t, h_fd)
+        ends, J = _fd_flow_jacobians(z, dt, t)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'fd' or 'closed_form'")
     return _rows(_pullback_defect(G, z, ends, J, at_x))

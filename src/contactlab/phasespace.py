@@ -242,11 +242,11 @@ def _central_stencil(z: np.ndarray, h):
     point, shape (d,) + z.shape[:-1].  h is as for central_diff.
     """
     dim = z.shape[-1]
-    steps = np.moveaxis(np.broadcast_to(np.asarray(h, dtype=float), z.shape), -1, 0)
-    shifted = np.stack([z] * (2 * dim))
-    for B in range(dim):
-        shifted[2 * B, ..., B] += steps[B]
-        shifted[2 * B + 1, ..., B] -= steps[B]
+    steps = (np.zeros(z.shape) + h).transpose(z.ndim - 1, *range(z.ndim - 1))
+    shifted = np.repeat(z[np.newaxis], 2 * dim, axis=0)
+    pairs = shifted.reshape((dim, 2) + z.shape)  # views: pairs[B, 0] is z + h_B e_B, pairs[B, 1] is z - h_B e_B
+    np.einsum("b...b->b...", pairs[:, 0])[...] += steps  # writable views of the shifted coordinates
+    np.einsum("b...b->b...", pairs[:, 1])[...] -= steps
     return shifted, steps
 
 
@@ -254,24 +254,22 @@ def _central_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """central_diff from f's values on a _central_stencil: D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B)."""
     diff = values[0::2] - values[1::2]
     D = diff / (2 * steps).reshape(steps.shape + (1,) * (diff.ndim - steps.ndim))
-    return np.moveaxis(D, 0, -1)
+    return D.transpose(*range(1, D.ndim), 0)
 
 
-def lie_derivative_oneform(X, omega, x, h_fd: float = DEFAULT_FD_STEP) -> Covector:
+def lie_derivative_oneform(X, omega, x) -> Covector:
     """Lie derivative of a 1-form field along a vector field at a point.
 
     (L_X omega)_A = X^B d_B omega_A + omega_B d_A X^B.  X and omega are
     callables on Z arrays, or objects whose eval does that; x is a point or
     its Z array.  Analytic derivative hooks (X.jacobian, omega.d_eval) are
-    used where present, central finite differences with step h_fd otherwise.
+    used where present, central finite differences with step DEFAULT_FD_STEP otherwise.
     """
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
     z = np.asarray(x, dtype=float)
     eval_x = getattr(X, "eval", X)
     eval_w = getattr(omega, "eval", omega)
     jac = getattr(X, "jacobian", None)
     d_eval = getattr(omega, "d_eval", None)
-    JX = jac(z) if callable(jac) else central_diff(eval_x, z, h_fd)
-    Dw = d_eval(z) if callable(d_eval) else central_diff(eval_w, z, h_fd)
+    JX = jac(z) if callable(jac) else central_diff(eval_x, z, DEFAULT_FD_STEP)
+    Dw = d_eval(z) if callable(d_eval) else central_diff(eval_w, z, DEFAULT_FD_STEP)
     return Covector(Dw @ eval_x(z) + JX.T @ eval_w(z))

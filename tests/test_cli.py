@@ -257,8 +257,9 @@ class TestConfig:
         assert proc.stderr == "numeric failure: map 2 of point 1 is not finite\n"
 
     @pytest.mark.parametrize("argv, err", [
-        (["killing", "--family", "epsilon", "--omega", "expr:q1^1000", "--points", "5"],
-         "warning: overflow encountered in matmul\nkilling: family=epsilon omega=expr:q1^1000 max residual = inf\n"),
+        (["killing", "--family", "epsilon", "--omega", "expr:5e307*q1*p2", "--points", "5"],
+         "warning: overflow encountered in multiply\n"
+         "killing: family=epsilon omega=expr:5e307*q1*p2 max residual = inf\n"),
         (["isometry", "--family", "epsilon", "--omega", "expr:1e-13/q1^2", "--points", "3", "--map", "total"],
          "warning: epsilon metric: |Omega| = 4.67e-14 < 1e-12 at the evaluation point; the metric is degenerate there\n"),
     ], ids=["numpy_overflow", "degenerate_epsilon"])

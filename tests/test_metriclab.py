@@ -172,6 +172,35 @@ class TestBuildMetric:
         with pytest.warns(RuntimeWarning, match="degenerate"):
             G.eval(x)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("family", ["gtd_total", "gtd_partial"])
+    def test_gtd_derivatives_match_fd_at_n(self, family, n):
+        omega = omega_registry(n)["norm_sum"]
+        params = (GtdTotalParams(np.linspace(0.6, 1.4, n), np.linspace(1.3, 0.7, n), omega)
+                  if family == "gtd_total" else GtdPartialParams(1, omega))
+        G = build_metric(family, params, n)
+        for z in sample_darboux_points(5, n, seed=67):
+            fd = central_diff(G.eval, z, DEFAULT_FD_STEP)
+            scale = max(1.0, np.abs(fd).max())
+            assert np.abs(G.d_eval(z) - fd).max() / scale < 10 * DEFAULT_FD_STEP**2
+
+    @pytest.mark.parametrize("family, n", [("epsilon", 2), ("gtd_total", 1), ("gtd_total", 3),
+                                           ("gtd_partial", 1), ("gtd_partial", 3)])
+    def test_only_the_qp_blocks_leave_eta_eta(self, family, n):
+        omega = omega_registry(n)["norm_sum"]
+        params = {"epsilon": omega, "gtd_total": GtdTotalParams(np.linspace(0.6, 1.4, n), np.ones(n), omega),
+                  "gtd_partial": GtdPartialParams(1, omega)}[family]
+        Z = sample_darboux_points(10, n, seed=71)
+        G = build_metric(family, params, n).eval(Z)
+        eta = eval_eta(Z)
+        rest = G - eta[:, :, None] * eta[:, None, :]
+        q, p = slice(1, n + 1), slice(n + 1, 2 * n + 1)
+        assert np.array_equal(G, np.swapaxes(G, -1, -2))
+        assert np.array_equal(rest[:, q, p], np.swapaxes(rest[:, p, q], -1, -2))
+        assert rest[:, q, p].any()
+        rest[:, q, p] = rest[:, p, q] = 0.0
+        assert not rest.any()
+
 
 def _dyad_half():
     out = np.zeros((5, 5))
@@ -246,6 +275,22 @@ class TestKillingResidual:
         for x in [*GENERIC_POINTS, *sample_darboux_points(20, 2, seed=73)]:
             bracket = abs(poisson_constraint_residual(omega, x))
             assert killing_residual(X_L, G, x) >= 1.9 * bracket
+
+    def test_an_overflowing_sum_of_squares_is_scaled(self):
+        # at k = 200, (q^a p_a)^401 makes L_X G finite but too large to square on about a fifth of the rows
+        G, Z = gtd_partial_unit(k=200), sample_darboux_points(100, 2, seed=7)
+        L = lie_derivative_metric(X_L, G, Z)
+        scale = np.abs(L).max(axis=(-2, -1))
+        reference = scale * np.linalg.norm(L / scale[:, None, None], axis=(-2, -1))
+        with np.errstate(over="ignore"):
+            plain = np.array([np.linalg.norm(M, "fro") for M in L])
+        big = np.isinf(plain)
+        res = killing_residual(X_L, G, Z)
+        assert big.sum() >= 10 and np.isfinite(res).all()
+        np.testing.assert_allclose(res[big], reference[big], rtol=1e-14)
+        assert np.array_equal(res[~big], plain[~big])
+        i = int(np.flatnonzero(big)[0])
+        assert killing_residual(X_L, G, Z[i]) == res[i]
 
 
 class TestKContact:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contactlab.phasespace import (
+    DEFAULT_FD_STEP,
     DarbouxPoint,
     DimensionError,
     OneFormField,
@@ -180,12 +181,11 @@ class TestLieDerivativeOneForm:
                 return J
 
         omega = OneFormField(eval=w_eval, d_eval=w_partials)
-        h_fd = 1e-5
         x = DarbouxPoint(0.4, [0.8, -0.6], [1.2, 0.3])
-        analytic = lie_derivative_oneform(Field(), omega, x, h_fd).components
-        fd = lie_derivative_oneform(Field().eval, w_eval, x, h_fd).components
+        analytic = lie_derivative_oneform(Field(), omega, x).components
+        fd = lie_derivative_oneform(Field().eval, w_eval, x).components
         scale = max(np.abs(analytic).max(), 1.0)
-        assert np.abs(analytic - fd).max() / scale < 10 * h_fd**2
+        assert np.abs(analytic - fd).max() / scale < 10 * DEFAULT_FD_STEP**2
 
     def test_eta_field_carries_analytic_derivatives(self):
         X = legendre_field(2)
