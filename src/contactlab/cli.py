@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import json
 import math
@@ -41,6 +40,7 @@ from .flows import (
     LegendreMap,
     discrete_legendre,
     integrate_flow,
+    jacobian_discrete_legendre,
     legendre_field,
     partial_legendre_field,
 )
@@ -48,11 +48,14 @@ from .metriclab import (
     GtdPartialParams,
     GtdTotalParams,
     OmegaFunction,
+    _fd_flow_jacobians,
+    _pullback_defect,
     build_metric,
-    discrete_isometry_residual,
-    flow_recurrence_residual,
+    discrete_isometry_residual,  # noqa: F401  perfbench/tracing.py wraps cli.discrete_isometry_residual
+    flow_recurrence_residual,  # noqa: F401  perfbench/tracing.py wraps cli.flow_recurrence_residual
     killing_residual,
-    omega_registry,
+    omega_from_expression,
+    omega_texts,
     poisson_constraint_residual,
 )
 from .equilibrium import (
@@ -65,6 +68,7 @@ from .equilibrium import (
     EquilibriumOmega,
     FundamentalRelation,
     SingularityError,
+    _UV,
     curvature_table,
     pointwise,
     rho_scan,
@@ -101,36 +105,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # expression-backed scalar constructors
 
-def _phase_context(n: int) -> List[str]:
-    return [f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
-
-
-def omega_from_expression(text: str, n: int = 2) -> OmegaFunction:
-    """Phase-space Omega(q, p) from an expression in q1..qn, p1..pn, with exact partials.
-
-    d_q and d_p each compile their n derivative trees (expressions.diff) into one program.
-    """
-    context = _phase_context(n)
-    tree = parse_expression(text, context)
-
-    def batched(trees):
-        f = compile_expression(trees, context)
-        return lambda q, p: np.asarray(f(*np.moveaxis(np.asanyarray(q, dtype=float), -1, 0),
-                                         *np.moveaxis(np.asanyarray(p, dtype=float), -1, 0)), dtype=float)
-
-    return OmegaFunction(f"expr:{text}", batched(tree), batched([diff(tree, x) for x in context[:n]]),
-                         batched([diff(tree, x) for x in context[n:]]))
-
-
-_UV = ("u", "v")
-
-
 def equilibrium_omega_from_expression(text: str) -> EquilibriumOmega:
     """Equilibrium-space Omega(u, v) from an expression in u, v, with exact partials."""
-    tree = parse_expression(text, _UV)
-    d_u = diff(tree, "u")
-    return EquilibriumOmega(f"expr:{text}", *(compile_expression(t, _UV)
-                                              for t in (tree, d_u, diff(tree, "v"), diff(d_u, "v"))))
+    return EquilibriumOmega.from_tree(f"expr:{text}", parse_expression(text, _UV))
 
 
 def fundamental_relation_from_expression(text: str, name: Optional[str] = None) -> FundamentalRelation:
@@ -155,20 +132,21 @@ def fundamental_relation_from_expression(text: str, name: Optional[str] = None) 
         gradient=lambda q: np.asarray(gradient(q[..., 0], q[..., 1]), dtype=float),
         hessian=lambda q: np.asarray(second(q[..., 0], q[..., 1]))[..., [[1, 0], [0, 2]]],  # [[uu, uv], [uv, vv]]
         in_domain=pointwise(in_domain, (), bool),
+        tree=tree,
     )
 
 
 def parse_omega_spec(spec: str, n: int = 2) -> OmegaFunction:
-    """Resolve a phase-space Omega spec: registry name, const:<c>, or expr:<text>."""
+    """Resolve a phase-space Omega spec: registry name, const:<c>, or expr:<text>; only it is compiled."""
     if spec.startswith("const:"):
         return OmegaFunction.constant(_parse_float(spec[6:], "omega constant"))
     if spec.startswith("expr:"):
         return omega_from_expression(spec[5:], n)
-    registry = omega_registry(n)
-    if spec in registry:
-        return registry[spec]
+    texts = omega_texts(n)
+    if spec in texts:
+        return omega_from_expression(texts[spec], n, spec)
     raise ConfigError(
-        f"unknown omega spec {spec!r}; use const:<c>, expr:<text>, or one of {sorted(registry)}"
+        f"unknown omega spec {spec!r}; use const:<c>, expr:<text>, or one of {sorted(texts)}"
     )
 
 
@@ -478,6 +456,14 @@ def _sampled_points(cfg: RunConfig, omega: Optional[OmegaFunction]):
     return sample_darboux_points(cfg.points, cfg.n, cfg.seed, omega=guard)
 
 
+def _finite(residuals: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+    """residuals, a row per point and a column per label; the first that is not finite is a numeric failure."""
+    bad = np.argwhere(~np.isfinite(residuals.reshape(len(residuals), -1)))
+    if len(bad):
+        raise FloatingPointError(f"{labels[bad[0][1]]} residual of point {bad[0][0]} is not finite")
+    return residuals
+
+
 def _residual_table(cfg: RunConfig, points: np.ndarray, residuals: List[float]):
     """One row per point: index, the point's Z coordinates and its residual."""
     names = ["index"] + _coord_names(cfg.n) + ["residual"]
@@ -487,7 +473,7 @@ def _residual_table(cfg: RunConfig, points: np.ndarray, residuals: List[float]):
 def _cmd_killing(cfg: RunConfig):
     G, omega = _metric_from_config(cfg)
     points = _sampled_points(cfg, omega)
-    residuals = killing_residual(legendre_field(cfg.n), G, points).tolist()
+    residuals = _finite(killing_residual(legendre_field(cfg.n), G, points), ["killing"]).tolist()
     print(f"killing: family={cfg.family} omega={cfg.omega} max residual = {max([0.0] + residuals):.6g}",
           file=sys.stderr)
     return _residual_table(cfg, points, residuals)
@@ -496,7 +482,7 @@ def _cmd_killing(cfg: RunConfig):
 def _cmd_omega_check(cfg: RunConfig):
     omega = parse_omega_spec(cfg.omega, cfg.n)
     points = sample_darboux_points(cfg.points, cfg.n, cfg.seed)
-    residuals = poisson_constraint_residual(omega, points).tolist()
+    residuals = _finite(poisson_constraint_residual(omega, points), ["omega-check"]).tolist()
     worst = max([0.0] + [abs(res) for res in residuals])
     print(f"omega-check: omega={cfg.omega} max |residual| = {worst:.6g}", file=sys.stderr)
     return _residual_table(cfg, points, residuals)
@@ -541,16 +527,23 @@ def _cmd_isometry(cfg: RunConfig):
     G, omega = _metric_from_config(cfg)
     maps = _parse_maps(cfg.maps, cfg.n)
     Z = _sampled_points(cfg, omega)
-    at_z = functools.cache(lambda: G.eval(Z))  # every check compares with G(Z): one evaluation
-    # the recurrence is evaluated first, which fixes the point that a failing Omega reports
-    recurrence = ([("recurrence:pi/2", flow_recurrence_residual(G, Z, cfg.recurrence_dt, at_x=at_z))]
-                  if cfg.recurrence_dt is not None else [])
-    checks = [(f"discrete:{m.label()}", discrete_isometry_residual(G, m, Z, at_z)) for m in maps] + recurrence
+    # (label, images of Z, Jacobians) per check, the recurrence's first: its flow runs first, as before
+    checks = ([("recurrence:pi/2", *_fd_flow_jacobians(Z, cfg.recurrence_dt, math.pi / 2.0))]
+              if cfg.recurrence_dt is not None else [])
+    checks += [(f"discrete:{m.label()}", discrete_legendre(Z, m), jacobian_discrete_legendre(m, Z)) for m in maps]
+    # one evaluation of G, at the first check's images, at Z, then at the other checks' images: the
+    # order in which separate calls met a failing row
+    values = G.eval(np.stack([checks[0][1], Z] + [y for _, y, _ in checks[1:]]))
+    residuals = np.column_stack([_pullback_defect(Gy, values[1], J)
+                                 for Gy, (_, _, J) in zip(np.delete(values, 1, axis=0), checks)])
+    labels = [label for label, _, _ in checks]
+    if cfg.recurrence_dt is not None:  # its rows follow the maps'
+        residuals, labels = np.roll(residuals, -1, axis=1), labels[1:] + labels[:1]
+    _finite(residuals, labels)
     # a row per point and check, points first
-    labels, residuals = zip(*checks)
     names = ["index"] + _coord_names(cfg.n) + ["check", "residual"]
     index, points = np.repeat(np.arange(len(Z)), len(labels)), np.repeat(Z, len(labels), axis=0)
-    return names, _typed_table(names, index, points, list(labels) * len(Z), np.ravel(residuals, order="F"))
+    return names, _typed_table(names, index, points, labels * len(Z), residuals.ravel())
 
 
 _HANDLERS = {

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import _elementwise
+from .expressions import BinOp, Call, Expression, Num, Var, _elementwise, compile_expression, diff, substitute
 from .phasespace import DarbouxPoint, _central_differences, _central_stencil, eval_eta
 from .metriclab import MetricField, OmegaFunction, build_metric
 
@@ -43,6 +43,9 @@ DEFAULT_SINGULAR_BAND = 1e-3
 DEFAULT_CURVATURE_STEP = 1e-4
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+#: the equilibrium-space variables of an expression
+_UV = ("u", "v")
 
 #: epsilon-family metric with unit Omega; curvature_table only needs its family tag
 _EPSILON_UNIT = build_metric("epsilon", OmegaFunction.constant(1.0))
@@ -90,8 +93,9 @@ class FundamentalRelation:
     """A thermodynamic potential Phi(q) with gradient, Hessian and domain.
 
     gradient, hessian and in_domain must accept batches of points of shape
-    (..., n), as ideal_gas's do, for an induced metric or a pulled-back Omega
-    to evaluate batches; pointwise adapts functions of one point.
+    (..., n), as ideal_gas's do, for an induced metric to evaluate batches;
+    pointwise adapts functions of one point.  tree, the expression of Phi in
+    u, v, is what EquilibriumOmega.from_phase_space pulls an Omega back along.
     """
 
     name: str
@@ -100,6 +104,7 @@ class FundamentalRelation:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], bool] = lambda q: True
+    tree: Optional[Expression] = None
 
 
 def ideal_gas(c_v: float = 1.5) -> FundamentalRelation:
@@ -120,6 +125,7 @@ def ideal_gas(c_v: float = 1.5) -> FundamentalRelation:
         gradient=lambda q: np.stack((c_v / q[..., 0], 1.0 / q[..., 1]), axis=-1),
         hessian=hessian,
         in_domain=lambda q: (q[..., 0] > 0) & (q[..., 1] > 0),
+        tree=BinOp("+", BinOp("*", Num(float(c_v)), Call("ln", Var("u"))), Call("ln", Var("v"))),
     )
 
 
@@ -165,18 +171,17 @@ def pullback_metric(G: MetricField, fr: FundamentalRelation, q: np.ndarray) -> n
 
 @dataclass(frozen=True)
 class EquilibriumOmega:
-    """A scalar Omega(u, v) on the equilibrium space with derivative access.
+    """A scalar Omega(u, v) on the equilibrium space with its exact partials Omega_u, Omega_v and Omega_uv.
 
     eval and the partials take floats or arrays that broadcast, each element with the bits of its own
-    call; a failing batch raises its first failing element's error.  A partial without its exact
-    function (from_phase_space gives none) is a central difference with the oracle's scaled step.
+    call; a failing batch raises its first failing element's error.
     """
 
     name: str
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d_u: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    d_v: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    d_uv: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    d_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_v: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_uv: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @classmethod
     def constant(cls, c: float = 1.0, name: Optional[str] = None) -> "EquilibriumOmega":
@@ -184,33 +189,22 @@ class EquilibriumOmega:
         return cls(name or f"const:{c:g}", value(float(c)), value(0.0), value(0.0), value(0.0))
 
     @classmethod
+    def from_tree(cls, name: str, tree: Expression) -> "EquilibriumOmega":
+        """Omega(u, v) compiled from an expression in u, v, with its partials taken by expressions.diff."""
+        d_u = diff(tree, "u")
+        return cls(name, *(compile_expression(t, _UV) for t in (tree, d_u, diff(tree, "v"), diff(d_u, "v"))))
+
+    @classmethod
     def from_phase_space(cls, omega: OmegaFunction, fr: FundamentalRelation) -> "EquilibriumOmega":
-        """Pull a phase-space Omega(q, p) back along the embedding of fr."""
-        def ev(u, v) -> np.ndarray:
-            q = np.stack(np.broadcast_arrays(u, v, subok=True), axis=-1).astype(float)
-            return omega.eval(q, fr.gradient(q))
+        """Pull a phase-space Omega(q, p) back along the embedding of fr: q -> (u, v), p -> (Phi_u, Phi_v).
 
-        return cls(f"{omega.name}|{fr.name}", ev)
-
-    def _difference(self, us: tuple, vs: tuple, divisor):
-        """(f_0 - f_1) or (f_0 - f_1 - f_2 + f_3), over divisor, for f_k = eval(us[k], vs[k]) in one call."""
-        points = np.broadcast_arrays(*us, *vs)
-        f = np.moveaxis(self.eval(np.stack(points[: len(us)], axis=-1), np.stack(points[len(us) :], axis=-1)), -1, 0)
-        return (f[0] - f[1] if len(f) == 2 else f[0] - f[1] - f[2] + f[3]) / divisor
-
-    def partial_u(self, u, v, h_fd: float = DEFAULT_CURVATURE_STEP):
-        h = _scaled_step(u, h_fd)
-        return self.d_u(u, v) if self.d_u is not None else self._difference((u + h, u - h), (v, v), 2 * h)
-
-    def partial_v(self, u, v, h_fd: float = DEFAULT_CURVATURE_STEP):
-        h = _scaled_step(v, h_fd)
-        return self.d_v(u, v) if self.d_v is not None else self._difference((u, u), (v + h, v - h), 2 * h)
-
-    def partial_uv(self, u, v, h_fd: float = DEFAULT_CURVATURE_STEP):
-        if self.d_uv is not None:
-            return self.d_uv(u, v)
-        hu, hv = _scaled_step(u, h_fd), _scaled_step(v, h_fd)
-        return self._difference((u + hu, u + hu, u - hu, u - hu), (v + hv, v - hv, v + hv, v - hv), 4 * hu * hv)
+        Both carry trees, so the pulled-back Omega is a tree too, with exact partials.
+        """
+        if omega.tree is None or fr.tree is None or fr.n != 2:
+            raise ValueError(f"cannot pull {omega.name} back along {fr.name}: both need expression trees, n = 2")
+        pulled = substitute(omega.tree, {"q1": Var("u"), "q2": Var("v"),
+                                         "p1": diff(fr.tree, "u"), "p2": diff(fr.tree, "v")})
+        return cls.from_tree(f"{omega.name}|{fr.name}", pulled)
 
 
 @dataclass(frozen=True)
@@ -375,8 +369,7 @@ def scalar_curvature_numeric(g, q: np.ndarray, h_fd: float = DEFAULT_CURVATURE_S
 
 
 def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumOmega,
-                               delta_sing: float = DEFAULT_SINGULAR_BAND,
-                               h_fd: float = DEFAULT_CURVATURE_STEP):
+                               delta_sing: float = DEFAULT_SINGULAR_BAND):
     """Closed-form scalar curvature of the induced ideal-gas metric at (u, v), or at each u of an array.
 
     One call of Omega and of each partial serves all of u.  Each element has the bits of the float arithmetic
@@ -414,14 +407,14 @@ def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumO
             vanishing = np.abs(w) < 1e-12
             if vanishing.any():
                 raise DegenerateMetricError(f"Omega vanishes at (u, v) = ({us[vanishing][0]:g}, {v:g})")
-            w_u, w_v, w_uv = (np.asarray(f(us, v, h_fd), dtype=float)
-                              for f in (omega_on_e.partial_u, omega_on_e.partial_v, omega_on_e.partial_uv))
+            w_u, w_v, w_uv = (np.asarray(f(us, v), dtype=float)
+                              for f in (omega_on_e.d_u, omega_on_e.d_v, omega_on_e.d_uv))
             w3, gap3 = cube(w), cube(gap)
             R = (2.0 * rho * rho / w3) * (v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap3)
     except ArithmeticError:
         if not us.ndim:
             raise
-        R = np.array([scalar_curvature_ideal_gas(np.array(x), v, c_v, omega_on_e, delta_sing, h_fd)
+        R = np.array([scalar_curvature_ideal_gas(np.array(x), v, c_v, omega_on_e, delta_sing)
                       for x in us.ravel().tolist()]).reshape(us.shape)
     return np.asarray(R) if isinstance(u, np.ndarray) else float(R)
 
@@ -454,7 +447,7 @@ def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
     off = np.flatnonzero(~table["near_singularity"])
     if len(off):
         us_off = table["u"][off]
-        analytic = scalar_curvature_ideal_gas(us_off, v, c_v, omega_on_e, delta_sing, h_fd)
+        analytic = scalar_curvature_ideal_gas(us_off, v, c_v, omega_on_e, delta_sing)
         gas = ideal_gas(c_v)
         g = induced_metric(_EPSILON_UNIT, gas, omega_on_e)
         numeric, _, reasons = _scalar_curvature_rows(g.eval, np.column_stack((us_off, table["v"][off])), h_fd,

@@ -15,7 +15,8 @@ offset of the offending token.  to_string emits a fully parenthesized form
 that reparses to an identical tree.  compile_expression turns trees into a
 straight-line program once, which evaluates floats or whole numpy arrays
 with the same bits; eval_expression is a one-off compile and call.  diff
-gives a partial derivative as another tree, which compiles the same way.
+gives a partial derivative as another tree, which compiles the same way,
+and substitute replaces variables by trees.
 """
 
 from __future__ import annotations
@@ -506,6 +507,34 @@ def diff(expr: Expression, var: str) -> Expression:
         raise ExpressionSyntaxError(
             f"the derivative in {var} is nested too deeply (more than {MAX_DERIVATIVE_DEPTH} levels)", 0)
     return result
+
+
+_FOLDING = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+
+
+def substitute(expr: Expression, trees: Dict[str, Expression]) -> Expression:
+    """expr with every variable named in trees replaced by its tree: expr pulled back along a map.
+
+    The operators above a replaced variable are rebuilt with diff's folds; a subtree without one is
+    kept as it is, and a subtree that expr shares is substituted once.
+    """
+    done: Dict[int, Expression] = {}  # id of a node of expr -> its substitute
+
+    def s(node: Expression) -> Expression:
+        if id(node) not in done:
+            old = _operands(node)
+            new = [s(a) for a in old]
+            if isinstance(node, Var):
+                done[id(node)] = trees.get(node.name, node)
+            elif all(a is b for a, b in zip(new, old)):
+                done[id(node)] = node
+            elif isinstance(node, BinOp):
+                done[id(node)] = _FOLDING[node.op](*new)
+            else:
+                done[id(node)] = _neg(*new) if isinstance(node, Neg) else Call(node.func, *new)
+        return done[id(node)]
+
+    return s(expr)
 
 
 def _operands(node: Expression) -> tuple:

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import _elementwise
+from .expressions import Expression, Num, _elementwise, compile_expression, diff, parse_expression
 from .phasespace import (DEFAULT_FD_STEP, _central_differences, _central_stencil, _eta_partials, central_diff,
                          eval_eta, reeb)
 from .flows import (
@@ -53,12 +53,14 @@ class OmegaFunction:
 
     Each takes a batch, q and p of shape (..., n), and gives shape (...) or
     (..., n) with each row's bits; a failing batch raises its first failing row's error.
+    tree is the expression in q1..qn, p1..pn that Omega is compiled from (Num(c) for a constant).
     """
 
     name: str
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    tree: Optional[Expression] = None
 
     @property
     def analytic(self) -> bool:
@@ -68,7 +70,8 @@ class OmegaFunction:
     @classmethod
     def constant(cls, c: float = 1.0, name: Optional[str] = None) -> "OmegaFunction":
         zeros = lambda q, p: np.zeros(np.shape(q))
-        return cls(name or f"const:{c:g}", lambda q, p: np.full(np.shape(q)[:-1], float(c)), zeros, zeros)
+        return cls(name or f"const:{c:g}", lambda q, p: np.full(np.shape(q)[:-1], float(c)), zeros, zeros,
+                   Num(float(c)))
 
     def gradient(self, q: np.ndarray, p: np.ndarray) -> tuple:
         """(dOmega/dq, dOmega/dp) as float arrays; a failing batch raises the first row's error, d_q before d_p."""
@@ -81,49 +84,40 @@ class OmegaFunction:
             raise
 
 
-def omega_registry(n: int = 2) -> dict:
-    """Built-in Legendre-invariant metric functions, all with {h, Omega} = 0.
+def omega_from_expression(text: str, n: int = 2, name: Optional[str] = None) -> OmegaFunction:
+    """Phase-space Omega(q, p) from an expression in q1..qn, p1..pn, with exact partials and its tree.
+
+    d_q and d_p each compile their n derivative trees (expressions.diff) into one program.
+    """
+    context = [f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
+    tree = parse_expression(text, context)
+
+    def batched(trees):
+        f = compile_expression(trees, context)
+        return lambda q, p: np.asarray(f(*np.moveaxis(np.asanyarray(q, dtype=float), -1, 0),
+                                         *np.moveaxis(np.asanyarray(p, dtype=float), -1, 0)), dtype=float)
+
+    return OmegaFunction(name or f"expr:{text}", batched(tree), batched([diff(tree, x) for x in context[:n]]),
+                         batched([diff(tree, x) for x in context[n:]]), tree)
+
+
+def omega_texts(n: int = 2) -> dict:
+    """Built-in Legendre-invariant metric functions as expression text, by name; all have {h, Omega} = 0.
 
     These are the rotation invariants of the simultaneous (q_i, p_i)-plane
     rotations generated by X_L; the two cross invariants and their product
     exist for n = 2 only.
     """
-    reg = {"const": OmegaFunction.constant(1.0, name="const")}
-    # q^2 + p^2 with float **, as q[k] ** 2 of one point takes it (an array's ** 2 is q*q)
-    norms = lambda q, p: _elementwise(operator.pow, q, 2.0) + _elementwise(operator.pow, p, 2.0)
-    for k in range(n):
-        partial = lambda x, k=k: np.where(np.arange(x.shape[-1]) == k, 2.0 * x, 0.0)  # 2 x_k in slot k
-        reg[f"pair_norm_{k + 1}"] = OmegaFunction(
-            f"pair_norm_{k + 1}", lambda q, p, k=k: norms(q[..., k], p[..., k]),
-            lambda q, p, d=partial: d(q), lambda q, p, d=partial: d(p))
-    reg["norm_sum"] = OmegaFunction(
-        "norm_sum",
-        eval=lambda q, p: _dot(q, q) + _dot(p, p),
-        d_q=lambda q, p: 2.0 * np.asanyarray(q, dtype=float),
-        d_p=lambda q, p: 2.0 * np.asanyarray(p, dtype=float),
-    )
+    pairs = {f"pair_norm_{k}": f"q{k}^2+p{k}^2" for k in range(1, n + 1)}
+    texts = {"const": "1", **pairs, "norm_sum": "+".join(pairs.values())}
     if n == 2:
-        reg["cross_sum"] = OmegaFunction(
-            "cross_sum",
-            eval=lambda q, p: q[..., 0] * q[..., 1] + p[..., 0] * p[..., 1],
-            d_q=lambda q, p: q[..., ::-1].copy(),
-            d_p=lambda q, p: p[..., ::-1].copy(),
-        )
-        reg["cross_skew"] = OmegaFunction(
-            "cross_skew",
-            eval=lambda q, p: q[..., 0] * p[..., 1] - q[..., 1] * p[..., 0],
-            d_q=lambda q, p: np.stack((p[..., 1], -p[..., 0]), axis=-1),
-            d_p=lambda q, p: np.stack((-q[..., 1], q[..., 0]), axis=-1),
-        )
+        texts.update(cross_sum="q1*q2+p1*p2", cross_skew="q1*p2-q2*p1", pair_norm_product="(q1^2+p1^2)*(q2^2+p2^2)")
+    return texts
 
-        product_partial = lambda x, w: 2 * x * w[..., ::-1]  # 2 x_1 w_2, 2 x_2 w_1, for w = (q_i^2 + p_i^2)
-        reg["pair_norm_product"] = OmegaFunction(
-            "pair_norm_product",
-            eval=lambda q, p: np.multiply(*np.moveaxis(norms(q, p), -1, 0)),
-            d_q=lambda q, p: product_partial(q, norms(q, p)),
-            d_p=lambda q, p: product_partial(p, norms(q, p)),
-        )
-    return reg
+
+def omega_registry(n: int = 2) -> dict:
+    """Every built-in Omega of omega_texts(n), compiled by omega_from_expression under its name."""
+    return {name: omega_from_expression(text, n, name) for name, text in omega_texts(n).items()}
 
 
 @dataclass(frozen=True)
@@ -373,23 +367,14 @@ def poisson_constraint_residual(omega: OmegaFunction, x) -> float | np.ndarray:
     return _rows(_dot(p, dq) - _dot(q, dp))
 
 
-def _pullback_defect(G: MetricField, z, y, J: np.ndarray, at_z: Optional[Callable] = None) -> np.ndarray:
-    """|| J^T G(y) J - G(z) ||_F for a map sending z to y with Jacobian J, row by row.
-
-    G(y) is evaluated first; at_z, when given, is then called for G(z) in place of G.eval(z).
-    """
-    Gy = np.asarray(G.eval(y), dtype=float)
-    Gz = G.eval(z) if at_z is None else at_z()
-    return _frobenius(np.swapaxes(J, -1, -2) @ Gy @ J - np.asarray(Gz, dtype=float))
+def _pullback_defect(Gy: np.ndarray, Gz: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """|| J^T G(y) J - G(z) ||_F row by row, from G's values at y and at z, for a map z -> y with Jacobian J."""
+    return _frobenius(np.swapaxes(J, -1, -2) @ np.asarray(Gy, dtype=float) @ J - np.asarray(Gz, dtype=float))
 
 
-def discrete_isometry_residual(G: MetricField, m: LegendreMap, x,
-                               at_x: Optional[Callable] = None) -> float | np.ndarray:
-    """|| J^T G(m(x)) J - G(x) ||_F for the discrete Legendre map m, at x or one per row of a Z batch.
-
-    at_x, when given, returns G(x); checks at the same points share one evaluation of it this way.
-    """
-    return _rows(_pullback_defect(G, x, discrete_legendre(x, m), jacobian_discrete_legendre(m, x), at_x))
+def discrete_isometry_residual(G: MetricField, m: LegendreMap, x) -> float | np.ndarray:
+    """|| J^T G(m(x)) J - G(x) ||_F for the discrete Legendre map m, at x or one per row of a Z batch."""
+    return _rows(_pullback_defect(G.eval(discrete_legendre(x, m)), G.eval(x), jacobian_discrete_legendre(m, x)))
 
 
 def _fd_flow_jacobians(z: np.ndarray, dt: float, t: float):
@@ -403,8 +388,7 @@ def _fd_flow_jacobians(z: np.ndarray, dt: float, t: float):
 
 
 def flow_recurrence_residual(G: MetricField, x, dt: float,
-                             t: float = math.pi / 2.0, method: str = "fd",
-                             at_x: Optional[Callable] = None) -> float | np.ndarray:
+                             t: float = math.pi / 2.0, method: str = "fd") -> float | np.ndarray:
     """Pullback defect of G along the time-t flow map of X_L, at x or one per row of a Z batch.
 
     method "fd" integrates the flow with RK4 at step dt and differentiates
@@ -412,8 +396,7 @@ def flow_recurrence_residual(G: MetricField, x, dt: float,
     integrated as one batch; method "closed_form" uses the exact
     trigonometric orbit and its analytic Jacobian (dt is ignored).  At
     t = pi/2 the flow map is the total Legendre transformation, where both
-    gtd_* families recover their value.  at_x, when given, returns G(x), as
-    in discrete_isometry_residual.
+    gtd_* families recover their value.
     """
     z = np.asarray(x, dtype=float)
     if method == "closed_form":
@@ -422,4 +405,4 @@ def flow_recurrence_residual(G: MetricField, x, dt: float,
         ends, J = _fd_flow_jacobians(z, dt, t)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'fd' or 'closed_form'")
-    return _rows(_pullback_defect(G, z, ends, J, at_x))
+    return _rows(_pullback_defect(G.eval(ends), G.eval(z), J))

@@ -29,13 +29,15 @@ from contactlab.cli import (
     run,
 )
 from contactlab.equilibrium import EquilibriumOmega, curvature_report
-from contactlab.flows import LegendreMap, _step_schedule, discrete_legendre, legendre_field
+from contactlab.expressions import Num, parse_expression
+from contactlab.flows import LegendreMap, _step_schedule, discrete_legendre, flow_map, legendre_field
 from contactlab.metriclab import (
     GtdTotalParams,
     OmegaFunction,
     build_metric,
     flow_recurrence_residual,
     killing_residual,
+    omega_texts,
 )
 from contactlab.phasespace import DarbouxPoint
 from contactlab.sampling import sample_darboux_points
@@ -72,6 +74,12 @@ class TestConfig:
         assert parse_omega_spec("expr:q1+1", 2).eval(np.array([2.0, 0.0]), np.zeros(2)) == 3.0
         with pytest.raises(Exception):
             parse_omega_spec("bogus", 2)
+        # every Omega a spec names carries its expression tree
+        context = ["q1", "q2", "p1", "p2"]
+        for name, text in omega_texts(2).items():
+            assert parse_omega_spec(name, 2).tree == parse_expression(text, context)
+        assert parse_omega_spec("const:2", 2).tree == Num(2.0)
+        assert parse_omega_spec("expr:q1+1", 2).tree == parse_expression("q1+1", context)
 
     def test_config_file_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -256,19 +264,34 @@ class TestConfig:
         assert proc.stdout == ""
         assert proc.stderr == "numeric failure: map 2 of point 1 is not finite\n"
 
-    @pytest.mark.parametrize("argv, err", [
-        (["killing", "--family", "epsilon", "--omega", "expr:5e307*q1*p2", "--points", "5"],
+    @pytest.mark.parametrize("argv, code, err", [
+        (["killing", "--family", "epsilon", "--omega", "expr:5e307*q1*p2", "--points", "5"], EXIT_NUMERIC,
          "warning: overflow encountered in multiply\n"
-         "killing: family=epsilon omega=expr:5e307*q1*p2 max residual = inf\n"),
-        (["isometry", "--family", "epsilon", "--omega", "expr:1e-13/q1^2", "--points", "3", "--map", "total"],
+         "numeric failure: killing residual of point 0 is not finite\n"),
+        (["isometry", "--family", "epsilon", "--omega", "expr:1e-13/q1^2", "--points", "3", "--map", "total"], EXIT_OK,
          "warning: epsilon metric: |Omega| = 4.67e-14 < 1e-12 at the evaluation point; the metric is degenerate there\n"),
     ], ids=["numpy_overflow", "degenerate_epsilon"])
-    def test_a_warning_prints_as_one_line_in_order(self, argv, err):
+    def test_a_warning_prints_as_one_line_in_order(self, argv, code, err):
         # no file:line prefix and no source line, so stderr does not depend on the install or the line numbers
         proc = self._child(argv)
-        assert proc.returncode == EXIT_OK
-        assert proc.stdout.count("\n") == int(argv[argv.index("--points") + 1]) + 1
+        assert proc.returncode == code
+        rows = int(argv[argv.index("--points") + 1]) + 1 if code == EXIT_OK else 0
+        assert proc.stdout.count("\n") == rows
         assert proc.stderr == err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["killing", "--family", "gtd_partial", "--k", "200", "--omega", "expr:q1^1000", "--points", "100"],
+         "numeric failure: killing residual of point 2 is not finite"),
+        (["omega-check", "--omega", "expr:1e308*q1", "--points", "20"],
+         "numeric failure: omega-check residual of point 13 is not finite"),
+        (["isometry", "--family", "gtd_total", "--omega", "expr:1e307*q1^2", "--points", "20"],
+         "numeric failure: discrete:1 residual of point 19 is not finite"),
+    ], ids=["killing", "omega_check", "isometry"])
+    def test_a_residual_that_is_not_finite_is_a_numeric_failure(self, argv, err):
+        proc = self._child(argv)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == err
 
     def test_an_overflowing_gtd_partial_power_is_a_numeric_failure(self, capsys):
         # |q^a p_a| reaches 3.75 at these points, whose 601st power overflows
@@ -534,12 +557,16 @@ class TestIsometry:
                                  const.d_q, const.d_p)
 
         monkeypatch.setattr(cli, "parse_omega_spec", counted)
-        assert main(["isometry", "--family", "gtd_partial", "--points", "3", "--seed", "13",
-                     "--recurrence-dt", "1e-2", "--out", os.devnull]) == EXIT_OK
         Z = sample_darboux_points(3, 2, 13)
-        # the recurrence's ends, the points once, then the images of the three maps
-        assert len(calls) == 5
-        assert not np.array_equal(calls[0], Z[:, 1:3]) and np.array_equal(calls[1], Z[:, 1:3])
+        images = [discrete_legendre(Z, LegendreMap(frozenset(s), 2)) for s in ({1}, {2}, {1, 2})]
+        ends = flow_map(legendre_field(2), Z, math.pi / 2, 1e-2)
+        # one call each: the recurrence's ends (or the first map's images), the points, then the other images
+        for argv, rows in ((["--recurrence-dt", "1e-2"], [ends, Z] + images), ([], images[:1] + [Z] + images[1:])):
+            calls.clear()
+            assert main(["isometry", "--family", "gtd_partial", "--points", "3", "--seed", "13",
+                         "--out", os.devnull, *argv]) == EXIT_OK
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], np.stack(rows)[..., 1:3])
 
 
 class TestEmission:
@@ -706,6 +733,15 @@ class TestExactExpressionDerivatives:
                                          "expr:q1^2+p1^2+q2^2+p2^2", "--points", "20", "--seed", "7"])
         assert max(float(r["residual"]) for r in rows) <= 1e-13
 
+    @pytest.mark.parametrize("name", sorted(omega_texts(2)))
+    def test_a_registry_name_runs_as_its_text(self, capsys, name):
+        for command in (["killing", "--family", "epsilon"], ["omega-check"]):
+            stdout = []
+            for omega in (name, "expr:" + omega_texts(2)[name]):
+                assert main([*command, "--omega", omega, "--points", "20", "--seed", "7"]) == EXIT_OK
+                stdout.append(capsys.readouterr().out)
+            assert stdout[0] == stdout[1] and stdout[0].count("\n") == 21
+
     def test_inverse_cross_omega_is_killing_away_from_its_pole(self):
         # central differences read up to 2809 at seed 7, where |q1 p2 - q2 p1| is small
         omega = parse_omega_spec("expr:1/(q1*p2-q2*p1)")
@@ -799,8 +835,9 @@ class TestBenchmarkHooks:
         assert figures and all(math.isfinite(value) and value > 0 for value in figures.values())
 
     @pytest.mark.parametrize("argv,span", [
+        # the recurrence's RK4 quarter turn: one batch of every point's stencil
         (["isometry", "--family", "gtd_partial", "--omega", "const:1", "--points", "3",
-          "--recurrence-dt", "1e-2"], "metriclab.flow_recurrence_residual"),
+          "--recurrence-dt", "1e-2"], "flows.flow_map"),
         (["killing", "--family", "epsilon", "--omega", "norm_sum", "--points", "20"],
          "metriclab.killing_residual"),
     ])

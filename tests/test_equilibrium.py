@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from contactlab import equilibrium
-from contactlab.cli import parse_equilibrium_omega_spec
+from contactlab.cli import parse_equilibrium_omega_spec, parse_omega_spec
 from contactlab.equilibrium import (
     NULL_DEGENERATE,
     NULL_OUTSIDE,
@@ -194,18 +194,10 @@ class TestNumericCurvature:
                        + np.einsum("ace,edb->abcd", gamma, gamma) - np.einsum("ade,ecb->abcd", gamma, gamma))
             return float(np.einsum("bd,bd->", np.linalg.inv(ev(q)), np.einsum("abad->bd", riemann)))
 
-        omega = EquilibriumOmega("omega", lambda u, v: 1.0 + 0.1 * u * v)
         for q in (np.array([2.5, 1.3]), np.array([7.0, 0.4]), np.array([0.3, 0.2])):
-            for om in (OMEGA_ONE, omega):
+            for om in (OMEGA_ONE, OMEGA_UV):
                 g = induced_metric(EPS_UNIT, GAS, om)
                 assert scalar_curvature_numeric(g, q) == curvature(g.eval, q)
-
-    def test_fd_omega_partials_equal_the_hand_written_differences(self):
-        omega = EquilibriumOmega("omega", parse_equilibrium_omega_spec("expr:exp(0.3*u)*v^2").eval)
-        for u, v in ((2.5, 1.3), (0.4, 3.0), (0.5, 0.7)):
-            hu, hv = 1e-4 * max(1.0, u), 1e-4 * max(1.0, v)
-            assert omega.partial_u(u, v) == (omega.eval(u + hu, v) - omega.eval(u - hu, v)) / (2 * hu)
-            assert omega.partial_v(u, v) == (omega.eval(u, v + hv) - omega.eval(u, v - hv)) / (2 * hv)
 
     def test_degenerate_point_rejected(self):
         g = induced_metric(EPS_UNIT, GAS, OMEGA_ONE)
@@ -370,6 +362,51 @@ class TestBatchedOracle:
     def test_flagged_and_valid_rows_have_no_reason(self):
         reports = rho_scan(CV, OMEGA_ONE, 1.2, 1.25, 200)
         assert all(r.null_reason is None for r in reports)
+
+
+#: (u, v) points where the invariant 1/(q1 p2 - q2 p1) is checked flat, and the closed-form R of every
+#: registry Omega pulled back onto the ideal gas (c_v = 1.5) there, as FD partials of the pulled-back
+#: Omega (step 1e-4 * max(1, |q|)) gave it before the pull-back was an expression tree
+PULLBACK_POINTS = [(0.5, 1.0), (2.0, 1.0), (3.0, 1.0), (3.0, 2.0)]
+FD_PULLBACK_CURVATURE = {
+    "const": [-0.768, 6.144, 0.768, 96.0],
+    "pair_norm_1": [-0.08302702702702702, 1.3466301369863014, 0.08302702702702702, 10.378378378378377],
+    "pair_norm_2": [-0.384, 3.072, 0.384, 22.58823529411765],
+    "norm_sum": [-0.06826666627341312, 0.9362285729853799, 0.06826666677921195, 6.8977290051312075],
+    "cross_sum": [-0.33138192705012737, 2.695789636809255, 0.33138192617562123, 15.458303998854415],
+    "cross_skew": [0.6144000080025694, 9.830400052677279, 0.6144000025328681, 384.00000178229993],
+    "pair_norm_product": [-0.04151351353816838, 0.673315067804373, 0.04151351348885851, 2.4419713829372203],
+}
+
+
+class TestPullback:
+    def test_the_invariant_inverse_cross_is_flat_on_the_ideal_gas(self):
+        # g_uv = -1/(u v) exactly, so R = 0; FD partials read down to -7.1e-5 here
+        omega = EquilibriumOmega.from_phase_space(parse_omega_spec("expr:1/(q1*p2-q2*p1)"), GAS)
+        for u, v in PULLBACK_POINTS:
+            assert abs(scalar_curvature_ideal_gas(u, v, CV, omega)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(FD_PULLBACK_CURVATURE))
+    def test_registry_pullbacks_agree_with_their_fd_curvature(self, name):
+        omega = EquilibriumOmega.from_phase_space(omega_registry(2)[name], GAS)
+        for (u, v), fd in zip(PULLBACK_POINTS, FD_PULLBACK_CURVATURE[name]):
+            assert scalar_curvature_ideal_gas(u, v, CV, omega) == pytest.approx(fd, rel=1e-6)
+
+    def test_the_partials_are_the_trees_of_the_substituted_relation(self):
+        # norm_sum pulls back to u^2 + v^2 + (c_v/u)^2 + (1/v)^2
+        omega = EquilibriumOmega.from_phase_space(omega_registry(2)["norm_sum"], GAS)
+        u, v = np.array([0.7, 2.0]), np.array([1.3, 0.4])
+        np.testing.assert_allclose(omega.d_u(u, v), 2 * u - 2 * CV**2 / u**3, rtol=1e-14)
+        np.testing.assert_allclose(omega.d_v(u, v), 2 * v - 2 / v**3, rtol=1e-14)
+        assert np.array_equal(omega.d_uv(u, v), np.zeros(2))
+
+    def test_an_omega_or_relation_without_a_tree_cannot_be_pulled_back(self):
+        bare = OmegaFunction("bare", lambda q, p: q[..., 0], None, None)
+        with pytest.raises(ValueError, match="expression trees"):
+            EquilibriumOmega.from_phase_space(bare, GAS)
+        untreed = equilibrium.FundamentalRelation("untreed", 2, GAS.value, GAS.gradient, GAS.hessian)
+        with pytest.raises(ValueError, match="expression trees"):
+            EquilibriumOmega.from_phase_space(omega_registry(2)["norm_sum"], untreed)
 
 
 class TestInconsistencyProbe:
