@@ -59,10 +59,9 @@ from .metriclab import (
     poisson_constraint_residual,
 )
 from .equilibrium import (
-    DEFAULT_CURVATURE_STEP,
     DEFAULT_SINGULAR_BAND,
     NULL_DEGENERATE,
-    NULL_OUTSIDE,
+    NULL_RANGE,
     DegenerateMetricError,
     DomainError,
     EquilibriumOmega,
@@ -93,9 +92,9 @@ COMMANDS = ("orbit", "legendre", "killing", "omega-check", "curvature", "rho-sca
 
 #: scalar config keys by the type their value must have; None is allowed for the optional ones
 _INT_KEYS = ("n", "points", "seed", "k", "pair")
-_REAL_KEYS = ("cv", "dt", "t_end", "v_fixed", "delta_sing", "u", "v", "h_fd", "recurrence_dt")
+_REAL_KEYS = ("cv", "dt", "t_end", "v_fixed", "delta_sing", "u", "v", "recurrence_dt")
 _STR_KEYS = ("command", "family", "omega", "rho", "format", "out")
-_OPTIONAL_KEYS = {"pair", "u", "v", "h_fd", "recurrence_dt", "out"}
+_OPTIONAL_KEYS = {"pair", "u", "v", "recurrence_dt", "out"}
 
 
 class ConfigError(ValueError):
@@ -187,7 +186,6 @@ class RunConfig:
     maps: Optional[List[str]] = None
     u: Optional[float] = None
     v: Optional[float] = None
-    h_fd: Optional[float] = None
     delta_sing: float = DEFAULT_SINGULAR_BAND
     recurrence_dt: Optional[float] = None
 
@@ -216,10 +214,8 @@ class RunConfig:
         for name in _REAL_KEYS:
             if getattr(self, name) is not None:
                 _parse_float(getattr(self, name), name)  # a JSON integer beyond the float range is not finite
-        for name in ("h_fd", "delta_sing"):
-            val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ConfigError(f"{name} must be positive, got {val!r}")
+        if self.delta_sing <= 0:
+            raise ConfigError(f"delta_sing must be positive, got {self.delta_sing!r}")
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -492,16 +488,25 @@ def _cmd_omega_check(cfg: RunConfig):
 _SCAN_NAMES = ["rho", "u", "v", "R_analytic", "R_numeric", "rel_error", "near_singularity"]
 
 
+def _scan_table(cfg: RunConfig, table: np.recarray):
+    """The curvature table a command emits, after one stderr line each for its flagged and its null rows."""
+    flagged = int(np.count_nonzero(table.near_singularity))
+    if flagged:
+        print(f"{cfg.command}: {flagged} points flagged near rho = sqrt({cfg.cv:g})", file=sys.stderr)
+    reasons = [r for r in table.null_reason.tolist() if r is not None]
+    if reasons:
+        print(f"{cfg.command}: no R_numeric on {len(reasons)} rows ({NULL_DEGENERATE}: "
+              f"{reasons.count(NULL_DEGENERATE)}, {NULL_RANGE}: {reasons.count(NULL_RANGE)})", file=sys.stderr)
+    return _SCAN_NAMES, table
+
+
 def _cmd_curvature(cfg: RunConfig):
     if cfg.u is None or cfg.v is None:
         raise ConfigError("curvature requires --u and --v")
     if cfg.u <= 0 or cfg.v <= 0:
         raise ConfigError("u and v must be positive")
     omega = parse_equilibrium_omega_spec(cfg.omega)
-    h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_CURVATURE_STEP
-    with np.errstate(all="ignore"):  # an extreme scale gives a null R_numeric, not a numpy warning
-        table = curvature_table([cfg.u], cfg.v, cfg.cv, omega, cfg.delta_sing, h_fd)
-    return _SCAN_NAMES, table
+    return _scan_table(cfg, curvature_table([cfg.u], cfg.v, cfg.cv, omega, cfg.delta_sing))
 
 
 def _cmd_rho_scan(cfg: RunConfig):
@@ -509,18 +514,7 @@ def _cmd_rho_scan(cfg: RunConfig):
     if lo <= 0:
         raise ConfigError("rho range must be positive for the ideal gas")
     omega = parse_equilibrium_omega_spec(cfg.omega)
-    h_fd = cfg.h_fd if cfg.h_fd is not None else DEFAULT_CURVATURE_STEP
-    with np.errstate(all="ignore"):
-        table = rho_scan(cfg.cv, omega, lo, hi, steps, cfg.v_fixed, cfg.delta_sing, h_fd)
-    flagged = int(np.count_nonzero(table.near_singularity))
-    if flagged:
-        print(f"rho-scan: {flagged} points flagged near rho = sqrt({cfg.cv:g})", file=sys.stderr)
-    reasons = [r for r in table.null_reason.tolist() if r is not None]
-    if reasons:
-        print(f"rho-scan: no R_numeric on {len(reasons)} rows ({NULL_DEGENERATE}: "
-              f"{reasons.count(NULL_DEGENERATE)}, {NULL_OUTSIDE}: {reasons.count(NULL_OUTSIDE)})",
-              file=sys.stderr)
-    return _SCAN_NAMES, table
+    return _scan_table(cfg, rho_scan(cfg.cv, omega, lo, hi, steps, cfg.v_fixed, cfg.delta_sing))
 
 
 def _cmd_isometry(cfg: RunConfig):
@@ -652,7 +646,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", help="const:<c> or expr:<text in u,v>")
     p.add_argument("--u", type=float)
     p.add_argument("--v", type=float)
-    p.add_argument("--h-fd", type=float, dest="h_fd")
     p.add_argument("--delta-sing", type=float, dest="delta_sing")
     add_common(p)
 
@@ -661,7 +654,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", help="const:<c> or expr:<text in u,v>")
     p.add_argument("--rho", help="range min:max:steps")
     p.add_argument("--v-fixed", type=float, dest="v_fixed")
-    p.add_argument("--h-fd", type=float, dest="h_fd")
     p.add_argument("--delta-sing", type=float, dest="delta_sing")
     add_common(p)
 

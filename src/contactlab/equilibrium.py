@@ -38,8 +38,8 @@ from .metriclab import MetricField, OmegaFunction, build_metric
 #: half-width of the |rho^2 - c_v| band flagged as near-singular
 DEFAULT_SINGULAR_BAND = 1e-3
 
-#: base step for the nested-difference curvature oracle; small enough that
-#: truncation stays below 1e-3 relative even near the singular band
+#: relative step of the nested-difference curvature oracle: coordinate c moves by DEFAULT_CURVATURE_STEP * |q_c|;
+#: small enough that truncation stays below 1e-3 relative even near the singular band
 DEFAULT_CURVATURE_STEP = 1e-4
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -53,7 +53,7 @@ _EPSILON_UNIT = build_metric("epsilon", OmegaFunction.constant(1.0))
 
 #: why the oracle has no value at a row (the null_reason column)
 NULL_DEGENERATE = "degenerate metric"
-NULL_OUTSIDE = "stencil outside the domain"
+NULL_RANGE = "outside the float range"
 
 
 def pointwise(fn: Callable[[np.ndarray], object], shape: tuple = (), dtype=float) -> Callable:
@@ -71,9 +71,9 @@ def pointwise(fn: Callable[[np.ndarray], object], shape: tuple = (), dtype=float
     return batched
 
 
-def _scaled_step(coordinate, h_fd: float):
-    """Equilibrium-space FD step, h * max(1, |coordinate|), elementwise on arrays."""
-    return h_fd * np.maximum(1.0, np.abs(coordinate))
+def _scaled_step(coordinate):
+    """Equilibrium-space FD step, DEFAULT_CURVATURE_STEP * |coordinate|, elementwise on arrays."""
+    return DEFAULT_CURVATURE_STEP * np.abs(coordinate)
 
 
 class DomainError(ValueError):
@@ -259,58 +259,48 @@ def _metric_eval(g) -> Callable[[np.ndarray], np.ndarray]:
 #: rows of Q per stencil block of the curvature oracle; a block's arrays hold about 3 KB per row
 ORACLE_BLOCK_ROWS = 1024
 
+#: a row is degenerate when |det g| at its centre is below this fraction of the largest |det g| on its first
+#: stencil level, each g divided by the largest |entry| of the row's five: a ratio free of Omega's and (u, v)'s scale
+DEGENERATE_DET_FRACTION = 1e-12
 
-def _metric_on(metric: Callable[[np.ndarray], np.ndarray], Y: np.ndarray,
-               in_domain: Optional[Callable]):
-    """metric at the points Y of shape (..., rows, 2), and which rows have a point outside the domain.
 
-    When metric raises DomainError and in_domain is given, it is evaluated on
-    the points inside the domain only, and the others get an identity stand-in;
-    without in_domain the error propagates.
+def _curvature_block(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray):
+    """_scalar_curvature_rows on one block of rows: (R, reasons), with metric called twice.
+
+    The first call takes each row's centre and first stencil level (the 4
+    points of central_diff), which the degeneracy test reads.  The second
+    takes the rest of the nested stencil (central_diff at each first-level
+    point) of the rows that pass: 12 distinct points, since "+-u, then +-v"
+    is "+-v, then +-u" bit for bit, a shift leaving the other coordinate,
+    and so its step, unchanged.
     """
-    try:
-        return metric(Y), np.zeros(Y.shape[-2], dtype=bool)
-    except DomainError:
-        if in_domain is None:
-            raise
-    inside = in_domain(Y)
-    G = np.broadcast_to(np.eye(2), Y.shape + (2,)).copy()
-    G[inside] = metric(Y[inside])
-    return G, ~inside.reshape(-1, Y.shape[-2]).all(axis=0)
-
-
-def _curvature_block(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray,
-                     h_fd: float, in_domain: Optional[Callable]):
-    """_scalar_curvature_rows on one block of rows: (R, det, outside), with metric called twice.
-
-    The nested stencil of a row (the 4 first-level points of central_diff, and
-    the 16 points of central_diff at each of them) holds 16 distinct points
-    besides the centre: "+-u, then +-v" is "+-v, then +-u" bit for bit, since
-    a shift leaves the other coordinate, and so its scaled step, unchanged.
-    The metric is evaluated once at each, with the centre's value from Q's call.
-    """
-    G, outside = _metric_on(metric, Q, in_domain)
-    det = np.linalg.det(G)
-    R = np.full(len(Q), math.nan)
-    rows = np.flatnonzero(~(np.abs(det) <= 1e-12) & ~outside)
+    m = len(Q)
+    R, reasons = np.full(m, math.nan), np.full(m, None, dtype=object)
+    first, steps1 = _central_stencil(Q, _scaled_step(Q))  # (4, m, 2): +u, -u, +v, -v
+    G01 = metric(np.concatenate((Q[np.newaxis], first)))  # the centres, then the first level
+    finite = np.isfinite(G01).all(axis=(0, 2, 3))
+    N = G01 / np.abs(G01).max(axis=(0, 2, 3))[:, np.newaxis, np.newaxis]
+    dets = np.abs(N[..., 0, 0] * N[..., 1, 1] - N[..., 0, 1] * N[..., 1, 0])
+    degenerate = ~(dets[0] >= DEGENERATE_DET_FRACTION * dets[1:].max(axis=0))  # a NaN det is degenerate
+    reasons[degenerate] = NULL_DEGENERATE
+    reasons[~finite] = NULL_RANGE
+    rows = np.flatnonzero(finite & ~degenerate)
     if not len(rows):
-        return R, det, outside
-    k = len(rows)
-    first, steps1 = _central_stencil(Q[rows], _scaled_step(Q[rows], h_fd))  # (4, k, 2): +u, -u, +v, -v
-    second, steps2 = _central_stencil(first, _scaled_step(first, h_fd))  # second[inner, outer]
-    # evaluated: the first level, every u-shift of it, and the v-shifts of its v-shifted points
-    points = np.concatenate((first, second[:2].reshape(8, k, 2), second[2:, 2:].reshape(4, k, 2)))
-    values, stencil_outside = _metric_on(metric, points, in_domain)
-    outside[rows[stencil_outside]] = True
-    G1 = values[:4]
-    G2 = np.empty((4, 4, k, 2, 2))
-    G2[:2] = values[4:12].reshape(2, 4, k, 2, 2)
-    G2[2:, 2:] = values[12:].reshape(2, 2, k, 2, 2)
-    G2[2:, :2] = G2[:2, 2:].swapaxes(0, 1)  # v-shifts of the u-shifted points: the mirrored corners
+        return R, reasons
+    k, steps1 = len(rows), steps1[:, rows]
+    second, steps2 = _central_stencil(first[:, rows], _scaled_step(first[:, rows]))  # second[inner, outer]
+    # evaluated: every u-shift of the first level, and the v-shifts of its v-shifted points
+    values = metric(np.concatenate((second[:2].reshape(8, k, 2), second[2:, 2:].reshape(4, k, 2))))
+    # G[inner, outer]: the stencil of the centre (outer 0), then of each first-level point
+    G = np.empty((4, 5, k, 2, 2))
+    G[:, 0] = G01[1:, rows]
+    G[:2, 1:] = values[:8].reshape(2, 4, k, 2, 2)
+    G[2:, 3:] = values[8:].reshape(2, 2, k, 2, 2)
+    G[2:, 1:3] = G[:2, 3:].swapaxes(0, 1)  # v-shifts of the u-shifted points: the mirrored corners
+    steps = np.concatenate((steps1[:, np.newaxis], steps2), axis=1)
+    D = _central_differences(G, steps)  # D[..., a, b, c] = d_c g_{ab}
     # Christoffel symbols Gamma^a_{bc} of the centre (index 0) and the first level, in one call
-    ginv = np.linalg.inv(np.concatenate((G[rows][np.newaxis], G1)))
-    D = np.concatenate((_central_differences(G1, steps1)[np.newaxis],
-                        _central_differences(G2, steps2)))  # D[..., a, b, c] = d_c g_{ab}
+    ginv = np.linalg.inv(G01[:, rows])
     gammas = 0.5 * (
         np.einsum("...ad,...dcb->...abc", ginv, D)
         + np.einsum("...ad,...dbc->...abc", ginv, D)
@@ -327,44 +317,50 @@ def _curvature_block(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray,
     )
     ricci = np.einsum("...abad->...bd", riemann)
     R[rows] = np.einsum("...bd,...bd->...", ginv[0], ricci)
-    R[outside] = math.nan
-    return R, det, outside
+    # a quotient that is not finite, or NaN for one that underflowed, makes R so where R reads it
+    lost = rows[~np.isfinite(R[rows])]
+    R[lost], reasons[lost] = math.nan, NULL_RANGE
+    return R, reasons
 
 
-def _scalar_curvature_rows(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray,
-                           h_fd: float, in_domain: Optional[Callable] = None):
+def _scalar_curvature_rows(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray):
     """The curvature oracle at every row of Q, shape (m, 2), ORACLE_BLOCK_ROWS rows at a time.
 
-    Returns (R, det, reasons): det g at each row, and R, NaN on every row i
-    whose reasons[i] (an object array) says why it has no value:
-    NULL_DEGENERATE when |det g| <= 1e-12, checked before any stencil point
-    is evaluated.  When metric raises DomainError and in_domain is given, the
-    rows with a stencil point outside the domain are NULL_OUTSIDE and the
-    metric is evaluated on the other points only; without in_domain the error
-    propagates.  Every row has the bits of a block of that row alone.
+    Returns (R, reasons): R, NaN on every row i whose reasons[i] (an object
+    array) says why it has no value.  NULL_RANGE: a metric value at the
+    centre or the first stencil level, or R, is not finite (a difference
+    quotient that underflows is NaN).  NULL_DEGENERATE: the degeneracy test
+    of DEGENERATE_DET_FRACTION, read before the rest of the stencil is
+    evaluated.  The step of coordinate c
+    is DEFAULT_CURVATURE_STEP * |q_c|, so a centre inside the open quadrant
+    keeps its whole stencil there, and a metric that raises (DomainError at
+    a centre outside it) raises here.  Every row has the bits of a block of
+    that row alone.  Arithmetic leaving the float range gives a reason, not
+    a numpy warning.
     """
     m = len(Q)
-    R, det, outside = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
-    for start in range(0, m, ORACLE_BLOCK_ROWS):
-        block = slice(start, start + ORACLE_BLOCK_ROWS)
-        R[block], det[block], outside[block] = _curvature_block(metric, Q[block], h_fd, in_domain)
-    reasons = np.full(m, None, dtype=object)
-    reasons[outside] = NULL_OUTSIDE
-    reasons[np.abs(det) <= 1e-12] = NULL_DEGENERATE
-    return R, det, reasons
+    R, reasons = np.empty(m), np.empty(m, dtype=object)
+    with np.errstate(all="ignore"):
+        for start in range(0, m, ORACLE_BLOCK_ROWS):
+            block = slice(start, start + ORACLE_BLOCK_ROWS)
+            R[block], reasons[block] = _curvature_block(metric, Q[block])
+    return R, reasons
 
 
-def scalar_curvature_numeric(g, q: np.ndarray, h_fd: float = DEFAULT_CURVATURE_STEP) -> float:
+def scalar_curvature_numeric(g, q: np.ndarray) -> float:
     """Scalar curvature from Christoffel symbols with nested central differences.
 
     g may be an EquilibriumMetric or any callable q -> symmetric matrix.
-    Steps scale with the coordinate magnitude, h * max(1, |q_c|).  Raises
-    DegenerateMetricError when |det g| <= 1e-12 at q.
+    The step of coordinate c is DEFAULT_CURVATURE_STEP * |q_c|.  Raises
+    DegenerateMetricError at a degenerate row and FloatingPointError where
+    the arithmetic leaves the float range (see _scalar_curvature_rows).
     """
     q = np.asarray(q, dtype=float)
-    R, det, reasons = _scalar_curvature_rows(_metric_eval(g), q[np.newaxis], h_fd)
-    if reasons[0] is not None:
-        raise DegenerateMetricError(f"metric is degenerate at {q.tolist()} (det = {float(det[0]):.3g})")
+    R, reasons = _scalar_curvature_rows(_metric_eval(g), q[np.newaxis])
+    if reasons[0] == NULL_DEGENERATE:
+        raise DegenerateMetricError(f"metric is degenerate at {q.tolist()}")
+    if reasons[0] == NULL_RANGE:
+        raise FloatingPointError(f"curvature oracle leaves the float range at {q.tolist()}")
     return float(R[0])
 
 
@@ -404,7 +400,7 @@ def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumO
             if band.any():
                 raise SingularityError(f"rho^2 = {rho2[band][0]:.6g} lies within {delta_sing:g} of c_v = {c_v:g}")
             w = np.asarray(omega_on_e.eval(us, v), dtype=float)
-            vanishing = np.abs(w) < 1e-12
+            vanishing = w == 0
             if vanishing.any():
                 raise DegenerateMetricError(f"Omega vanishes at (u, v) = ({us[vanishing][0]:g}, {v:g})")
             w_u, w_v, w_uv = (np.asarray(f(us, v), dtype=float)
@@ -426,12 +422,11 @@ CURVATURE_FIELDS = [("rho", float), ("u", float), ("v", float), ("R_analytic", f
 
 
 def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
-                    delta_sing: float = DEFAULT_SINGULAR_BAND,
-                    h_fd: float = DEFAULT_CURVATURE_STEP) -> np.recarray:
+                    delta_sing: float = DEFAULT_SINGULAR_BAND) -> np.recarray:
     """Both curvature paths at (u, v) for every u in us: a record array, a row per u.
 
     The columns are CURVATURE_FIELDS; null_reason says why R_numeric is NaN
-    outside the singular band: NULL_DEGENERATE or NULL_OUTSIDE, else None.
+    outside the singular band: NULL_DEGENERATE or NULL_RANGE, else None.
     Rows inside the singular band are flagged and have NaN values; both
     paths run on all other rows at once.
     """
@@ -448,10 +443,8 @@ def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
     if len(off):
         us_off = table["u"][off]
         analytic = scalar_curvature_ideal_gas(us_off, v, c_v, omega_on_e, delta_sing)
-        gas = ideal_gas(c_v)
-        g = induced_metric(_EPSILON_UNIT, gas, omega_on_e)
-        numeric, _, reasons = _scalar_curvature_rows(g.eval, np.column_stack((us_off, table["v"][off])), h_fd,
-                                                     gas.in_domain)
+        g = induced_metric(_EPSILON_UNIT, ideal_gas(c_v), omega_on_e)
+        numeric, reasons = _scalar_curvature_rows(g.eval, np.column_stack((us_off, table["v"][off])))
         with np.errstate(over="ignore", invalid="ignore"):
             rel = np.abs(numeric - analytic) / np.maximum(np.abs(analytic), 1e-300)
         rel[reasons.astype(bool)] = math.nan
@@ -463,16 +456,14 @@ def curvature_table(us, v: float, c_v: float, omega_on_e: EquilibriumOmega,
 
 
 def curvature_report(u: float, v: float, c_v: float, omega_on_e: EquilibriumOmega,
-                     delta_sing: float = DEFAULT_SINGULAR_BAND,
-                     h_fd: float = DEFAULT_CURVATURE_STEP) -> np.record:
+                     delta_sing: float = DEFAULT_SINGULAR_BAND) -> np.record:
     """Both curvature paths at (u, v): the row of curvature_table, whose fields read as attributes."""
-    return curvature_table([u], v, c_v, omega_on_e, delta_sing, h_fd)[0]
+    return curvature_table([u], v, c_v, omega_on_e, delta_sing)[0]
 
 
 def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: float,
              steps: int, v_fixed: float = 1.0,
-             delta_sing: float = DEFAULT_SINGULAR_BAND,
-             h_fd: float = DEFAULT_CURVATURE_STEP) -> np.recarray:
+             delta_sing: float = DEFAULT_SINGULAR_BAND) -> np.recarray:
     """curvature_table on an inclusive rho grid, u = rho * v_fixed, ordered by rho.
 
     Points inside the singular band are flagged and skipped for rel_error.
@@ -484,4 +475,4 @@ def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: 
     if v_fixed <= 0:
         raise ValueError("v_fixed must be positive")
     return curvature_table(np.linspace(rho_min, rho_max, steps) * v_fixed, v_fixed, c_v, omega_on_e,
-                           delta_sing, h_fd)
+                           delta_sing)

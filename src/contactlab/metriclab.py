@@ -19,6 +19,7 @@ are not, although they recover their value at every quarter turn.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -286,14 +287,18 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
             raise ValueError(f"xi/chi have length {len(params.xi)}, expected n={n}")
         xi, chi, omega = params.xi, params.chi, params.omega
 
+        def xi_qp(z) -> np.ndarray:  # sum xi_a q^a p_a, term by term from a = 1: only + and *, on any host
+            terms = xi * (z[..., 1 : n + 1] * z[..., n + 1 :])
+            return functools.reduce(operator.add, (terms[..., a] for a in range(n)))
+
         def half(z) -> np.ndarray:  # coefficient lam chi_a on dq^a x dp_a, lam = Omega xi_a q^a p_a
-            lam = _omega_on(omega, z) * _dot(xi, z[..., 1 : n + 1] * z[..., n + 1 :])
+            lam = _omega_on(omega, z) * xi_qp(z)
             return 0.5 * lam[..., None] * chi
 
         def d_half(z) -> np.ndarray:
             q, p = z[..., 1 : n + 1], z[..., n + 1 :]
             w = _omega_on(omega, z)[..., None]
-            dlam = _omega_z_partials(omega, z) * _dot(xi, q * p)[..., None]
+            dlam = _omega_z_partials(omega, z) * xi_qp(z)[..., None]
             dlam[..., 1 : n + 1] += w * xi * p
             dlam[..., n + 1 :] += w * xi * q
             return dlam[..., :, None] * (0.5 * chi)

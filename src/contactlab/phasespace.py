@@ -222,7 +222,8 @@ def volume_form_coefficient(x: DarbouxPoint) -> float:
 def central_diff(f: Callable, z: Sequence[float], h) -> np.ndarray:
     """Central-difference derivative of f at the point z, or at each point of a batch z of shape (..., d).
 
-    D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B), with h one step or an array of z's shape.
+    D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B), with h one step or an array of z's shape,
+    and NaN where a non-zero difference underflows below the smallest normal float.
     At one point f is called at each shifted point in turn and may return a scalar or an array; D has f's
     shape plus a last axis of d.  At a batch f is called once, on the 2d shifted copies stacked along a new
     leading axis, and must keep the leading axes; D has z's leading axes, f's value axes, then d, each row
@@ -251,9 +252,13 @@ def _central_stencil(z: np.ndarray, h):
 
 
 def _central_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """central_diff from f's values on a _central_stencil: D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B)."""
+    """central_diff from f's values on a _central_stencil: D[..., B] = (f(z + h_B e_B) - f(z - h_B e_B)) / (2 h_B).
+
+    A quotient that a non-zero difference gives below the smallest normal float is NaN: it kept no value.
+    """
     diff = values[0::2] - values[1::2]
     D = diff / (2 * steps).reshape(steps.shape + (1,) * (diff.ndim - steps.ndim))
+    np.putmask(D, (np.abs(D) < np.finfo(float).tiny) & (diff != 0), np.nan)
     return D.transpose(*range(1, D.ndim), 0)
 
 

@@ -287,9 +287,7 @@ def test_metric_families_run_host_independent_ufuncs_only(family, k, recorded, m
     Z = np.random.default_rng(8).uniform(-2.0, 2.0, (6, 5))
     seen = recorded(G.eval, Z) + recorded(G.d_eval, Z)
     assert "multiply" in seen
-    # gtd_total's sum xi_a q^a p_a is the BLAS dot a one-point call takes too (metriclab._dot)
-    allowed = HOST_INDEPENDENT | ({"matmul"} if family == "gtd_total" else set())
-    assert set(seen) <= allowed, set(seen) - allowed
+    assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
 
 
 def test_the_sampler_runs_host_independent_ufuncs_only(monkeypatch):

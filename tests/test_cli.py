@@ -163,22 +163,24 @@ class TestConfig:
     @pytest.mark.parametrize("argv, data, err", [
         (["curvature", "--u", "1e300", "--v", "1"],
          "1.0000000000000001e+300,1.0000000000000001e+300,1,nan,0,nan,false", ""),
-        (["curvature", "--u", "1e-300", "--v", "1e-3"], "1e-297,1e-300,0.001,-0,nan,nan,false", ""),
+        (["curvature", "--u", "1e-300", "--v", "1e-3"], "1e-297,1e-300,0.001,-0,nan,nan,false",
+         "curvature: no R_numeric on 1 rows (degenerate metric: 0, outside the float range: 1)\n"),
         (["rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-300"],
          "0.20000000000000001,2.0000000000000001e-301,1e-300,-0.03084698098026566,nan,nan,false",
-         "rho-scan: no R_numeric on 5 rows (degenerate metric: 0, stencil outside the domain: 5)\n"),
+         "rho-scan: no R_numeric on 5 rows (degenerate metric: 0, outside the float range: 5)\n"),
     ], ids=["u_1e300", "u_1e-300", "v_fixed_1e-300"])
     def test_extreme_scales_give_null_rows_without_numpy_warnings(self, capsys, argv, data, err):
-        # a numpy warning is an error in this suite; the row is the one the oracle gave when it warned
+        # a numpy warning is an error in this suite; the metric overflows at u = 1e-300 and v = 1e-300, and
+        # is constant in u at u = 1e300, where the oracle's R = 0 is exact in floats
         assert main(argv) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1] == data
         assert captured.err == err
 
     @pytest.mark.parametrize("argv", [
-        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd", "0"],
-        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd=-1e-4"],
-        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1", "--h-fd", "inf"],
+        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "0", "--v", "1"],
+        ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v=-1e-4"],
+        ["curvature", "--cv", "inf", "--omega", "const:1", "--u", "2", "--v", "1"],
         ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "inf", "--v", "1"],
         ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "nan"],
         ["killing", "--family", "gtd_total", "--xi", "nan,1", "--points", "2"],
@@ -465,6 +467,26 @@ class TestCurvature:
     def test_missing_point_is_config_error(self):
         assert main(["curvature", "--cv", "1.5", "--omega", "const:1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["--omega", "const:1", "--u", "2e4", "--v", "1e4"],
+        ["--omega", "const:1e-7", "--u", "2", "--v", "1"],
+        ["--omega", "const:1", "--u", "2e-3", "--v", "1e-3"],
+    ])
+    def test_the_oracle_does_not_depend_on_scale(self, tmp_path, capsys, argv):
+        # the first two once gave a null R_numeric, the third rel_error 0.0354
+        out = tmp_path / "c.csv"
+        assert main(["curvature", "--cv", "1.5", *argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert float(read_csv(out)[0]["rel_error"]) < 1e-6
+
+    def test_a_null_or_flagged_row_gets_the_line_of_rho_scan(self, capsys):
+        assert main(["curvature", "--omega", "const:1", "--u", "1.224744871391589", "--v", "1"]) == EXIT_OK
+        assert capsys.readouterr().err == "curvature: 1 points flagged near rho = sqrt(1.5)\n"
+        argv = ["curvature", "--omega", "const:1", "--u", "1.224744871391589", "--v", "1", "--delta-sing", "1e-300"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "curvature: no R_numeric on 1 rows (degenerate metric: 1, outside the float range: 0)\n")
+
 
 class TestRhoScan:
     def test_row_count_and_schema(self, tmp_path):
@@ -497,10 +519,12 @@ class TestRhoScan:
         assert flagged and all(r["R_analytic"] is None for r in flagged)
 
     @pytest.mark.parametrize("argv,line", [
-        (["--rho", "0.2:4:30", "--v-fixed", "1e4"],
-         "rho-scan: no R_numeric on 30 rows (degenerate metric: 30, stencil outside the domain: 0)"),
-        (["--rho", "0.05:1:6", "--v-fixed", "1e-3"],
-         "rho-scan: no R_numeric on 1 rows (degenerate metric: 0, stencil outside the domain: 1)"),
+        # the metric's derivatives overflow
+        (["--rho", "0.2:4:30", "--v-fixed", "1e-150"],
+         "rho-scan: no R_numeric on 30 rows (degenerate metric: 0, outside the float range: 30)"),
+        # rho = sqrt(1.5) to the last bit lies on the degeneracy locus, outside the narrowed band
+        (["--rho", "1.224744871391589:2:3", "--delta-sing", "1e-300"],
+         "rho-scan: no R_numeric on 1 rows (degenerate metric: 1, outside the float range: 0)"),
     ])
     def test_null_rows_are_counted_by_reason(self, tmp_path, capsys, argv, line):
         out = tmp_path / "scan.csv"
@@ -509,6 +533,16 @@ class TestRhoScan:
         assert capsys.readouterr().err.splitlines() == [line]
         nulls = sum(r["R_numeric"] == "nan" for r in read_csv(out))
         assert nulls == int(line.split()[4])
+
+    @pytest.mark.parametrize("v_fixed", ["1e4", "1e-3", "1e-40", "1e40"])
+    def test_every_row_has_a_value_at_any_volume_scale(self, tmp_path, capsys, v_fixed):
+        # v_fixed = 1e4 once gave null rows (an absolute |det g| <= 1e-12), and 1e-3 rel_error up to 3.5e-2
+        # or null rows (an absolute step h * max(1, |q|))
+        out = tmp_path / "scan.csv"
+        argv = ["rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "0.05:4:30", "--v-fixed", v_fixed]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert all(float(r["rel_error"]) < 1e-3 for r in read_csv(out))
 
     def test_no_reason_line_when_every_row_has_a_value(self, capsys):
         assert main(["rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "0.5:4:8"]) == EXIT_OK
@@ -755,9 +789,10 @@ class TestExactExpressionDerivatives:
         rows = self.residuals(tmp_path, ["omega-check", "--omega", "expr:q1", "--points", "20"])
         assert [float(r["residual"]) for r in rows] == [float(r["p1"]) for r in rows]
 
-    @pytest.mark.parametrize("command", ["killing", "omega-check"])
+    @pytest.mark.parametrize("command", ["killing", "omega-check", "curvature", "rho-scan"])
     def test_h_fd_is_no_flag_where_it_would_set_nothing(self, capsys, command):
-        assert main([command, "--points", "2", "--h-fd", "1e-5"]) == EXIT_CONFIG
+        # the curvature oracle's step is relative, DEFAULT_CURVATURE_STEP * |q_c|, with no knob
+        assert main([command, "--h-fd", "1e-5"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: unrecognized arguments: --h-fd 1e-5\n"
 
 

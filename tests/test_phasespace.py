@@ -227,6 +227,14 @@ class TestCentralDiff:
         D = central_diff(lambda z: z**3, self.Z, h)
         np.testing.assert_allclose(np.diag(D), 3 * self.Z**2 + np.square(h), rtol=1e-12)
 
+    def test_a_difference_that_underflows_is_nan(self):
+        # 1e-300 / 2e10 is below the smallest normal float: the quotient kept no value; a zero difference is 0
+        f = lambda z: np.stack([1e-300 * (z[..., 0] > 0), np.ones(z.shape[:-1])], axis=-1)
+        for z in (np.array([0.0]), np.array([[0.0], [0.0]])):
+            D = central_diff(f, z, 1e10)
+            assert np.isnan(D[..., 0, 0]).all() and (D[..., 1, 0] == 0).all()
+        assert central_diff(f, np.array([0.0]), 1e-5)[0, 0] == 1e-300 / 2e-5
+
     def test_input_is_left_unchanged(self):
         z = self.Z.copy()
         central_diff(lambda y: y @ y, z, 0.5)
