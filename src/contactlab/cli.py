@@ -318,6 +318,136 @@ def _typed_table(fieldnames: Sequence[str], *parts) -> np.ndarray:
 #: rows formatted per write
 _EMIT_CHUNK_ROWS = 1024
 
+#: 5^s for the scalings 10^s = 5^s 2^s of _scaled_decimal, s <= 21
+_POW5 = np.array([5 ** s for s in range(22)], dtype=np.uint64)
+#: the six bytes before a cell's digits, as three rows of little-endian uint16, by -k for
+#: k < 0 and row 0 for k >= 0: the sign slot, then "0.", "0.0", "0.00" or "0.000", NUL-padded
+_CELL_HEAD = np.frombuffer(b"".join(b"\0" + prefix.ljust(5, b"\0") for prefix in (b"", b"0.", b"0.0", b"0.00", b"0.000")),
+                           "<u2").reshape(5, 3).T.copy()
+#: digit j of a cell, 0..16, as a column
+_DIGIT = np.arange(17)[:, None]
+#: "." in the slot after a digit
+_DOT = np.uint16(ord(".") << 8)
+
+
+def _scaled_decimal(m: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """m 5^(16-k) / 2^r rounded half to even, exactly, for m < 2^53, -5 <= k <= 14 and 1 <= r <= 63 (uint64 arrays).
+
+    The product m 5^(16-k) < 2^102 is formed as a 128-bit (hi, lo) pair from 32-bit limbs, in
+    place where it can be.
+    """
+    f0 = _POW5[16 - k]
+    f1 = f0 >> 32
+    f0 &= 0xFFFFFFFF
+    hi = m >> 32
+    lo = m & 0xFFFFFFFF
+    mid = lo * f1
+    lo *= f0
+    f0 *= hi
+    mid += f0
+    hi *= f1
+    del f0, f1
+    hi += mid >> 32
+    mid <<= 32
+    mid += lo
+    hi += mid < lo  # the carry out of the low 64 bits
+    del lo
+    hi <<= 64 - r
+    t = mid >> r
+    t |= hi
+    del hi
+    mid &= (1 << r) - 1  # the remainder, which rounds t up above half, and at half when t is odd
+    mid += t & 1
+    t += mid > (1 << (r - 1))
+    return t
+
+
+def _significand(x: np.ndarray):
+    """(T, k, inside): where 1e-4 <= |x| < 1e15 (inside), k = floor(log10 |x|) and T = round(|x| 10^(16-k)).
+
+    T has 17 digits.  k is seeded from the binary exponent E of x as floor(E log10 2); T >= 10^17
+    means it was one short, and T is computed again with k + 1.
+    """
+    y = abs(x)
+    inside = (y >= 1e-4) & (y < 1e15)
+    y[~inside] = 1.0  # any value of the range, whose digits are not written
+    bits = y.view(np.uint64)
+    m = bits & ((1 << 52) - 1)
+    m |= 1 << 52  # |x| = m 2^(E-52)
+    e = (bits >> 52).astype(np.int64) - 1023
+    del y, bits
+    k = e * 78913
+    k >>= 18  # floor(E log10 2) for |E| < 1650
+    e -= k
+    r = (36 - e).astype(np.uint64)  # |x| 10^(16-k) = m 5^(16-k) / 2^r
+    del e
+    t = _scaled_decimal(m, k, r)
+    up = t >= 10 ** 17
+    k += up
+    t[up] = _scaled_decimal(m[up], k[up], r[up] + 1)
+    return t, k, inside
+
+
+def _csv_float_lines(chunk: np.ndarray) -> str:
+    """The CSV lines of a 2-D float array, each cell as "%.17g" writes it, without formatting cells one by one.
+
+    A cell with 1e-4 <= |x| < 1e15 has 17 significant digits written positionally: the digits
+    of T (_significand), which come from its two halves below 1e9 by exact float division and
+    floor.  Each cell is laid out in a fixed-width grid of bytes (sign, "0.000" prefix, each
+    digit with a slot after it for ".", separator), NUL where a byte is not written (trailing
+    zeros of the fraction, for one), and one bytes.translate deletes the NULs.  Zeros ("0",
+    "-0") are written here too.  Every other cell (|x| < 1e-4 or >= 1e15, not finite) is left
+    as a "%.17g" template and formatted by %.  Only integer operations, comparisons, and
+    + - * / and floor on floats below 2^53 run on the cells, so the text does not depend on
+    the host.  Arrays are deleted when done, so that the working set stays about twice the grid.
+    """
+    rows, cols = chunk.shape
+    x = chunk.astype(np.float64, copy=False).ravel()
+    n = len(x)
+    t, k, inside = _significand(x)
+
+    # cells[j, i]: the j-th uint16 of cell i: three of sign and prefix, 17 digits each with its
+    # "." slot (rows 2..19 take the 18 digits of the two halves, the first always 0), separator
+    cells = np.empty((21, n), "<u2")
+    high = t // 10 ** 9
+    t -= high * 10 ** 9
+    above, q = np.empty(n), np.empty(n)
+    for half, digits in ((high, cells[2:11]), (t, cells[11:20])):
+        h = half.astype(np.float64)
+        h *= inside  # a zero cell gets the digits of 0
+        above[:] = 0
+        for i in range(9):  # digit i: floor(h / 10^(8-i)) - 10 floor(h / 10^(9-i))
+            np.divide(h, 10.0 ** (8 - i), out=q)
+            np.floor(q, out=q)
+            above *= 10
+            np.subtract(q, above, out=digits[i], casting="unsafe")
+            above, q = q, above
+    del t, high, half, h, above, q, digits
+    d = cells[3:20]
+    nonzero = (d != 0).view(np.uint8)
+    nonzero *= (_DIGIT + 1).astype(np.uint8)
+    last = nonzero.max(axis=0).astype(np.int64) - 1  # the last non-zero digit, -1 for none
+    del nonzero
+    shown = np.maximum(k, last)  # the integer digits and the fraction up to its last non-zero digit
+    fallback = ~inside & (x != 0)
+    shown[fallback] = -1
+    d += ord("0")
+    d *= _DIGIT <= shown
+    dotted = np.flatnonzero(k < last)  # a "." after digit k, where k >= 0 and a fraction is shown
+    dotted = dotted[k[dotted] >= 0]
+    cells[3 + k[dotted], dotted] |= _DOT
+    cells[:3] = _CELL_HEAD[:, np.maximum(-k, 0)]
+    cells[0] |= (x.view(np.uint64) >> 63).astype(np.uint16) * ord("-")
+    cells[:3, fallback] = np.frombuffer(b"%.17g\0", "<u2")[:, None]
+    cells[20].reshape(rows, cols)[:] = np.frombuffer(b",\0" * (cols - 1) + b"\r\n", "<u2")
+    del d, k, last, shown, dotted
+    data = cells.T.tobytes()
+    del cells
+    text = data.translate(None, b"\0")
+    del data
+    text = text.decode("ascii")
+    return text % tuple(x[fallback].tolist()) if fallback.any() else text
+
 
 def _cells(column: np.ndarray, fmt: str, alone: bool) -> List:
     """The %-arguments of a column's cells; alone: the column is the table's only one."""
@@ -339,7 +469,7 @@ def _emit_table(table: np.ndarray, fieldnames: Sequence[str], fmt: str, stream) 
 
     A float cell is "%.17g" in CSV and str() in JSON (null when not finite), an int "%d", a bool
     true/false, and text is quoted as csv.writer or json.dumps quotes it.  An all-float chunk
-    becomes its cells with one ravel().tolist().
+    is written by _csv_float_lines in CSV, and becomes its cells with one ravel().tolist() in JSON.
     """
     table = np.asarray(table)  # a record array as a plain one, whose field lookups skip recarray's Python methods
     if table.dtype.names is None:
@@ -361,6 +491,9 @@ def _emit_table(table: np.ndarray, fieldnames: Sequence[str], fmt: str, stream) 
         row, sep = "{" + ", ".join(f"{name}: {t}" for name, t in zip(names, templates)) + "}", ", "
     for start in range(0, len(table), _EMIT_CHUNK_ROWS):
         chunk = table[start:start + _EMIT_CHUNK_ROWS]
+        if chunk.dtype.names is None and fmt == "csv":
+            stream.write(_csv_float_lines(chunk))
+            continue
         if chunk.dtype.names is None:
             cells = _cells(chunk.ravel(), fmt, False)
         else:

@@ -88,7 +88,9 @@ class OmegaFunction:
 def omega_from_expression(text: str, n: int = 2, name: Optional[str] = None) -> OmegaFunction:
     """Phase-space Omega(q, p) from an expression in q1..qn, p1..pn, with exact partials and its tree.
 
-    d_q and d_p each compile their n derivative trees (expressions.diff) into one program.
+    d_q and d_p each compile their n derivative trees (expressions.diff) into one program, on
+    their first call, so a command that takes no partial of Omega builds none; a derivative
+    too deep to build raises its ExpressionSyntaxError from that call.
     """
     context = [f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
     tree = parse_expression(text, context)
@@ -98,8 +100,11 @@ def omega_from_expression(text: str, n: int = 2, name: Optional[str] = None) -> 
         return lambda q, p: np.asarray(f(*np.moveaxis(np.asanyarray(q, dtype=float), -1, 0),
                                          *np.moveaxis(np.asanyarray(p, dtype=float), -1, 0)), dtype=float)
 
-    return OmegaFunction(name or f"expr:{text}", batched(tree), batched([diff(tree, x) for x in context[:n]]),
-                         batched([diff(tree, x) for x in context[n:]]), tree)
+    def partials(variables):
+        program = functools.cache(lambda: batched([diff(tree, x) for x in variables]))
+        return lambda q, p: program()(q, p)
+
+    return OmegaFunction(name or f"expr:{text}", batched(tree), partials(context[:n]), partials(context[n:]), tree)
 
 
 def omega_texts(n: int = 2) -> dict:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from contactlab import equilibrium, expressions, metriclab, sampling
+from contactlab import cli, equilibrium, expressions, metriclab, sampling
 from contactlab.cli import equilibrium_omega_from_expression, omega_from_expression, parse_omega_spec
 from contactlab.equilibrium import EquilibriumOmega, ideal_gas, scalar_curvature_ideal_gas
 from contactlab.expressions import compile_expression, diff, parse_expression
@@ -307,3 +307,25 @@ def test_the_guard_sees_a_numpy_power(recorded):
     assert "power" in recorded(lambda x: x**3.0, np.ones(3))
     assert {"power", "square"} & set(recorded(lambda x: x**2, np.ones(3)))
     assert not {"power", "square", "exp", "log", "sqrt", "sin", "cos"} & HOST_INDEPENDENT
+
+
+#: the CSV float kernel's ufuncs: HOST_INDEPENDENT's, floor of floats below 2^53, and integer ops
+KERNEL_EXACT = HOST_INDEPENDENT | {"floor", "floor_divide", "left_shift", "bitwise_and", "bitwise_or"}
+
+
+def test_the_csv_float_kernel_runs_exact_ufuncs_only(monkeypatch):
+    # the kernel's own arrays (np.empty, np.zeros, the tables of cli) are recorded too
+    for name, value in vars(cli).items():
+        if isinstance(value, np.ndarray):
+            monkeypatch.setattr(cli, name, value.view(Recorder))
+    for make in ("empty", "zeros"):
+        monkeypatch.setattr(np, make, lambda *a, _make=getattr(np, make), **k: _make(*a, **k).view(Recorder))
+    cells = np.array([0.1, -2.5, 1e-3, 123456.789, 0.0, -0.0, 1e-7, 1e16, math.nan, 99999999999999.99,
+                      0.00012345, -7.0])
+    Recorder.seen = []
+    text = cli._csv_float_lines(cells.reshape(4, 3).view(Recorder))
+    seen = list(Recorder.seen)
+    monkeypatch.undo()
+    assert text == "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in cells.reshape(4, 3).tolist())
+    assert {"floor", "divide", "multiply", "right_shift"} <= set(seen)
+    assert set(seen) <= KERNEL_EXACT, set(seen) - KERNEL_EXACT

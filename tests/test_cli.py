@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactlab import cli
+from contactlab import cli, metriclab
 from contactlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -358,6 +358,27 @@ class TestOrbit:
         else:
             assert both == first[:-2] + b", " + second[1:]
         assert len(both) > len(first) > 100
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, cells", [
+        # the fixed pair holds exact zeros, and the first row -0.0
+        (["--pair", "1", "--ic=-0.0,1.5,-0.0"], lambda t: ((t == 0) & np.signbit(t)).any() and (t[:, [3, 5]] == 0).all()),
+        # cells below 1e-4 and at or above 1e15 (written by %) beside cells that cross 1e15
+        (["--ic=1e-7,1e16,123456789012345.6,-1e-7,2.5"],
+         lambda t: ((np.abs(t) < 1e-4) & (t != 0)).any() and (np.abs(t) >= 1e15).any()
+         and ((np.abs(t) >= 1e14) & (np.abs(t) < 1e15)).any()),
+        (["--ic", "0.3,1,2,3,4", "--t-end", "0"], lambda t: t.shape == (1, 6)),
+    ], ids=["pair", "edges", "t_end_0"])
+    def test_orbit_bytes_equal_the_reference_writer(self, monkeypatch, tmp_path, argv, cells, fmt):
+        tables = []
+        emit = cli.emit_rows
+        monkeypatch.setattr(cli, "emit_rows", lambda rows, *a: tables.append(rows) or emit(rows, *a))
+        out = tmp_path / f"orbit.{fmt}"
+        assert main(["orbit", "--t-end", "6.3", "--dt", "0.01", *argv, "--format", fmt, "--out", str(out)]) == EXIT_OK
+        [table] = tables
+        assert cells(table)
+        expected = reference_text(table.tolist(), ["t", "Phi", "q1", "q2", "p1", "p2"], fmt)
+        assert out.read_bytes() == expected.encode()
 
     def test_bad_ic_length(self):
         assert main(["orbit", "--ic", "1,0", "--t-end", "1", "--dt", "0.1"]) == EXIT_CONFIG
@@ -788,6 +809,45 @@ class TestExactExpressionDerivatives:
     def test_omega_check_of_q1_is_p1_exactly(self, tmp_path):
         rows = self.residuals(tmp_path, ["omega-check", "--omega", "expr:q1", "--points", "20"])
         assert [float(r["residual"]) for r in rows] == [float(r["p1"]) for r in rows]
+
+    @pytest.mark.parametrize("argv, derivatives", [
+        (["isometry", "--family", "gtd_partial", "--k", "1", "--recurrence-dt", "1e-2"], 0),
+        (["killing", "--family", "epsilon"], 4),
+        (["omega-check"], 4),
+    ])
+    def test_omega_partials_are_built_when_a_command_takes_them(self, monkeypatch, capsys, argv, derivatives):
+        argv = [*argv, "--omega", "norm_sum", "--points", "4", "--seed", "3"]
+        assert main(argv) == EXIT_OK
+        lazy = capsys.readouterr().out
+        calls = []
+        diff = metriclab.diff
+        monkeypatch.setattr(metriclab, "diff", lambda *a: calls.append(a) or diff(*a))
+        assert main(argv) == EXIT_OK
+        assert len(calls) == derivatives  # d/dq1, d/dq2, d/dp1, d/dp2, once each
+        assert capsys.readouterr().out == lazy
+
+        # the same table from partials built before the command runs
+        def eager(spec, n=2):
+            omega = parse_omega_spec(spec, n)
+            omega.gradient(np.ones((1, n)), np.ones((1, n)))
+            return omega
+        monkeypatch.setattr(cli, "parse_omega_spec", eager)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == lazy
+
+    def test_a_derivative_too_deep_fails_the_commands_that_take_it(self, capsys):
+        tower = "expr:" + "q1^" * 100 + "q1"
+        # omega-check takes the partials first; killing at seed 1 samples a point with 0 < q1 < 1,
+        # where the tower has a value, and takes them next
+        for argv in (["omega-check", "--points", "2"], ["killing", "--points", "1", "--seed", "1"]):
+            assert main([*argv, "--omega", tower]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: the derivative in q1 is nested too deeply") and err.count("\n") == 1
+        # killing at seed 7 first meets the tower's value at a negative q1; isometry takes no partial
+        for command in ("killing", "isometry"):
+            assert main([command, "--omega", tower, "--points", "2", "--seed", "7"]) == EXIT_NUMERIC
+            err = capsys.readouterr().err
+            assert err.startswith("numeric failure: ^ failed: complex result") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["killing", "omega-check", "curvature", "rho-scan"])
     def test_h_fd_is_no_flag_where_it_would_set_nothing(self, capsys, command):

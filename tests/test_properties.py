@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ with warnings.catch_warnings():
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from contactlab import cli  # noqa: E402
 from contactlab.cli import emit_rows, main, omega_from_expression  # noqa: E402
 from contactlab.flows import (  # noqa: E402
     IntegrationError,
@@ -125,6 +127,48 @@ def test_float_array_emits_the_bytes_of_its_dict_rows(fmt, table):
     emit_rows([dict(zip(names, row)) for row in table], names, fmt, expected)
     emit_rows(table, names, fmt, got)
     assert got.getvalue() == expected.getvalue()
+
+
+def _ulps(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+# the edges of the CSV float kernel's range and of its decimal exponents, and ties of the 18th digit
+KERNEL_EDGES = ([math.inf, -math.inf, 5e-324, 0.0, -0.0, math.nan] + _ulps(1e-4) + _ulps(1e15)
+                + [v for j in range(-6, 18) for v in _ulps(float(f"1e{j}"))]
+                + [1125899906842624.25, 1125899906842624.75, 123456789012345.125, 123456789012345.375])
+# raw bit patterns (NaNs of both signs and -0.0 among them), and patterns whose binary exponent
+# falls in the kernel's range 1e-4 <= |x| < 1e15, which raw patterns seldom hit
+BIT_PATTERNS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+              st.integers(0, 1), st.integers(1023 - 15, 1023 + 50), st.integers(0, 2**52 - 1)),
+    st.sampled_from([0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000001]))
+
+
+def _csv_of_table(table):
+    names = [f"c{j}" for j in range(table.shape[1])]
+    got = io.StringIO()
+    emit_rows(table, names, "csv", got)
+    return got.getvalue(), reference_text(table.tolist(), names, "csv")
+
+
+@pytest.mark.parametrize("cols", [1, 6])
+def test_csv_kernel_writes_the_template_bytes_of_the_edges(cols):
+    # tiled past one chunk of rows, so the table is written in two
+    cells = np.resize(np.array(KERNEL_EDGES), (cli._EMIT_CHUNK_ROWS + 5) * cols)
+    got, expected = _csv_of_table(cells.reshape(-1, cols))
+    assert got == expected
+
+
+@pytest.mark.parametrize("cols", [1, 6])
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(bits=arrays(np.uint64, st.integers(1, 60), elements=BIT_PATTERNS), chunk_rows=st.integers(1, 9))
+def test_csv_kernel_writes_the_template_bytes_of_any_float(cols, bits, chunk_rows):
+    cells = np.resize(bits.view(np.float64), -(-len(bits) // cols) * cols)
+    with mock.patch.object(cli, "_EMIT_CHUNK_ROWS", chunk_rows):
+        got, expected = _csv_of_table(cells.reshape(-1, cols))
+    assert got == expected
 
 
 # +-0.0, subnormals, and magnitudes whose squares overflow within a few steps
