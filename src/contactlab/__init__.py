@@ -10,14 +10,12 @@ difference oracle).
 from .phasespace import (
     Covector,
     DarbouxPoint,
-    DimensionError,
     OneFormField,
     eta_field,
     eval_deta,
     eval_eta,
     lie_derivative_oneform,
     reeb,
-    volume_form_coefficient,
 )
 from .flows import (
     ContactHamiltonian,

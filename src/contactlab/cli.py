@@ -320,21 +320,20 @@ _EMIT_CHUNK_ROWS = 1024
 
 #: 5^s for the scalings 10^s = 5^s 2^s of _scaled_decimal, s <= 21
 _POW5 = np.array([5 ** s for s in range(22)], dtype=np.uint64)
-#: the six bytes before a cell's digits, as three rows of little-endian uint16, by -k for
-#: k < 0 and row 0 for k >= 0: the sign slot, then "0.", "0.0", "0.00" or "0.000", NUL-padded
-_CELL_HEAD = np.frombuffer(b"".join(b"\0" + prefix.ljust(5, b"\0") for prefix in (b"", b"0.", b"0.0", b"0.00", b"0.000")),
-                           "<u2").reshape(5, 3).T.copy()
+#: the bytes of "0.000" before the digits of a cell with k < 0, each written where k is below its bound:
+#: "0." for k < 0, then a "0" more for each k below -1
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
+_PREFIX_BELOW = np.array([0, 0, -1, -2, -3], np.int8)[:, None]
 #: digit j of a cell, 0..16, as a column
-_DIGIT = np.arange(17)[:, None]
-#: "." in the slot after a digit
-_DOT = np.uint16(ord(".") << 8)
+_DIGIT = np.arange(17, dtype=np.int8)[:, None]
 
 
-def _scaled_decimal(m: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """m 5^(16-k) / 2^r rounded half to even, exactly, for m < 2^53, -5 <= k <= 14 and 1 <= r <= 63 (uint64 arrays).
+def _scaled_decimal(m: np.ndarray, k: np.ndarray, r: np.ndarray):
+    """(T, rem, rounded_up) for X = m 5^(16-k) / 2^r, exactly (uint64, m < 2^53, -5 <= k <= 14, 1 <= r <= 63).
 
-    The product m 5^(16-k) < 2^102 is formed as a 128-bit (hi, lo) pair from 32-bit limbs, in
-    place where it can be.
+    T is X rounded half to even, rem is X's fraction in units of 2^-r, and rounded_up says
+    whether T is floor(X) + 1.  The product m 5^(16-k) < 2^102 is formed as a 128-bit (hi, lo)
+    pair from 32-bit limbs, in place where it can be.
     """
     f0 = _POW5[16 - k]
     f1 = f0 >> 32
@@ -355,98 +354,154 @@ def _scaled_decimal(m: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     hi <<= 64 - r
     t = mid >> r
     t |= hi
-    del hi
-    mid &= (1 << r) - 1  # the remainder, which rounds t up above half, and at half when t is odd
-    mid += t & 1
-    t += mid > (1 << (r - 1))
-    return t
+    mid &= (1 << r) - 1
+    rounded_up = mid + (t & 1) > (1 << (r - 1))
+    t += rounded_up
+    return t, mid, rounded_up
 
 
-def _significand(x: np.ndarray):
-    """(T, k, inside): where 1e-4 <= |x| < 1e15 (inside), k = floor(log10 |x|) and T = round(|x| 10^(16-k)).
+def _decimal(x: np.ndarray, shortest: bool):
+    """(S, k, fallback): the digits of each cell of x as the integer S, with |x| ~ S 10^(k-16).
 
-    T has 17 digits.  k is seeded from the binary exponent E of x as floor(E log10 2); T >= 10^17
-    means it was one short, and T is computed again with k + 1.
+    Where 1e-4 <= |x| < 1e15, k = floor(log10 |x|), and T, rounded half to even, is the 17-digit
+    value of X = |x| 10^(16-k) = m 5^(16-k) / 2^r (_scaled_decimal).  k is seeded from the
+    binary exponent E of x as floor(E log10 2); T >= 10^17 means it was one short, and X is
+    formed again with k + 1.  For "%.17g", S = T.  For the shortest repr, S is the multiple of
+    the largest 10^j, nearest X, in the interval of the values that read back as x:
+    X -+ 5^(16-k) / 2^(r+1).  Its ends lie within 12 of T and are never whole numbers, so
+    whether it is closed does not matter.  It is narrower than 100, so it holds at most one
+    multiple of 100, which is S if there is one; otherwise S is the multiple of 10 nearest X
+    if that is inside (T's last digit and the sign of X - T decide which), and T if not.  A
+    power of two has a narrower interval below it, but in this range its decimal value has at
+    most 15 significant digits, so its X is a multiple of 100 and is S.  Every other cell has
+    S = 0, which writes zeros; fallback marks the non-zero ones, and for the shortest repr
+    the cells where X = T lies halfway between two multiples of 10 that are both inside.
     """
     y = abs(x)
     inside = (y >= 1e-4) & (y < 1e15)
     y[~inside] = 1.0  # any value of the range, whose digits are not written
     bits = y.view(np.uint64)
     m = bits & ((1 << 52) - 1)
+    fallback = ~inside & (x != 0)
     m |= 1 << 52  # |x| = m 2^(E-52)
     e = (bits >> 52).astype(np.int64) - 1023
     del y, bits
     k = e * 78913
     k >>= 18  # floor(E log10 2) for |E| < 1650
     e -= k
-    r = (36 - e).astype(np.uint64)  # |x| 10^(16-k) = m 5^(16-k) / 2^r
+    r = (36 - e).astype(np.uint64)  # X = m 5^(16-k) / 2^r
     del e
-    t = _scaled_decimal(m, k, r)
-    up = t >= 10 ** 17
-    k += up
-    t[up] = _scaled_decimal(m[up], k[up], r[up] + 1)
-    return t, k, inside
+    t, rem, rounded_up = _scaled_decimal(m, k, r)
+    up = np.flatnonzero(t >= 10 ** 17)
+    k[up] += 1
+    r[up] += 1
+    t[up], rem[up], rounded_up[up] = _scaled_decimal(m[up], k[up], r[up])
+    t = t.view(np.int64)
+    if shortest:
+        # T + o lies inside where low <= o <= high; from floor(X) the ends are (2 rem -+ 5^(16-k)) / 2^(r+1),
+        # odd multiples of 2^-(r+1), so never whole
+        twice, f = rem.view(np.int64) << 1, _POW5[16 - k].view(np.int64)
+        s = r.view(np.int64) + 1
+        low = ((twice - f) >> s) + 1 - rounded_up
+        high = ((twice + f) >> s) - rounded_up
+        del twice, f, s
+        b = t - t // 10 * 10
+        halfway = b == 5
+        # to the multiple of 10 nearest X; a tie (X = T) is left to repr
+        d = ((b > 5) | (halfway & ~rounded_up)) * 10 - b
+        tens = (d >= low) & (d <= high)
+        hundred = (t + low + 99) // 100 * 100
+        hundreds = hundred <= t + high
+        fallback |= tens & halfway & (rem == 0) & ~hundreds
+        t += d * tens
+        np.copyto(t, hundred, where=hundreds)
+        del low, high, b, halfway, d, tens, hundred, hundreds
+    del m, r, rem, rounded_up
+    t[~inside] = 0
+    return t, k, fallback
 
 
-def _csv_float_lines(chunk: np.ndarray) -> str:
-    """The CSV lines of a 2-D float array, each cell as "%.17g" writes it, without formatting cells one by one.
+def _float_lines(chunk: np.ndarray, fmt: str, fieldnames: Sequence[str]) -> str:
+    """A 2-D float array's rows as the %-template of _emit_table writes them, without formatting cells one by one.
 
-    A cell with 1e-4 <= |x| < 1e15 has 17 significant digits written positionally: the digits
-    of T (_significand), which come from its two halves below 1e9 by exact float division and
-    floor.  Each cell is laid out in a fixed-width grid of bytes (sign, "0.000" prefix, each
-    digit with a slot after it for ".", separator), NUL where a byte is not written (trailing
-    zeros of the fraction, for one), and one bytes.translate deletes the NULs.  Zeros ("0",
-    "-0") are written here too.  Every other cell (|x| < 1e-4 or >= 1e15, not finite) is left
-    as a "%.17g" template and formatted by %.  Only integer operations, comparisons, and
-    + - * / and floor on floats below 2^53 run on the cells, so the text does not depend on
-    the host.  Arrays are deleted when done, so that the working set stays about twice the grid.
+    A cell with 1e-4 <= |x| < 1e15 is written positionally from its digits S (_decimal): the 17
+    significant digits of "%.17g" in CSV, the shortest repr in JSON.  Up to its last non-zero
+    digit, a cell shows its integer digits in CSV, and one fraction digit more in JSON ("1.0").
+    Each cell is laid out in a fixed-width grid of bytes: sign, "0.000" prefix, 18 digit slots
+    (the integer digits, ".", the fraction digits), then what follows the cell ("," or "\r\n"
+    in CSV, the next cell's key in JSON), NUL where a byte is not written, and one
+    bytes.translate deletes the NULs.  Zeros are written here too.  Every cell of _decimal's
+    fallback is left as a "%.17g" or "%s" template and formatted by % (null in JSON when not
+    finite).  Only integer operations and comparisons run on the cells, so the text does not
+    depend on the host.  Arrays are deleted when done, so that the working set stays about
+    twice the grid.
     """
     rows, cols = chunk.shape
     x = chunk.astype(np.float64, copy=False).ravel()
     n = len(x)
-    t, k, inside = _significand(x)
+    shortest = fmt == "json"
+    t, k, fallback = _decimal(x, shortest)
+    k = k.astype(np.int8)  # small integers compare fastest as bytes
+    templated = fallback.any()  # the text goes through %, and a "%" of a key is escaped
+    if shortest:
+        keys = [json.dumps(name).replace("%", "%%" if templated else "%") + ": " for name in fieldnames]
+        start, end = "{" + keys[0], "}"
+        after = [", " + key for key in keys[1:]] + ["}, " + start]
+    else:
+        start, end = "", "\r\n"
+        after = [","] * (cols - 1) + [end]
+    width = max(map(len, after))
 
-    # cells[j, i]: the j-th uint16 of cell i: three of sign and prefix, 17 digits each with its
-    # "." slot (rows 2..19 take the 18 digits of the two halves, the first always 0), separator
-    cells = np.empty((21, n), "<u2")
+    digits = np.empty((17, n), np.uint8)
     high = t // 10 ** 9
     t -= high * 10 ** 9
-    above, q = np.empty(n), np.empty(n)
-    for half, digits in ((high, cells[2:11]), (t, cells[11:20])):
-        h = half.astype(np.float64)
-        h *= inside  # a zero cell gets the digits of 0
-        above[:] = 0
-        for i in range(9):  # digit i: floor(h / 10^(8-i)) - 10 floor(h / 10^(9-i))
-            np.divide(h, 10.0 ** (8 - i), out=q)
-            np.floor(q, out=q)
-            above *= 10
-            np.subtract(q, above, out=digits[i], casting="unsafe")
-            above, q = q, above
-    del t, high, half, h, above, q, digits
-    d = cells[3:20]
-    nonzero = (d != 0).view(np.uint8)
+    above, tens = np.empty(n, np.uint32), np.empty(n, np.uint32)
+    for half, places in ((t.astype(np.uint32), digits[8:]), (high.astype(np.uint32), digits[:8])):
+        for place in places[::-1]:  # the last digit of the half, which is then divided by 10
+            np.floor_divide(half, 10, out=above)
+            np.multiply(above, 10, out=tens)
+            np.subtract(half, tens, out=place, casting="unsafe")
+            half, above = above, half
+    del t, high, half, above, tens
+    nonzero = (digits != 0).view(np.uint8)
     nonzero *= (_DIGIT + 1).astype(np.uint8)
-    last = nonzero.max(axis=0).astype(np.int64) - 1  # the last non-zero digit, -1 for none
+    last = nonzero.max(axis=0).view(np.int8) - 1  # the last non-zero digit, -1 for none
     del nonzero
-    shown = np.maximum(k, last)  # the integer digits and the fraction up to its last non-zero digit
-    fallback = ~inside & (x != 0)
+    shown = np.maximum(k + shortest, last)  # the integer digits and the fraction up to its last non-zero digit
     shown[fallback] = -1
-    d += ord("0")
-    d *= _DIGIT <= shown
-    dotted = np.flatnonzero(k < last)  # a "." after digit k, where k >= 0 and a fraction is shown
-    dotted = dotted[k[dotted] >= 0]
-    cells[3 + k[dotted], dotted] |= _DOT
-    cells[:3] = _CELL_HEAD[:, np.maximum(-k, 0)]
-    cells[0] |= (x.view(np.uint64) >> 63).astype(np.uint16) * ord("-")
-    cells[:3, fallback] = np.frombuffer(b"%.17g\0", "<u2")[:, None]
-    cells[20].reshape(rows, cols)[:] = np.frombuffer(b",\0" * (cols - 1) + b"\r\n", "<u2")
-    del d, k, last, shown, dotted
+    digits += ord("0")
+    digits *= _DIGIT <= shown
+
+    # cells[j, i]: byte j of cell i: six of sign and prefix, 18 digit slots, what follows
+    cells = np.empty((24 + width, n), np.uint8)
+    cells[0] = (x.view(np.uint64) >> 63).astype(np.uint8) * ord("-")
+    np.multiply(k < _PREFIX_BELOW, _PREFIX, out=cells[1:6])
+    if templated:
+        cells[:6, fallback] = np.frombuffer(b"%s\0\0\0\0" if shortest else b"%.17g\0", np.uint8)[:, None]
+    integer = _DIGIT <= k
+    np.multiply(digits, integer, out=cells[6:23])  # digit j in slot j up to digit k, and in slot j + 1 after it
+    cells[23] = 0
+    np.invert(integer, out=integer)
+    digits *= integer
+    cells[7:24] |= digits
+    del digits, integer
+    dotted = np.flatnonzero((k >= 0) & (k < shown))  # a "." after digit k, where a fraction is shown
+    cells[7 + k[dotted], dotted] = ord(".")
+    padded = [text.encode("ascii").ljust(width, b"\0") for text in after + [end]]
+    tails = cells[24:].reshape(width, rows, cols)
+    for column, tail in enumerate(padded[:-1]):
+        tails[:, :, column] = np.frombuffer(tail, np.uint8)[:, None]
+    cells[24:, -1] = np.frombuffer(padded[-1], np.uint8)
+    del k, last, shown, dotted, tails
     data = cells.T.tobytes()
     del cells
     text = data.translate(None, b"\0")
     del data
-    text = text.decode("ascii")
-    return text % tuple(x[fallback].tolist()) if fallback.any() else text
+    text = text.decode("ascii")  # a statement each, so that two copies of the text are alive at a time, not three
+    text = start + text
+    if not templated:
+        return text
+    return text % tuple(c if not shortest or math.isfinite(c) else "null" for c in x[fallback].tolist())
 
 
 def _cells(column: np.ndarray, fmt: str, alone: bool) -> List:
@@ -465,11 +520,10 @@ def _cells(column: np.ndarray, fmt: str, alone: bool) -> List:
 
 
 def _emit_table(table: np.ndarray, fieldnames: Sequence[str], fmt: str, stream) -> None:
-    """emit_rows for a typed table: one %-template per row, applied a chunk of rows at a time.
+    """emit_rows for a typed table, a chunk of rows at a time: a %-template per row, or _float_lines if all float.
 
     A float cell is "%.17g" in CSV and str() in JSON (null when not finite), an int "%d", a bool
-    true/false, and text is quoted as csv.writer or json.dumps quotes it.  An all-float chunk
-    is written by _csv_float_lines in CSV, and becomes its cells with one ravel().tolist() in JSON.
+    true/false, and text is quoted as csv.writer or json.dumps quotes it.
     """
     table = np.asarray(table)  # a record array as a plain one, whose field lookups skip recarray's Python methods
     if table.dtype.names is None:
@@ -491,15 +545,14 @@ def _emit_table(table: np.ndarray, fieldnames: Sequence[str], fmt: str, stream) 
         row, sep = "{" + ", ".join(f"{name}: {t}" for name, t in zip(names, templates)) + "}", ", "
     for start in range(0, len(table), _EMIT_CHUNK_ROWS):
         chunk = table[start:start + _EMIT_CHUNK_ROWS]
-        if chunk.dtype.names is None and fmt == "csv":
-            stream.write(_csv_float_lines(chunk))
-            continue
-        if chunk.dtype.names is None:
-            cells = _cells(chunk.ravel(), fmt, False)
+        if chunk.dtype.names is None and len(fieldnames):
+            text = _float_lines(chunk, fmt, fieldnames)
         else:
             columns = [_cells(chunk[name], fmt, len(fieldnames) == 1) for name in fieldnames]
-            cells = itertools.chain.from_iterable(zip(*columns))
-        stream.write((sep if start else "") + sep.join([row] * len(chunk)) % tuple(cells))
+            text = sep.join([row] * len(chunk)) % tuple(itertools.chain.from_iterable(zip(*columns)))
+        if start:
+            stream.write(sep)
+        stream.write(text)
     if fmt == "json":
         stream.write("]\n")
 

@@ -114,8 +114,13 @@ def ideal_gas(c_v: float = 1.5) -> FundamentalRelation:
 
     def hessian(q: np.ndarray) -> np.ndarray:
         H = np.zeros(q.shape + (2,))
-        H[..., 0, 0] = -c_v / q[..., 0] ** 2
-        H[..., 1, 1] = -1.0 / q[..., 1] ** 2
+        for i, c in enumerate((c_v, 1.0)):
+            x = q[..., i]
+            square = x * x
+            d = np.asarray(-c / square)
+            big = ~np.isfinite(square)  # |x| above about 1.3e154, where -c / x / x is still finite
+            d[big] = -c / x[big] / x[big]
+            H[..., i, i] = d
         return H
 
     return FundamentalRelation(

@@ -95,10 +95,13 @@ def omega_from_expression(text: str, n: int = 2, name: Optional[str] = None) -> 
     context = [f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
     tree = parse_expression(text, context)
 
+    def columns(z):
+        z = np.asanyarray(z, dtype=float)
+        return [z[..., i] for i in range(z.shape[-1])]
+
     def batched(trees):
         f = compile_expression(trees, context)
-        return lambda q, p: np.asarray(f(*np.moveaxis(np.asanyarray(q, dtype=float), -1, 0),
-                                         *np.moveaxis(np.asanyarray(p, dtype=float), -1, 0)), dtype=float)
+        return lambda q, p: np.asarray(f(*columns(q), *columns(p)), dtype=float)
 
     def partials(variables):
         program = functools.cache(lambda: batched([diff(tree, x) for x in variables]))

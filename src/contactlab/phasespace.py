@@ -15,7 +15,6 @@ call concurrently.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,14 +22,6 @@ import numpy as np
 
 #: default central-difference step for order-1 coordinates
 DEFAULT_FD_STEP = 1e-5
-
-#: explicit antisymmetrization is O((2n+1)!); keep it a structural check
-MAX_VOLUME_FORM_DOF = 3
-
-
-class DimensionError(ValueError):
-    """Requested operation exceeds the supported number of degrees of freedom."""
-
 
 def _frozen(arr) -> np.ndarray:
     out = np.array(arr, dtype=float)
@@ -177,46 +168,6 @@ def reeb(n: int = 2) -> np.ndarray:
     out = np.zeros(2 * n + 1)
     out[0] = 1.0
     return out
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def volume_form_coefficient(x: DarbouxPoint) -> float:
-    """The single component of eta ^ (d eta)^n against the ordered coordinate basis.
-
-    Computed by explicit antisymmetrization over all (2n+1)! permutations,
-    so it is restricted to n <= MAX_VOLUME_FORM_DOF.  Non-degeneracy of the
-    contact structure means the result is a nonzero constant, independent
-    of the evaluation point.
-    """
-    n = x.n
-    if n > MAX_VOLUME_FORM_DOF:
-        raise DimensionError(
-            f"volume form antisymmetrization supports n <= {MAX_VOLUME_FORM_DOF}, got n={n}"
-        )
-    eta = eval_eta(x)
-    deta = eval_deta(n)
-    dim = x.dim
-    total = 0.0
-    for perm in itertools.permutations(range(dim)):
-        val = eta[perm[0]]
-        if val == 0.0:
-            continue
-        for k in range(n):
-            val *= deta[perm[1 + 2 * k], perm[2 + 2 * k]]
-            if val == 0.0:
-                break
-        if val != 0.0:
-            total += _permutation_sign(perm) * val
-    # wedge normalization 1/(1! * (2!)^n)
-    return total / float(2**n)
 
 
 def central_diff(f: Callable, z: Sequence[float], h) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Batched Omega evaluation: a batch equals its rows' one-point calls bit for bit, fails as the
 first failing row, and runs no numpy ufunc whose bits could depend on the host."""
 
+import json
 import math
 import random
 
@@ -111,6 +112,25 @@ def test_registry(name):
     for fn in (omega.eval, omega.d_q, omega.d_p):
         check_batch(fn, (q, p), [(q[i], p[i]) for i in range(len(Z))])
         check_batch(fn, (q.reshape(4, 4, 2), p.reshape(4, 4, 2)), [(q[i], p[i]) for i in range(len(Z))], (4, 4))
+
+
+@pytest.mark.parametrize("text", ["q1*q2+p1*p2", "(q1^2+p1^2)^3", "exp(-q1^2/2)*ln(q2^2+1)/p2"])
+def test_omega_takes_its_columns_as_last_axis_views(text):
+    # the same bits as the program called on the batch's columns moved to the front
+    omega = omega_from_expression(text, 2)
+    context = ["q1", "q2", "p1", "p2"]
+    tree = parse_expression(text, context)
+    programs = {omega.eval: tree, omega.d_q: [diff(tree, "q1"), diff(tree, "q2")],
+                omega.d_p: [diff(tree, "p1"), diff(tree, "p2")]}
+    Z = np.random.default_rng(9).uniform(0.2, 2.0, (3, 4, 4))
+    for batch in (Z.reshape(12, 4), Z):
+        for fn, trees in programs.items():
+            expected = np.asarray(compile_expression(trees, context)(*np.moveaxis(batch, -1, 0)), dtype=float)
+            assert same(fn(batch[..., :2], batch[..., 2:]), expected)
+    # a q or p of the wrong width is no batch of points
+    for q, p in ((Z[..., :3], Z[..., 2:]), (Z[..., :1], Z[..., 2:])):
+        with pytest.raises(TypeError, match="expected 4 values"):
+            omega.eval(q, p)
 
 
 @pytest.mark.parametrize("spec", ["expr:q1^2+p1^2", "expr:ln(q1)*p1", "pair_norm_1", "norm_sum", "const"])
@@ -309,23 +329,39 @@ def test_the_guard_sees_a_numpy_power(recorded):
     assert not {"power", "square", "exp", "log", "sqrt", "sin", "cos"} & HOST_INDEPENDENT
 
 
-#: the CSV float kernel's ufuncs: HOST_INDEPENDENT's, floor of floats below 2^53, and integer ops
-KERNEL_EXACT = HOST_INDEPENDENT | {"floor", "floor_divide", "left_shift", "bitwise_and", "bitwise_or"}
+#: the float kernel's ufuncs: HOST_INDEPENDENT's and integer ops
+KERNEL_EXACT = HOST_INDEPENDENT | {"floor_divide", "left_shift", "bitwise_and", "bitwise_or"}
+#: cells of both kernel cases: zeros, cells left to %, a power of two, a tie, short and 17-digit reprs
+KERNEL_CELLS = np.array([0.1, -2.5, 1e-3, 123456.789, 0.0, -0.0, 1e-7, 1e16, math.nan, 99999999999999.99,
+                         0.00012345, -7.0, 600000000000000.75, 0.1 + 0.2, 1.0 / 3.0])
 
 
-def test_the_csv_float_kernel_runs_exact_ufuncs_only(monkeypatch):
+def _kernel_ufuncs(monkeypatch, fmt):
+    """The text of the float kernel on KERNEL_CELLS as a (5, 3) table, and the ufuncs it ran."""
     # the kernel's own arrays (np.empty, np.zeros, the tables of cli) are recorded too
     for name, value in vars(cli).items():
         if isinstance(value, np.ndarray):
             monkeypatch.setattr(cli, name, value.view(Recorder))
     for make in ("empty", "zeros"):
         monkeypatch.setattr(np, make, lambda *a, _make=getattr(np, make), **k: _make(*a, **k).view(Recorder))
-    cells = np.array([0.1, -2.5, 1e-3, 123456.789, 0.0, -0.0, 1e-7, 1e16, math.nan, 99999999999999.99,
-                      0.00012345, -7.0])
     Recorder.seen = []
-    text = cli._csv_float_lines(cells.reshape(4, 3).view(Recorder))
+    text = cli._float_lines(KERNEL_CELLS.reshape(5, 3).view(Recorder), fmt, ["a", "b", "c"])
     seen = list(Recorder.seen)
     monkeypatch.undo()
-    assert text == "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in cells.reshape(4, 3).tolist())
-    assert {"floor", "divide", "multiply", "right_shift"} <= set(seen)
+    return text, seen
+
+
+def test_the_csv_float_kernel_runs_exact_ufuncs_only(monkeypatch):
+    text, seen = _kernel_ufuncs(monkeypatch, "csv")
+    assert text == "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in KERNEL_CELLS.reshape(5, 3).tolist())
+    assert {"floor_divide", "multiply", "right_shift"} <= set(seen)
+    assert set(seen) <= KERNEL_EXACT, set(seen) - KERNEL_EXACT
+
+
+def test_the_json_float_kernel_runs_exact_ufuncs_only(monkeypatch):
+    text, seen = _kernel_ufuncs(monkeypatch, "json")
+    rows = [dict(zip("abc", (v if math.isfinite(v) else None for v in row)))
+            for row in KERNEL_CELLS.reshape(5, 3).tolist()]
+    assert text == json.dumps(rows)[1:-1]
+    assert {"floor_divide", "multiply", "right_shift", "left_shift"} <= set(seen)
     assert set(seen) <= KERNEL_EXACT, set(seen) - KERNEL_EXACT

