@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import Expression, Num, _elementwise, compile_expression, diff, parse_expression
+from .expressions import BinOp, Expression, Num, Var, compile_expression, diff, parse_expression
 from .phasespace import (DEFAULT_FD_STEP, _central_differences, _central_stencil, _eta_partials, central_diff,
                          eval_eta, reeb)
 from .flows import (
@@ -41,9 +40,6 @@ from .flows import (
     jacobian_discrete_legendre,
     legendre_field,
 )
-
-#: below this magnitude the epsilon-family metric is effectively degenerate
-OMEGA_DEGENERACY_THRESHOLD = 1e-12
 
 METRIC_FAMILIES = ("gtd_total", "gtd_partial", "epsilon")
 
@@ -215,36 +211,97 @@ def _omega_on(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
     return np.asarray(omega.eval(z[..., 1 : n + 1], z[..., n + 1 :]), dtype=float)
 
 
-def _omega_z_partials(omega: OmegaFunction, z: np.ndarray) -> np.ndarray:
-    """dOmega/dZ^C at each row of z, in the full Z ordering (zero Phi slot), in one gradient call."""
-    n = (z.shape[-1] - 1) // 2
-    out = np.zeros(z.shape)
-    out[..., 1 : n + 1], out[..., n + 1 :] = omega.gradient(z[..., 1 : n + 1], z[..., n + 1 :])
-    return out
+@dataclass(frozen=True, eq=False)
+class _Coefficients:
+    """A contact metric's q-p coefficients with Omega factored out, as trees of P/2: trees[i] sits at
+    (q^a, p_b), (a, b) = at[i] from 0.  inputs name the trees' variables, parameters first, then
+    q1..qn, p1..pn, in the order their programs take them; each program is compiled on its first use."""
+
+    n: int
+    at: tuple
+    trees: tuple
+    inputs: tuple
+
+    @functools.cached_property
+    def values(self) -> Callable:
+        """The program of the trees, (..., len(trees)), or their row of numbers where every tree is one."""
+        if all(isinstance(tree, Num) for tree in self.trees):
+            return lambda *inputs, row=np.array([tree.value for tree in self.trees]): row
+        return compile_expression(list(self.trees), self.inputs)
+
+    @functools.cached_property
+    def partials(self) -> tuple:
+        """(i, c, program): program gives the trees' values, then d trees[i] / d inputs[c - 2n] for each
+        (i, c) whose partial (expressions.diff) does not fold to 0; it is None where every partial does."""
+        found = [(i, c, d) for i, tree in enumerate(self.trees) for c, x in enumerate(self.inputs[-2 * self.n :])
+                 if (d := diff(tree, x)) != Num(0.0)]
+        if not found:
+            return [], [], None
+        i, c, partials = zip(*found)
+        return list(i), list(c), compile_expression([*self.trees, *partials], self.inputs)
 
 
-def _contact_metric(name: str, family: str, half: Callable, d_half: Callable) -> MetricField:
-    """eta x eta + L_ab sym(dq^a x dp_b) as a MetricField: the one assembly of every family.
+@functools.cache
+def _coefficients(family: str, n: int) -> _Coefficients:
+    """A built-in family's P/2 as trees, built once per (family, n) in a process; its parameters are inputs."""
+    q, p = ([Var(f"{x}{a}") for a in range(1, n + 1)] for x in "qp")
+    qp = [BinOp("*", qa, pa) for qa, pa in zip(q, p)]
+    if family == "epsilon":  # 2 Omega eps_ab on dq^a x dp_b
+        params, table = [], {(0, 1): Num(1.0), (1, 0): Num(-1.0)}
+    elif family == "gtd_total":  # Omega (sum_c xi_c q^c p_c) chi_a on dq^a x dp_a, summed from c = 1
+        xi, chi = ([Var(f"{x}{a}") for a in range(1, n + 1)] for x in ("xi", "chi"))
+        total = functools.reduce(lambda s, t: BinOp("+", s, t), [BinOp("*", x, t) for x, t in zip(xi, qp)])
+        params, table = xi + chi, {(a, a): BinOp("*", BinOp("*", Num(0.5), total), chi[a]) for a in range(n)}
+    else:  # gtd_partial: Omega (q^a p_a)^(2k+1) on dq^a x dp_a
+        k = Var("k")
+        power = BinOp("+", BinOp("*", Num(2.0), k), Num(1.0))
+        params, table = [k], {(a, a): BinOp("*", Num(0.5), BinOp("^", qp[a], power)) for a in range(n)}
+    return _Coefficients(n, tuple(table), tuple(table.values()), tuple(v.name for v in params + q + p))
 
-    half(z) is L/2 at each row of a float Z array, of shape (..., n, n), or (..., n) for a diagonal L;
-    d_half(z) is its Z-partials, (..., 2n+1, n[, n]).  Each half goes to (q^a, p_b) and to its mirror.
+
+def _contact_metric(name: str, family: str, omega: OmegaFunction, P: _Coefficients, params: list,
+                    what: str) -> MetricField:
+    """eta x eta + Omega P_ab sym(dq^a x dp_b) as a MetricField: the one assembly and chain rule of every family.
+
+    half = Omega P/2 goes to (q^a, p_b) and to its mirror, and d half = dOmega x P/2 + Omega d(P/2), with
+    d(P/2) from P.partials; params are the values of P's parameters.  A tree that leaves the float range
+    (what names it) raises FloatingPointError; an Omega P/2 that overflows is inf.
     """
-    def add_mirrored(M, half):  # M[..., q^a, p_b] and M[..., p_b, q^a] += half[..., a, b]
-        n = half.shape[-1]
-        for block in (M[..., 1 : n + 1, n + 1 :], M[..., n + 1 :, 1 : n + 1].swapaxes(-1, -2)):
-            (block if half.ndim == M.ndim else np.einsum("...aa->...a", block))[...] += half
-        return M
+    n, d, (a, b) = P.n, 2 * P.n + 1, np.array(P.at).T
+    slots = np.concatenate(((1 + a) * d + n + 1 + b, (n + 1 + b) * d + 1 + a))  # (q^a, p_b), then (p_b, q^a)
+
+    def evaluate(program, z, failure):
+        try:
+            return program(*params, *(z[..., c] for c in range(1, 2 * n + 1)))
+        except ArithmeticError:
+            raise FloatingPointError(f"{name}: {what} {failure}") from None
 
     def ev(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        block, eta = half(z), eval_eta(z)
-        return add_mirrored(eta[..., :, None] * eta[..., None, :], block)
+        if z.shape[-1] != d:
+            raise ValueError(f"{family} metric expects points with n = {n}")
+        w = _omega_on(omega, z)
+        if family == "epsilon" and (w == 0).any():
+            warnings.warn("epsilon metric: Omega = 0 at the evaluation point; the metric is degenerate there",
+                          RuntimeWarning, stacklevel=2)  # at the caller of eval
+        half, eta = w[..., None] * evaluate(P.values, z, "overflows"), eval_eta(z)
+        M = eta[..., :, None] * eta[..., None, :]
+        M.reshape(M.shape[:-2] + (d * d,))[..., slots] += np.concatenate((half, half), axis=-1)
+        return M
 
     def dev(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         T = _eta_partials(z)[..., :, None, :] * eval_eta(z)[..., None, :, None]  # E[A, C] eta_B at [A, B, C]
         D = T + np.swapaxes(T, -3, -2)
-        add_mirrored(np.moveaxis(D, -1, -3), d_half(z))  # C before A, B, as d_half has it
+        i, c, program = P.partials
+        w = _omega_on(omega, z) if program else None
+        values = evaluate(program or P.values, z, "or its partials overflow")
+        # d_half[..., tree, c] = d (Omega P/2) / d Z^(1+c), over q then p: dOmega x P/2 + Omega d(P/2)
+        dw = np.concatenate(omega.gradient(z[..., 1 : n + 1], z[..., n + 1 :]), axis=-1)
+        d_half = dw[..., None, :] * values[..., : len(a), None]
+        if program:
+            d_half[..., i, c] += w[..., None] * values[..., len(a) :]
+        D.reshape(D.shape[:-3] + (d * d, d))[..., slots, 1:] += np.concatenate((d_half, d_half), axis=-2)
         return D
 
     return MetricField(name, family, ev, dev)
@@ -255,92 +312,30 @@ def build_metric(family: str, params, n: int = 2) -> MetricField:
 
     params: GtdTotalParams for "gtd_total", GtdPartialParams for
     "gtd_partial", and a bare OmegaFunction for "epsilon" (n = 2 only).
-    Each family gives _contact_metric its half-block L/2, whose derivatives
-    follow by the chain rule from Omega's partials; eval and d_eval call
-    Omega and its gradient once per batch.
+    The family's P/2 is _coefficients(family, n), its parameters the
+    program inputs; Omega's values and partials come from its OmegaFunction.
     """
     if family not in METRIC_FAMILIES:
         raise ValueError(f"unknown metric family {family!r}; expected one of {METRIC_FAMILIES}")
-
     if family == "epsilon":
         if n != 2:
             raise ValueError("the epsilon family is defined for n = 2 only")
         if not isinstance(params, OmegaFunction):
             raise TypeError("epsilon family takes an OmegaFunction")
-        omega = params
-
-        def skew(w):  # [[-0, w], [-w, -0]]: adding -0.0 leaves every bit of an entry, a zero's sign too
-            out = np.full(w.shape + (2, 2), -0.0)
-            out[..., 0, 1], out[..., 1, 0] = w, -w
-            return out
-
-        def half(z) -> np.ndarray:  # coefficient 2*Omega*eps_ab on dq^a x dp_b
-            if z.shape[-1] != 5:
-                raise ValueError("epsilon metric expects points with n = 2")
-            w = _omega_on(omega, z)
-            smallest = np.abs(w).min(initial=np.inf)
-            if smallest < OMEGA_DEGENERACY_THRESHOLD:
-                warnings.warn(f"epsilon metric: |Omega| = {smallest:.3g} < {OMEGA_DEGENERACY_THRESHOLD:g} "
-                              "at the evaluation point; the metric is degenerate there",
-                              RuntimeWarning, stacklevel=3)  # at the caller of eval
-            return skew(w)
-
-        d_half = lambda z: skew(_omega_z_partials(omega, z))
-        return _contact_metric(f"epsilon[{omega.name}]", "epsilon", half, d_half)
-
-    if family == "gtd_total":
+        omega, values, name, what = params, [], f"epsilon[{params.name}]", "eps_ab"
+    elif family == "gtd_total":
         if not isinstance(params, GtdTotalParams):
             raise TypeError("gtd_total family takes GtdTotalParams")
         if len(params.xi) != n:
             raise ValueError(f"xi/chi have length {len(params.xi)}, expected n={n}")
-        xi, chi, omega = params.xi, params.chi, params.omega
-
-        def xi_qp(z) -> np.ndarray:  # sum xi_a q^a p_a, term by term from a = 1: only + and *, on any host
-            terms = xi * (z[..., 1 : n + 1] * z[..., n + 1 :])
-            return functools.reduce(operator.add, (terms[..., a] for a in range(n)))
-
-        def half(z) -> np.ndarray:  # coefficient lam chi_a on dq^a x dp_a, lam = Omega xi_a q^a p_a
-            lam = _omega_on(omega, z) * xi_qp(z)
-            return 0.5 * lam[..., None] * chi
-
-        def d_half(z) -> np.ndarray:
-            q, p = z[..., 1 : n + 1], z[..., n + 1 :]
-            w = _omega_on(omega, z)[..., None]
-            dlam = _omega_z_partials(omega, z) * xi_qp(z)[..., None]
-            dlam[..., 1 : n + 1] += w * xi * p
-            dlam[..., n + 1 :] += w * xi * q
-            return dlam[..., :, None] * (0.5 * chi)
-
-        return _contact_metric(f"gtd_total[{omega.name}]", "gtd_total", half, d_half)
-
-    # gtd_partial: coefficient Omega (q^a p_a)^(2k+1) on dq^a x dp_a
-    if not isinstance(params, GtdPartialParams):
-        raise TypeError("gtd_partial family takes GtdPartialParams")
-    k, omega = params.k, params.omega
-    exponent = 2 * k + 1
-    name = f"gtd_partial[k={k},{omega.name}]"
-
-    def power(qp: np.ndarray, e: int) -> np.ndarray:  # float ** per element; an overflow is a numeric failure
-        try:
-            return _elementwise(operator.pow, qp, float(e))
-        except OverflowError:
-            raise FloatingPointError(f"{name}: (q^a p_a)^{e} overflows") from None
-
-    def half(z) -> np.ndarray:
-        w = _omega_on(omega, z)
-        return 0.5 * w[..., None] * power(z[..., 1 : n + 1] * z[..., n + 1 :], exponent)
-
-    def d_half(z) -> np.ndarray:  # d_half[..., C, a] = d (0.5 w (q^a p_a)^(2k+1)) / d Z^C
-        q, p = z[..., 1 : n + 1], z[..., n + 1 :]
-        w = _omega_on(omega, z)
-        dw, qp = _omega_z_partials(omega, z), q * p
-        dhalf = (0.5 * dw)[..., :, None] * power(qp, exponent)[..., None, :]
-        slope = 0.5 * w[..., None] * exponent * power(qp, 2 * k)
-        np.einsum("...aa->...a", dhalf[..., 1 : n + 1, :])[...] += slope * p  # at C = q^a
-        np.einsum("...aa->...a", dhalf[..., n + 1 :, :])[...] += slope * q  # at C = p_a
-        return dhalf
-
-    return _contact_metric(name, "gtd_partial", half, d_half)
+        omega, values = params.omega, params.xi.tolist() + params.chi.tolist()
+        name, what = f"gtd_total[{omega.name}]", "(sum_c xi_c q^c p_c) chi_a"
+    else:
+        if not isinstance(params, GtdPartialParams):
+            raise TypeError("gtd_partial family takes GtdPartialParams")
+        omega, values = params.omega, [float(params.k)]
+        name, what = f"gtd_partial[k={params.k},{omega.name}]", f"(q^a p_a)^{2 * params.k + 1}"
+    return _contact_metric(name, family, omega, _coefficients(family, n), values, what)
 
 
 def reeb_vector_field(n: int = 2) -> ContactVectorField:

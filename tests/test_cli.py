@@ -138,7 +138,7 @@ class TestConfig:
     @pytest.mark.parametrize("argv", [
         ["curvature", "--u", "2", "--v", "1", "--cv", "1e300"],
         ["rho-scan", "--rho", "0.2:4:5", "--cv", "1e300"],
-        ["curvature", "--u", "2", "--v", "1", "--omega", "const:1e200"],
+        ["curvature", "--u", "2", "--v", "1", "--omega", "const:1e-320"],  # R = 6.144e320
     ])
     def test_overflowing_closed_form_curvature_exits_2_with_one_line(self, capsys, argv):
         assert main(argv) == EXIT_NUMERIC
@@ -146,6 +146,13 @@ class TestConfig:
         assert captured.out == ""
         assert captured.err.startswith("numeric failure: closed-form curvature overflows at u=")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("c", [1e103, 1e200, 1e-110, 1e-250])
+    def test_closed_form_curvature_at_an_omega_whose_cube_leaves_the_float_range(self, capsys, c):
+        # R = 768 / (125 c) at (u, v) = (2, 1), c_v = 1.5: Omega^3 overflows or underflows, R does not
+        assert main(["curvature", "--omega", f"const:{c!r}", "--u", "2", "--v", "1"]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[3]) == pytest.approx(768 / 125 / c, rel=1e-15)
 
     @pytest.mark.parametrize("argv", [
         ["curvature", "--cv", "1e-200", "--omega", "const:1", "--u", "1.1e-100", "--v", "1",
@@ -274,8 +281,10 @@ class TestConfig:
         (["killing", "--family", "epsilon", "--omega", "expr:5e307*q1*p2", "--points", "5"], EXIT_NUMERIC,
          "warning: overflow encountered in multiply\n"
          "numeric failure: killing residual of point 0 is not finite\n"),
-        (["isometry", "--family", "epsilon", "--omega", "expr:1e-13/q1^2", "--points", "3", "--map", "total"], EXIT_OK,
-         "warning: epsilon metric: |Omega| = 4.67e-14 < 1e-12 at the evaluation point; the metric is degenerate there\n"),
+        # |q1| - q1 vanishes where q1 >= 0: the sampler keeps q1 < 0, and the total map's image, q1 = -p1, has
+        # Omega = 0 where p1 <= 0
+        (["isometry", "--family", "epsilon", "--omega", "expr:sqrt(q1^2)-q1", "--points", "3", "--map", "total"],
+         EXIT_OK, "warning: epsilon metric: Omega = 0 at the evaluation point; the metric is degenerate there\n"),
     ], ids=["numpy_overflow", "degenerate_epsilon"])
     def test_a_warning_prints_as_one_line_in_order(self, argv, code, err):
         # no file:line prefix and no source line, so stderr does not depend on the install or the line numbers
@@ -457,6 +466,17 @@ class TestKilling:
             assert main(command + ["--n", "1", "--omega", omega, "--points", "5", "--out", str(out)]) == EXIT_OK
             tables.append(read_csv(out))
         assert len(tables[0]) == 5 and tables[0] == tables[1]
+
+    @pytest.mark.parametrize("omega", ["const:1e-20", "expr:1e-13*(q1^2+p1^2)"])
+    def test_the_epsilon_sampler_rejects_only_a_vanishing_omega(self, tmp_path, capsys, omega):
+        # a draw is rejected only where Omega = 0, so a tiny Omega keeps the points of const:1
+        tables = []
+        for spec in ("const:1", omega):
+            out = tmp_path / "k.csv"
+            assert main(["killing", "--family", "epsilon", "--omega", spec, "--points", "3", "--out", str(out)]) == EXIT_OK
+            tables.append([{k: r[k] for k in ("Phi", "q1", "q2", "p1", "p2")} for r in read_csv(out)])
+        assert len(tables[1]) == 3 and tables[0] == tables[1]
+        assert f"killing: family=epsilon omega={omega} max residual = " in capsys.readouterr().err
 
     def test_bad_omega_spec_is_config_error(self):
         assert main(["killing", "--family", "epsilon", "--omega", "nope"]) == EXIT_CONFIG

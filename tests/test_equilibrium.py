@@ -262,11 +262,12 @@ class TestClosedFormCurvature:
         (2.0, 1.0, CV, "expr:u-2", 1e-3, DegenerateMetricError, "Omega vanishes at (u, v) = (2, 1)"),
         (2.0, 1.0, CV, "expr:1+sqrt(u-2)", 1e-3, ExpressionDomainError,
          "/ failed: float division by zero [at u=2, v=1]"),
-        (100.0, 1.0, CV, "expr:u^100", 1e-3, FloatingPointError, "closed-form curvature overflows at u=100, v=1, c_v=1.5"),
+        # Omega = 1e-320: its cube is scaled away, and R, about 1e320, overflows
+        (100.0, 1.0, CV, "expr:u^-160", 1e-3, FloatingPointError, "closed-form curvature overflows at u=100, v=1, c_v=1.5"),
         (1e110, 1.0, CV, "const:1", 1e-3, FloatingPointError, "closed-form curvature overflows at u=1e+110, v=1, c_v=1.5"),
         (1.1e-100, 1.0, 1e-200, "const:1", 1e-300, FloatingPointError,
          "closed-form curvature divides by zero at u=1.1e-100, v=1, c_v=1e-200"),
-    ], ids=["v_zero", "band", "omega", "vanishing_omega", "partial", "omega_cubed", "gap_cubed", "gap_cubed_is_zero"])
+    ], ids=["v_zero", "band", "omega", "vanishing_omega", "partial", "r_overflows", "gap_cubed", "gap_cubed_is_zero"])
     def test_every_failure_raises_the_error_of_its_element(self, u, v, cv, spec, delta_sing, error, message):
         # the error of the float arithmetic at the failing element, whatever form u takes
         omega = parse_equilibrium_omega_spec(spec)
@@ -274,6 +275,23 @@ class TestClosedFormCurvature:
             with pytest.raises(error) as info:
                 scalar_curvature_ideal_gas(at, v, cv, omega, delta_sing)
             assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("k", [-1000, -400, 400, 1000])
+    def test_an_omega_whose_cube_leaves_the_normal_range_is_scaled_exactly(self, k):
+        # R has degree -1 in Omega and its partials: Omega times 2^k gives R times 2^-k, bit for bit
+        spec = "expr:1.5+0.3*u*v^2+0.1*u^3"
+        us = np.array([0.5, 2.0, 3.0])
+        base = scalar_curvature_ideal_gas(us, 1.3, CV, parse_equilibrium_omega_spec(spec))
+        scaled = scalar_curvature_ideal_gas(us, 1.3, CV, parse_equilibrium_omega_spec(f"expr:{2.0**k!r}*({spec[5:]})"))
+        assert np.array_equal(scaled, [math.ldexp(r, -k) for r in base])
+
+    def test_an_omega_whose_cube_overflows_at_one_element_gives_every_value(self):
+        # Omega = u^100 is 1e200 at u = 100, where Omega^3 overflows; (u/100)^100 is 1 there
+        us = np.array([3.0, 100.0, 2.5])
+        R = scalar_curvature_ideal_gas(us, 1.0, CV, parse_equilibrium_omega_spec("expr:u^100"))
+        unit = scalar_curvature_ideal_gas(us, 1.0, CV, parse_equilibrium_omega_spec("expr:(u/100)^100"))
+        np.testing.assert_allclose(R, unit * 1e-200, rtol=1e-14)
+        assert R[1] == scalar_curvature_ideal_gas(100.0, 1.0, CV, parse_equilibrium_omega_spec("expr:u^100"))
 
 
 class TestRhoScan:

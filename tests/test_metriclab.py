@@ -1,11 +1,17 @@
 """Tests for the metric families, Killing residuals, and isometry checks."""
 
+import functools
 import math
+import operator
+import warnings
 
 import numpy as np
 import pytest
 
-from contactlab.phasespace import DEFAULT_FD_STEP, DarbouxPoint, central_diff, eval_eta
+from contactlab import metriclab
+from contactlab.cli import main
+from contactlab.expressions import _elementwise
+from contactlab.phasespace import DEFAULT_FD_STEP, DarbouxPoint, _eta_partials, central_diff, eval_eta
 from contactlab.flows import LegendreMap, closed_form_orbit, flow_map, legendre_field
 from contactlab.metriclab import (
     GtdPartialParams,
@@ -23,6 +29,7 @@ from contactlab.metriclab import (
     reeb_vector_field,
 )
 from contactlab.cli import omega_from_expression
+from contactlab.expressions import diff
 from contactlab.sampling import sample_darboux_points
 
 X_L = legendre_field(2)
@@ -527,3 +534,167 @@ class TestBatchEqualsRows:
     def test_points_list_is_a_batch(self):
         G = gtd_total_unit()
         assert np.array_equal(killing_residual(X_L, G, self.POINTS), killing_residual(X_L, G, self.Z))
+
+
+# ---------------------------------------------------------------------------
+# the coefficient trees against the hand-written half-blocks they replaced
+
+def _hand_written(family, params, n=2):
+    """(eval, d_eval) of a family from its hand-written half-block L/2 and chain rule: the oracle of the trees."""
+    omega = params if family == "epsilon" else params.omega
+    q, p = (lambda z: z[..., 1 : n + 1]), (lambda z: z[..., n + 1 :])
+    w_at = lambda z: np.asarray(omega.eval(q(z), p(z)), dtype=float)
+
+    def dw_at(z):  # dOmega/dZ^C with a zero Phi slot
+        out = np.zeros(z.shape)
+        out[..., 1 : n + 1], out[..., n + 1 :] = omega.gradient(q(z), p(z))
+        return out
+
+    if family == "epsilon":  # [[-0, w], [-w, -0]]
+        def skew(w):
+            out = np.full(w.shape + (2, 2), -0.0)
+            out[..., 0, 1], out[..., 1, 0] = w, -w
+            return out
+
+        half, d_half = (lambda z: skew(w_at(z))), (lambda z: skew(dw_at(z)))
+    elif family == "gtd_total":  # lam chi_a / 2 on the diagonal, lam = Omega sum_a xi_a q^a p_a
+        xi, chi = params.xi, params.chi
+
+        def xi_qp(z):
+            terms = xi * (q(z) * p(z))
+            return functools.reduce(operator.add, (terms[..., a] for a in range(n)))
+
+        half = lambda z: 0.5 * (w_at(z) * xi_qp(z))[..., None] * chi
+
+        def d_half(z):
+            w = w_at(z)[..., None]
+            dlam = dw_at(z) * xi_qp(z)[..., None]
+            dlam[..., 1 : n + 1] += w * xi * p(z)
+            dlam[..., n + 1 :] += w * xi * q(z)
+            return dlam[..., :, None] * (0.5 * chi)
+    else:  # Omega (q^a p_a)^(2k+1) / 2 on the diagonal
+        e = 2 * params.k + 1
+        power = lambda x, exponent: _elementwise(operator.pow, x, float(exponent))
+        half = lambda z: 0.5 * w_at(z)[..., None] * power(q(z) * p(z), e)
+
+        def d_half(z):
+            w, qp = w_at(z), q(z) * p(z)
+            out = (0.5 * dw_at(z))[..., :, None] * power(qp, e)[..., None, :]
+            slope = 0.5 * w[..., None] * e * power(qp, 2 * params.k)
+            np.einsum("...aa->...a", out[..., 1 : n + 1, :])[...] += slope * p(z)
+            np.einsum("...aa->...a", out[..., n + 1 :, :])[...] += slope * q(z)
+            return out
+
+    def add_mirrored(M, h):  # M[..., q^a, p_b] and M[..., p_b, q^a] += h[..., a, b] (or h[..., a] on a diagonal)
+        for block in (M[..., 1 : n + 1, n + 1 :], M[..., n + 1 :, 1 : n + 1].swapaxes(-1, -2)):
+            (block if h.ndim == M.ndim else np.einsum("...aa->...a", block))[...] += h
+        return M
+
+    def ev(z):
+        z = np.asarray(z, dtype=float)
+        h, eta = half(z), eval_eta(z)
+        return add_mirrored(eta[..., :, None] * eta[..., None, :], h)
+
+    def dev(z):
+        z = np.asarray(z, dtype=float)
+        T = _eta_partials(z)[..., :, None, :] * eval_eta(z)[..., None, :, None]
+        D = T + np.swapaxes(T, -3, -2)
+        add_mirrored(np.moveaxis(D, -1, -3), d_half(z))
+        return D
+
+    return ev, dev
+
+
+def _oracle_omegas(n):
+    text = "q1^2*p2+sin(q2*p1)-exp(p1)/(1+q1^2)" if n == 2 else f"q1^2*p{n}+sin(q{n}*p1)+3"
+    return {**omega_registry(n), "expr": omega_from_expression(text, n), "const:2.5": OmegaFunction.constant(2.5),
+            "const:1": OmegaFunction.constant(1.0)}
+
+
+def _oracle_params(family, n, omega):
+    if family == "epsilon":
+        return [omega]
+    if family == "gtd_total":
+        return [GtdTotalParams(np.linspace(0.6, 1.4, n), np.linspace(1.3, 0.7, n), omega)]
+    return [GtdPartialParams(k, omega) for k in (0, 1, 3)]
+
+
+ORACLE_CASES = [("epsilon", 2)] + [(family, n) for family in ("gtd_total", "gtd_partial") for n in (1, 2, 3)]
+
+
+class TestCoefficientTrees:
+    @pytest.mark.parametrize("family, n", ORACLE_CASES)
+    def test_values_have_the_bits_of_the_hand_written_blocks(self, family, n):
+        # exact where Omega P/2 rounds as the hand-written product did: epsilon and gtd_partial at any Omega
+        # (x 1, x -1, x 0.5), gtd_total at Omega = 1; the rest agree to 1e-15 of each point's largest entry
+        Z = sample_darboux_points(50, n, seed=103, low=-3.0, high=3.0)
+        for name, omega in _oracle_omegas(n).items():
+            for params in _oracle_params(family, n, omega):
+                G, (ev, _) = build_metric(family, params, n), _hand_written(family, params, n)
+                got, want = G.eval(Z), ev(Z)
+                if family != "gtd_total" or name in ("const", "const:1"):
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+                scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+                assert (np.abs(got - want) <= 1e-15 * scale).all(), name
+                assert np.array_equal(G.eval(Z[7]), got[7])
+
+    @pytest.mark.parametrize("family, n", ORACLE_CASES)
+    def test_partials_agree_with_the_hand_written_chain_rule(self, family, n):
+        Z = sample_darboux_points(50, n, seed=107, low=-3.0, high=3.0)
+        for name, omega in _oracle_omegas(n).items():
+            for params in _oracle_params(family, n, omega):
+                G, (_, dev) = build_metric(family, params, n), _hand_written(family, params, n)
+                got, want = G.d_eval(Z), dev(Z)
+                scale = np.abs(want).max(axis=(-3, -2, -1), keepdims=True)
+                assert (np.abs(got - want) <= 1e-15 * scale).all(), name
+                assert np.array_equal(G.d_eval(Z[7]), got[7])
+
+    def test_the_trees_are_built_once_per_family_and_n(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metriclab, "diff", lambda *a: calls.append(a) or diff(*a))
+        metriclab._coefficients.cache_clear()
+        Z = sample_darboux_points(4, 2, seed=109)
+        omegas = REGISTRY["norm_sum"], REGISTRY["const"], OmegaFunction.constant(2.0)
+        for omega in omegas:
+            omega.gradient(Z[:, 1:3], Z[:, 3:])  # Omega's own partials are built on its first call
+        calls.clear()
+        build_metric("gtd_partial", GtdPartialParams(1, omegas[0])).d_eval(Z)
+        assert len(calls) == 2 * 4  # a partial of each of the two trees in q1, q2, p1, p2
+        for k, omega in zip((1, 4, 0), omegas):  # other parameters and Omegas, the same trees
+            build_metric("gtd_partial", GtdPartialParams(k, omega)).d_eval(Z)
+        assert len(calls) == 8
+        build_metric("gtd_partial", GtdPartialParams(1, omegas[2]), 3).d_eval(sample_darboux_points(4, 3, seed=109))
+        assert len(calls) == 8 + 3 * 6
+
+    @pytest.mark.parametrize("family", ["epsilon", "gtd_total", "gtd_partial"])
+    def test_isometry_builds_no_partial(self, monkeypatch, capsys, family):
+        def refuse(*args):
+            raise AssertionError("a partial was built")
+
+        monkeypatch.setattr(metriclab, "diff", refuse)
+        metriclab._coefficients.cache_clear()
+        argv = ["--family", family, "--omega", "expr:q1^2+p1^2+3", "--points", "4", "--recurrence-dt", "1e-2"]
+        assert main(["isometry", *argv]) == 0
+        with pytest.raises(AssertionError, match="a partial was built"):
+            main(["killing", *argv[:-2]])
+        capsys.readouterr()
+
+    def test_tiny_omega_does_not_warn_and_omega_zero_does(self):
+        G = build_metric("epsilon", REGISTRY["cross_skew"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G.eval(DarbouxPoint(0.0, [1e-160, 0.0], [0.0, 1e-160]))  # Omega = 1e-320
+        with pytest.warns(RuntimeWarning, match="^epsilon metric: Omega = 0 at the evaluation point; the metric "
+                                                "is degenerate there$"):
+            G.eval(np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0]]))
+
+    def test_points_of_another_dimension_are_rejected(self):
+        for family, params in (("epsilon", REGISTRY["const"]), ("gtd_total", GtdTotalParams.identity(REGISTRY["const"])),
+                               ("gtd_partial", GtdPartialParams(0, REGISTRY["const"]))):
+            with pytest.raises(ValueError, match=f"^{family} metric expects points with n = 2$"):
+                build_metric(family, params).eval(np.zeros(7))
+
+    def test_an_overflowing_gtd_total_coefficient_is_a_numeric_failure(self):
+        G = build_metric("gtd_total", GtdTotalParams(np.array([1e308, 1e308]), np.ones(2), REGISTRY["const"]))
+        with pytest.raises(FloatingPointError, match=r"^gtd_total\[const\]: \(sum_c xi_c q\^c p_c\) chi_a overflows$"):
+            G.eval(np.array([0.0, 1.5, 1.5, 1.5, 1.5]))
