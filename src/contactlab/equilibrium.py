@@ -370,13 +370,15 @@ def scalar_curvature_numeric(g, q: np.ndarray) -> float:
     return float(R[0])
 
 
-def _normal_cube(x: float) -> float:
-    """x ** 3 as float ** gives it, or NaN where that is not a normal float: it overflows or underflows."""
+def _cube_scale(x: float) -> float:
+    """1 where x ** 3, as float ** gives it, is a normal float, else the power of two that brings |x| into
+    [0.5, 1), or as near as a float power of two can (2^1023 at most)."""
     try:
-        x3 = x**3.0
+        if abs(x**3.0) >= sys.float_info.min:
+            return 1.0
     except OverflowError:
-        return math.nan
-    return x3 if abs(x3) >= sys.float_info.min else math.nan
+        pass
+    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
 
 
 def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumOmega,
@@ -385,11 +387,12 @@ def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumO
 
     One call of Omega and of each partial serves all of u.  Each element has the bits of the float arithmetic
     (correctly rounded ufuncs, and float ** for the cubes) and fails where it does, in its order: v = 0, the
-    band, Omega, a vanishing Omega, the partials, (rho^2 - c_v)^3 (a divisor) that overflows or is 0.  R has
-    degree -1 in (Omega, Omega_u, Omega_v, Omega_uv), so where Omega^3 would leave the normal range they
-    are taken times the power of two that brings |Omega| into [0.5, 1), and R is scaled back, exactly as
-    long as no value leaves the float range; an R that overflows fails.  A failing
-    array goes again one 0-d element at a time, so that the first failing element raises its own error.
+    band, Omega, a vanishing Omega, the partials, (rho^2 - c_v)^3 (a divisor) that overflows or is 0, and an R
+    that overflows.  R has degree -1 in (Omega, Omega_u, Omega_v, Omega_uv), so where Omega^3 would leave the
+    normal range they are taken times the power of two s that brings |Omega| into [0.5, 1), and R back times s:
+    exact while no value leaves the normal range.  Elsewhere s = 1 and nothing moves, as float ** does not
+    scale by powers of two exactly.  A failing array goes again one 0-d element at a time, so that the first
+    failing element raises its own error.
     """
     if not delta_sing > 0:
         raise ValueError(f"delta_sing must be positive, got {delta_sing!r}")
@@ -409,15 +412,6 @@ def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumO
             raise FloatingPointError(f"closed-form curvature {what} at u={us[failed][0]:g}, v={v:g}, c_v={c_v:g}")
         return x3
 
-    def times_power_of_two(x: np.ndarray, far: np.ndarray, e: list) -> np.ndarray:  # exact unless it leaves the range
-        x = np.array(np.broadcast_to(x, far.shape))
-        try:
-            x[far] = list(map(math.ldexp, x[far].tolist(), e))
-        except OverflowError:
-            raise FloatingPointError(f"closed-form curvature overflows at u={us[far][0]:g}, v={v:g}, c_v={c_v:g}") \
-                from None
-        return x
-
     try:
         with np.errstate(all="ignore"):  # float arithmetic overflows to inf without a word
             rho = us / v
@@ -432,16 +426,15 @@ def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumO
                 raise DegenerateMetricError(f"Omega vanishes at (u, v) = ({us[vanishing][0]:g}, {v:g})")
             w_u, w_v, w_uv = (np.asarray(f(us, v), dtype=float)
                               for f in (omega_on_e.d_u, omega_on_e.d_v, omega_on_e.d_uv))
-            w3 = _elementwise(_normal_cube, w)
-            far = w3 != w3
-            e = [-math.frexp(x)[1] for x in w[far].tolist()]  # 2^e |w| in [0.5, 1)
-            if e:  # R has degree -1 in (w, w_u, w_v, w_uv): far rows take them times 2^e, and R back times 2^e
-                w, w_u, w_v, w_uv = (times_power_of_two(x, far, e) for x in (w, w_u, w_v, w_uv))
-                w3[far] = cube(w[far])
-            gap3 = cube(gap)
-            R = (2.0 * rho * rho / w3) * (v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap3)
-            if e:
-                R = times_power_of_two(R, far, e)
+            s = _elementwise(_cube_scale, w)
+            w, w_u, w_v, w_uv = (np.asarray(x * s) for x in (w, w_u, w_v, w_uv))  # arrays even when 0-d
+            w3, gap3 = cube(w), cube(gap)
+            R_s = (2.0 * rho * rho / w3) * (v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap3)
+            R = R_s * s
+            overflowed = np.isfinite(R) != np.isfinite(R_s)  # R_s s left the float range
+            if overflowed.any():
+                raise FloatingPointError(f"closed-form curvature overflows at u={us[overflowed][0]:g}, v={v:g}, "
+                                         f"c_v={c_v:g}")
     except ArithmeticError:
         if not us.ndim:
             raise

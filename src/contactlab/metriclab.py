@@ -224,20 +224,16 @@ class _Coefficients:
 
     @functools.cached_property
     def values(self) -> Callable:
-        """The program of the trees, (..., len(trees)), or their row of numbers where every tree is one."""
-        if all(isinstance(tree, Num) for tree in self.trees):
-            return lambda *inputs, row=np.array([tree.value for tree in self.trees]): row
+        """The program of the trees: their values along a last axis."""
         return compile_expression(list(self.trees), self.inputs)
 
     @functools.cached_property
     def partials(self) -> tuple:
         """(i, c, program): program gives the trees' values, then d trees[i] / d inputs[c - 2n] for each
-        (i, c) whose partial (expressions.diff) does not fold to 0; it is None where every partial does."""
+        (i, c) whose partial (expressions.diff) does not fold to 0."""
         found = [(i, c, d) for i, tree in enumerate(self.trees) for c, x in enumerate(self.inputs[-2 * self.n :])
                  if (d := diff(tree, x)) != Num(0.0)]
-        if not found:
-            return [], [], None
-        i, c, partials = zip(*found)
+        i, c, partials = zip(*found) if found else ((), (), ())
         return list(i), list(c), compile_expression([*self.trees, *partials], self.inputs)
 
 
@@ -294,13 +290,11 @@ def _contact_metric(name: str, family: str, omega: OmegaFunction, P: _Coefficien
         T = _eta_partials(z)[..., :, None, :] * eval_eta(z)[..., None, :, None]  # E[A, C] eta_B at [A, B, C]
         D = T + np.swapaxes(T, -3, -2)
         i, c, program = P.partials
-        w = _omega_on(omega, z) if program else None
-        values = evaluate(program or P.values, z, "or its partials overflow")
+        values = evaluate(program, z, "or its partials overflow")
         # d_half[..., tree, c] = d (Omega P/2) / d Z^(1+c), over q then p: dOmega x P/2 + Omega d(P/2)
         dw = np.concatenate(omega.gradient(z[..., 1 : n + 1], z[..., n + 1 :]), axis=-1)
         d_half = dw[..., None, :] * values[..., : len(a), None]
-        if program:
-            d_half[..., i, c] += w[..., None] * values[..., len(a) :]
+        d_half[..., i, c] += _omega_on(omega, z)[..., None] * values[..., len(a) :]
         D.reshape(D.shape[:-3] + (d * d, d))[..., slots, 1:] += np.concatenate((d_half, d_half), axis=-2)
         return D
 

@@ -7,7 +7,6 @@ time in Python ints; the sampler computes blocks of the same sequence in numpy u
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -51,30 +50,26 @@ def _uniform_rows(seed: int, start: int, rows: int, dim: int, low: float, high: 
 
 def sample_darboux_points(count: int, n: int, seed: int,
                           low: float = -2.0, high: float = 2.0,
-                          omega: Optional[OmegaFunction] = None,
-                          omega_min: Optional[float] = None) -> np.ndarray:
+                          omega: Optional[OmegaFunction] = None) -> np.ndarray:
     """Draw points uniformly from [low, high]^(2n+1): a Z array of shape (count, 2n+1).
 
     Each row's coordinates are drawn in the Z ordering.  When omega is given,
-    points where Omega = 0, or where |Omega| < omega_min if omega_min is
-    given, are rejected and redrawn from the same stream; required for
-    epsilon-family runs, whose metric is degenerate where Omega vanishes.
+    points where Omega = 0 are rejected and redrawn from the same stream;
+    required for epsilon-family runs, whose metric is degenerate there.
     Omega is called once per block of as many draws as rows are missing, the
     points that drawing one at a time would test.  DarbouxPoint.from_array
     makes a row a point.
     """
     dim = 2 * n + 1
-    least = math.ulp(0.0) if omega_min is None else omega_min  # |Omega| < the least positive float: Omega = 0
     Z = np.empty((count, dim))
     accepted = drawn = 0
     while accepted < count:
         if drawn >= 1000 * count:
-            rule = f"{omega.name} != 0" if omega_min is None else f"|{omega.name}| >= {omega_min:g}"
-            raise ValueError(f"omega filter {rule} rejected nearly every draw")
+            raise ValueError(f"omega filter {omega.name} != 0 rejected nearly every draw")
         block = _uniform_rows(seed, drawn, min(count - accepted, 1000 * count - drawn), dim, low, high)
         drawn += len(block)
         if omega is not None:
-            block = block[~(np.abs(omega.eval(block[:, 1 : n + 1], block[:, n + 1 :])) < least)]
+            block = block[omega.eval(block[:, 1 : n + 1], block[:, n + 1 :]) != 0]
         Z[accepted : accepted + len(block)] = block
         accepted += len(block)
     return Z
