@@ -69,12 +69,14 @@ from .equilibrium import (
     SingularityError,
     _UV,
     curvature_table,
+    ideal_gas,
     pointwise,
     rho_scan,
 )
 from .expressions import (
     ExpressionDomainError,
     ExpressionError,
+    UnknownIdentifierError,
     compile_expression,
     diff,
     eval_expression,  # noqa: F401  perfbench/tracing.py wraps cli.eval_expression
@@ -149,13 +151,26 @@ def parse_omega_spec(spec: str, n: int = 2) -> OmegaFunction:
     )
 
 
-def parse_equilibrium_omega_spec(spec: str) -> EquilibriumOmega:
-    """Resolve an equilibrium Omega spec: const:<c> or expr:<text in u, v>."""
+#: the phase-space variables of an Omega that curvature and rho-scan pull back onto the ideal gas
+_QP = ("q1", "q2", "p1", "p2")
+
+
+def parse_equilibrium_omega_spec(spec: str, c_v: float = 1.5) -> EquilibriumOmega:
+    """Resolve an equilibrium Omega spec: const:<c>, expr:<text in u, v>, or a phase-space Omega spec (a registry
+    name, or expr:<text in q1, q2, p1, p2>) pulled back onto the ideal gas of c_v, 1.5 as RunConfig's."""
     if spec.startswith("const:"):
         return EquilibriumOmega.constant(_parse_float(spec[6:], "omega constant"))
     if spec.startswith("expr:"):
-        return equilibrium_omega_from_expression(spec[5:])
-    raise ConfigError(f"unknown equilibrium omega spec {spec!r}; use const:<c> or expr:<text>")
+        parse_expression(spec[5:], _UV + _QP)  # a name of neither space fails here
+        try:
+            return equilibrium_omega_from_expression(spec[5:])
+        except UnknownIdentifierError:  # the text names q or p
+            pass
+    try:
+        omega = parse_omega_spec(spec, 2)
+    except UnknownIdentifierError:
+        raise ConfigError(f"omega text {spec[5:]!r} mixes (u, v) with (q1, q2, p1, p2)") from None
+    return EquilibriumOmega.from_phase_space(omega, ideal_gas(c_v))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +706,7 @@ def _cmd_curvature(cfg: RunConfig):
         raise ConfigError("curvature requires --u and --v")
     if cfg.u <= 0 or cfg.v <= 0:
         raise ConfigError("u and v must be positive")
-    omega = parse_equilibrium_omega_spec(cfg.omega)
+    omega = parse_equilibrium_omega_spec(cfg.omega, cfg.cv)
     return _scan_table(cfg, curvature_table([cfg.u], cfg.v, cfg.cv, omega, cfg.delta_sing))
 
 
@@ -699,7 +714,7 @@ def _cmd_rho_scan(cfg: RunConfig):
     lo, hi, steps = parse_rho_range(cfg.rho)
     if lo <= 0:
         raise ConfigError("rho range must be positive for the ideal gas")
-    omega = parse_equilibrium_omega_spec(cfg.omega)
+    omega = parse_equilibrium_omega_spec(cfg.omega, cfg.cv)
     return _scan_table(cfg, rho_scan(cfg.cv, omega, lo, hi, steps, cfg.v_fixed, cfg.delta_sing))
 
 

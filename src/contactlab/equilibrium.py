@@ -370,71 +370,64 @@ def scalar_curvature_numeric(g, q: np.ndarray) -> float:
     return float(R[0])
 
 
-def _cube_scale(x: float) -> float:
-    """1 where x ** 3, as float ** gives it, is a normal float, else the power of two that brings |x| into
-    [0.5, 1), or as near as a float power of two can (2^1023 at most)."""
-    try:
-        if abs(x**3.0) >= sys.float_info.min:
-            return 1.0
-    except OverflowError:
-        pass
-    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
+def _closed_form(rho, v, c_v, w, w_u, w_v, w_uv, cube):
+    """R of the module docstring from rho, v, c_v, Omega and its partials, with cube for the cubes: the same
+    arithmetic on float arrays and on Fractions."""
+    gap = rho * rho - c_v
+    return (2 * rho * rho / cube(w)) * (v * v * (w * w_uv - w_u * w_v) / gap + 4 * w * w * c_v * rho / cube(gap))
+
+
+def _normal_cube(x: np.ndarray) -> np.ndarray:
+    """x ** 3 by float ** per element; OverflowError, or FloatingPointError, where it is not a normal float."""
+    x3 = _elementwise(operator.pow, np.asarray(x), 3.0)  # numpy gives a scalar for a 0-d x
+    if not (np.abs(x3) >= sys.float_info.min).all():
+        raise FloatingPointError("cube outside the normal range")
+    return x3
 
 
 def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumOmega,
                                delta_sing: float = DEFAULT_SINGULAR_BAND):
     """Closed-form scalar curvature of the induced ideal-gas metric at (u, v), or at each u of an array.
 
-    One call of Omega and of each partial serves all of u.  Each element has the bits of the float arithmetic
-    (correctly rounded ufuncs, and float ** for the cubes) and fails where it does, in its order: v = 0, the
-    band, Omega, a vanishing Omega, the partials, (rho^2 - c_v)^3 (a divisor) that overflows or is 0, and an R
-    that overflows.  R has degree -1 in (Omega, Omega_u, Omega_v, Omega_uv), so where Omega^3 would leave the
-    normal range they are taken times the power of two s that brings |Omega| into [0.5, 1), and R back times s:
-    exact while no value leaves the normal range.  Elsewhere s = 1 and nothing moves, as float ** does not
-    scale by powers of two exactly.  A failing array goes again one 0-d element at a time, so that the first
-    failing element raises its own error.
+    One call of Omega and of each partial serves all of u.  Each element fails at the first of: v = 0, the
+    band, Omega, a vanishing Omega, the partials, and an R that overflows.  R is _closed_form in float
+    arithmetic (correctly rounded ufuncs, and float ** for the cubes) where every step stays a normal float,
+    and elsewhere float() of _closed_form in Fractions of u / v and the other six floats, correctly rounded.
+    A failing array goes again one 0-d element at a time, so that the first failing element raises its own
+    error.
     """
     if not delta_sing > 0:
         raise ValueError(f"delta_sing must be positive, got {delta_sing!r}")
     if v == 0:
         raise ZeroDivisionError("float division by zero")  # u / v
     us = np.asarray(u, dtype=float)
-
-    def cube(x: np.ndarray) -> np.ndarray:
-        try:
-            x3 = _elementwise(operator.pow, x, 3.0)
-        except OverflowError:  # pow grows with |x|: the largest finite |x| overflows
-            size = np.where(np.isfinite(x), np.abs(x), 0.0)
-            failed, what = size == size.max(), "overflows"
-        else:
-            failed, what = x3 == 0, "divides by zero"
-        if failed.any():
-            raise FloatingPointError(f"closed-form curvature {what} at u={us[failed][0]:g}, v={v:g}, c_v={c_v:g}")
-        return x3
-
     try:
-        with np.errstate(all="ignore"):  # float arithmetic overflows to inf without a word
+        with np.errstate(all="ignore"):  # rho^2 of the band test may overflow to inf, without a word
             rho = us / v
             rho2 = rho * rho
-            gap = np.asarray(rho2 - c_v)  # an array even for a 0-d u
-            band = np.abs(gap) < delta_sing
+            band = np.abs(np.asarray(rho2 - c_v)) < delta_sing  # an array even for a 0-d u
             if band.any():
                 raise SingularityError(f"rho^2 = {rho2[band][0]:.6g} lies within {delta_sing:g} of c_v = {c_v:g}")
             w = np.asarray(omega_on_e.eval(us, v), dtype=float)
             vanishing = w == 0
             if vanishing.any():
                 raise DegenerateMetricError(f"Omega vanishes at (u, v) = ({us[vanishing][0]:g}, {v:g})")
-            w_u, w_v, w_uv = (np.asarray(f(us, v), dtype=float)
-                              for f in (omega_on_e.d_u, omega_on_e.d_v, omega_on_e.d_uv))
-            s = _elementwise(_cube_scale, w)
-            w, w_u, w_v, w_uv = (np.asarray(x * s) for x in (w, w_u, w_v, w_uv))  # arrays even when 0-d
-            w3, gap3 = cube(w), cube(gap)
-            R_s = (2.0 * rho * rho / w3) * (v * v * (w * w_uv - w_u * w_v) / gap + 4.0 * w * w * c_v * rho / gap3)
-            R = R_s * s
-            overflowed = np.isfinite(R) != np.isfinite(R_s)  # R_s s left the float range
-            if overflowed.any():
-                raise FloatingPointError(f"closed-form curvature overflows at u={us[overflowed][0]:g}, v={v:g}, "
-                                         f"c_v={c_v:g}")
+            partials = (omega_on_e.d_u, omega_on_e.d_v, omega_on_e.d_uv)
+            omegas = [w] + [np.asarray(f(us, v), dtype=float) for f in partials]
+        try:
+            with np.errstate(all="raise"):  # rho again, and v as a 0-d array, so that u / v and v * v raise too
+                R = _closed_form(us / v, np.asarray(v), c_v, *omegas, _normal_cube)
+        except (FloatingPointError, OverflowError):
+            if us.ndim:
+                raise
+            from fractions import Fraction  # here, as it imports decimal: about 2 ms of every start otherwise
+
+            exact = [Fraction(float(x)) for x in (us, v, c_v, *omegas)]
+            try:
+                R = float(_closed_form(exact[0] / exact[1], *exact[1:], lambda x: x**3))
+            except OverflowError:
+                raise FloatingPointError(f"closed-form curvature overflows at u={float(us):g}, v={v:g}, "
+                                         f"c_v={c_v:g}") from None
     except ArithmeticError:
         if not us.ndim:
             raise

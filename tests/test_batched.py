@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from contactlab import cli, equilibrium, expressions, metriclab, sampling
-from contactlab.cli import equilibrium_omega_from_expression, omega_from_expression, parse_omega_spec
+from contactlab.cli import (equilibrium_omega_from_expression, omega_from_expression,
+                            parse_equilibrium_omega_spec, parse_omega_spec)
 from contactlab.equilibrium import EquilibriumOmega, ideal_gas, scalar_curvature_ideal_gas
 from contactlab.expressions import compile_expression, diff, parse_expression
 from contactlab.metriclab import OmegaFunction, omega_registry
 from contactlab.sampling import sample_darboux_points
 
+from test_equilibrium import exact_curvature
 from test_expressions import ROUND_TRIP_CORPUS
 
 UV = ("u", "v")
@@ -172,11 +174,24 @@ def test_closed_form_rows(spec):
     check_batch(lambda u: scalar_curvature_ideal_gas(u, 1.1, 1.5, omega, 1e-3), (us,), rows)
 
 
-def test_an_underflowing_gap_fails_as_its_row():
-    # (rho^2 - c_v)^3 underflows to 0 at the second row only
+def test_an_underflowing_gap_takes_its_exact_value_as_its_row():
+    # (rho^2 - c_v)^3 underflows to 0 at the second row only, whose R is then taken in Fractions
     us = np.array([1.0, 1.1e-100, 2.0])
-    with pytest.raises(FloatingPointError, match=r"divides by zero at u=1.1e-100, v=1, c_v=1e-200"):
-        scalar_curvature_ideal_gas(us, 1.0, 1e-200, EquilibriumOmega.constant(1.0), 1e-300)
+    unit = EquilibriumOmega.constant(1.0)
+    curvature = lambda u: scalar_curvature_ideal_gas(u, 1.0, 1e-200, unit, 1e-300)
+    assert check_batch(curvature, (us,), [(u,) for u in us.tolist()]) == 0
+    assert curvature(us)[1] == exact_curvature(1.1e-100, 1.0, 1e-200, unit)
+
+
+@pytest.mark.parametrize("spec, us, exact", [
+    ("expr:u^100", [2.0, 100.0, 3.0, 1e-3, 0.5], [100.0, 1e-3]),  # Omega^3 overflows at 100, underflows at 1e-3
+    ("const:1", [2.0, 2e155, 3.0, 1e200], [2e155, 1e200]),  # rho^2 overflows
+])
+def test_a_batch_of_float_and_exact_rows_has_the_bits_of_its_rows(spec, us, exact):
+    omega = parse_equilibrium_omega_spec(spec)
+    curvature = lambda u: scalar_curvature_ideal_gas(u, 1.1, 1.5, omega, 1e-3)
+    assert check_batch(curvature, (np.array(us),), [(u,) for u in us]) == 0
+    assert [curvature(u) for u in exact] == [exact_curvature(u, 1.1, 1.5, omega) for u in exact]
 
 
 def test_a_partial_that_fails_on_arrays_is_not_hidden_by_the_row_fallback():
@@ -290,11 +305,15 @@ def test_pulled_back_omegas_run_host_independent_ufuncs_only(spec, recorded):
         assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
 
 
-@pytest.mark.parametrize("omega", [EquilibriumOmega.constant(2.0),
-                                   equilibrium_omega_from_expression("exp(u/v)^2+sqrt(u)"),
-                                   EquilibriumOmega.from_phase_space(omega_registry(2)["pair_norm_product"], GAS)])
-def test_the_closed_form_runs_host_independent_ufuncs_only(omega, recorded):
-    seen = recorded(lambda us: scalar_curvature_ideal_gas(us, 1.1, 1.5, omega, 1e-3), np.linspace(2.0, 4.0, 5))
+@pytest.mark.parametrize("omega, us", [
+    (EquilibriumOmega.constant(2.0), np.linspace(2.0, 4.0, 5)),
+    (equilibrium_omega_from_expression("exp(u/v)^2+sqrt(u)"), np.linspace(2.0, 4.0, 5)),
+    (EquilibriumOmega.from_phase_space(omega_registry(2)["pair_norm_product"], GAS), np.linspace(2.0, 4.0, 5)),
+    # Omega^3 overflows at u = 100, whose R is then taken in Fractions
+    (equilibrium_omega_from_expression("u^100"), np.array([2.0, 100.0, 3.0])),
+], ids=["const", "expr", "pulled_back", "exact_row"])
+def test_the_closed_form_runs_host_independent_ufuncs_only(omega, us, recorded):
+    seen = recorded(lambda us: scalar_curvature_ideal_gas(us, 1.1, 1.5, omega, 1e-3), us)
     assert "multiply" in seen and "divide" in seen
     assert set(seen) <= HOST_INDEPENDENT, set(seen) - HOST_INDEPENDENT
 

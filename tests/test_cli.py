@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface and its emitters."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from contactlab.cli import (
     parse_rho_range,
     run,
 )
-from contactlab.equilibrium import EquilibriumOmega, curvature_report
+from contactlab.equilibrium import EquilibriumOmega, curvature_report, ideal_gas, scalar_curvature_ideal_gas
 from contactlab.expressions import Num, parse_expression
 from contactlab.flows import LegendreMap, _step_schedule, discrete_legendre, flow_map, legendre_field
 from contactlab.metriclab import (
@@ -42,6 +44,7 @@ from contactlab.metriclab import (
 from contactlab.phasespace import DarbouxPoint
 from contactlab.sampling import sample_darboux_points
 from emit_reference import reference_text
+from test_equilibrium import exact_curvature
 
 PI_2 = math.pi / 2.0
 
@@ -49,6 +52,14 @@ PI_2 = math.pi / 2.0
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_exact_curvature(out: str, c_v: float, omega: EquilibriumOmega = EquilibriumOmega.constant(1.0)):
+    """Every R_analytic of a CSV curvature table outside the band is the exact R at its (u, v), bit for bit."""
+    rows = [row for row in csv.DictReader(io.StringIO(out)) if row["near_singularity"] == "false"]
+    assert rows
+    for row in rows:
+        assert row["R_analytic"] == "%.17g" % exact_curvature(float(row["u"]), float(row["v"]), c_v, omega)
 
 
 class TestConfig:
@@ -135,58 +146,78 @@ class TestConfig:
         assert capsys.readouterr().out.splitlines()[1].startswith("0,total,1,2,3,4,5,")
         assert main(["isometry", "--family", "gtd_total", "--points", "2", "--config", str(cfg)]) == EXIT_OK
 
+    def test_overflowing_closed_form_curvature_exits_2_with_one_line(self, capsys):
+        # R = 6.144e320 at Omega = 1e-320, past the largest float in Fractions too
+        assert main(["curvature", "--u", "2", "--v", "1", "--omega", "const:1e-320"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: closed-form curvature overflows at u=2, v=1, c_v=1.5\n"
+
     @pytest.mark.parametrize("argv", [
         ["curvature", "--u", "2", "--v", "1", "--cv", "1e300"],
         ["rho-scan", "--rho", "0.2:4:5", "--cv", "1e300"],
-        ["curvature", "--u", "2", "--v", "1", "--omega", "const:1e-320"],  # R = 6.144e320
     ])
-    def test_overflowing_closed_form_curvature_exits_2_with_one_line(self, capsys, argv):
-        assert main(argv) == EXIT_NUMERIC
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numeric failure: closed-form curvature overflows at u=")
-        assert captured.err.count("\n") == 1
+    def test_closed_form_curvature_at_a_huge_c_v_is_exact(self, capsys, argv):
+        # (rho^2 - c_v)^3 overflows; R, about -1e-599, rounds to -0
+        assert main(argv) == EXIT_OK
+        assert_exact_curvature(capsys.readouterr().out, 1e300)
 
     @pytest.mark.parametrize("c", [1e103, 1e200, 1e-110, 1e-250])
     def test_closed_form_curvature_at_an_omega_whose_cube_leaves_the_float_range(self, capsys, c):
-        # R = 768 / (125 c) at (u, v) = (2, 1), c_v = 1.5: Omega^3 overflows or underflows, R does not
+        # R = 768 / (125 c) at (u, v) = (2, 1), c_v = 1.5, correctly rounded: Omega^3 overflows or underflows
         assert main(["curvature", "--omega", f"const:{c!r}", "--u", "2", "--v", "1"]) == EXIT_OK
         row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert float(row[3]) == pytest.approx(768 / 125 / c, rel=1e-15)
+        assert float(row[3]) == float(Fraction(768, 125) / Fraction(c))
 
     @pytest.mark.parametrize("argv", [
         ["curvature", "--cv", "1e-200", "--omega", "const:1", "--u", "1.1e-100", "--v", "1",
          "--delta-sing", "1e-300"],
         ["rho-scan", "--cv", "1e-200", "--omega", "const:1", "--rho", "1e-100:2e-100:5", "--delta-sing", "1e-300"],
     ])
-    def test_closed_form_whose_gap_cubed_underflows_exits_2_with_one_line(self, capsys, argv):
-        # (rho^2 - c_v)^3 underflows to 0, which the closed form divides by
-        assert main(argv) == EXIT_NUMERIC
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numeric failure: closed-form curvature divides by zero at u=")
-        assert captured.err.count("\n") == 1
+    def test_closed_form_whose_gap_cubed_underflows_is_exact(self, capsys, argv):
+        # (rho^2 - c_v)^3 underflows to 0 in floats; R is about 1e101 to 1e103
+        assert main(argv) == EXIT_OK
+        assert_exact_curvature(capsys.readouterr().out, 1e-200)
+
+    @pytest.mark.parametrize("omega", ["const:{c}", "expr:{c}*(1+0.4*u/(u+v))"])
+    def test_no_row_of_the_scale_grid_prints_a_non_finite_closed_form(self, capsys, omega):
+        # Omega times 10^k and (u, v) times 10^m at rho = 0.5, 1, ..., 3, inside and beyond the float range:
+        # every row prints a finite R, or the command exits 2 with one line, because R or a partial of Omega
+        # (whose (u + v)^2 underflows at m = -200) leaves the float range
+        for k in (-300, -100, -7, 0, 7, 100, 300):
+            for m in (-200, -150, -40, -3, 0, 4, 40, 150, 200):
+                argv = ["rho-scan", "--omega", omega.format(c=f"1e{k}"), "--rho", "0.5:3:6", "--v-fixed", f"1e{m}"]
+                code, captured = main(argv), capsys.readouterr()
+                if code == EXIT_OK:
+                    rows = list(csv.DictReader(io.StringIO(captured.out)))
+                    assert all(math.isfinite(float(row["R_analytic"])) for row in rows), (k, m)
+                else:
+                    assert code == EXIT_NUMERIC, (k, m, captured.err)
+                    assert captured.err.startswith("numeric failure: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, data, err", [
         (["curvature", "--u", "1e300", "--v", "1"],
-         "1.0000000000000001e+300,1.0000000000000001e+300,1,nan,0,nan,false", ""),
+         "1.0000000000000001e+300,1.0000000000000001e+300,1,0,0,0,false", ""),
         (["curvature", "--u", "1e-300", "--v", "1e-3"], "1e-297,1e-300,0.001,-0,nan,nan,false",
          "curvature: no R_numeric on 1 rows (degenerate metric: 0, outside the float range: 1)\n"),
         (["rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-300"],
-         "0.20000000000000001,2.0000000000000001e-301,1e-300,-0.03084698098026566,nan,nan,false",
+         "0.20000000000000001,2.0000000000000001e-301,1e-300,-0.030846980980265649,nan,nan,false",
          "rho-scan: no R_numeric on 5 rows (degenerate metric: 0, outside the float range: 5)\n"),
         # u^2 and v^2 overflow, but the ideal gas's Hessian -c_v / u^2, -1 / v^2 does not: the metric is
         # not degenerate, and its oracle stencil leaves the float range
-        (["curvature", "--omega", "const:1", "--u", "2e155", "--v", "1e155"], "2,2e+155,1e+155,nan,nan,nan,false",
+        (["curvature", "--omega", "const:1", "--u", "2e155", "--v", "1e155"],
+         "2,2e+155,1e+155,6.1440000000000001,nan,nan,false",
          "curvature: no R_numeric on 1 rows (degenerate metric: 0, outside the float range: 1)\n"),
     ], ids=["u_1e300", "u_1e-300", "v_fixed_1e-300", "u_2e155"])
     def test_extreme_scales_give_null_rows_without_numpy_warnings(self, capsys, argv, data, err):
         # a numpy warning is an error in this suite; the metric overflows at u = 1e-300 and v = 1e-300, and
-        # is constant in u at u = 1e300, where the oracle's R = 0 is exact in floats
+        # is constant in u at u = 1e300, where the oracle's R = 0 is exact in floats.  The closed form's
+        # float arithmetic leaves the normal range on every row here, so R_analytic is exact
         assert main(argv) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1] == data
         assert captured.err == err
+        assert_exact_curvature(captured.out, 1.5)
 
     @pytest.mark.parametrize("argv", [
         ["curvature", "--cv", "1.5", "--omega", "const:1", "--u", "0", "--v", "1"],
@@ -546,6 +577,37 @@ class TestCurvature:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().err == (
             "curvature: no R_numeric on 1 rows (degenerate metric: 1, outside the float range: 0)\n")
+
+
+class TestPhaseSpaceOmegas:
+    """curvature and rho-scan pull a phase-space Omega (a registry name, or expr: in q, p) back onto the gas."""
+
+    def test_the_invariant_inverse_cross_is_flat(self, capsys):
+        argv = ["curvature", "--omega", "expr:1/(q1*p2-q2*p1)", "--cv", "1.5", "--u", "2", "--v", "1"]
+        assert main(argv) == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert abs(float(row["R_analytic"])) <= 1e-12
+
+    @pytest.mark.parametrize("spec", sorted(omega_texts(2)) + ["expr:q1^2+p1^2+q2^2+p2^2"])
+    def test_a_phase_space_omega_is_the_library_pull_back(self, capsys, spec):
+        assert main(["rho-scan", "--omega", spec, "--cv", "2.5", "--rho", "0.5:3:4", "--v-fixed", "1.3"]) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        omega = EquilibriumOmega.from_phase_space(parse_omega_spec(spec, 2), ideal_gas(2.5))
+        expected = scalar_curvature_ideal_gas(np.array([float(row["u"]) for row in rows]), 1.3, 2.5, omega)
+        assert [row["R_analytic"] for row in rows] == ["%.17g" % R for R in expected]
+
+    @pytest.mark.parametrize("spec, message", [
+        ("expr:u*q1", "error: omega text 'u*q1' mixes (u, v) with (q1, q2, p1, p2)\n"),
+        ("expr:p2+v", "error: omega text 'p2+v' mixes (u, v) with (q1, q2, p1, p2)\n"),
+        ("expr:q3", "error: unknown identifier 'q3'; allowed variables: ['p1', 'p2', 'q1', 'q2', 'u', 'v'] "
+                    "(offset 0)\n"),
+        ("bogus", "error: unknown omega spec 'bogus'; use const:<c>, expr:<text>, or one of ['const', 'cross_skew', "
+                  "'cross_sum', 'norm_sum', 'pair_norm_1', 'pair_norm_2', 'pair_norm_product']\n"),
+    ])
+    def test_a_text_of_both_spaces_or_neither_exits_1_with_one_line(self, capsys, spec, message):
+        assert main(["curvature", "--omega", spec, "--u", "2", "--v", "1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
 
 
 class TestRhoScan:
@@ -942,6 +1004,60 @@ class TestRunConfigDirect:
         assert cfg.omega == "const:1"  # default preserved
 
 
+#: the first 16 hex digits of the SHA-256 of "exit code NUL stdout NUL stderr" of every rho-scan command of
+#: perfbench's pointwise_tables workload, by (seed, output name, --format), as generated at commit 437d439
+BENCHMARK_RHO_SCAN_DIGESTS = {
+    (1, "scan0_v1.csv", "csv"): "cb98bfc97112d924",
+    (1, "scan0_v1.csv", "json"): "68d42e1d23f746dd",
+    (1, "scan0_v1e-3.csv", "csv"): "40cf3d7ebbab6e77",
+    (1, "scan0_v1e-3.csv", "json"): "3510d93467e5e175",
+    (1, "scan0_v1e4.csv", "csv"): "57cb2c58c7a73946",
+    (1, "scan0_v1e4.csv", "json"): "1023e3f9bc9c3c3e",
+    (1, "scan1_v1.csv", "csv"): "cc36e1e0c5ca0960",
+    (1, "scan1_v1.csv", "json"): "91581547f06addce",
+    (1, "scan1_v1e-3.csv", "csv"): "b952486c5615c71e",
+    (1, "scan1_v1e-3.csv", "json"): "d52329d6f3595479",
+    (1, "scan1_v1e4.csv", "csv"): "d09e0aecd8b49775",
+    (1, "scan1_v1e4.csv", "json"): "828b39d163ed2b49",
+    (2, "scan0_v1.csv", "csv"): "4979082c459ecba9",
+    (2, "scan0_v1.csv", "json"): "15a5c9e3411ee8c7",
+    (2, "scan0_v1e-3.csv", "csv"): "30771ef3c28bfdb2",
+    (2, "scan0_v1e-3.csv", "json"): "d77cb5d398ed693f",
+    (2, "scan0_v1e4.csv", "csv"): "ccba579a24be3b70",
+    (2, "scan0_v1e4.csv", "json"): "d4512de01ee6c8db",
+    (2, "scan1_v1.csv", "csv"): "6c6f370e79651fb9",
+    (2, "scan1_v1.csv", "json"): "abd481c8c638d7ce",
+    (2, "scan1_v1e-3.csv", "csv"): "e222f93809eaaf1e",
+    (2, "scan1_v1e-3.csv", "json"): "f257afbdd0d4bc90",
+    (2, "scan1_v1e4.csv", "csv"): "99d9bd26030f7000",
+    (2, "scan1_v1e4.csv", "json"): "084c84a8a1195094",
+    (7, "scan0_v1.csv", "csv"): "8848e61cab044ced",
+    (7, "scan0_v1.csv", "json"): "da34e69911a61d9d",
+    (7, "scan0_v1e-3.csv", "csv"): "e35201317cb48717",
+    (7, "scan0_v1e-3.csv", "json"): "ee2ebc45d392a383",
+    (7, "scan0_v1e4.csv", "csv"): "d302af9c6a869929",
+    (7, "scan0_v1e4.csv", "json"): "d1353b15992ab50a",
+    (7, "scan1_v1.csv", "csv"): "3e75d0c27e462a7b",
+    (7, "scan1_v1.csv", "json"): "3689e48f71cc55cc",
+    (7, "scan1_v1e-3.csv", "csv"): "eb6efc3ec06f7377",
+    (7, "scan1_v1e-3.csv", "json"): "5204bf20b087fba5",
+    (7, "scan1_v1e4.csv", "csv"): "df6daa273120f700",
+    (7, "scan1_v1e4.csv", "json"): "817eb9c0cbb87dcd",
+    (41, "scan0_v1.csv", "csv"): "b6855fd6cb3b528f",
+    (41, "scan0_v1.csv", "json"): "e564a28b8b01e393",
+    (41, "scan0_v1e-3.csv", "csv"): "db5a9ee46b7dea7a",
+    (41, "scan0_v1e-3.csv", "json"): "b0737356d8b22867",
+    (41, "scan0_v1e4.csv", "csv"): "6db8ff3d2bbe22c1",
+    (41, "scan0_v1e4.csv", "json"): "386792b17124a55d",
+    (41, "scan1_v1.csv", "csv"): "b398aa5d77e574c2",
+    (41, "scan1_v1.csv", "json"): "b45cd6813b5da6d2",
+    (41, "scan1_v1e-3.csv", "csv"): "5fa434d799f39b9c",
+    (41, "scan1_v1e-3.csv", "json"): "169572996a6f1712",
+    (41, "scan1_v1e4.csv", "csv"): "49bca3048198533f",
+    (41, "scan1_v1e4.csv", "json"): "3df52221304fbe98",
+}
+
+
 class TestBenchmarkHooks:
     def test_tracer_wraps_names_that_exist(self, monkeypatch):
         # the benchmark's tracer and microbenchmarks reach into the package by
@@ -1011,3 +1127,18 @@ class TestBenchmarkHooks:
             tracer.uninstall()
         assert [s[0] for s in tracer.spans].count("cli.emit_rows") == 1
         assert tracer.counts[tracer.pass_id]["rows"] == len(_step_schedule(1.0, 0.003)) + 1
+
+    def test_the_benchmark_rho_scans_keep_their_bytes(self, monkeypatch, capsys):
+        # every rho-scan of the benchmark, CSV and JSON, at four seeds: a change to the closed form or the
+        # oracle that moves a byte of them fails here
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        digests = {}
+        for seed in (1, 2, 7, 41):
+            for command in workloads.pointwise_tables(seed).commands:
+                for fmt in ("csv", "json") if command.kind == "rho-scan" else ():
+                    code = main([*command.argv, "--format", fmt])
+                    out, err = capsys.readouterr()
+                    digests[seed, command.out, fmt] = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()[:16]
+        assert digests == BENCHMARK_RHO_SCAN_DIGESTS

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ DOMAIN_POINTS = [np.array([u, v]) for u in (0.6, 1.0, 1.7, 2.4) for v in (0.5, 1
 
 def exact_component(u, v, omega=OMEGA_ONE):
     return omega.eval(u, v) * (CV / u**2 - 1.0 / v**2)
+
+
+def exact_curvature(u, v, c_v, omega=OMEGA_ONE) -> float:
+    """The closed-form R at (u, v) in Fractions of u, v, c_v and the floats of Omega and its partials there,
+    rounded once to a float: the module docstring's formula, written out apart from the code it checks."""
+    values = [u, v, c_v] + [float(f(u, v)) for f in (omega.eval, omega.d_u, omega.d_v, omega.d_uv)]
+    u, v, c_v, w, w_u, w_v, w_uv = map(Fraction, values)
+    rho = u / v
+    gap = rho**2 - c_v
+    return float(2 * rho**2 / w**3 * (v**2 * (w * w_uv - w_u * w_v) / gap + 4 * w**2 * c_v * rho / gap**3))
 
 
 class TestEmbedding:
@@ -262,12 +273,9 @@ class TestClosedFormCurvature:
         (2.0, 1.0, CV, "expr:u-2", 1e-3, DegenerateMetricError, "Omega vanishes at (u, v) = (2, 1)"),
         (2.0, 1.0, CV, "expr:1+sqrt(u-2)", 1e-3, ExpressionDomainError,
          "/ failed: float division by zero [at u=2, v=1]"),
-        # Omega = 1e-320: its cube is scaled away, and R, about 1e320, overflows
+        # Omega = 1e-320: its cube underflows, and R, about 1e320, overflows in Fractions too
         (100.0, 1.0, CV, "expr:u^-160", 1e-3, FloatingPointError, "closed-form curvature overflows at u=100, v=1, c_v=1.5"),
-        (1e110, 1.0, CV, "const:1", 1e-3, FloatingPointError, "closed-form curvature overflows at u=1e+110, v=1, c_v=1.5"),
-        (1.1e-100, 1.0, 1e-200, "const:1", 1e-300, FloatingPointError,
-         "closed-form curvature divides by zero at u=1.1e-100, v=1, c_v=1e-200"),
-    ], ids=["v_zero", "band", "omega", "vanishing_omega", "partial", "r_overflows", "gap_cubed", "gap_cubed_is_zero"])
+    ], ids=["v_zero", "band", "omega", "vanishing_omega", "partial", "r_overflows"])
     def test_every_failure_raises_the_error_of_its_element(self, u, v, cv, spec, delta_sing, error, message):
         # the error of the float arithmetic at the failing element, whatever form u takes
         omega = parse_equilibrium_omega_spec(spec)
@@ -276,14 +284,38 @@ class TestClosedFormCurvature:
                 scalar_curvature_ideal_gas(at, v, cv, omega, delta_sing)
             assert type(info.value) is error and str(info.value) == message
 
+    @pytest.mark.parametrize("u, v, cv, spec, delta_sing", [
+        (1e110, 1.0, CV, "const:1", 1e-3),  # (rho^2 - c_v)^3 overflows; R, about 1e-329, rounds to 0
+        (1.1e-100, 1.0, 1e-200, "const:1", 1e-300),  # (rho^2 - c_v)^3 underflows to 0; R is about 1.1e103
+        (1e5, 1.0, CV, "const:1e-100", 1e-3),  # 2 rho^2 / Omega^3 overflows, Omega^3 = 1e-300; R is 1.2e86
+        (2e155, 1e155, CV, "const:1", 1e-3),  # v^2 overflows and meets Omega's zero partials; R is 6.144
+        (2e155, 1.0, CV, "const:1", 1e-3),  # rho^2 overflows; R, about 1.5e-465, rounds to 0
+        # Omega^3 = 1e-312 is subnormal, with 38 bits, and 2 rho^2 / Omega^3 finite
+        (1e-3, 1.0, CV, "const:1e-104", 1e-3),
+        # v^2 overflows to inf, and meets a product of partials that is not 0
+        (2e155, 1e155, CV, "expr:1+1e-300*u*v", 1e-3),
+    ], ids=["gap_cubed", "gap_cubed_is_zero", "omega_cubed_small", "v_squared", "rho_squared", "omega_cubed_subnormal",
+            "v_squared_times_partials"])
+    def test_an_element_whose_arithmetic_leaves_the_normal_range_takes_its_exact_value(self, u, v, cv, spec,
+                                                                                          delta_sing):
+        # the value of the seven floats in Fractions, rounded once, whatever form u takes
+        omega = parse_equilibrium_omega_spec(spec)
+        expected = exact_curvature(u, v, cv, omega).hex()
+        assert float(scalar_curvature_ideal_gas(u, v, cv, omega, delta_sing)).hex() == expected
+        assert float(scalar_curvature_ideal_gas(np.array(u), v, cv, omega, delta_sing)).hex() == expected
+        batch = scalar_curvature_ideal_gas(np.array([3.0, u, 2.5]), v, cv, omega, delta_sing)
+        assert float(batch[1]).hex() == expected
+        assert batch[[0, 2]].tolist() == [scalar_curvature_ideal_gas(x, v, cv, omega, delta_sing) for x in (3.0, 2.5)]
+
     @pytest.mark.parametrize("k", [-1000, -400, 400, 1000])
     def test_an_omega_whose_cube_leaves_the_normal_range_is_scaled_exactly(self, k):
-        # R has degree -1 in Omega and its partials: Omega times 2^k gives R times 2^-k, bit for bit
+        # R has degree -1 in Omega and its partials, so at Omega times 2^k it is 2^-k times the exact R at
+        # Omega, bit for bit: those rows are exact, while the float path at Omega itself is 1-5 ULP off
         spec = "expr:1.5+0.3*u*v^2+0.1*u^3"
         us = np.array([0.5, 2.0, 3.0])
-        base = scalar_curvature_ideal_gas(us, 1.3, CV, parse_equilibrium_omega_spec(spec))
+        base = parse_equilibrium_omega_spec(spec)
         scaled = scalar_curvature_ideal_gas(us, 1.3, CV, parse_equilibrium_omega_spec(f"expr:{2.0**k!r}*({spec[5:]})"))
-        assert np.array_equal(scaled, [math.ldexp(r, -k) for r in base])
+        assert np.array_equal(scaled, [math.ldexp(exact_curvature(u, 1.3, CV, base), -k) for u in us.tolist()])
 
     def test_an_omega_whose_cube_overflows_at_one_element_gives_every_value(self):
         # Omega = u^100 is 1e200 at u = 100, where Omega^3 overflows; (u/100)^100 is 1 there
