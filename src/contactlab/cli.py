@@ -65,20 +65,16 @@ from .equilibrium import (
     DegenerateMetricError,
     DomainError,
     EquilibriumOmega,
-    FundamentalRelation,
     SingularityError,
     _UV,
     curvature_table,
     ideal_gas,
-    pointwise,
     rho_scan,
 )
 from .expressions import (
     ExpressionDomainError,
     ExpressionError,
     UnknownIdentifierError,
-    compile_expression,
-    diff,
     eval_expression,  # noqa: F401  perfbench/tracing.py wraps cli.eval_expression
     parse_expression,
 )
@@ -111,32 +107,6 @@ def equilibrium_omega_from_expression(text: str) -> EquilibriumOmega:
     return EquilibriumOmega.from_tree(f"expr:{text}", parse_expression(text, _UV))
 
 
-def fundamental_relation_from_expression(text: str, name: Optional[str] = None) -> FundamentalRelation:
-    """A two-coordinate potential Phi(u, v) with exact gradient and Hessian.
-
-    Gradient and Hessian take a batch in one call; the domain test goes point by point through it.
-    """
-    tree = parse_expression(text, _UV)
-    d_u, d_v = diff(tree, "u"), diff(tree, "v")
-    f, gradient, second = (compile_expression(t, _UV) for t in (
-        tree, (d_u, d_v), (diff(d_u, "v"), diff(d_u, "u"), diff(d_v, "v"))))  # second: uv, uu, vv
-
-    def in_domain(q) -> bool:
-        try:
-            f(q[0], q[1])
-            return True
-        except ExpressionDomainError:
-            return False
-
-    return FundamentalRelation(
-        name=name or f"expr:{text}", n=2, value=lambda q: f(q[0], q[1]),
-        gradient=lambda q: np.asarray(gradient(q[..., 0], q[..., 1]), dtype=float),
-        hessian=lambda q: np.asarray(second(q[..., 0], q[..., 1]))[..., [[1, 0], [0, 2]]],  # [[uu, uv], [uv, vv]]
-        in_domain=pointwise(in_domain, (), bool),
-        tree=tree,
-    )
-
-
 def parse_omega_spec(spec: str, n: int = 2) -> OmegaFunction:
     """Resolve a phase-space Omega spec: registry name, const:<c>, or expr:<text>; only it is compiled."""
     if spec.startswith("const:"):
@@ -161,11 +131,10 @@ def parse_equilibrium_omega_spec(spec: str, c_v: float = 1.5) -> EquilibriumOmeg
     if spec.startswith("const:"):
         return EquilibriumOmega.constant(_parse_float(spec[6:], "omega constant"))
     if spec.startswith("expr:"):
-        parse_expression(spec[5:], _UV + _QP)  # a name of neither space fails here
         try:
             return equilibrium_omega_from_expression(spec[5:])
-        except UnknownIdentifierError:  # the text names q or p
-            pass
+        except UnknownIdentifierError:  # the text names q or p; a name of neither space fails here
+            parse_expression(spec[5:], _UV + _QP)
     try:
         omega = parse_omega_spec(spec, 2)
     except UnknownIdentifierError:
@@ -844,7 +813,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="ideal-gas curvature at one point")
     p.add_argument("--cv", type=float)
-    p.add_argument("--omega", help="const:<c> or expr:<text in u,v>")
+    p.add_argument("--omega", help="registry name, const:<c>, or expr:<text in u,v or in q1,q2,p1,p2>")
     p.add_argument("--u", type=float)
     p.add_argument("--v", type=float)
     p.add_argument("--delta-sing", type=float, dest="delta_sing")
@@ -852,7 +821,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho-scan", help="curvature curve over an energy-density range")
     p.add_argument("--cv", type=float)
-    p.add_argument("--omega", help="const:<c> or expr:<text in u,v>")
+    p.add_argument("--omega", help="registry name, const:<c>, or expr:<text in u,v or in q1,q2,p1,p2>")
     p.add_argument("--rho", help="range min:max:steps")
     p.add_argument("--v-fixed", type=float, dest="v_fixed")
     p.add_argument("--delta-sing", type=float, dest="delta_sing")

@@ -32,7 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import BinOp, Call, Expression, Num, Var, _elementwise, compile_expression, diff, substitute
+from .expressions import (BinOp, Call, Expression, ExpressionDomainError, Num, Var, _elementwise, compile_expression,
+                          diff, substitute)
 from .phasespace import DarbouxPoint, _central_differences, _central_stencil, eval_eta
 from .metriclab import MetricField, OmegaFunction, build_metric
 
@@ -57,21 +58,6 @@ NULL_DEGENERATE = "degenerate metric"
 NULL_RANGE = "outside the float range"
 
 
-def pointwise(fn: Callable[[np.ndarray], object], shape: tuple = (), dtype=float) -> Callable:
-    """fn of one point q of shape (2,), applied point by point to batches of shape (..., 2).
-
-    fn's values have the given shape; a batch gives q.shape[:-1] + shape.
-    """
-    def batched(q):
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            return fn(q)
-        values = [fn(point) for point in q.reshape(-1, 2)]
-        return np.array(values, dtype=dtype).reshape(q.shape[:-1] + shape)
-
-    return batched
-
-
 def _scaled_step(coordinate):
     """Equilibrium-space FD step, DEFAULT_CURVATURE_STEP * |coordinate|, elementwise on arrays."""
     return DEFAULT_CURVATURE_STEP * np.abs(coordinate)
@@ -93,10 +79,11 @@ class SingularityError(ArithmeticError):
 class FundamentalRelation:
     """A thermodynamic potential Phi(q) with gradient, Hessian and domain.
 
-    gradient, hessian and in_domain must accept batches of points of shape
-    (..., n), as ideal_gas's do, for an induced metric to evaluate batches;
-    pointwise adapts functions of one point.  tree, the expression of Phi in
-    u, v, is what EquilibriumOmega.from_phase_space pulls an Omega back along.
+    gradient, hessian and in_domain take batches of points of shape (..., n),
+    and value one point.  tree, the expression of Phi in u, v, is what
+    EquilibriumOmega.from_phase_space pulls an Omega back along.  from_tree
+    builds a relation from its tree alone; ideal_gas writes its gradient and
+    Hessian by hand, for their range at large |u| and |v|.
     """
 
     name: str
@@ -106,6 +93,30 @@ class FundamentalRelation:
     hessian: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], bool] = lambda q: True
     tree: Optional[Expression] = None
+
+    @classmethod
+    def from_tree(cls, name: str, tree: Expression) -> "FundamentalRelation":
+        """Phi(u, v) compiled from an expression in u, v, with its gradient and Hessian taken by expressions.diff.
+
+        Each takes a batch in one call.  in_domain calls Phi once on the whole batch, and goes point by point
+        only when that call fails; a single point gives a bool.
+        """
+        d_u, d_v = diff(tree, "u"), diff(tree, "v")
+        f, gradient, second = (compile_expression(t, _UV) for t in (
+            tree, (d_u, d_v), (diff(d_u, "v"), diff(d_u, "u"), diff(d_v, "v"))))  # second: uv, uu, vv
+
+        def in_domain(q):
+            q = np.asarray(q, dtype=float)
+            try:
+                f(q[..., 0], q[..., 1])
+            except ExpressionDomainError:
+                return False if q.ndim == 1 else np.reshape([in_domain(p) for p in q.reshape(-1, 2)], q.shape[:-1])
+            return True if q.ndim == 1 else np.ones(q.shape[:-1], dtype=bool)
+
+        return cls(name=name, n=2, value=lambda q: f(q[0], q[1]),
+                   gradient=lambda q: np.asarray(gradient(q[..., 0], q[..., 1]), dtype=float),
+                   hessian=lambda q: np.asarray(second(q[..., 0], q[..., 1]))[..., [[1, 0], [0, 2]]],  # uu uv; uv vv
+                   in_domain=in_domain, tree=tree)
 
 
 def ideal_gas(c_v: float = 1.5) -> FundamentalRelation:
@@ -191,8 +202,7 @@ class EquilibriumOmega:
 
     @classmethod
     def constant(cls, c: float = 1.0, name: Optional[str] = None) -> "EquilibriumOmega":
-        value = lambda c: lambda u, v: np.full(np.broadcast_shapes(np.shape(u), np.shape(v)), c)
-        return cls(name or f"const:{c:g}", value(float(c)), value(0.0), value(0.0), value(0.0))
+        return cls.from_tree(name or f"const:{c:g}", Num(float(c)))
 
     @classmethod
     def from_tree(cls, name: str, tree: Expression) -> "EquilibriumOmega":
@@ -254,12 +264,6 @@ def induced_metric(G: MetricField, fr: FundamentalRelation,
 def metric_determinant(g: EquilibriumMetric, q: np.ndarray) -> float:
     """Determinant of the 2x2 metric at q."""
     return float(np.linalg.det(g.eval(np.asarray(q, dtype=float))))
-
-
-def _metric_eval(g) -> Callable[[np.ndarray], np.ndarray]:
-    """A batch evaluation (..., 2) -> (..., 2, 2) of g; plain callables go one point at a time."""
-    ev = getattr(g, "eval", None)
-    return ev if callable(ev) else pointwise(g, (2, 2))
 
 
 #: rows of Q per stencil block of the curvature oracle; a block's arrays hold about 3 KB per row
@@ -356,13 +360,14 @@ def _scalar_curvature_rows(metric: Callable[[np.ndarray], np.ndarray], Q: np.nda
 def scalar_curvature_numeric(g, q: np.ndarray) -> float:
     """Scalar curvature from Christoffel symbols with nested central differences.
 
-    g may be an EquilibriumMetric or any callable q -> symmetric matrix.
+    g may be an EquilibriumMetric or any callable that maps points of shape
+    (..., 2) to symmetric matrices of shape (..., 2, 2).
     The step of coordinate c is DEFAULT_CURVATURE_STEP * |q_c|.  Raises
     DegenerateMetricError at a degenerate row and FloatingPointError where
     the arithmetic leaves the float range (see _scalar_curvature_rows).
     """
     q = np.asarray(q, dtype=float)
-    R, reasons = _scalar_curvature_rows(_metric_eval(g), q[np.newaxis])
+    R, reasons = _scalar_curvature_rows(getattr(g, "eval", g), q[np.newaxis])
     if reasons[0] == NULL_DEGENERATE:
         raise DegenerateMetricError(f"metric is degenerate at {q.tolist()}")
     if reasons[0] == NULL_RANGE:
@@ -385,16 +390,38 @@ def _normal_cube(x: np.ndarray) -> np.ndarray:
     return x3
 
 
+def _closed_form_at(u: np.ndarray, v: float, c_v: float, omegas: list):
+    """_closed_form at each element of u from Omega's four values there: float arithmetic where every step, of
+    the whole array or else of the element, stays a normal float, and elsewhere float() of it in Fractions of
+    u / v, v, c_v and the four values, correctly rounded.  FloatingPointError where R overflows."""
+    try:
+        with np.errstate(all="raise"):  # rho again, and v as a 0-d array, so that u / v and v * v raise too
+            return _closed_form(u / v, np.asarray(v), c_v, *omegas, _normal_cube)
+    except (FloatingPointError, OverflowError):
+        if u.ndim:
+            rows = zip(u.ravel().tolist(), *(np.broadcast_to(w, u.shape).ravel().tolist() for w in omegas))
+            return np.array([_closed_form_at(np.array(x), v, c_v, [np.array(w) for w in ws])
+                             for x, *ws in rows]).reshape(u.shape)
+        from fractions import Fraction  # here, as it imports decimal: about 2 ms of every start otherwise
+
+        exact = [Fraction(float(x)) for x in (u, v, c_v, *omegas)]
+        try:
+            return float(_closed_form(exact[0] / exact[1], *exact[1:], lambda x: x**3))
+        except OverflowError:
+            raise FloatingPointError(f"closed-form curvature overflows at u={float(u):g}, v={v:g}, "
+                                     f"c_v={c_v:g}") from None
+
+
 def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumOmega,
                                delta_sing: float = DEFAULT_SINGULAR_BAND):
     """Closed-form scalar curvature of the induced ideal-gas metric at (u, v), or at each u of an array.
 
     One call of Omega and of each partial serves all of u.  Each element fails at the first of: v = 0, the
-    band, Omega, a vanishing Omega, the partials, and an R that overflows.  R is _closed_form in float
-    arithmetic (correctly rounded ufuncs, and float ** for the cubes) where every step stays a normal float,
-    and elsewhere float() of _closed_form in Fractions of u / v and the other six floats, correctly rounded.
-    A failing array goes again one 0-d element at a time, so that the first failing element raises its own
-    error.
+    band, Omega, a vanishing Omega, the partials, and an R that overflows.  R is _closed_form_at: float
+    arithmetic (correctly rounded ufuncs, and float ** for the cubes) where every step stays a normal float, row
+    by row from the values of Omega already taken where the array's does not, and Fractions where a row's does
+    not either.  An array that fails goes again one 0-d element at a time, so that the first failing element
+    raises its own error.
     """
     if not delta_sing > 0:
         raise ValueError(f"delta_sing must be positive, got {delta_sing!r}")
@@ -414,20 +441,7 @@ def scalar_curvature_ideal_gas(u, v: float, c_v: float, omega_on_e: EquilibriumO
                 raise DegenerateMetricError(f"Omega vanishes at (u, v) = ({us[vanishing][0]:g}, {v:g})")
             partials = (omega_on_e.d_u, omega_on_e.d_v, omega_on_e.d_uv)
             omegas = [w] + [np.asarray(f(us, v), dtype=float) for f in partials]
-        try:
-            with np.errstate(all="raise"):  # rho again, and v as a 0-d array, so that u / v and v * v raise too
-                R = _closed_form(us / v, np.asarray(v), c_v, *omegas, _normal_cube)
-        except (FloatingPointError, OverflowError):
-            if us.ndim:
-                raise
-            from fractions import Fraction  # here, as it imports decimal: about 2 ms of every start otherwise
-
-            exact = [Fraction(float(x)) for x in (us, v, c_v, *omegas)]
-            try:
-                R = float(_closed_form(exact[0] / exact[1], *exact[1:], lambda x: x**3))
-            except OverflowError:
-                raise FloatingPointError(f"closed-form curvature overflows at u={float(us):g}, v={v:g}, "
-                                         f"c_v={c_v:g}") from None
+        R = _closed_form_at(us, v, c_v, omegas)
     except ArithmeticError:
         if not us.ndim:
             raise

@@ -24,7 +24,6 @@ from contactlab.cli import (
     config_from_args,
     build_arg_parser,
     emit_rows,
-    fundamental_relation_from_expression,
     main,
     parse_omega_spec,
     parse_rho_range,
@@ -44,7 +43,7 @@ from contactlab.metriclab import (
 from contactlab.phasespace import DarbouxPoint
 from contactlab.sampling import sample_darboux_points
 from emit_reference import reference_text
-from test_equilibrium import exact_curvature
+from test_equilibrium import exact_curvature, relation
 
 PI_2 = math.pi / 2.0
 
@@ -831,7 +830,7 @@ class TestExpressionBackedPotential:
     def test_matches_builtin_ideal_gas(self):
         from contactlab.equilibrium import ideal_gas
 
-        fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)")
+        fr = relation("1.5*ln(u)+ln(v)")
         gas = ideal_gas(1.5)
         q = np.array([1.7, 0.9])
         assert fr.value(q) == pytest.approx(gas.value(q), rel=1e-12)
@@ -843,7 +842,7 @@ class TestExpressionBackedPotential:
         # oracle curvature is the built-in one (a second difference at 1e-5 gave -13445 at (3, 2))
         from contactlab.equilibrium import EquilibriumOmega, ideal_gas, induced_metric, scalar_curvature_numeric
 
-        fr, gas = fundamental_relation_from_expression("1.5*ln(u)+ln(v)"), ideal_gas(1.5)
+        fr, gas = relation("1.5*ln(u)+ln(v)"), ideal_gas(1.5)
         grid = np.array([[u, v] for u in (0.3, 1.0, 2.5, 7.0) for v in (0.2, 1.0, 3.0)])
         np.testing.assert_allclose(fr.hessian(grid), gas.hessian(grid), rtol=1e-15, atol=0)
         for q in grid:
@@ -855,20 +854,20 @@ class TestExpressionBackedPotential:
         assert R == pytest.approx(96.00003, rel=1e-6)
 
     def test_hessian_with_a_mixed_term(self):
-        fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)+u*v^2")
+        fr = relation("1.5*ln(u)+ln(v)+u*v^2")
         for u, v in ((1.7, 0.9), (2.5, 1.1), (0.6, 2.0)):
             H = [[-1.5 / u**2, 2 * v], [2 * v, -1 / v**2 + 2 * u]]
             np.testing.assert_allclose(fr.hessian(np.array([u, v])), H, rtol=1e-15)
 
     def test_domain_predicate(self):
-        fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)")
+        fr = relation("1.5*ln(u)+ln(v)")
         assert fr.in_domain(np.array([1.0, 1.0]))
         assert not fr.in_domain(np.array([-1.0, 1.0]))
 
     def test_induced_metric_takes_batches(self):
         from contactlab.equilibrium import EquilibriumOmega, induced_metric, scalar_curvature_numeric
 
-        fr = fundamental_relation_from_expression("1.5*ln(u)+ln(v)")
+        fr = relation("1.5*ln(u)+ln(v)")
         g = induced_metric(build_metric("epsilon", OmegaFunction.constant(1.0)), fr,
                            EquilibriumOmega.constant(1.0))
         Q = np.array([[1.7, 0.9], [2.5, 1.1], [0.6, 2.0]])
@@ -1058,6 +1057,35 @@ BENCHMARK_RHO_SCAN_DIGESTS = {
 }
 
 
+#: the same digests of curvature and rho-scan commands that resolve each kind of --omega spec, by argv, as
+#: generated at commit 83f1e59
+SPEC_RESOLUTION_DIGESTS = {
+    # README examples
+    ("curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1"): "a1c6589633053182",
+    ("rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "0.2:4:200"): "5d54239455dea136",
+    ("curvature", "--u", "2", "--v", "1", "--omega", "const:1e-320"): "3cd87a4d3744c49e",
+    ("curvature", "--omega", "const:1e103", "--u", "2", "--v", "1"): "d56e9ec7deee9061",
+    ("curvature", "--cv", "1e300", "--u", "2", "--v", "1"): "4ebfb2a80badc2b7",
+    ("rho-scan", "--omega", "const:1e103", "--rho", "0.2:4:200"): "8e36da19a8ae7386",
+    ("rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-150"): "86b5bee61be98e66",
+    # phase-space Omegas pulled back onto the ideal gas
+    ("curvature", "--omega", "expr:1/(q1*p2-q2*p1)", "--cv", "1.5", "--u", "2", "--v", "1"): "c7a064fd28b76c60",
+    ("rho-scan", "--omega", "norm_sum", "--rho", "0.2:4:20"): "d76e166463eb7925",
+    # error texts
+    ("curvature", "--omega", "expr:x", "--u", "2", "--v", "1"): "3aed1c23e2d7ac75",
+    ("curvature", "--omega", "expr:u*q1", "--u", "2", "--v", "1"): "48e614bba6400168",
+    ("curvature", "--omega", "expr:q1 +* 2", "--u", "2", "--v", "1"): "1c27c66e01aef064",
+    ("curvature", "--omega", "expr:u +* q1", "--u", "2", "--v", "1"): "c72fc57a995f60b2",
+    ("curvature", "--omega", "expr:foo(u)", "--u", "2", "--v", "1"): "fa5d134394b1ea9b",
+    ("curvature", "--omega", "expr:foo(q1)", "--u", "2", "--v", "1"): "fa5d134394b1ea9b",
+    ("rho-scan", "--omega", "bogus", "--rho", "0.2:4:5"): "95f76df21439e995",
+    # rows whose float arithmetic leaves the normal range
+    ("curvature", "--omega", "const:1e-100", "--u", "1e5", "--v", "1"): "1850f2d16c2b404f",
+    ("curvature", "--omega", "const:1", "--u", "2e155", "--v", "1e155"): "12a482e82a9011a5",
+    ("rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-300"): "6ae08ad5e35be45e",
+}
+
+
 class TestBenchmarkHooks:
     def test_tracer_wraps_names_that_exist(self, monkeypatch):
         # the benchmark's tracer and microbenchmarks reach into the package by
@@ -1142,3 +1170,11 @@ class TestBenchmarkHooks:
                     out, err = capsys.readouterr()
                     digests[seed, command.out, fmt] = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()[:16]
         assert digests == BENCHMARK_RHO_SCAN_DIGESTS
+
+    @pytest.mark.parametrize("argv", list(SPEC_RESOLUTION_DIGESTS), ids=" ".join)
+    def test_the_spec_resolution_commands_keep_their_bytes(self, capsys, argv):
+        # a change to how --omega specs are parsed and built, or to the closed form's range rows, that moves a
+        # byte of these fails here
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()[:16] == SPEC_RESOLUTION_DIGESTS[argv]

@@ -15,6 +15,7 @@ from contactlab.equilibrium import (
     DegenerateMetricError,
     DomainError,
     EquilibriumOmega,
+    FundamentalRelation,
     SingularityError,
     _scalar_curvature_rows,
     curvature_report,
@@ -29,7 +30,7 @@ from contactlab.equilibrium import (
     scalar_curvature_ideal_gas,
     scalar_curvature_numeric,
 )
-from contactlab.expressions import ExpressionDomainError
+from contactlab.expressions import ExpressionDomainError, parse_expression
 from contactlab.metriclab import OmegaFunction, build_metric, omega_registry
 from contactlab.phasespace import central_diff
 
@@ -46,6 +47,11 @@ OMEGA_UV = EquilibriumOmega(
 EPS_UNIT = build_metric("epsilon", OmegaFunction.constant(1.0))
 
 DOMAIN_POINTS = [np.array([u, v]) for u in (0.6, 1.0, 1.7, 2.4) for v in (0.5, 1.0, 1.9)]
+
+
+def relation(text: str) -> FundamentalRelation:
+    """The relation of an expression in u, v."""
+    return FundamentalRelation.from_tree(f"expr:{text}", parse_expression(text, ("u", "v")))
 
 
 def exact_component(u, v, omega=OMEGA_ONE):
@@ -98,6 +104,30 @@ class TestEmbedding:
         for q in DOMAIN_POINTS:
             H = GAS.hessian(q)
             assert np.array_equal(H, H.T)
+
+
+class TestRelationFromTree:
+    #: ln(u) has no value at the second and fourth points
+    MIXED = np.array([[1.7, 0.9], [-2.0, 1.0], [2.5, 1.1], [-0.5, 3.0], [0.6, 2.0]])
+
+    def test_in_domain_of_a_mixed_batch_equals_its_points(self):
+        fr = relation("1.5*ln(u)+ln(v)")
+        inside = fr.in_domain(self.MIXED)
+        assert inside.dtype == bool and inside.shape == (5,)
+        assert inside.tolist() == [fr.in_domain(q) for q in self.MIXED] == [True, False, True, False, True]
+        assert fr.in_domain(self.MIXED.reshape(5, 1, 2)).tolist() == [[x] for x in inside.tolist()]
+        assert fr.in_domain(self.MIXED[[0, 2, 4]]).tolist() == [True, True, True]
+
+    def test_a_single_point_gives_a_bool(self):
+        fr = relation("1.5*ln(u)+ln(v)")
+        assert fr.in_domain(np.array([1.7, 0.9])) is True
+        assert fr.in_domain(np.array([-2.0, 1.0])) is False
+
+    def test_the_induced_metric_of_a_mixed_batch_names_its_first_point_outside(self):
+        g = induced_metric(EPS_UNIT, relation("1.5*ln(u)+ln(v)"), OMEGA_ONE)
+        with pytest.raises(DomainError) as info:
+            g.eval(self.MIXED)
+        assert str(info.value) == "point [-2.0, 1.0] outside the domain of expr:1.5*ln(u)+ln(v)"
 
 
 class TestInducedMetric:
@@ -167,11 +197,15 @@ class TestDeterminant:
 
 class TestNumericCurvature:
     def test_flat_metric(self):
-        flat = lambda q: np.eye(2)
+        flat = lambda q: np.broadcast_to(np.eye(2), np.shape(q)[:-1] + (2, 2))
         assert abs(scalar_curvature_numeric(flat, np.array([0.4, 1.2]))) < 1e-6
 
     def test_round_sphere(self):
-        sphere = lambda q: np.array([[1.0, 0.0], [0.0, math.sin(q[0]) ** 2]])
+        def sphere(q):
+            g = np.zeros(q.shape + (2,))
+            g[..., 0, 0], g[..., 1, 1] = 1.0, np.sin(q[..., 0]) ** 2
+            return g
+
         R = scalar_curvature_numeric(sphere, np.array([1.1, 0.3]))
         assert R == pytest.approx(2.0, abs=1e-4)
 
@@ -306,6 +340,22 @@ class TestClosedFormCurvature:
         batch = scalar_curvature_ideal_gas(np.array([3.0, u, 2.5]), v, cv, omega, delta_sing)
         assert float(batch[1]).hex() == expected
         assert batch[[0, 2]].tolist() == [scalar_curvature_ideal_gas(x, v, cv, omega, delta_sing) for x in (3.0, 2.5)]
+
+    @pytest.mark.parametrize("spec, us, exact", [
+        ("expr:u^100", [2.0, 100.0, 3.0, 1e-3, 0.5], [1, 3]),  # Omega^3 overflows at 100, underflows at 1e-3
+        ("const:1", [2.0, 2e155, 3.0, 1e200], [1, 3]),  # rho^2 overflows
+    ])
+    def test_a_batch_of_float_and_exact_rows_calls_omega_and_each_partial_once(self, spec, us, exact):
+        # the rows that leave the normal range take their closed form from the values of the batch's one call
+        omega, calls = parse_equilibrium_omega_spec(spec), []
+        parts = ("eval", "d_u", "d_v", "d_uv")
+        counted = EquilibriumOmega(omega.name, *(
+            lambda u, v, part=part: calls.append(part) or getattr(omega, part)(u, v) for part in parts))
+        R = scalar_curvature_ideal_gas(np.array(us), 1.1, CV, counted)
+        assert calls == list(parts)
+        assert R.view(np.int64).tolist() == np.array([scalar_curvature_ideal_gas(u, 1.1, CV, omega)
+                                                      for u in us]).view(np.int64).tolist()
+        assert [R[i] for i in exact] == [exact_curvature(us[i], 1.1, CV, omega) for i in exact]
 
     @pytest.mark.parametrize("k", [-1000, -400, 400, 1000])
     def test_an_omega_whose_cube_leaves_the_normal_range_is_scaled_exactly(self, k):
