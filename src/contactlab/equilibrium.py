@@ -28,7 +28,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -77,73 +77,63 @@ class SingularityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class FundamentalRelation:
-    """A thermodynamic potential Phi(q) with gradient, Hessian and domain.
+    """A thermodynamic potential Phi(u, v): its tree, with value, gradient, Hessian and domain compiled from it.
 
-    gradient, hessian and in_domain take batches of points of shape (..., n),
-    and value one point.  tree, the expression of Phi in u, v, is what
-    EquilibriumOmega.from_phase_space pulls an Omega back along.  from_tree
-    builds a relation from its tree alone; ideal_gas writes its gradient and
-    Hessian by hand, for their range at large |u| and |v|.
+    Every relation is built by from_tree.  gradient, hessian and in_domain take batches of points of shape
+    (..., 2), and value one point.  tree is what EquilibriumOmega.from_phase_space pulls an Omega back along.
     """
 
+    n: ClassVar[int] = 2  # a tree is an expression in u, v
     name: str
-    n: int
+    tree: Expression
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    in_domain: Callable[[np.ndarray], bool] = lambda q: True
-    tree: Optional[Expression] = None
+    in_domain: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def from_tree(cls, name: str, tree: Expression) -> "FundamentalRelation":
+    def from_tree(cls, name: str, tree: Expression,
+                  in_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> "FundamentalRelation":
         """Phi(u, v) compiled from an expression in u, v, with its gradient and Hessian taken by expressions.diff.
 
-        Each takes a batch in one call.  in_domain calls Phi once on the whole batch, and goes point by point
-        only when that call fails; a single point gives a bool.
+        Each takes a batch in one call.  in_domain, when not given, is where Phi has a value; a single point
+        gives a bool.  The Hessian is NaN at a point where its program has no float value.  Both go point by
+        point only when the batch call fails.
         """
         d_u, d_v = diff(tree, "u"), diff(tree, "v")
         f, gradient, second = (compile_expression(t, _UV) for t in (
             tree, (d_u, d_v), (diff(d_u, "v"), diff(d_u, "u"), diff(d_v, "v"))))  # second: uv, uu, vv
 
-        def in_domain(q):
-            q = np.asarray(q, dtype=float)
-            try:
-                f(q[..., 0], q[..., 1])
-            except ExpressionDomainError:
-                return False if q.ndim == 1 else np.reshape([in_domain(p) for p in q.reshape(-1, 2)], q.shape[:-1])
-            return True if q.ndim == 1 else np.ones(q.shape[:-1], dtype=bool)
+        def where_phi_has_a_value(q):
+            inside = ~np.isnan(_or_nan(f, q, ()))
+            return inside if inside.ndim else bool(inside)
 
-        return cls(name=name, n=2, value=lambda q: f(q[0], q[1]),
+        return cls(name=name, tree=tree, value=lambda q: f(q[0], q[1]),
                    gradient=lambda q: np.asarray(gradient(q[..., 0], q[..., 1]), dtype=float),
-                   hessian=lambda q: np.asarray(second(q[..., 0], q[..., 1]))[..., [[1, 0], [0, 2]]],  # uu uv; uv vv
-                   in_domain=in_domain, tree=tree)
+                   hessian=lambda q: _or_nan(second, q, (3,))[..., [[1, 0], [0, 2]]],  # uu uv; uv vv
+                   in_domain=in_domain or where_phi_has_a_value)
+
+
+def _or_nan(program: Callable, q: np.ndarray, shape: tuple) -> np.ndarray:
+    """A compiled program of (u, v) at the points q, shape (..., 2), in one call; where that raises, point by
+    point, with NaN of the program's value shape at each point where it raises."""
+    q = np.asarray(q, dtype=float)
+    try:
+        return np.asarray(program(q[..., 0], q[..., 1]), dtype=float)
+    except ExpressionDomainError:
+        if q.ndim == 1:
+            return np.full(shape, math.nan)
+        return np.reshape([_or_nan(program, p, shape) for p in q.reshape(-1, 2)], q.shape[:-1] + shape)
 
 
 def ideal_gas(c_v: float = 1.5) -> FundamentalRelation:
-    """Molar ideal gas in the entropy representation: s(u, v) = c_v ln(u) + ln(v)."""
+    """Molar ideal gas in the entropy representation: s(u, v) = c_v ln(u) + ln(v), on u > 0 and v > 0."""
     if c_v <= 0:
         raise ValueError("c_v must be positive")
-
-    def hessian(q: np.ndarray) -> np.ndarray:
-        H = np.zeros(q.shape + (2,))
-        for i, c in enumerate((c_v, 1.0)):
-            x = q[..., i]
-            square = x * x
-            d = np.asarray(-c / square)
-            big = ~np.isfinite(square)  # |x| above about 1.3e154, where -c / x / x is still finite
-            d[big] = -c / x[big] / x[big]
-            H[..., i, i] = d
-        return H
-
-    return FundamentalRelation(
-        name=f"ideal_gas[c_v={c_v:g}]",
-        n=2,
-        value=lambda q: c_v * math.log(q[0]) + math.log(q[1]),
-        gradient=lambda q: np.stack((c_v / q[..., 0], 1.0 / q[..., 1]), axis=-1),
-        hessian=hessian,
-        in_domain=lambda q: (q[..., 0] > 0) & (q[..., 1] > 0),
-        tree=BinOp("+", BinOp("*", Num(float(c_v)), Call("ln", Var("u"))), Call("ln", Var("v"))),
-    )
+    return FundamentalRelation.from_tree(
+        f"ideal_gas[c_v={c_v:g}]",
+        BinOp("+", BinOp("*", Num(float(c_v)), Call("ln", Var("u"))), Call("ln", Var("v"))),
+        in_domain=lambda q: (q[..., 0] > 0) & (q[..., 1] > 0))
 
 
 def embed(fr: FundamentalRelation, q: np.ndarray) -> DarbouxPoint:
@@ -216,8 +206,8 @@ class EquilibriumOmega:
 
         Both carry trees, so the pulled-back Omega is a tree too, with exact partials.
         """
-        if omega.tree is None or fr.tree is None or fr.n != 2:
-            raise ValueError(f"cannot pull {omega.name} back along {fr.name}: both need expression trees, n = 2")
+        if omega.tree is None:
+            raise ValueError(f"cannot pull {omega.name} back along {fr.name}: it needs an expression tree")
         pulled = substitute(omega.tree, {"q1": Var("u"), "q2": Var("v"),
                                          "p1": diff(fr.tree, "u"), "p2": diff(fr.tree, "v")})
         return cls.from_tree(f"{omega.name}|{fr.name}", pulled)
@@ -245,8 +235,6 @@ def induced_metric(G: MetricField, fr: FundamentalRelation,
     """
     if G.family != "epsilon":
         raise ValueError(f"induced metric closed form requires the epsilon family, got {G.family!r}")
-    if fr.n != 2:
-        raise ValueError("the epsilon family induces a metric for n = 2 only")
 
     def ev(q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)

@@ -449,8 +449,11 @@ def diff(expr: Expression, var: str) -> Expression:
     """The partial derivative of expr with respect to the variable var, as a tree.
 
     Sum, product, quotient and power rules, and the chain rule through ln,
-    exp, sqrt, sin and cos.  Terms equal to 0, factors and exponents equal to
-    1, and arithmetic on two numbers are folded away as the tree is built.
+    exp, sqrt, sin and cos.  The quotient rule is d(a/b) = (a' - (a/b) b')/b:
+    it reuses the node a/b and never squares the divisor, so it leaves the
+    float range only where its own terms do (1/u/u, not 1/u^2).  Terms equal
+    to 0, factors and exponents equal to 1, and arithmetic on two numbers are
+    folded away as the tree is built.
     An exponent whose derivative folds to 0 takes the power rule
     b * a^(b-1) * a', so x^3 never evaluates ln(x); any other takes
     a^b * (b' ln(a) + b a'/a).  The result shares subtrees with expr and
@@ -492,7 +495,7 @@ def diff(expr: Expression, var: str) -> Expression:
             elif node.op == "*":
                 out = _add(_mul(da, b), _mul(a, db))
             elif node.op == "/":
-                out = _sub(_div(da, b), _div(_mul(a, db), _pow(b, _TWO)))
+                out = _div(_sub(da, _mul(node, db)), b)
             elif _is(db, 0.0):  # ^ with an exponent free of var
                 out = _mul(_mul(b, _pow(a, _sub(b, _ONE))), da)
             else:

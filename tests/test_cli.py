@@ -25,6 +25,7 @@ from contactlab.cli import (
     build_arg_parser,
     emit_rows,
     main,
+    parse_equilibrium_omega_spec,
     parse_omega_spec,
     parse_rho_range,
     run,
@@ -181,8 +182,8 @@ class TestConfig:
     @pytest.mark.parametrize("omega", ["const:{c}", "expr:{c}*(1+0.4*u/(u+v))"])
     def test_no_row_of_the_scale_grid_prints_a_non_finite_closed_form(self, capsys, omega):
         # Omega times 10^k and (u, v) times 10^m at rho = 0.5, 1, ..., 3, inside and beyond the float range:
-        # every row prints a finite R, or the command exits 2 with one line, because R or a partial of Omega
-        # (whose (u + v)^2 underflows at m = -200) leaves the float range
+        # every row prints a finite R, or the command exits 2 with one line, because R, Omega or a partial of
+        # Omega leaves the float range
         for k in (-300, -100, -7, 0, 7, 100, 300):
             for m in (-200, -150, -40, -3, 0, 4, 40, 150, 200):
                 argv = ["rho-scan", "--omega", omega.format(c=f"1e{k}"), "--rho", "0.5:3:6", "--v-fixed", f"1e{m}"]
@@ -194,6 +195,21 @@ class TestConfig:
                     assert code == EXIT_NUMERIC, (k, m, captured.err)
                     assert captured.err.startswith("numeric failure: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("v_fixed", ["1e-150", "1e150"])
+    def test_a_quotient_omega_where_the_divisor_squared_leaves_the_float_range(self, capsys, v_fixed):
+        # (u + v)^2 leaves the float range, while the partials of Omega, whose quotient rule never squares
+        # u + v, have values: R_analytic is the closed form's float path, and the oracle's stencil leaves the range
+        omega = "expr:1e0*(1+0.4*u/(u+v))"
+        assert main(["rho-scan", "--omega", omega, "--rho", "0.5:3:6", "--v-fixed", v_fixed]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "rho-scan: no R_numeric on 6 rows (degenerate metric: 0, outside the float range: 6)\n"
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert len(rows) == 6 and all(row["R_numeric"] == "nan" for row in rows)
+        on_e = parse_equilibrium_omega_spec(omega)
+        for row in rows:
+            exact = exact_curvature(float(row["u"]), float(row["v"]), 1.5, on_e)
+            assert float(row["R_analytic"]) == pytest.approx(exact, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("argv, data, err", [
         (["curvature", "--u", "1e300", "--v", "1"],
          "1.0000000000000001e+300,1.0000000000000001e+300,1,0,0,0,false", ""),
@@ -202,8 +218,8 @@ class TestConfig:
         (["rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-300"],
          "0.20000000000000001,2.0000000000000001e-301,1e-300,-0.030846980980265649,nan,nan,false",
          "rho-scan: no R_numeric on 5 rows (degenerate metric: 0, outside the float range: 5)\n"),
-        # u^2 and v^2 overflow, but the ideal gas's Hessian -c_v / u^2, -1 / v^2 does not: the metric is
-        # not degenerate, and its oracle stencil leaves the float range
+        # u^2 and v^2 overflow, but the ideal gas's Hessian c_v * ((-(1/u)) / u), (-(1/v)) / v does not: the
+        # metric is not degenerate, and its oracle stencil leaves the float range
         (["curvature", "--omega", "const:1", "--u", "2e155", "--v", "1e155"],
          "2,2e+155,1e+155,6.1440000000000001,nan,nan,false",
          "curvature: no R_numeric on 1 rows (degenerate metric: 0, outside the float range: 1)\n"),
@@ -827,30 +843,35 @@ class TestEmission:
 
 
 class TestExpressionBackedPotential:
-    def test_matches_builtin_ideal_gas(self):
-        from contactlab.equilibrium import ideal_gas
+    def test_matches_the_ideal_gas_formulas(self):
+        fr = relation("1.5*ln(u)+ln(v)")
+        u, v = 1.7, 0.9
+        q = np.array([u, v])
+        assert fr.value(q) == pytest.approx(1.5 * math.log(u) + math.log(v), rel=1e-15)
+        np.testing.assert_allclose(fr.gradient(q), [1.5 / u, 1 / v], rtol=1e-15)
+        np.testing.assert_allclose(fr.hessian(q), [[-1.5 / u**2, 0], [0, -1 / v**2]], rtol=1e-15)
+
+    def test_hessian_equals_the_ideal_gas_formula(self):
+        # exact second derivatives: -c_v/u^2 and -1/v^2, and the oracle curvature of the metric they induce,
+        # g_uv = c_v/u^2 - 1/v^2 written out here (a second difference at 1e-5 gave -13445 at (3, 2))
+        from contactlab.equilibrium import EquilibriumOmega, induced_metric, scalar_curvature_numeric
 
         fr = relation("1.5*ln(u)+ln(v)")
-        gas = ideal_gas(1.5)
-        q = np.array([1.7, 0.9])
-        assert fr.value(q) == pytest.approx(gas.value(q), rel=1e-12)
-        np.testing.assert_allclose(fr.gradient(q), gas.gradient(q), rtol=1e-8)
-        np.testing.assert_allclose(fr.hessian(q), gas.hessian(q), atol=1e-5)
-
-    def test_hessian_equals_the_ideal_gas(self):
-        # exact second derivatives: the expression gas is the built-in gas, and its
-        # oracle curvature is the built-in one (a second difference at 1e-5 gave -13445 at (3, 2))
-        from contactlab.equilibrium import EquilibriumOmega, ideal_gas, induced_metric, scalar_curvature_numeric
-
-        fr, gas = relation("1.5*ln(u)+ln(v)"), ideal_gas(1.5)
         grid = np.array([[u, v] for u in (0.3, 1.0, 2.5, 7.0) for v in (0.2, 1.0, 3.0)])
-        np.testing.assert_allclose(fr.hessian(grid), gas.hessian(grid), rtol=1e-15, atol=0)
-        for q in grid:
-            np.testing.assert_allclose(fr.gradient(q), gas.gradient(q), rtol=1e-15, atol=0)
+        H = np.zeros((len(grid), 2, 2))
+        H[:, 0, 0], H[:, 1, 1] = -1.5 / grid[:, 0] ** 2, -1 / grid[:, 1] ** 2
+        np.testing.assert_allclose(fr.hessian(grid), H, rtol=1e-15, atol=0)
+        for u, v in grid:
+            np.testing.assert_allclose(fr.gradient(np.array([u, v])), [1.5 / u, 1 / v], rtol=1e-15, atol=0)
+
+        def written(q):
+            g_uv = 1.5 / q[..., 0] ** 2 - 1 / q[..., 1] ** 2
+            return g_uv[..., None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
+
         G, one = build_metric("epsilon", OmegaFunction.constant(1.0)), EquilibriumOmega.constant(1.0)
         q = np.array([3.0, 2.0])
         R = scalar_curvature_numeric(induced_metric(G, fr, one), q)
-        assert R == pytest.approx(scalar_curvature_numeric(induced_metric(G, gas, one), q), rel=1e-9)
+        assert R == pytest.approx(scalar_curvature_numeric(written, q), rel=1e-9)
         assert R == pytest.approx(96.00003, rel=1e-6)
 
     def test_hessian_with_a_mixed_term(self):
@@ -1005,72 +1026,75 @@ class TestRunConfigDirect:
 
 #: the first 16 hex digits of the SHA-256 of "exit code NUL stdout NUL stderr" of every rho-scan command of
 #: perfbench's pointwise_tables workload, by (seed, output name, --format), as generated at commit 437d439
+#: and regenerated when the ideal gas became its own tree (only R_numeric and rel_error cells, and R_analytic
+#: of the u/(u+v) scans by at most 2.1e-16 relative, moved)
 BENCHMARK_RHO_SCAN_DIGESTS = {
-    (1, "scan0_v1.csv", "csv"): "cb98bfc97112d924",
-    (1, "scan0_v1.csv", "json"): "68d42e1d23f746dd",
-    (1, "scan0_v1e-3.csv", "csv"): "40cf3d7ebbab6e77",
-    (1, "scan0_v1e-3.csv", "json"): "3510d93467e5e175",
-    (1, "scan0_v1e4.csv", "csv"): "57cb2c58c7a73946",
-    (1, "scan0_v1e4.csv", "json"): "1023e3f9bc9c3c3e",
-    (1, "scan1_v1.csv", "csv"): "cc36e1e0c5ca0960",
-    (1, "scan1_v1.csv", "json"): "91581547f06addce",
-    (1, "scan1_v1e-3.csv", "csv"): "b952486c5615c71e",
-    (1, "scan1_v1e-3.csv", "json"): "d52329d6f3595479",
-    (1, "scan1_v1e4.csv", "csv"): "d09e0aecd8b49775",
-    (1, "scan1_v1e4.csv", "json"): "828b39d163ed2b49",
-    (2, "scan0_v1.csv", "csv"): "4979082c459ecba9",
-    (2, "scan0_v1.csv", "json"): "15a5c9e3411ee8c7",
-    (2, "scan0_v1e-3.csv", "csv"): "30771ef3c28bfdb2",
-    (2, "scan0_v1e-3.csv", "json"): "d77cb5d398ed693f",
-    (2, "scan0_v1e4.csv", "csv"): "ccba579a24be3b70",
-    (2, "scan0_v1e4.csv", "json"): "d4512de01ee6c8db",
-    (2, "scan1_v1.csv", "csv"): "6c6f370e79651fb9",
-    (2, "scan1_v1.csv", "json"): "abd481c8c638d7ce",
-    (2, "scan1_v1e-3.csv", "csv"): "e222f93809eaaf1e",
-    (2, "scan1_v1e-3.csv", "json"): "f257afbdd0d4bc90",
-    (2, "scan1_v1e4.csv", "csv"): "99d9bd26030f7000",
-    (2, "scan1_v1e4.csv", "json"): "084c84a8a1195094",
-    (7, "scan0_v1.csv", "csv"): "8848e61cab044ced",
-    (7, "scan0_v1.csv", "json"): "da34e69911a61d9d",
-    (7, "scan0_v1e-3.csv", "csv"): "e35201317cb48717",
-    (7, "scan0_v1e-3.csv", "json"): "ee2ebc45d392a383",
-    (7, "scan0_v1e4.csv", "csv"): "d302af9c6a869929",
-    (7, "scan0_v1e4.csv", "json"): "d1353b15992ab50a",
-    (7, "scan1_v1.csv", "csv"): "3e75d0c27e462a7b",
-    (7, "scan1_v1.csv", "json"): "3689e48f71cc55cc",
-    (7, "scan1_v1e-3.csv", "csv"): "eb6efc3ec06f7377",
-    (7, "scan1_v1e-3.csv", "json"): "5204bf20b087fba5",
-    (7, "scan1_v1e4.csv", "csv"): "df6daa273120f700",
-    (7, "scan1_v1e4.csv", "json"): "817eb9c0cbb87dcd",
-    (41, "scan0_v1.csv", "csv"): "b6855fd6cb3b528f",
-    (41, "scan0_v1.csv", "json"): "e564a28b8b01e393",
-    (41, "scan0_v1e-3.csv", "csv"): "db5a9ee46b7dea7a",
-    (41, "scan0_v1e-3.csv", "json"): "b0737356d8b22867",
-    (41, "scan0_v1e4.csv", "csv"): "6db8ff3d2bbe22c1",
-    (41, "scan0_v1e4.csv", "json"): "386792b17124a55d",
-    (41, "scan1_v1.csv", "csv"): "b398aa5d77e574c2",
-    (41, "scan1_v1.csv", "json"): "b45cd6813b5da6d2",
-    (41, "scan1_v1e-3.csv", "csv"): "5fa434d799f39b9c",
-    (41, "scan1_v1e-3.csv", "json"): "169572996a6f1712",
-    (41, "scan1_v1e4.csv", "csv"): "49bca3048198533f",
-    (41, "scan1_v1e4.csv", "json"): "3df52221304fbe98",
+    (1, "scan0_v1.csv", "csv"): "99653b1e2c74d07b",
+    (1, "scan0_v1.csv", "json"): "a39d5b7148bb7d4f",
+    (1, "scan0_v1e-3.csv", "csv"): "edebcf744371afc1",
+    (1, "scan0_v1e-3.csv", "json"): "de2e971965525ea6",
+    (1, "scan0_v1e4.csv", "csv"): "08d96fafa4f05a2c",
+    (1, "scan0_v1e4.csv", "json"): "1e1a0d05b12ef73a",
+    (1, "scan1_v1.csv", "csv"): "cd55d0ec19dc5746",
+    (1, "scan1_v1.csv", "json"): "a3fae00775bfec7a",
+    (1, "scan1_v1e-3.csv", "csv"): "9e8e439639ff1da2",
+    (1, "scan1_v1e-3.csv", "json"): "a67b6b879a2574eb",
+    (1, "scan1_v1e4.csv", "csv"): "de5b1dbbf219525b",
+    (1, "scan1_v1e4.csv", "json"): "c33b1e5191b3a846",
+    (2, "scan0_v1.csv", "csv"): "5d6d7b0141d143ed",
+    (2, "scan0_v1.csv", "json"): "a9b560c2fa512a30",
+    (2, "scan0_v1e-3.csv", "csv"): "13b43f18714a31cd",
+    (2, "scan0_v1e-3.csv", "json"): "5afc419837233c63",
+    (2, "scan0_v1e4.csv", "csv"): "8d9ff5e17479563d",
+    (2, "scan0_v1e4.csv", "json"): "be3e4c430c8adf27",
+    (2, "scan1_v1.csv", "csv"): "011126e5494f7dc4",
+    (2, "scan1_v1.csv", "json"): "8f9b8fe620fa4a51",
+    (2, "scan1_v1e-3.csv", "csv"): "7ba3e7b5f9289615",
+    (2, "scan1_v1e-3.csv", "json"): "c5f81e4606e9114f",
+    (2, "scan1_v1e4.csv", "csv"): "9e48a6d156394d79",
+    (2, "scan1_v1e4.csv", "json"): "1453a27c2b0bc399",
+    (7, "scan0_v1.csv", "csv"): "e032b7ecca350dd7",
+    (7, "scan0_v1.csv", "json"): "6437f77fe43f8be2",
+    (7, "scan0_v1e-3.csv", "csv"): "394dda592260aadd",
+    (7, "scan0_v1e-3.csv", "json"): "82cd9273efa5178b",
+    (7, "scan0_v1e4.csv", "csv"): "eeaeb59a4b520a60",
+    (7, "scan0_v1e4.csv", "json"): "21bae5aeae23856e",
+    (7, "scan1_v1.csv", "csv"): "27dcd7c585806700",
+    (7, "scan1_v1.csv", "json"): "72a22d90c91ff4ea",
+    (7, "scan1_v1e-3.csv", "csv"): "43224f0c8158a011",
+    (7, "scan1_v1e-3.csv", "json"): "d80f57c5014adc70",
+    (7, "scan1_v1e4.csv", "csv"): "abb85844754e86be",
+    (7, "scan1_v1e4.csv", "json"): "15b9ea4a5e355998",
+    (41, "scan0_v1.csv", "csv"): "10102907c26ebeba",
+    (41, "scan0_v1.csv", "json"): "4fe9bee9794c4c78",
+    (41, "scan0_v1e-3.csv", "csv"): "233da94e5a366959",
+    (41, "scan0_v1e-3.csv", "json"): "ca1ff86c3bd2ac33",
+    (41, "scan0_v1e4.csv", "csv"): "f717d2a2fef42855",
+    (41, "scan0_v1e4.csv", "json"): "2f3bd7174adbf5d3",
+    (41, "scan1_v1.csv", "csv"): "0d0bfeac621a5fdd",
+    (41, "scan1_v1.csv", "json"): "12dbce24dcc50de6",
+    (41, "scan1_v1e-3.csv", "csv"): "2dcc448b503a6cf7",
+    (41, "scan1_v1e-3.csv", "json"): "d306160d6c615e94",
+    (41, "scan1_v1e4.csv", "csv"): "20efa9627b20805b",
+    (41, "scan1_v1e4.csv", "json"): "e0e331a0187cf099",
 }
 
 
 #: the same digests of curvature and rho-scan commands that resolve each kind of --omega spec, by argv, as
-#: generated at commit 83f1e59
+#: generated at commit 83f1e59; the seven whose R_numeric moved when the ideal gas became its own tree were
+#: regenerated then (only R_numeric and rel_error cells moved)
 SPEC_RESOLUTION_DIGESTS = {
     # README examples
-    ("curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1"): "a1c6589633053182",
-    ("rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "0.2:4:200"): "5d54239455dea136",
+    ("curvature", "--cv", "1.5", "--omega", "const:1", "--u", "2", "--v", "1"): "5955fa823cf5b38d",
+    ("rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "0.2:4:200"): "99a3c0d413e56833",
     ("curvature", "--u", "2", "--v", "1", "--omega", "const:1e-320"): "3cd87a4d3744c49e",
-    ("curvature", "--omega", "const:1e103", "--u", "2", "--v", "1"): "d56e9ec7deee9061",
+    ("curvature", "--omega", "const:1e103", "--u", "2", "--v", "1"): "634e8ea6bbe5cb82",
     ("curvature", "--cv", "1e300", "--u", "2", "--v", "1"): "4ebfb2a80badc2b7",
-    ("rho-scan", "--omega", "const:1e103", "--rho", "0.2:4:200"): "8e36da19a8ae7386",
+    ("rho-scan", "--omega", "const:1e103", "--rho", "0.2:4:200"): "7bfe4e58e7721ff9",
     ("rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-150"): "86b5bee61be98e66",
     # phase-space Omegas pulled back onto the ideal gas
-    ("curvature", "--omega", "expr:1/(q1*p2-q2*p1)", "--cv", "1.5", "--u", "2", "--v", "1"): "c7a064fd28b76c60",
-    ("rho-scan", "--omega", "norm_sum", "--rho", "0.2:4:20"): "d76e166463eb7925",
+    ("curvature", "--omega", "expr:1/(q1*p2-q2*p1)", "--cv", "1.5", "--u", "2", "--v", "1"): "c4dee97603f59eca",
+    ("rho-scan", "--omega", "norm_sum", "--rho", "0.2:4:20"): "d5c12909eab22b6b",
     # error texts
     ("curvature", "--omega", "expr:x", "--u", "2", "--v", "1"): "3aed1c23e2d7ac75",
     ("curvature", "--omega", "expr:u*q1", "--u", "2", "--v", "1"): "48e614bba6400168",
@@ -1080,7 +1104,7 @@ SPEC_RESOLUTION_DIGESTS = {
     ("curvature", "--omega", "expr:foo(q1)", "--u", "2", "--v", "1"): "fa5d134394b1ea9b",
     ("rho-scan", "--omega", "bogus", "--rho", "0.2:4:5"): "95f76df21439e995",
     # rows whose float arithmetic leaves the normal range
-    ("curvature", "--omega", "const:1e-100", "--u", "1e5", "--v", "1"): "1850f2d16c2b404f",
+    ("curvature", "--omega", "const:1e-100", "--u", "1e5", "--v", "1"): "26498e9e6b945c17",
     ("curvature", "--omega", "const:1", "--u", "2e155", "--v", "1e155"): "12a482e82a9011a5",
     ("rho-scan", "--rho", "0.2:4:5", "--v-fixed", "1e-300"): "6ae08ad5e35be45e",
 }

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -298,6 +299,19 @@ class TestDiff:
         f_dag, f_tree = compile_expression(dag, UV), compile_expression(tree, UV)
         for u, v in ((0.3, 1.7), (2.5, -1e-3), (1.1, 0.0), (-4.0, 3.0)):
             assert outcome(f_dag, u, v) == outcome(f_tree, u, v)
+
+    @pytest.mark.parametrize("second, u, v", [
+        (False, 5e199, 1e200), (False, 5e-201, 1e-200), (True, 5e-151, 1e-150), (True, 5e149, 1e150)])
+    def test_quotient_derivatives_where_the_divisor_squared_leaves_the_float_range(self, second, u, v):
+        # (u + v)^2, or its cube, leaves the float range at these points while the derivative does not:
+        # d/du u/(u+v) = v/(u+v)^2 and d2/du dv u/(u+v) = (u-v)/(u+v)^3, exact in Fractions
+        tree = diff(parse_expression("u/(u+v)", UV), "u")
+        if second:
+            tree = diff(tree, "v")
+        x, y = Fraction(u), Fraction(v)
+        exact = (x - y) / (x + y) ** 3 if second else y / (x + y) ** 2
+        got = compile_expression(tree, UV)(u, v)
+        assert abs(Fraction(got) - exact) <= Fraction(4.5e-16) * abs(exact)
 
     def test_second_derivative_of_a_long_product(self):
         # u v u v ... shares its factors among the terms of every derivative
