@@ -24,6 +24,7 @@ the closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -79,14 +80,14 @@ class SingularityError(ArithmeticError):
 class FundamentalRelation:
     """A thermodynamic potential Phi(u, v): its tree, with value, gradient, Hessian and domain compiled from it.
 
-    Every relation is built by from_tree.  gradient, hessian and in_domain take batches of points of shape
-    (..., 2), and value one point.  tree is what EquilibriumOmega.from_phase_space pulls an Omega back along.
+    Every relation is built by from_tree, whose programs compile on first use.  value, gradient, hessian and
+    in_domain take batches of points of shape (..., 2).  tree is what from_phase_space pulls an Omega back along.
     """
 
     n: ClassVar[int] = 2  # a tree is an expression in u, v
     name: str
     tree: Expression
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], np.ndarray]
@@ -96,21 +97,24 @@ class FundamentalRelation:
                   in_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> "FundamentalRelation":
         """Phi(u, v) compiled from an expression in u, v, with its gradient and Hessian taken by expressions.diff.
 
-        Each takes a batch in one call.  in_domain, when not given, is where Phi has a value; a single point
-        gives a bool.  The Hessian is NaN at a point where its program has no float value.  Both go point by
-        point only when the batch call fails.
+        Each takes a batch in one call, and takes its derivatives and compiles its program on first use: a
+        derivative too deep for diff raises its ExpressionSyntaxError there.  in_domain, when not given, is where
+        Phi has a value; a single point gives a bool.  The Hessian is NaN at a point where its program has no
+        float value.  Both go point by point only when the batch call fails.
         """
-        d_u, d_v = diff(tree, "u"), diff(tree, "v")
-        f, gradient, second = (compile_expression(t, _UV) for t in (
-            tree, (d_u, d_v), (diff(d_u, "v"), diff(d_u, "u"), diff(d_v, "v"))))  # second: uv, uu, vv
+        d = functools.cache(lambda x: diff(tree, x))  # Phi_u and Phi_v
+        f = functools.cache(lambda: compile_expression(tree, _UV))  # each program compiles on its first call
+        gradient = functools.cache(lambda: compile_expression((d("u"), d("v")), _UV))
+        second = functools.cache(lambda: compile_expression(  # uv, uu, vv
+            (diff(d("u"), "v"), diff(d("u"), "u"), diff(d("v"), "v")), _UV))
 
         def where_phi_has_a_value(q):
-            inside = ~np.isnan(_or_nan(f, q, ()))
+            inside = ~np.isnan(_or_nan(f(), q, ()))
             return inside if inside.ndim else bool(inside)
 
-        return cls(name=name, tree=tree, value=lambda q: f(q[0], q[1]),
-                   gradient=lambda q: np.asarray(gradient(q[..., 0], q[..., 1]), dtype=float),
-                   hessian=lambda q: _or_nan(second, q, (3,))[..., [[1, 0], [0, 2]]],  # uu uv; uv vv
+        return cls(name=name, tree=tree, value=lambda q: np.asarray(f()(q[..., 0], q[..., 1]), dtype=float),
+                   gradient=lambda q: np.asarray(gradient()(q[..., 0], q[..., 1]), dtype=float),
+                   hessian=lambda q: _or_nan(second(), q, (3,))[..., [[1, 0], [0, 2]]],  # uu uv; uv vv
                    in_domain=in_domain or where_phi_has_a_value)
 
 
@@ -222,7 +226,6 @@ class EquilibriumMetric:
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
-    omega: EquilibriumOmega
 
 
 def induced_metric(G: MetricField, fr: FundamentalRelation,
@@ -246,7 +249,7 @@ def induced_metric(G: MetricField, fr: FundamentalRelation,
         EH = _EPS2 @ fr.hessian(q)
         return w[..., None, None] * (EH + EH.swapaxes(-1, -2))
 
-    return EquilibriumMetric(f"induced[{fr.name},{omega_on_e.name}]", ev, omega_on_e)
+    return EquilibriumMetric(f"induced[{fr.name},{omega_on_e.name}]", ev)
 
 
 def metric_determinant(g: EquilibriumMetric, q: np.ndarray) -> float:
@@ -489,7 +492,8 @@ def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: 
              delta_sing: float = DEFAULT_SINGULAR_BAND) -> np.recarray:
     """curvature_table on an inclusive rho grid, u = rho * v_fixed, ordered by rho.
 
-    Points inside the singular band are flagged and skipped for rel_error.
+    Points inside the singular band are flagged and skipped for rel_error.  A u that overflows raises
+    FloatingPointError, naming the first.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -497,5 +501,9 @@ def rho_scan(c_v: float, omega_on_e: EquilibriumOmega, rho_min: float, rho_max: 
         raise ValueError("rho range must be non-empty")
     if v_fixed <= 0:
         raise ValueError("v_fixed must be positive")
-    return curvature_table(np.linspace(rho_min, rho_max, steps) * v_fixed, v_fixed, c_v, omega_on_e,
-                           delta_sing)
+    rho = np.linspace(rho_min, rho_max, steps)
+    with np.errstate(over="ignore"):
+        us = rho * v_fixed
+    if np.isinf(us).any():
+        raise FloatingPointError(f"u = rho * v_fixed = {rho[np.isinf(us)][0]:g} * {v_fixed:g} overflows")
+    return curvature_table(us, v_fixed, c_v, omega_on_e, delta_sing)

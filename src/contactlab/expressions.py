@@ -77,19 +77,26 @@ class ExpressionDomainError(ArithmeticError):
         self.bindings = dict(bindings)
 
 
+# a node's depth (operators on its longest path down to a leaf) is set when it is built; ==, hash, repr ignore it
+
 @dataclass(frozen=True)
 class Num:
     value: float
+    depth = 0
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
+    depth = 0
 
 
 @dataclass(frozen=True)
 class Neg:
     operand: "Expression"
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + self.operand.depth)
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,17 @@ class BinOp:
     left: "Expression"
     right: "Expression"
 
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
+
 
 @dataclass(frozen=True)
 class Call:
     func: str
     arg: "Expression"
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + self.arg.depth)
 
 
 Expression = Union[Num, Var, Neg, BinOp, Call]
@@ -142,7 +155,7 @@ class _Parser:
         self.context = context
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.depth = -1  # the outermost level is not nested
+        self.nesting = -1  # the outermost level is not nested
 
     def peek(self):
         return self.tokens[self.pos]
@@ -159,22 +172,16 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expression:
-        node, _ = self.expr()
+        node = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing token {value!r}", offset)
         return node
 
-    # Each method below returns (node, depth): depth counts the operator
-    # nodes on the longest path from node down to a leaf.
-
-    def bounded(self, node: Expression, depth: int, offset: int):
-        if depth > MAX_NESTING:
+    def bounded(self, node: Expression, offset: int) -> Expression:
+        if node.depth > MAX_NESTING:
             raise ExpressionSyntaxError(f"nested too deeply (more than {MAX_NESTING} levels)", offset)
-        return node, depth
-
-    def binop(self, op: str, left, right, offset: int):
-        return self.bounded(BinOp(op, left[0], right[0]), 1 + max(left[1], right[1]), offset)
+        return node
 
     def expr(self):
         left = self.term()
@@ -182,7 +189,7 @@ class _Parser:
             kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                left = self.binop(value, left, self.term(), offset)
+                left = self.bounded(BinOp(value, left, self.term()), offset)
             else:
                 return left
 
@@ -192,25 +199,25 @@ class _Parser:
             kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                left = self.binop(value, left, self.unary(), offset)
+                left = self.bounded(BinOp(value, left, self.unary()), offset)
             else:
                 return left
 
     def unary(self):
         # every nested construct (parentheses, call arguments, unary minus,
-        # exponents) recurses through here, so this depth bounds the recursion
+        # exponents) recurses through here, so this count bounds the
+        # recursion; parentheses nest without building a node
         kind, value, offset = self.peek()
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
             raise ExpressionSyntaxError(f"nested too deeply (more than {MAX_NESTING} levels)", offset)
         if kind == "op" and value == "-":
             self.advance()
-            operand, depth = self.unary()
-            node, depth = self.bounded(Neg(operand), depth + 1, offset)
+            node = self.bounded(Neg(self.unary()), offset)
         else:
-            node, depth = self.power()
-        self.depth -= 1
-        return node, depth
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -218,25 +225,25 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             # right-associative; the recursion into unary admits 2^-3
-            return self.binop("^", base, self.unary(), offset)
+            return self.bounded(BinOp("^", base, self.unary()), offset)
         return base
 
     def atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(float(value)), 0
+            return Num(float(value))
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
                 if value not in FUNCTIONS:
                     raise UnknownIdentifierError(value, offset, FUNCTIONS)
                 self.advance()
-                arg, depth = self.expr()
+                arg = self.expr()
                 self.expect_op(")")
-                return self.bounded(Call(value, arg), depth + 1, offset)
+                return self.bounded(Call(value, arg), offset)
             if value not in self.context:
                 raise UnknownIdentifierError(value, offset, self.context)
-            return Var(value), 0
+            return Var(value)
         if kind == "op" and value == "(":
             node = self.expr()
             self.expect_op(")")
@@ -506,7 +513,7 @@ def diff(expr: Expression, var: str) -> Expression:
         return out
 
     result = d(expr)
-    if _depth(result) > MAX_DERIVATIVE_DEPTH:
+    if result.depth > MAX_DERIVATIVE_DEPTH:
         raise ExpressionSyntaxError(
             f"the derivative in {var} is nested too deeply (more than {MAX_DERIVATIVE_DEPTH} levels)", 0)
     return result
@@ -546,20 +553,6 @@ def _operands(node: Expression) -> tuple:
     if isinstance(node, Neg):
         return (node.operand,)
     return (node.arg,) if isinstance(node, Call) else ()
-
-
-def _depth(root: Expression) -> int:
-    """Operators on the longest path from root down to a leaf, found without recursion."""
-    depth: Dict[int, int] = {}
-    stack = [root]
-    while stack:
-        pending = [c for c in _operands(stack[-1]) if id(c) not in depth]
-        if pending:
-            stack.extend(pending)
-        else:
-            node = stack.pop()
-            depth[id(node)] = max([depth[id(c)] + 1 for c in _operands(node)], default=0)
-    return depth[id(root)]
 
 
 def to_string(expr: Expression) -> str:

@@ -296,8 +296,6 @@ class FlowTrajectory:
 
     times: np.ndarray
     coords: np.ndarray
-    ic: DarbouxPoint
-    dt: float
 
     def __len__(self) -> int:
         return len(self.times)
@@ -407,7 +405,7 @@ def integrate_flow(X: ContactVectorField, ic: DarbouxPoint, t_end: float, dt: fl
         for block in _flow_blocks(X, coords[0], schedule):
             coords[k : k + len(block)] = block
             k += len(block)
-    return FlowTrajectory(times=times, coords=coords, ic=ic, dt=dt)
+    return FlowTrajectory(times=times, coords=coords)
 
 
 def closed_form_orbit(ic, t: float):

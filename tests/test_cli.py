@@ -611,6 +611,26 @@ class TestPhaseSpaceOmegas:
         expected = scalar_curvature_ideal_gas(np.array([float(row["u"]) for row in rows]), 1.3, 2.5, omega)
         assert [row["R_analytic"] for row in rows] == ["%.17g" % R for R in expected]
 
+    def test_the_gas_compiles_only_its_hessian_program(self, monkeypatch, capsys):
+        # the pull-back reads only the gas's tree, and the oracle only its Hessian
+        from contactlab import equilibrium
+        from contactlab.expressions import diff
+
+        compiled = []
+        original = equilibrium.compile_expression
+
+        def counted(trees, variables):
+            compiled.append(list(trees) if isinstance(trees, (list, tuple)) else trees)
+            return original(trees, variables)
+
+        monkeypatch.setattr(equilibrium, "compile_expression", counted)
+        assert main(["curvature", "--omega", "norm_sum", "--u", "2", "--v", "1"]) == EXIT_OK
+        capsys.readouterr()
+        gas = ideal_gas(1.5).tree
+        d_u, d_v = diff(gas, "u"), diff(gas, "v")
+        assert compiled.count([diff(d_u, "v"), diff(d_u, "u"), diff(d_v, "v")]) == 1
+        assert gas not in compiled and [d_u, d_v] not in compiled
+
     @pytest.mark.parametrize("spec, message", [
         ("expr:u*q1", "error: omega text 'u*q1' mixes (u, v) with (q1, q2, p1, p2)\n"),
         ("expr:p2+v", "error: omega text 'p2+v' mixes (u, v) with (q1, q2, p1, p2)\n"),
@@ -684,6 +704,16 @@ class TestRhoScan:
     def test_no_reason_line_when_every_row_has_a_value(self, capsys):
         assert main(["rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "0.5:4:8"]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("omega", ["const:1", "expr:u", "expr:q1"])
+    def test_a_u_that_overflows_exits_2_with_one_line(self, capsys, fmt, omega):
+        # u = 2 * 1e308 is inf: it once reached the closed form's Fractions, a traceback for const:1
+        argv = ["rho-scan", "--omega", omega, "--rho", "0.5:2:5", "--v-fixed", "1e308", "--format", fmt]
+        assert main(argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: u = rho * v_fixed = 2 * 1e+308 overflows\n"
 
     def test_bad_range_is_config_error(self):
         assert main(["rho-scan", "--cv", "1.5", "--omega", "const:1", "--rho", "4:1:10"]) == EXIT_CONFIG
@@ -1080,6 +1110,101 @@ BENCHMARK_RHO_SCAN_DIGESTS = {
 }
 
 
+#: the same digests of every other command of perfbench's three workloads (4 killing and 1 omega-check of
+#: pointwise_tables, 3 isometry of quarter_turn, 3 orbit of orbit_dump), by (seed, output name, --format), as
+#: generated at commit c48fb49
+BENCHMARK_COMMAND_DIGESTS = {
+    (1, 'killing0.csv', 'csv'): '86c7c6b1afc393aa',
+    (1, 'killing0.csv', 'json'): '1b64404a3e680d5a',
+    (1, 'killing1.csv', 'csv'): '43762ec1b4448a06',
+    (1, 'killing1.csv', 'json'): '8fac1dcfa8d0bb28',
+    (1, 'killing2.csv', 'csv'): '6adb180a6b4d2bd3',
+    (1, 'killing2.csv', 'json'): '6ce23c5d84c4acd8',
+    (1, 'killing3.csv', 'csv'): '09aab57fedd5ff12',
+    (1, 'killing3.csv', 'json'): '1342ffeee52c7f68',
+    (1, 'omega_check.csv', 'csv'): '454bd1a2ef1425d7',
+    (1, 'omega_check.csv', 'json'): '9066fce6f67605a9',
+    (1, 'iso0.csv', 'csv'): 'b09b5aca68fe3ea5',
+    (1, 'iso0.csv', 'json'): 'd3384eb36064e635',
+    (1, 'iso1.csv', 'csv'): '709cc278ca911573',
+    (1, 'iso1.csv', 'json'): '38e5ddc7b156d908',
+    (1, 'iso2.csv', 'csv'): '2003ac2be338a768',
+    (1, 'iso2.csv', 'json'): '074fa02c7b8e2920',
+    (1, 'orbit_total.csv', 'csv'): '8afed83f518bb8e2',
+    (1, 'orbit_total.csv', 'json'): '3cf53b0b4bc7bedf',
+    (1, 'orbit_pair1.json', 'csv'): '8cebdabc27cfb818',
+    (1, 'orbit_pair1.json', 'json'): '7235b175bca478c5',
+    (1, 'orbit_pair2.csv', 'csv'): '33fdd029dbba2881',
+    (1, 'orbit_pair2.csv', 'json'): 'c5d974613fd8a4ca',
+    (2, 'killing0.csv', 'csv'): '3f75d27e78a4d907',
+    (2, 'killing0.csv', 'json'): '5c1921cb1461f849',
+    (2, 'killing1.csv', 'csv'): '929482cf88ab6b29',
+    (2, 'killing1.csv', 'json'): '054e394d4a4f58fb',
+    (2, 'killing2.csv', 'csv'): '1b78dc3d78689480',
+    (2, 'killing2.csv', 'json'): '09f977cd4caaf016',
+    (2, 'killing3.csv', 'csv'): '41287b85438b1255',
+    (2, 'killing3.csv', 'json'): '4b3357527927e8ca',
+    (2, 'omega_check.csv', 'csv'): '609720bc228d5dad',
+    (2, 'omega_check.csv', 'json'): 'ca1403ced89cb725',
+    (2, 'iso0.csv', 'csv'): 'a4156f07b45816df',
+    (2, 'iso0.csv', 'json'): 'e4aeb51d8430e35f',
+    (2, 'iso1.csv', 'csv'): '56af84be86105b00',
+    (2, 'iso1.csv', 'json'): '2659fe2500765a80',
+    (2, 'iso2.csv', 'csv'): '0769619898b76cde',
+    (2, 'iso2.csv', 'json'): 'd9ae5d192c020e05',
+    (2, 'orbit_total.csv', 'csv'): '597f3a5cb4f10ec9',
+    (2, 'orbit_total.csv', 'json'): '556f2659796dd5c7',
+    (2, 'orbit_pair1.json', 'csv'): '6ef6662845fe4fc8',
+    (2, 'orbit_pair1.json', 'json'): '4555b36de12cb042',
+    (2, 'orbit_pair2.csv', 'csv'): 'f3485cba0d9eedf0',
+    (2, 'orbit_pair2.csv', 'json'): '4c2da95e16812241',
+    (7, 'killing0.csv', 'csv'): '32fd19cca4a1d59c',
+    (7, 'killing0.csv', 'json'): '7f5de8144bc2ba90',
+    (7, 'killing1.csv', 'csv'): '36cb0cae9de8a981',
+    (7, 'killing1.csv', 'json'): 'e588a3f254d906bb',
+    (7, 'killing2.csv', 'csv'): 'd7b27c3047ee4c0a',
+    (7, 'killing2.csv', 'json'): '2fd9eecd5eb0e8c8',
+    (7, 'killing3.csv', 'csv'): '8517e7b925e0e48d',
+    (7, 'killing3.csv', 'json'): 'acba96f126288d57',
+    (7, 'omega_check.csv', 'csv'): 'ef46a30af96a346e',
+    (7, 'omega_check.csv', 'json'): '5532f493a19e27e0',
+    (7, 'iso0.csv', 'csv'): '82600a21ad79b925',
+    (7, 'iso0.csv', 'json'): '944e7ec17852f925',
+    (7, 'iso1.csv', 'csv'): '1a1fd565a92b7948',
+    (7, 'iso1.csv', 'json'): '00bb3f9f9f7b4216',
+    (7, 'iso2.csv', 'csv'): '92000d1b42778056',
+    (7, 'iso2.csv', 'json'): 'c793e1dd3a8be509',
+    (7, 'orbit_total.csv', 'csv'): '9d21a7f1c8c5fdef',
+    (7, 'orbit_total.csv', 'json'): 'ed4eedf56c39693c',
+    (7, 'orbit_pair1.json', 'csv'): 'a40f4d4606a73140',
+    (7, 'orbit_pair1.json', 'json'): 'e14f4545c84a2c38',
+    (7, 'orbit_pair2.csv', 'csv'): '3e679efc777dd083',
+    (7, 'orbit_pair2.csv', 'json'): '5f5f292b7fbd3337',
+    (41, 'killing0.csv', 'csv'): '1cb53194667e782a',
+    (41, 'killing0.csv', 'json'): '0ffdad23345d98c2',
+    (41, 'killing1.csv', 'csv'): 'c1c47932bad9903b',
+    (41, 'killing1.csv', 'json'): 'f1c0ed7f73ab56a9',
+    (41, 'killing2.csv', 'csv'): '15647bdcc642d4d2',
+    (41, 'killing2.csv', 'json'): 'c0e0d3d7a666e533',
+    (41, 'killing3.csv', 'csv'): '585199fb5c593574',
+    (41, 'killing3.csv', 'json'): '582190c9c88bdc9c',
+    (41, 'omega_check.csv', 'csv'): '41383826ff281a9f',
+    (41, 'omega_check.csv', 'json'): '3a71bf05385e276c',
+    (41, 'iso0.csv', 'csv'): '2acfccb41392a8cf',
+    (41, 'iso0.csv', 'json'): 'd2e8b5ff3f1796a7',
+    (41, 'iso1.csv', 'csv'): '73b6fcfafbdb44cb',
+    (41, 'iso1.csv', 'json'): 'bb4eae958e2fb02c',
+    (41, 'iso2.csv', 'csv'): '4fb783700ce1d6b7',
+    (41, 'iso2.csv', 'json'): '06da514c5064ea13',
+    (41, 'orbit_total.csv', 'csv'): 'ecd9301fd989c046',
+    (41, 'orbit_total.csv', 'json'): '46876dd87e440a80',
+    (41, 'orbit_pair1.json', 'csv'): '8d3bf4675dc59603',
+    (41, 'orbit_pair1.json', 'json'): 'b62a3b03c70141c7',
+    (41, 'orbit_pair2.csv', 'csv'): 'bb7cdb48f739e565',
+    (41, 'orbit_pair2.csv', 'json'): '04b10c7f9c856440',
+}
+
+
 #: the same digests of curvature and rho-scan commands that resolve each kind of --omega spec, by argv, as
 #: generated at commit 83f1e59; the seven whose R_numeric moved when the ideal gas became its own tree were
 #: regenerated then (only R_numeric and rel_error cells moved)
@@ -1194,6 +1319,22 @@ class TestBenchmarkHooks:
                     out, err = capsys.readouterr()
                     digests[seed, command.out, fmt] = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()[:16]
         assert digests == BENCHMARK_RHO_SCAN_DIGESTS
+
+    def test_the_other_benchmark_commands_keep_their_bytes(self, monkeypatch, capsys):
+        # every killing, omega-check, isometry and orbit of the benchmark, CSV and JSON, at the same four seeds:
+        # a change to the parser, diff, the programs, the metrics, the flows or emission that moves a byte fails
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        digests = {}
+        for seed in (1, 2, 7, 41):
+            for name in ("pointwise_tables", "quarter_turn", "orbit_dump"):
+                for command in workloads.build(name, seed).commands:
+                    for fmt in ("csv", "json") if command.kind != "rho-scan" else ():
+                        code = main([*command.argv, "--format", fmt])
+                        text = "{}\0{}\0{}".format(code, *capsys.readouterr())
+                        digests[seed, command.out, fmt] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digests == BENCHMARK_COMMAND_DIGESTS
 
     @pytest.mark.parametrize("argv", list(SPEC_RESOLUTION_DIGESTS), ids=" ".join)
     def test_the_spec_resolution_commands_keep_their_bytes(self, capsys, argv):

@@ -30,7 +30,7 @@ from contactlab.equilibrium import (
     scalar_curvature_ideal_gas,
     scalar_curvature_numeric,
 )
-from contactlab.expressions import ExpressionDomainError, parse_expression
+from contactlab.expressions import MAX_NESTING, ExpressionDomainError, ExpressionSyntaxError, parse_expression
 from contactlab.metriclab import OmegaFunction, build_metric, omega_registry
 from contactlab.phasespace import central_diff
 
@@ -117,6 +117,23 @@ class TestRelationFromTree:
         assert inside.tolist() == [fr.in_domain(q) for q in self.MIXED] == [True, False, True, False, True]
         assert fr.in_domain(self.MIXED.reshape(5, 1, 2)).tolist() == [[x] for x in inside.tolist()]
         assert fr.in_domain(self.MIXED[[0, 2, 4]]).tolist() == [True, True, True]
+
+    @pytest.mark.parametrize("fr", [GAS, relation("1.5*ln(u)+ln(v)")], ids=["ideal_gas", "text"])
+    def test_the_value_of_a_batch_equals_its_rows_values(self, fr):
+        batch = self.MIXED[[0, 2, 4]]
+        values = fr.value(batch)
+        assert values.shape == (3,)
+        assert values.tolist() == [float(fr.value(q)) for q in batch] == [
+            1.5 * math.log(u) + math.log(v) for u, v in batch.tolist()]
+        assert fr.value(batch.reshape(3, 1, 2)).tolist() == [[x] for x in values.tolist()]
+
+    def test_a_derivative_too_deep_raises_at_the_first_call_that_takes_it(self):
+        # each level of the tower u^u^...^u deepens its derivative by three, past MAX_DERIVATIVE_DEPTH
+        fr = relation("u^" * MAX_NESTING + "u")
+        assert math.isfinite(fr.value(np.array([0.5, 1.0])))
+        for derivatives in (fr.gradient, fr.hessian):
+            with pytest.raises(ExpressionSyntaxError, match="the derivative in u is nested too deeply"):
+                derivatives(np.array([0.5, 1.0]))
 
     def test_a_single_point_gives_a_bool(self):
         fr = relation("1.5*ln(u)+ln(v)")

@@ -1,5 +1,6 @@
 """Tests for the expression language: parsing, precedence, evaluation, derivatives."""
 
+import dataclasses
 import math
 import random
 import struct
@@ -24,6 +25,7 @@ from contactlab.expressions import (
     diff,
     eval_expression,
     parse_expression,
+    substitute,
     to_string,
 )
 from contactlab.cli import equilibrium_omega_from_expression, omega_from_expression
@@ -165,6 +167,53 @@ class TestRoundTrip:
         tree = parse_expression(text, PHASE_VARS)
         reparsed = parse_expression(to_string(tree), PHASE_VARS)
         assert eval_expression(reparsed, bindings) == eval_expression(tree, bindings)
+
+
+def reference_depth(node):
+    """Operators on the longest path from node down to a leaf, by recursion over its operands."""
+    if isinstance(node, (Num, Var)):
+        return 0
+    if isinstance(node, BinOp):
+        return 1 + max(reference_depth(node.left), reference_depth(node.right))
+    return 1 + reference_depth(node.operand if isinstance(node, Neg) else node.arg)
+
+
+def every_node(node):
+    yield node
+    for name in ("operand", "left", "right", "arg"):
+        if hasattr(node, name):
+            yield from every_node(getattr(node, name))
+
+
+class TestDepth:
+    @pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
+    def test_every_node_carries_its_depth(self, text):
+        # parsed, differentiated in every variable, and pulled back along a map of trees
+        tree = parse_expression(text, PHASE_VARS)
+        pullback = {"q1": parse_expression("u/(u+v)", UV), "p1": Num(2.0), "p2": parse_expression("-ln(v)", UV)}
+        trees = [tree, *(diff(tree, x) for x in PHASE_VARS), substitute(tree, pullback)]
+        for node in (node for t in trees for node in every_node(t)):
+            assert node.depth == reference_depth(node)
+
+    @pytest.mark.parametrize("family", ["epsilon", "gtd_total", "gtd_partial"])
+    def test_every_node_of_a_family_coefficient_carries_its_depth(self, family):
+        from contactlab.metriclab import _coefficients
+
+        P = _coefficients(family, 3)
+        trees = [*P.trees, *(diff(t, x) for t in P.trees for x in P.inputs)]
+        assert all(node.depth == reference_depth(node) for t in trees for node in every_node(t))
+
+    def test_the_depth_is_no_field(self):
+        assert {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (Num, Var, Neg, BinOp, Call)} == {
+            "Num": ["value"], "Var": ["name"], "Neg": ["operand"], "BinOp": ["op", "left", "right"],
+            "Call": ["func", "arg"]}
+        tree = parse_expression("-ln(q1)*2", PHASE_VARS)
+        assert repr(tree) == "BinOp(op='*', left=Neg(operand=Call(func='ln', arg=Var(name='q1'))), right=Num(value=2.0))"
+        # == and hash read the fields only, so a node with another depth still equals its tree
+        other = parse_expression("-ln(q1)*2", PHASE_VARS)
+        object.__setattr__(other, "depth", 7)
+        assert (tree.depth, other.depth) == (3, 7)
+        assert other == tree and hash(other) == hash(tree)
 
 
 class TestEvaluation:
