@@ -50,6 +50,8 @@ _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 #: the equilibrium-space variables of an expression
 _UV = ("u", "v")
 
+_HESSIAN_ENTRIES = np.array([[1, 0], [0, 2]])  # [[uu, uv], [uv, vv]] from a relation's (uv, uu, vv)
+
 #: epsilon-family metric with unit Omega; curvature_table only needs its family tag
 _EPSILON_UNIT = build_metric("epsilon", OmegaFunction.constant(1.0))
 
@@ -114,7 +116,7 @@ class FundamentalRelation:
 
         return cls(name=name, tree=tree, value=lambda q: np.asarray(f()(q[..., 0], q[..., 1]), dtype=float),
                    gradient=lambda q: np.asarray(gradient()(q[..., 0], q[..., 1]), dtype=float),
-                   hessian=lambda q: _or_nan(second(), q, (3,))[..., [[1, 0], [0, 2]]],  # uu uv; uv vv
+                   hessian=lambda q: _or_nan(second(), q, (3,))[..., _HESSIAN_ENTRIES],
                    in_domain=in_domain or where_phi_has_a_value)
 
 
@@ -265,6 +267,11 @@ ORACLE_BLOCK_ROWS = 1024
 DEGENERATE_DET_FRACTION = 1e-12
 
 
+def _dot2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x0 y0 + x1 y1 over the last axis (size 2) of x and y: correctly rounded ufuncs, the same bits on any host."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+
+
 def _curvature_block(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray):
     """_scalar_curvature_rows on one block of rows: (R, reasons), with metric called twice.
 
@@ -301,23 +308,20 @@ def _curvature_block(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray):
     steps = np.concatenate((steps1[:, np.newaxis], steps2), axis=1)
     D = _central_differences(G, steps)  # D[..., a, b, c] = d_c g_{ab}
     # Christoffel symbols Gamma^a_{bc} of the centre (index 0) and the first level, in one call
-    ginv = np.linalg.inv(G01[:, rows])
-    gammas = 0.5 * (
-        np.einsum("...ad,...dcb->...abc", ginv, D)
-        + np.einsum("...ad,...dbc->...abc", ginv, D)
-        - np.einsum("...ad,...bcd->...abc", ginv, D)
-    )
+    ginv = np.linalg.inv(G01[:, rows])[..., :, None, None, :]  # ginv[..., a, _, _, d]
+    gd = _dot2(ginv, np.moveaxis(D, -3, -1)[..., None, :, :, :])  # gd[..., a, b, c] = g^{ad} d_c g_{db}
+    gammas = 0.5 * ((gd.swapaxes(-1, -2) + gd) - _dot2(ginv, D[..., None, :, :, :]))
     gamma = gammas[0]
     dgamma = _central_differences(gammas[1:], steps1)  # dgamma[..., a, b, c, e] = d_e Gamma^a_{bc}
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
+    flip = gamma.transpose(0, 3, 2, 1)  # flip[..., b, c, e] = Gamma^e_{cb}
     riemann = (
-        np.einsum("...adbc->...abcd", dgamma)
-        - np.einsum("...acbd->...abcd", dgamma)
-        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+        (np.moveaxis(dgamma, -3, -1) - dgamma.swapaxes(-3, -2))
+        + _dot2(gamma[..., :, None, :, None, :], flip[..., None, :, None, :, :])
+        - _dot2(gamma[..., :, None, None, :, :], flip[..., None, :, :, None, :])
     )
-    ricci = np.einsum("...abad->...bd", riemann)
-    R[rows] = np.einsum("...bd,...bd->...", ginv[0], ricci)
+    p = ginv[0, ..., 0, 0, :] * (riemann[..., 0, :, 0, :] + riemann[..., 1, :, 1, :])  # g^{bd} R_{bd}
+    R[rows] = (p[:, 0, 0] + p[:, 1, 0]) + (p[:, 0, 1] + p[:, 1, 1]) + 0.0  # a zero R is +0, as einsum's was
     # a quotient that is not finite, or NaN for one that underflowed, makes R so where R reads it
     lost = rows[~np.isfinite(R[rows])]
     R[lost], reasons[lost] = math.nan, NULL_RANGE

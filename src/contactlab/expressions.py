@@ -25,7 +25,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -267,9 +267,10 @@ def compile_expression(expr: Union[Expression, Sequence[Expression]],
     on arrays + - * / and negation are numpy ufuncs, which round as float operators do, and ^ and the
     functions go element by element through float ** and math, so each element has the bits of its floats.
     A real-domain violation, a non-finite result, or a variable outside `variables` once it is reached,
-    raises ExpressionDomainError with the bindings {variable: value}, on arrays that of the first failing
-    element in C order.  A sequence of trees gives a list of values, or an array with a last axis over them.
-    0-d arrays evaluate as floats do, and give 0-d arrays.
+    raises ExpressionDomainError with the bindings {variable: value}; on arrays, where a step fails or the
+    one finiteness test of the filled result does, the elements run again one at a time as floats, and the
+    first failing one in C order raises.  A sequence of trees gives a list of values, or an array with a
+    last axis over them.  0-d arrays evaluate as floats do, and give 0-d arrays.
     """
     variables = tuple(variables)
     index = {name: i for i, name in enumerate(variables)}
@@ -290,13 +291,13 @@ def compile_expression(expr: Union[Expression, Sequence[Expression]],
                 slots[id(node)] = len(variables) + len(steps) - 1
         return slots[id(node)]
 
-    def guarded(fn: Callable, label: Callable, *operands: int) -> Callable:
+    def guarded(fn: Callable, label: Callable, a: int, b: Optional[int] = None) -> Callable:
         # float +, - and * cannot raise; /, ^ and the functions can, and their errors say which failed
         def step(v):
-            args = [v[i] for i in operands]
-            if any(type(x) is not float for x in args):
-                x, y = args[0], args[-1]
-                if fn is operator.truediv and ((y != 0).all() if isinstance(y, np.ndarray) else y != 0):
+            args = (v[a],) if b is None else (v[a], v[b])
+            x, y = args[0], args[-1]
+            if type(x) is not float or type(y) is not float:
+                if fn is operator.truediv and (np.count_nonzero(y) == y.size if isinstance(y, np.ndarray) else y != 0):
                     return x / y
                 return _elementwise(fn, *args)  # raises where a float call would
             try:
@@ -331,11 +332,9 @@ def compile_expression(expr: Union[Expression, Sequence[Expression]],
 
     outputs = []
     for tree in trees:
-        def check(v, a=build(tree)):
+        def check(v, a=build(tree)):  # float * and + overflow without raising; arrays are tested once per call
             x = v[a]
-            if type(x) is not float and not np.isfinite(x).all():
-                raise ArithmeticError("non-finite result")
-            if type(x) is float and not math.isfinite(x):  # float * and + overflow without raising
+            if type(x) is float and not math.isfinite(x):
                 raise domain_error(f"non-finite result {x}", v)
             return x
 
@@ -350,21 +349,28 @@ def compile_expression(expr: Union[Expression, Sequence[Expression]],
     def evaluate(*values):
         if len(values) != len(variables):
             raise TypeError(f"expected {len(variables)} values, got {len(values)}")
-        arrays = [x for x in values if isinstance(x, np.ndarray)]
-        shape = np.broadcast_shapes(*[x.shape for x in arrays])
+        shapes = {x.shape for x in values if isinstance(x, np.ndarray)}
+        shape = next(iter(shapes)) if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         if not shape:  # floats, or 0-d arrays, which give a 0-d array
             out = run([float(x) for x in values])
-            return (out[0] if single else out) if not arrays else np.array(out[0] if single else out)
+            return (out[0] if single else out) if not shapes else np.array(out[0] if single else out)
         xs = [float(x) if not isinstance(x, np.ndarray) else np.asanyarray(x, dtype=float) if x.shape == shape
               else np.broadcast_to(np.asanyarray(x, dtype=float), shape, subok=True) for x in values]
+        result = np.empty(shape if single else shape + (len(trees),))
         try:
             with np.errstate(all="ignore"):
-                out = [x if isinstance(x, np.ndarray) else np.full(shape, x) for x in run(xs)]
+                out = run(xs)
+            if single:
+                result[...] = out[0]
+            else:
+                for j, x in enumerate(out):
+                    result[..., j] = x
+            if np.count_nonzero(np.isfinite(result)) < result.size:  # one test of every output
+                raise ArithmeticError("non-finite result")
         except (ArithmeticError, ValueError, TypeError):  # elements one at a time: the first failing one raises
             rows = zip(*[np.broadcast_to(x, shape).ravel().tolist() for x in xs])
-            out = list(np.moveaxis(np.array([run(list(row)) for row in rows], dtype=float).reshape(
-                shape + (len(trees),)), -1, 0))
-        return np.array(out[0], dtype=float) if single else np.stack(out, axis=-1)
+            result = np.array([run(list(row)) for row in rows], dtype=float).reshape(result.shape)
+        return result
 
     return evaluate
 
