@@ -13,7 +13,7 @@ from contactlab import cli, equilibrium, expressions, metriclab, sampling
 from contactlab.cli import (equilibrium_omega_from_expression, omega_from_expression,
                             parse_equilibrium_omega_spec, parse_omega_spec)
 from contactlab.equilibrium import EquilibriumOmega, ideal_gas, scalar_curvature_ideal_gas
-from contactlab.expressions import compile_expression, diff, parse_expression
+from contactlab.expressions import Num, compile_expression, diff, parse_expression
 from contactlab.metriclab import OmegaFunction, omega_registry
 from contactlab.sampling import sample_darboux_points
 
@@ -201,6 +201,60 @@ def test_a_partial_that_fails_on_arrays_is_not_hidden_by_the_row_fallback():
     assert math.isfinite(scalar_curvature_ideal_gas(2.0, 1.0, 1.5, scalar_only))
     with pytest.raises(TypeError):
         scalar_curvature_ideal_gas(np.array([2.0, 3.0]), 1.0, 1.5, scalar_only)
+
+
+# ---------------------------------------------------------------------------
+# an array call tests the finiteness of its whole result once, and the rows decide the error
+
+@pytest.mark.parametrize("u, v, message", [
+    # the first tree overflows at row 2, where ln(v) of the second fails too: the overflow comes first
+    ([0.5, 1.0, 10.0, 1.5], [1.0, 2.0, -1.0, 3.0], "non-finite result inf [at u=10, v=-1]"),
+    # ln(v) fails at row 1, before the overflow at row 2
+    ([0.5, 1.0, 10.0, 1.5], [1.0, -2.0, 1.0, 3.0], "ln(-2): math domain error [at u=1, v=-2]"),
+    # no step fails, only the finiteness of the first output at row 2
+    ([0.5, 1.0, 10.0, 1.5], [1.0, 2.0, 1.0, 3.0], "non-finite result inf [at u=10, v=1]"),
+])
+def test_a_batch_raises_the_first_failing_rows_error(u, v, message):
+    program = compile_expression([parse_expression(t, UV) for t in ("u*1e308", "ln(v)+u")], UV)
+    u, v = np.array(u), np.array(v)
+    assert check_batch(program, (u, v), list(zip(u.tolist(), v.tolist()))) > 0
+    with pytest.raises(expressions.ExpressionDomainError) as error:
+        program(u, v)
+    assert str(error.value) == message
+
+
+def test_constant_outputs_of_an_array_call_keep_their_shape_and_bits():
+    trees = [Num(-0.0), parse_expression("u*v", UV), Num(2.5), parse_expression("2-3", UV)]
+    program, u, v = compile_expression(trees, UV), np.linspace(0.5, 2.0, 6), np.linspace(-1.0, 1.0, 6)
+    check_batch(program, (u, v), list(zip(u.tolist(), v.tolist())))
+    check_batch(program, (u.reshape(2, 3), 0.7), [(x, 0.7) for x in u.tolist()], (2, 3))
+    batch = program(u.reshape(2, 3), v.reshape(2, 3))
+    assert batch.shape == (2, 3, 4) and np.signbit(batch[..., 0]).all() and (batch[..., 2:] == [2.5, -1.0]).all()
+    constant = compile_expression(Num(4.0), UV)(u.reshape(3, 2), 1.0)
+    assert constant.shape == (3, 2) and (constant == 4.0).all()
+
+
+# ---------------------------------------------------------------------------
+# the curvature oracle's contractions are ufunc multiply-adds: np.linalg.inv is its one LAPACK call
+
+def test_the_oracle_runs_no_einsum(monkeypatch):
+    omegas = [EquilibriumOmega.constant(1.0), equilibrium_omega_from_expression("1+0.437623*u/(u+v)")]
+    scans = [equilibrium.rho_scan(1.7, om, 0.8, 2.4, 40) for om in omegas]
+
+    class NumpyWithoutEinsum:  # equilibrium's np: numpy, less einsum
+        def __getattr__(self, name):
+            assert name != "einsum", "equilibrium calls np.einsum"
+            return getattr(np, name)
+
+    inverses = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(equilibrium, "np", NumpyWithoutEinsum())
+    monkeypatch.setattr(equilibrium.np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+    for om, scan in zip(omegas, scans):
+        again = equilibrium.rho_scan(1.7, om, 0.8, 2.4, 40)
+        assert np.isfinite(again.R_numeric).all()
+        assert again.tobytes() == scan.tobytes()
+    assert inverses == [(5, 40, 2, 2)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -276,10 +276,13 @@ class TestNumericCurvature:
                        + np.einsum("ace,edb->abcd", gamma, gamma) - np.einsum("ade,ecb->abcd", gamma, gamma))
             return float(np.einsum("bd,bd->", np.linalg.inv(ev(q)), np.einsum("abad->bd", riemann)))
 
+        # a constant metric's R is 0, and +0 as the sums of einsum, which start from +0, give it
+        constant = lambda q: np.broadcast_to(np.diag([-2.0, -1.0]), np.shape(q)[:-1] + (2, 2))
+        metrics = [induced_metric(EPS_UNIT, GAS, om).eval for om in (OMEGA_ONE, OMEGA_UV)] + [constant]
         for q in (np.array([2.5, 1.3]), np.array([7.0, 0.4]), np.array([0.3, 0.2])):
-            for om in (OMEGA_ONE, OMEGA_UV):
-                g = induced_metric(EPS_UNIT, GAS, om)
-                assert scalar_curvature_numeric(g, q) == curvature(g.eval, q)
+            for ev in metrics:
+                R, expected = scalar_curvature_numeric(ev, q), curvature(ev, q)
+                assert (R, math.copysign(1.0, R)) == (expected, math.copysign(1.0, expected))
 
     def test_degenerate_point_rejected(self):
         g = induced_metric(EPS_UNIT, GAS, OMEGA_ONE)
