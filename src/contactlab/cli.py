@@ -47,6 +47,7 @@ from .flows import (
 from .metriclab import (
     GtdPartialParams,
     GtdTotalParams,
+    METRIC_FAMILIES,
     OmegaFunction,
     _fd_flow_jacobians,
     _pullback_defect,
@@ -86,7 +87,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
-COMMANDS = ("orbit", "legendre", "killing", "omega-check", "curvature", "rho-scan", "isometry")
+#: the choices of --format, which validate checks a config file's format against too
+FORMATS = ("csv", "json")
 
 #: scalar config keys by the type their value must have; None is allowed for the optional ones
 _INT_KEYS = ("n", "points", "seed", "k", "pair")
@@ -183,7 +185,7 @@ class RunConfig:
                     continue
                 if isinstance(val, bool) or not isinstance(val, kind):
                     raise ConfigError(f"{name} must be {label}, got {val!r}")
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
@@ -193,7 +195,7 @@ class RunConfig:
             raise ConfigError("t_end must be non-negative")
         if self.points < 1:
             raise ConfigError("points must be >= 1")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ConfigError(f"unknown output format {self.format!r}")
         for name in _REAL_KEYS:
             if getattr(self, name) is not None:
@@ -710,14 +712,18 @@ def _cmd_isometry(cfg: RunConfig):
     return names, _typed_table(names, index, points, labels * len(Z), residuals.ravel())
 
 
-_HANDLERS = {
-    "orbit": _cmd_orbit,
-    "legendre": _cmd_legendre,
-    "killing": _cmd_killing,
-    "omega-check": _cmd_omega_check,
-    "curvature": _cmd_curvature,
-    "rho-scan": _cmd_rho_scan,
-    "isometry": _cmd_isometry,
+#: command: (handler, help, the flags the handler reads); every command also takes --config, --out and --format
+_COMMANDS = {
+    "orbit": (_cmd_orbit, "integrate the Legendre generator flow", "--ic --pair --t-end --dt --n"),
+    "legendre": (_cmd_legendre, "apply discrete Legendre maps to points", "--point --map --n"),
+    "killing": (_cmd_killing, "Killing residuals of a metric family",
+                "--family --omega --points --k --xi --chi --n --seed"),
+    "omega-check": (_cmd_omega_check, "Poisson-constraint residuals of Omega", "--omega --points --n --seed"),
+    "curvature": (_cmd_curvature, "ideal-gas curvature at one point", "--cv --omega --u --v --delta-sing"),
+    "rho-scan": (_cmd_rho_scan, "curvature curve over an energy-density range",
+                 "--cv --omega --rho --v-fixed --delta-sing"),
+    "isometry": (_cmd_isometry, "discrete-map and flow-recurrence residuals",
+                 "--family --omega --points --map --k --xi --chi --recurrence-dt --n --seed"),
 }
 
 
@@ -732,7 +738,7 @@ def run(config: RunConfig) -> int:
         config.validate()
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            fieldnames, rows = _HANDLERS[config.command](config)
+            fieldnames, rows = _COMMANDS[config.command][0](config)
     except (IntegrationError, DegenerateMetricError, SingularityError,
             DomainError, ExpressionDomainError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
@@ -768,78 +774,47 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+#: every flag once, with its argparse keywords; the dest argparse makes of its name (--t-end: t_end) is a config key
+_FLAGS = {
+    "--config": {"help": "JSON config file; flags override its keys, and it may set any key"},
+    "--out": {"help": f"output path (relative paths join ${OUTPUT_DIR_ENV})"},
+    "--format": {"choices": FORMATS, "help": f"output format (default {RunConfig.format})"},
+    "--n": {"type": int, "help": f"degrees of freedom (default {RunConfig.n})"},
+    "--seed": {"type": int, "help": f"seed for sampled points (default {RunConfig.seed})"},
+    "--ic": {"action": "append", "dest": "ics",
+             "help": "initial condition: Phi,q1..qn,p1..pn, or qi,pi,Phi with --pair"},
+    "--pair": {"type": int, "help": "rotate only this conjugate pair (1-based)"},
+    "--t-end": {"type": float},
+    "--dt": {"type": float},
+    "--point": {"action": "append", "dest": "ics", "help": "point: Phi,q1..qn,p1..pn"},
+    "--map": {"action": "append", "dest": "maps",
+              "help": "pair set like '1' or '1,2', or 'total' (default: total in legendre, all subsets in isometry)"},
+    "--family": {"choices": METRIC_FAMILIES},
+    "--omega": {"help": f"registry name, const:<c>, or expr:<text in q1..qn,p1..pn>; curvature and rho-scan also take "
+                        f"expr:<text in u,v>, and pull a q,p Omega onto the ideal gas (default {RunConfig.omega})"},
+    "--points": {"type": int},
+    "--k": {"type": int, "help": f"gtd_partial exponent parameter (default {RunConfig.k})"},
+    "--xi": {"help": "gtd_total diagonal, comma-separated (default ones)"},
+    "--chi": {"help": "gtd_total diagonal, comma-separated (default ones)"},
+    "--cv": {"type": float},
+    "--u": {"type": float},
+    "--v": {"type": float},
+    "--rho": {"help": "range min:max:steps"},
+    "--v-fixed": {"type": float},
+    "--delta-sing": {"type": float},
+    "--recurrence-dt": {"type": float, "help": "also check the quarter-turn flow pullback at this RK4 step"},
+}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     """A new parser for the contactlab command line (main() reuses one; see _shared_parser)."""
-    parser = _ArgumentParser(
-        prog="contactlab",
-        description="Contact-geometry laboratory for thermodynamic phase space",
-    )
+    parser = _ArgumentParser(prog="contactlab",
+                             description="Contact-geometry laboratory for thermodynamic phase space")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--n", type=int, help="degrees of freedom (default 2)")
-        p.add_argument("--out", help=f"output path (relative paths join ${OUTPUT_DIR_ENV})")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--seed", type=int, help="seed for sampled points (default 7)")
-
-    p = sub.add_parser("orbit", help="integrate the Legendre generator flow")
-    p.add_argument("--ic", action="append", dest="ics",
-                   help="initial condition: Phi,q1..qn,p1..pn, or qi,pi,Phi with --pair")
-    p.add_argument("--pair", type=int, help="rotate only this conjugate pair (1-based)")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float)
-    add_common(p)
-
-    p = sub.add_parser("legendre", help="apply discrete Legendre maps to points")
-    p.add_argument("--point", action="append", dest="ics", help="point: Phi,q1..qn,p1..pn")
-    p.add_argument("--map", action="append", dest="maps",
-                   help="pair set like '1' or '1,2', or 'total' (default: total)")
-    add_common(p)
-
-    p = sub.add_parser("killing", help="Killing residuals of a metric family")
-    p.add_argument("--family", choices=("epsilon", "gtd_total", "gtd_partial"))
-    p.add_argument("--omega", help="registry name, const:<c>, or expr:<text>")
-    p.add_argument("--points", type=int)
-    p.add_argument("--k", type=int, help="gtd_partial exponent parameter (default 0)")
-    p.add_argument("--xi", help="gtd_total diagonal, comma-separated (default ones)")
-    p.add_argument("--chi", help="gtd_total diagonal, comma-separated (default ones)")
-    add_common(p)
-
-    p = sub.add_parser("omega-check", help="Poisson-constraint residuals of Omega")
-    p.add_argument("--omega")
-    p.add_argument("--points", type=int)
-    add_common(p)
-
-    p = sub.add_parser("curvature", help="ideal-gas curvature at one point")
-    p.add_argument("--cv", type=float)
-    p.add_argument("--omega", help="registry name, const:<c>, or expr:<text in u,v or in q1,q2,p1,p2>")
-    p.add_argument("--u", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--delta-sing", type=float, dest="delta_sing")
-    add_common(p)
-
-    p = sub.add_parser("rho-scan", help="curvature curve over an energy-density range")
-    p.add_argument("--cv", type=float)
-    p.add_argument("--omega", help="registry name, const:<c>, or expr:<text in u,v or in q1,q2,p1,p2>")
-    p.add_argument("--rho", help="range min:max:steps")
-    p.add_argument("--v-fixed", type=float, dest="v_fixed")
-    p.add_argument("--delta-sing", type=float, dest="delta_sing")
-    add_common(p)
-
-    p = sub.add_parser("isometry", help="discrete-map and flow-recurrence residuals")
-    p.add_argument("--family", choices=("epsilon", "gtd_total", "gtd_partial"))
-    p.add_argument("--omega")
-    p.add_argument("--points", type=int)
-    p.add_argument("--map", action="append", dest="maps",
-                   help="pair set like '1' or '1,2', or 'total' (default: all subsets)")
-    p.add_argument("--k", type=int)
-    p.add_argument("--xi", help="gtd_total diagonal, comma-separated")
-    p.add_argument("--chi", help="gtd_total diagonal, comma-separated")
-    p.add_argument("--recurrence-dt", type=float, dest="recurrence_dt",
-                   help="also check the quarter-turn flow pullback at this RK4 step")
-    add_common(p)
-
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)  # rho-scan --v is no --v-fixed
+        for flag in (flags + " --config --out --format").split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -263,7 +263,8 @@ def metric_determinant(g: EquilibriumMetric, q: np.ndarray) -> float:
 ORACLE_BLOCK_ROWS = 1024
 
 #: a row is degenerate when |det g| at its centre is below this fraction of the largest |det g| on its first
-#: stencil level, each g divided by the largest |entry| of the row's five: a ratio free of Omega's and (u, v)'s scale
+#: stencil level, each g divided by the largest |entry| of the row's five: a ratio free of Omega's and (u, v)'s scale;
+#: it is degenerate too where any of the five dets is exactly 0, as the inverse of each g is taken
 DEGENERATE_DET_FRACTION = 1e-12
 
 
@@ -290,6 +291,7 @@ def _curvature_block(metric: Callable[[np.ndarray], np.ndarray], Q: np.ndarray):
     N = G01 / np.abs(G01).max(axis=(0, 2, 3))[:, np.newaxis, np.newaxis]
     dets = np.abs(N[..., 0, 0] * N[..., 1, 1] - N[..., 0, 1] * N[..., 1, 0])
     degenerate = ~(dets[0] >= DEGENERATE_DET_FRACTION * dets[1:].max(axis=0))  # a NaN det is degenerate
+    degenerate |= (dets == 0).any(axis=0)  # a singular first-level metric has no inverse for its Christoffels
     reasons[degenerate] = NULL_DEGENERATE
     reasons[~finite] = NULL_RANGE
     rows = np.flatnonzero(finite & ~degenerate)

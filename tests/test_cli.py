@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -593,6 +594,37 @@ class TestCurvature:
         assert capsys.readouterr().err == (
             "curvature: no R_numeric on 1 rows (degenerate metric: 1, outside the float range: 0)\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv,degenerate", [
+        # Omega = 0 at the first-level point u = 2.0002, or v = 1.0001
+        (["curvature", "--omega", "expr:u-2.0002", "--u", "2", "--v", "1"], 1),
+        (["curvature", "--omega", "expr:v-1.0001", "--u", "2", "--v", "1"], 1),
+        (["rho-scan", "--omega", "expr:u-2.0002", "--rho", "0.5:3:6"], 1),
+        # a v-shifted point of rho = 0.9999 and of rho = 1.0001 lands on the band u = v
+        (["rho-scan", "--cv", "1", "--omega", "const:1", "--rho", "0.9999:1.0001:3", "--delta-sing", "1e-300"], 2),
+    ])
+    def test_a_singular_metric_on_the_first_stencil_level_is_a_degenerate_row(self, capsys, argv, degenerate, fmt):
+        # each once exited 1 with "error: Singular matrix", np.linalg.inv's error for the whole block
+        assert main([*argv, "--format", fmt]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err.splitlines()[-1] == (f"{argv[0]}: no R_numeric on {degenerate} rows "
+                                        f"(degenerate metric: {degenerate}, outside the float range: 0)")
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        null = None if fmt == "json" else "nan"
+        assert sum(r["R_numeric"] == null and r["near_singularity"] in (False, "false") for r in rows) == degenerate
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_degenerate_row_leaves_the_other_rows_of_its_scan(self, capsys, fmt):
+        assert main(["rho-scan", "--omega", "expr:u-2.0002", "--rho", "0.5:3:6", "--format", fmt]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out) if fmt == "json" else capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 6
+        for u, row in zip(["0.5", "1", "1.5", "2", "2.5", "3"], rows):
+            if u == "2":  # the degenerate row
+                continue
+            assert main(["curvature", "--omega", "expr:u-2.0002", "--u", u, "--v", "1", "--format", fmt]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert (json.loads(out) if fmt == "json" else out.splitlines()[1:]) == [row]
+
 
 class TestPhaseSpaceOmegas:
     """curvature and rho-scan pull a phase-space Omega (a registry name, or expr: in q, p) back onto the gas."""
@@ -1009,11 +1041,38 @@ class TestExactExpressionDerivatives:
             err = capsys.readouterr().err
             assert err.startswith("numeric failure: ^ failed: complex result") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["killing", "omega-check", "curvature", "rho-scan"])
-    def test_h_fd_is_no_flag_where_it_would_set_nothing(self, capsys, command):
+    @pytest.mark.parametrize("command,flag,value", [
         # the curvature oracle's step is relative, DEFAULT_CURVATURE_STEP * |q_c|, with no knob
-        assert main([command, "--h-fd", "1e-5"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: unrecognized arguments: --h-fd 1e-5\n"
+        *(pytest.param(command, "--h-fd", "1e-5", id=command)
+          for command in ["killing", "omega-check", "curvature", "rho-scan"]),
+        # orbit and legendre sample no points, and curvature and rho-scan run the n = 2 ideal gas
+        *((command, "--seed", "3") for command in ["orbit", "legendre", "curvature", "rho-scan"]),
+        *((command, "--n", "3") for command in ["curvature", "rho-scan"]),
+    ])
+    def test_h_fd_is_no_flag_where_it_would_set_nothing(self, capsys, command, flag, value):
+        assert main([command, flag, value]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+
+
+#: the flags each command's handler reads, besides --config, --out and --format, which every command takes
+HANDLER_FLAGS = {
+    "orbit": {"--ic", "--pair", "--t-end", "--dt", "--n"},
+    "legendre": {"--point", "--map", "--n"},
+    "killing": {"--family", "--omega", "--points", "--k", "--xi", "--chi", "--n", "--seed"},
+    "omega-check": {"--omega", "--points", "--n", "--seed"},
+    "curvature": {"--cv", "--omega", "--u", "--v", "--delta-sing"},
+    "rho-scan": {"--cv", "--omega", "--rho", "--v-fixed", "--delta-sing"},
+    "isometry": {"--family", "--omega", "--points", "--map", "--k", "--xi", "--chi", "--recurrence-dt", "--n",
+                 "--seed"},
+}
+#: a value that each of the command line's 24 flags parses
+FLAG_VALUES = {
+    "--config": "run.json", "--out": "out.csv", "--format": "json", "--n": "2", "--seed": "3",
+    "--ic": "0,1,0,0,0", "--pair": "1", "--t-end": "1", "--dt": "0.1", "--point": "1,2,3,4,5", "--map": "total",
+    "--family": "epsilon", "--omega": "const:1", "--points": "2", "--k": "1", "--xi": "1,1", "--chi": "1,1",
+    "--cv": "1.5", "--u": "2", "--v": "1", "--rho": "1:2:3", "--v-fixed": "1", "--delta-sing": "1e-3",
+    "--recurrence-dt": "1e-3",
+}
 
 
 class TestRunConfigDirect:
@@ -1046,12 +1105,23 @@ class TestRunConfigDirect:
         with pytest.raises(ConfigError):
             build_arg_parser().parse_args(["quux"])
 
+    @pytest.mark.parametrize("command", sorted(HANDLER_FLAGS))
+    def test_each_command_takes_exactly_the_flags_its_handler_reads(self, command):
+        takes = HANDLER_FLAGS[command] | {"--config", "--out", "--format"}
+        for flag, value in FLAG_VALUES.items():
+            if flag in takes:
+                build_arg_parser().parse_args([command, flag, value])
+            else:  # not as the abbreviation of another flag either (rho-scan --v, killing --point)
+                with pytest.raises(ConfigError, match=f"^unrecognized arguments: {flag} {value}$"):
+                    build_arg_parser().parse_args([command, flag, value])
+
     def test_namespace_to_config(self):
-        args = build_arg_parser().parse_args(
-            ["rho-scan", "--cv", "2.5", "--rho", "1:2:10", "--seed", "9"])
+        args = build_arg_parser().parse_args(["rho-scan", "--cv", "2.5", "--rho", "1:2:10"])
         cfg = config_from_args(args)
-        assert (cfg.command, cfg.cv, cfg.seed) == ("rho-scan", 2.5, 9)
+        assert (cfg.command, cfg.cv) == ("rho-scan", 2.5)
         assert cfg.omega == "const:1"  # default preserved
+        cfg = config_from_args(build_arg_parser().parse_args(["killing", "--seed", "9"]))
+        assert (cfg.command, cfg.seed) == ("killing", 9)
 
 
 #: the first 16 hex digits of the SHA-256 of "exit code NUL stdout NUL stderr" of every rho-scan command of
@@ -1343,3 +1413,21 @@ class TestBenchmarkHooks:
         code = main(list(argv))
         out, err = capsys.readouterr()
         assert hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()[:16] == SPEC_RESOLUTION_DIGESTS[argv]
+
+
+class TestReadme:
+    def test_every_command_line_example_runs(self, tmp_path, monkeypatch, capsys):
+        # the contactlab lines of README's "Command line" block, \ continuations joined
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line)[1:] for line in lines if line.startswith("contactlab ")]
+        assert len(examples) == 7
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+        for argv in examples:
+            assert main(argv) == EXIT_OK, argv
+            out = capsys.readouterr().out
+            if "--out" in argv:
+                assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0, argv
+            else:
+                assert out, argv

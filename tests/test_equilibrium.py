@@ -290,6 +290,20 @@ class TestNumericCurvature:
         with pytest.raises(DegenerateMetricError):
             scalar_curvature_numeric(g, np.array([u, 1.0]))
 
+    def test_a_singular_metric_on_the_first_stencil_level_is_degenerate(self):
+        # every det is 0, so the centre's passes the ratio test 0 >= 1e-12 * 0, and np.linalg.inv of the
+        # block once raised LinAlgError: Singular matrix
+        singular = lambda q: np.broadcast_to(np.ones((2, 2)), np.shape(q)[:-1] + (2, 2))
+        with pytest.raises(DegenerateMetricError):
+            scalar_curvature_numeric(singular, np.array([2.0, 1.0]))
+        # Omega = 0, and so g = 0, only at the first-level point u (1 + 1e-4) = 2.0002
+        g = induced_metric(EPS_UNIT, GAS, parse_equilibrium_omega_spec("expr:u-2.0002"))
+        with pytest.raises(DegenerateMetricError):
+            scalar_curvature_numeric(g, np.array([2.0, 1.0]))
+        R, reasons = _scalar_curvature_rows(g.eval, np.array([[1.5, 1.0], [2.0, 1.0], [2.5, 1.0]]))
+        assert reasons.tolist() == [None, NULL_DEGENERATE, None]
+        assert [R[0], R[2]] == [scalar_curvature_numeric(g, np.array([u, 1.0])) for u in (1.5, 2.5)]
+
 
 class TestClosedFormCurvature:
     def test_reference_value(self):
